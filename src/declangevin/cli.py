@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -83,11 +84,13 @@ class ExperimentConfig:
     model_kappa: float = 1.0
 
 
-_FIELD_TYPES = {f.name: t for f, t in zip(
-    fields(ExperimentConfig),
-    [str, int, int, int, str, int, str, str, int, int, str, float, float,
-     float, float, float, int, float, int, int, float, str, float, float,
-     float, float, float, str, str, int, float, int, str, int, float])}
+def _coercion_type(hint) -> type:
+    """The type a config value is coerced to: ``X`` for ``X`` or ``X | None``."""
+    return next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+
+
+_FIELD_TYPES = {name: _coercion_type(hint)
+                for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 
 _EXPERIMENTS = ("linreg", "mixture", "logistic", "run")
 

@@ -10,6 +10,7 @@ the window may be arbitrarily sparse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,14 +57,6 @@ class DirectedGraph:
                 raise ValueError(f"edge ({u}, {v}) out of range for {self.num_nodes} nodes")
             if u == v:
                 raise ValueError(f"explicit self-loop ({u}, {u}) is not allowed")
-
-    @cached_property
-    def in_neighbors(self) -> tuple:
-        """Per node, the sorted in-neighbors including the node itself."""
-        nbrs = [[i] for i in range(self.num_nodes)]
-        for u, v in self.edges:
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(n)) for n in nbrs)
 
     @cached_property
     def out_degrees(self) -> np.ndarray:
@@ -138,8 +131,8 @@ class MixingMatrix:
         m = self.graph.num_nodes
         if self.entries.shape != (m, m):
             raise ValueError("entries shape does not match the graph")
-        col_sums = self.entries.sum(axis=0)
-        if not np.allclose(col_sums, 1.0, rtol=0.0, atol=1e-12):
+        # written so that NaN sums fail too
+        if not np.abs(self.entries.sum(axis=0) - 1.0).max() <= 1e-12:
             raise ValueError("mixing matrix columns must sum to 1")
 
 
@@ -323,20 +316,25 @@ class SpectralBounds:
 
     ``delta_lower`` bounds from below every push-sum weight ratio that can
     occur, and ``lambda_upper`` bounds from above the per-step geometric
-    contraction factor of the mixing products.
+    contraction factor of the mixing products.  ``gap`` is 1 - lambda_upper
+    computed without cancellation: from about 14 nodes on, lambda_upper
+    rounds to 1.0 while the gap stays positive.
     """
 
     num_nodes: int
     window_len: int
     delta_lower: float
     lambda_upper: float
+    gap: float
 
 
 def spectral_bounds(num_nodes: int, window_len: int) -> SpectralBounds:
     """Closed-form mixing bounds for m nodes and window length B.
 
     delta >= m**(-m*B) and lambda <= (1 - m**(-m*B))**(1/(m*B)).  For a
-    single node the mixing is exact: delta = 1 and lambda = 0.
+    single node the mixing is exact: delta = 1 and lambda = 0.  The gap
+    1 - lambda is computed in log space, so it stays positive after lambda
+    has rounded to 1.0.
 
     Parameters
     ----------
@@ -351,6 +349,10 @@ def spectral_bounds(num_nodes: int, window_len: int) -> SpectralBounds:
         raise ValueError("num_nodes and window_len must be at least 1")
     mb = num_nodes * window_len
     delta = float(num_nodes) ** (-mb)
+    if delta == 0.0:
+        raise ValueError(f"delta = m**(-m*B) underflows to 0 for m={num_nodes}, "
+                         f"B={window_len}")
     lam = (1.0 - delta) ** (1.0 / mb)
+    gap = 1.0 if delta == 1.0 else -math.expm1(math.log1p(-delta) / mb)
     return SpectralBounds(num_nodes=num_nodes, window_len=window_len,
-                          delta_lower=delta, lambda_upper=lam)
+                          delta_lower=delta, lambda_upper=lam, gap=gap)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graphs import DirectedGraphSequence
-from .pushsum import NetworkState, init_network, pushsum_mix, consensus_error
+from .pushsum import (NetworkState, _mix, consensus_error, init_network,
+                      pushsum_mix)
 from .trace import Trace
 
 __all__ = [
@@ -291,6 +292,11 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     graph sequence.  This estimates the distribution of the network average
     at chosen iterations, which a single trajectory cannot do.
 
+    The state is agent-major, (m, d, num_runs): row i holds agent i's
+    values in every run, so each step mixes all runs with one matrix product
+    through the same push-sum kernel as a single run, and the update works
+    on contiguous (m, num_runs) columns, one per coordinate.
+
     Parameters
     ----------
     checkpoints : sequence of int
@@ -305,6 +311,13 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     -------
     ndarray of shape (len(checkpoints), num_runs, d)
         The network average of every run at every checkpoint.
+
+    Raises
+    ------
+    DivergenceError
+        If any state is non-finite at a checkpoint.  The last iteration is
+        always a checkpoint, and mixing cannot make a non-finite value
+        finite again, so no divergence goes unreported.
     """
     target_mean = np.asarray(target_mean, dtype=float)
     target_cov = np.asarray(target_cov, dtype=float)
@@ -317,21 +330,37 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
         raise ValueError("checkpoints must be increasing")
 
     rng = np.random.default_rng(seed)
-    m = num_agents
-    x = np.zeros((num_runs, m, d))
+    m, r = num_agents, num_runs
+    x = np.zeros((m, d, r))
+    w = np.empty_like(x)
+    z = np.empty_like(x)
     y = np.ones(m)
-    snaps = np.zeros((len(checkpoints), num_runs, d))
+    block = np.empty((r, m, d))
+    term = np.empty((m, r))
+    rows = (m, d * r)
+    snaps = np.zeros((len(checkpoints), r, d))
     want = {c: k for k, c in enumerate(checkpoints)}
 
     for t in range(max(checkpoints)):
-        entries = seq.mixing_at(t).entries
-        w = np.einsum("ij,rjd->rid", entries, x)
-        y = entries @ y
-        z = w / y[None, :, None]
-        grad = (z - target_mean) @ precision.T / m
+        _, y, _ = _mix(seq.mixing_at(t).entries, x.reshape(rows), y, t,
+                       w=w.reshape(rows), z=z.reshape(rows))
         alpha = step_size(sched, t + 1)
-        block = rng.standard_normal((num_runs, m, d)) if noise_draw is None else noise_draw(t)
-        x = w - alpha * grad + np.sqrt(2.0 * alpha) * block
+        scale = np.sqrt(2.0 * alpha)
+        drawn = rng.standard_normal(out=block) if noise_draw is None else noise_draw(t)
+        # x = w - alpha (z - mean) P^T / m + sqrt(2 alpha) noise, per coordinate
+        coef = (alpha / m) * precision
+        shift = coef @ target_mean
+        for k in range(d):
+            xk = x[:, k]
+            np.multiply(drawn[:, :, k].T, scale, out=xk)
+            xk += w[:, k]
+            for l in range(d):
+                np.multiply(z[:, l], coef[k, l], out=term)
+                xk -= term
+            xk += shift[k]
         if t + 1 in want:
-            snaps[want[t + 1]] = x.mean(axis=1)
+            finite = np.isfinite(x).all(axis=(1, 2))
+            if not finite.all():
+                raise DivergenceError(agent=int(np.argmin(finite)), iteration=t + 1)
+            snaps[want[t + 1]] = x.mean(axis=0).T
     return snaps

@@ -142,17 +142,22 @@ def check_lemma4_bound(trace: Trace, delta: float | None = None,
 
     with D the largest observed perturbation norm unless given.  ``delta``
     and ``lam`` default to the closed-form worst-case constants for the
-    trace's network size and ``window_len``.
+    trace's network size and ``window_len``; a default ``lam`` brings its
+    gap 1 - lam from :func:`spectral_bounds`, which stays positive at
+    network sizes where ``lam`` itself rounds to 1.0.
     """
     m = trace.num_agents
     if delta is None or lam is None:
         sb = spectral_bounds(m, window_len)
         delta = sb.delta_lower if delta is None else delta
-        lam = sb.lambda_upper if lam is None else lam
+    if lam is None:
+        lam, gap = sb.lambda_upper, sb.gap
+    elif not 0.0 <= lam < 1.0:
+        raise ValueError("lam must lie in [0, 1)")
+    else:
+        gap = 1.0 - lam
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if not 0.0 <= lam < 1.0:
-        raise ValueError("lam must lie in [0, 1)")
     if d_hat is None:
         d_hat = float(trace.pert_norms.max())
 
@@ -161,8 +166,8 @@ def check_lemma4_bound(trace: Trace, delta: float | None = None,
     lhs = cum.max(axis=1)
     taus = np.arange(1, trace.num_iters)
     x0_l1 = np.abs(trace.states[0]).sum()
-    bound = (8.0 / delta) * (lam / (1.0 - lam)) * x0_l1 \
-        + (8.0 / delta) * (d_hat * m / (1.0 - lam)) * (1.0 + np.sqrt(taus))
+    bound = (8.0 / delta) * (lam / gap) * x0_l1 \
+        + (8.0 / delta) * (d_hat * m / gap) * (1.0 + np.sqrt(taus))
     ratios = lhs / bound
     return BoundReport(taus=taus, lhs=lhs, bound=bound,
                        violated=bool(np.any(lhs > bound)),

@@ -1,11 +1,15 @@
 """Push-sum mixing of weighted agent states.
 
 Each agent carries a value vector x, a scalar weight y, the freshly mixed
-numerator w and the ratio estimate z = w / y.  One mixing round follows the
-neighbor-sum form: every agent j splits x_j and y_j evenly over its
-out-neighborhood (itself included) and every receiver i adds up what
-arrives.  The ratio z corrects the directional bias of the raw averages, and
+numerator w and the ratio estimate z = w / y.  One mixing round is one
+product with the column-stochastic mixing matrix A: every agent j splits x_j
+and y_j evenly over its out-neighborhood (itself included), so w = A x and
+y <- A y.  The ratio z corrects the directional bias of the raw averages, and
 the total weight sum stays equal to the number of agents forever.
+
+State is agent-major: row i belongs to agent i, whether it holds one run's
+d values or the values of many runs, so a single run and an ensemble of
+runs share the same kernel.
 """
 
 from __future__ import annotations
@@ -86,14 +90,32 @@ def init_network(num_agents: int, dim: int) -> NetworkState:
     )
 
 
+def _mix(entries: np.ndarray, x: np.ndarray, y: np.ndarray, t: int,
+         w: np.ndarray | None = None, z: np.ndarray | None = None) -> tuple:
+    """Push-sum round on agent-major state: (w, y, z) = (A x, A y, A x / A y).
+
+    ``x`` has one row per agent, (m, d) for a single run or (m, d*R) for R
+    runs; ``w`` and ``z`` are optional output buffers of the same shape.
+    ``t`` only labels the underflow error.
+    """
+    w = np.matmul(entries, x, out=w)
+    y = entries @ y
+    if np.any(y < Y_FLOOR):
+        bad = int(np.argmin(y))
+        raise FloatingPointError(
+            f"push-sum weight underflow at agent {bad} (y={y[bad]:.3e}, t={t})")
+    z = np.divide(w, y[:, None], out=z)
+    return w, y, z
+
+
 def pushsum_mix(ns: NetworkState, mix: MixingMatrix) -> NetworkState:
     """One push-sum round over the given mixing topology.
 
     Every agent j contributes x_j / d_j and y_j / d_j to each of its
     out-neighbors and to itself, where d_j is j's out-degree including the
-    self-loop.  The receiver sums are accumulated neighbor by neighbor.
-    Returns a state with fresh w, y, z; x and t are left untouched so the
-    caller decides how to close the loop.
+    self-loop; the receiver sums are the products w = A x and y <- A y with
+    the mixing matrix.  Returns a state with fresh w, y, z; x and t are left
+    untouched so the caller decides how to close the loop.
 
     Raises
     ------
@@ -103,29 +125,11 @@ def pushsum_mix(ns: NetworkState, mix: MixingMatrix) -> NetworkState:
         If any weight falls below a representable floor, which would make
         the ratio z meaningless.
     """
-    g = mix.graph
     m = ns.num_agents
-    if g.num_nodes != m:
-        raise ValueError(f"graph has {g.num_nodes} nodes but the state has {m} agents")
-
-    degs = g.out_degrees
-    share_x = ns.x / degs[:, None]
-    share_y = ns.y / degs
-
-    w_new = np.zeros_like(ns.x)
-    y_new = np.zeros_like(ns.y)
-    for i, nbrs in enumerate(g.in_neighbors):
-        for j in nbrs:
-            w_new[i] += share_x[j]
-            y_new[i] += share_y[j]
-
-    if np.any(y_new < Y_FLOOR):
-        bad = int(np.argmin(y_new))
-        raise FloatingPointError(
-            f"push-sum weight underflow at agent {bad} (y={y_new[bad]:.3e}, t={ns.t})")
-
-    z_new = w_new / y_new[:, None]
-    return replace(ns, w=w_new, y=y_new, z=z_new)
+    if mix.graph.num_nodes != m:
+        raise ValueError(f"graph has {mix.graph.num_nodes} nodes but the state has {m} agents")
+    w, y, z = _mix(mix.entries, ns.x, ns.y, ns.t)
+    return replace(ns, w=w, y=y, z=z)
 
 
 def consensus_error(ns: NetworkState) -> np.ndarray:

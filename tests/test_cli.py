@@ -11,7 +11,7 @@ from declangevin import (ConfigError, GaussianDist, build_config,
                          linreg_w2_series, logistic_auc_series, main,
                          make_surrogate_classification, prepare,
                          run_experiment, save_libsvm, step_size)
-from declangevin.cli import load_config_file
+from declangevin.cli import _FIELD_TYPES, ExperimentConfig, load_config_file
 
 
 class TestBuildConfig:
@@ -41,6 +41,13 @@ class TestBuildConfig:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="unknown experiment"):
             build_config("bandit")
+
+    def test_field_types_follow_the_annotations(self):
+        # every annotation reads "T" or "T | None" and T is the coercion type
+        for f in dataclasses.fields(ExperimentConfig):
+            assert _FIELD_TYPES[f.name].__name__ == f.type.removesuffix(" | None"), f.name
+        assert build_config("run", {"graph_seed": "3"}).graph_seed == 3
+        assert build_config("run", {"alpha0": "2"}).alpha0 == 2.0
 
     def test_integer_coercion(self):
         assert build_config("run", {"iters": "5"}).iters == 5
@@ -247,6 +254,15 @@ class TestMain:
         assert b"# lemma4_violated=" in data
         assert b"lemma4_lhs,lemma4_bound" in data
         assert "deviation bound" in capsys.readouterr().out
+
+    def test_monitors_work_at_sixteen_agents(self, tmp_path, capsys):
+        # from 14 agents on the closed-form lambda rounds to 1.0; the bound
+        # must use the gap 1 - lambda computed without cancellation
+        out = tmp_path / "big.csv"
+        assert main(["run", "--agents", "16", "--monitors", "on",
+                     "--out", str(out)]) == 0
+        assert b"# lemma4_violated=false\r\n" in out.read_bytes()
+        assert "held" in capsys.readouterr().out
 
     def test_config_file_sits_between_defaults_and_flags(self, tmp_path,
                                                          capsys):

@@ -31,13 +31,6 @@ class TestDirectedGraph:
         with pytest.raises(ValueError, match="self-loop"):
             DirectedGraph(3, {(1, 1)})
 
-    def test_in_neighbors_include_self(self, six_node_graph):
-        nbrs = six_node_graph.in_neighbors
-        assert nbrs[0] == (0, 5)
-        assert nbrs[1] == (0, 1)
-        assert nbrs[3] == (2, 3)
-        assert nbrs[4] == (4,)
-
     def test_out_degrees_count_self_loop(self, six_node_graph):
         assert six_node_graph.out_degrees.tolist() == [2, 1, 2, 1, 1, 2]
         assert out_degree(six_node_graph, 0) == 2
@@ -193,6 +186,7 @@ class TestSpectralBounds:
         sb = spectral_bounds(1, 4)
         assert sb.delta_lower == 1.0
         assert sb.lambda_upper == 0.0
+        assert sb.gap == 1.0
 
     def test_two_node_values(self):
         sb = spectral_bounds(2, 1)
@@ -206,8 +200,23 @@ class TestSpectralBounds:
                 assert 0.0 < sb.delta_lower <= 1.0
                 assert 0.0 <= sb.lambda_upper < 1.0
 
+    def test_gap_is_one_minus_lambda(self):
+        for m, b in ((2, 1), (3, 2), (4, 2)):
+            sb = spectral_bounds(m, b)
+            assert sb.gap == pytest.approx(1.0 - sb.lambda_upper, rel=1e-9)
+
+    def test_gap_stays_positive_where_lambda_rounds_to_one(self):
+        sb = spectral_bounds(16, 1)
+        assert sb.lambda_upper == 1.0
+        # 1 - (1 - delta)**(1/mB) = delta / mB to first order
+        assert sb.gap > 0.0
+        assert sb.gap == pytest.approx(sb.delta_lower / 16, rel=1e-12)
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             spectral_bounds(0, 1)
         with pytest.raises(ValueError):
             spectral_bounds(2, 0)
+        # delta = m**(-m*B) underflows to 0
+        with pytest.raises(ValueError, match="m=200, B=1"):
+            spectral_bounds(200, 1)

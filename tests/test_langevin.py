@@ -267,3 +267,47 @@ class TestGaussianEnsemble:
         cloud = snaps[0]
         assert np.abs(cloud.mean(axis=0) - mean).max() < 0.1
         assert np.abs(np.cov(cloud, rowvar=False) - np.eye(2)).max() < 0.1
+
+    def test_runs_replay_independent_recorded_runs(self):
+        # three runs on distinct noise, with m, d and R all different, so a
+        # mix-up of the run, agent and coordinate axes cannot go unseen
+        m, d, iters, runs = 4, 2, 50, 3
+        mean = np.array([0.5, -0.5])
+        cov = np.array([[1.0, 0.2], [0.2, 0.5]])
+        pot = GaussianPotential(mean, cov, m)
+        seq = generate_graph_sequence("seeded-random", m, 1, seed=6)
+        sched = StepSchedule("harmonic", alpha0=0.5)
+        checkpoints = [1, 10, 25, 50]
+
+        blocks, averages = [], []
+        for r in range(runs):
+            noise = RecordingNoise(20 + r, m)
+            ns = init_network(m, d)
+            avg = {}
+            for t in range(iters):
+                ns = langevin_step(ns, seq.mixing_at(t), sched, pot, noise)
+                avg[t + 1] = average_state(ns)
+            blocks.append(noise.stacked(m, d))
+            averages.append(avg)
+        stacked = np.stack(blocks, axis=1)  # (iters, runs, m, d)
+
+        snaps = run_gaussian_ensemble(seq, sched, mean, cov, m, iters, runs, 0,
+                                      checkpoints,
+                                      noise_draw=lambda t: stacked[t])
+        for k, c in enumerate(checkpoints):
+            for r in range(runs):
+                np.testing.assert_allclose(snaps[k, r], averages[r][c],
+                                           atol=1e-12, rtol=0.0)
+
+    def test_divergence_raises_instead_of_returning_nan(self):
+        # a step far above 2/L for a stiff target overflows within a few
+        # hundred steps; it is reported at the first checkpoint after it
+        seq = generate_graph_sequence("seeded-random", 4, 1, seed=0)
+        sched = StepSchedule("harmonic", alpha0=50.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="non-finite") as info:
+                run_gaussian_ensemble(seq, sched, np.zeros(2),
+                                      0.001 * np.eye(2), 4, 400, 8, 0,
+                                      [100, 200, 400])
+        assert 0 <= info.value.agent < 4
+        assert info.value.iteration in (100, 200, 400)

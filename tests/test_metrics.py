@@ -192,6 +192,14 @@ class TestCumulativeBound:
         assert report.lam == sb.lambda_upper
         assert report.d_hat == 0.7
 
+    def test_default_constants_work_where_lambda_rounds_to_one(self):
+        trace = make_trace(np.ones((16, 1)), np.full((20, 16), 0.01),
+                           np.full((20, 16), 0.1))
+        report = check_lemma4_bound(trace)
+        assert report.lam == 1.0
+        assert np.all(np.isfinite(report.bound)) and np.all(report.bound > 0)
+        assert not report.violated
+
     def test_constant_validation(self):
         trace = make_trace(np.zeros((2, 1)), np.zeros((5, 2)),
                            np.zeros((5, 2)))

@@ -14,6 +14,18 @@ def random_state(rng, m, d):
                         w=ns.w, z=ns.z, t=0)
 
 
+def neighbour_sum_mix(g, x, y):
+    """Reference round in receiver-sum form: each node keeps one share of its
+    own mass and every edge (u, v) carries one share of u's mass to v."""
+    degs = g.out_degrees
+    share_x, share_y = x / degs[:, None], y / degs
+    w, y_new = share_x.copy(), share_y.copy()
+    for u, v in g.edges:
+        w[v] += share_x[u]
+        y_new[v] += share_y[u]
+    return w, y_new
+
+
 class TestNetworkState:
     def test_init_is_zeroed_with_unit_weights(self):
         ns = init_network(3, 2)
@@ -62,6 +74,17 @@ class TestPushsumMix:
             # close the loop without any perturbation
             ns = NetworkState(x=mixed.w, y=mixed.y, w=mixed.w, z=mixed.z,
                               t=ns.t + 1)
+
+    def test_matches_the_neighbour_sum_reference(self):
+        rng = np.random.default_rng(3)
+        for m in (1, 3, 7):
+            seq = generate_graph_sequence("seeded-random", m, 2, seed=m)
+            ns = random_state(rng, m, 4)
+            for t in range(8):
+                mixed = pushsum_mix(ns, seq.mixing_at(t))
+                w, y = neighbour_sum_mix(seq.graph_at(t), ns.x, ns.y)
+                np.testing.assert_allclose(mixed.w, w, atol=1e-14, rtol=1e-14)
+                np.testing.assert_allclose(mixed.y, y, atol=1e-14, rtol=1e-14)
 
     def test_x_and_t_left_untouched(self):
         rng = np.random.default_rng(2)
