@@ -14,7 +14,7 @@ from .cli import (ConfigError, ExperimentConfig, build_config,
 from .graphs import (GRAPH_KINDS, DirectedGraph, DirectedGraphSequence,
                      MixingMatrix, SpectralBounds, build_mixing_matrix,
                      check_b_strong_connectivity, generate_graph_sequence,
-                     out_degree, spectral_bounds)
+                     spectral_bounds)
 from .langevin import (SCHEDULE_KINDS, DivergenceError, NoiseModel, Potential,
                        PotentialProps, StepSchedule, ZeroPotential,
                        average_state, langevin_step, run,
@@ -29,14 +29,13 @@ from .models import (Dataset, GaussianDist, GaussianPotential, LinRegPotential,
                      grad_U_linreg, grad_U_logistic, grad_U_mixture,
                      linreg_posterior, load_libsvm,
                      make_surrogate_classification, partition, save_libsvm)
-from .pushsum import (AgentState, NetworkState, consensus_error,
-                      init_network, pushsum_mix)
+from .pushsum import (NetworkState, consensus_error, init_network,
+                      pushsum_mix)
 from .trace import Trace, write_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentState",
     "BoundReport",
     "ConfigError",
     "Dataset",
@@ -84,7 +83,6 @@ __all__ = [
     "logistic_auc_series",
     "main",
     "make_surrogate_classification",
-    "out_degree",
     "partition",
     "prepare",
     "pushsum_mix",

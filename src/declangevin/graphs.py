@@ -21,7 +21,6 @@ __all__ = [
     "DirectedGraphSequence",
     "MixingMatrix",
     "SpectralBounds",
-    "out_degree",
     "build_mixing_matrix",
     "check_b_strong_connectivity",
     "generate_graph_sequence",
@@ -96,32 +95,13 @@ class DirectedGraph:
         return True
 
 
-def out_degree(g: DirectedGraph, node: int) -> int:
-    """Out-degree of ``node`` in ``g``, counting the implicit self-loop.
-
-    Parameters
-    ----------
-    g : DirectedGraph
-    node : int
-        Node index; must lie in [0, g.num_nodes).
-
-    Returns
-    -------
-    int
-        1 plus the number of out-edges of ``node``.
-    """
-    if not 0 <= node < g.num_nodes:
-        raise ValueError(f"node {node} out of range for {g.num_nodes} nodes")
-    return int(g.out_degrees[node])
-
-
 @dataclass(frozen=True)
 class MixingMatrix:
     """Column-stochastic mixing matrix paired with the graph it came from.
 
-    ``entries[j, i]`` is 1/out_degree(i) when i sends to j (or j == i) and 0
-    otherwise, so each column i spreads node i's mass uniformly over its
-    out-neighborhood.
+    ``entries[j, i]`` is 1/d_i, with d_i node i's out-degree, when i sends
+    to j (or j == i) and 0 otherwise, so each column i spreads node i's mass
+    uniformly over its out-neighborhood.
     """
 
     entries: np.ndarray
@@ -201,28 +181,37 @@ class DirectedGraphSequence:
         self._window_cache: dict = {}
         self._mixing_cache: dict = {}
 
-    def graph_at(self, t: int) -> DirectedGraph:
-        """Graph active at iteration t (t >= 0)."""
+    def _position(self, t: int):
+        """Where the graph active at t sits: its index in ``graphs``, or
+        (window, slot) for the seeded-random kind."""
         if t < 0:
             raise ValueError("time index must be nonnegative")
-        if self.kind == "static":
-            return self.graphs[0]
-        if self.kind == "periodic-list":
-            return self.graphs[t % len(self.graphs)]
-        w, slot = divmod(t, self.window_len)
+        if self.kind == "seeded-random":
+            return divmod(t, self.window_len)
+        return t % len(self.graphs)
+
+    def graph_at(self, t: int) -> DirectedGraph:
+        """Graph active at iteration t (t >= 0)."""
+        pos = self._position(t)
+        if self.kind != "seeded-random":
+            return self.graphs[pos]
+        w, slot = pos
         if w not in self._window_cache:
             self._window_cache[w] = self._random_window(w)
         return self._window_cache[w][slot]
 
     def mixing_at(self, t: int) -> MixingMatrix:
-        """Mixing matrix of the graph active at iteration t, cached."""
-        g = self.graph_at(t)
-        key = id(g)
-        if key not in self._mixing_cache:
+        """Mixing matrix of the graph active at iteration t.
+
+        Cached by the graph's position in the sequence, which, unlike an
+        object id, no other graph can ever take over.
+        """
+        pos = self._position(t)
+        if pos not in self._mixing_cache:
             if len(self._mixing_cache) > 256:
                 self._mixing_cache.clear()
-            self._mixing_cache[key] = build_mixing_matrix(g)
-        return self._mixing_cache[key]
+            self._mixing_cache[pos] = build_mixing_matrix(self.graph_at(t))
+        return self._mixing_cache[pos]
 
     def _random_window(self, w: int) -> tuple:
         m, b = self.num_nodes, self.window_len

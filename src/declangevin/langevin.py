@@ -13,13 +13,12 @@ mean injected noise, which is what makes the whole construction sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DirectedGraphSequence
-from .pushsum import (NetworkState, _mix, consensus_error, init_network,
-                      pushsum_mix)
+from .graphs import DirectedGraphSequence, MixingMatrix
+from .pushsum import NetworkState, _mix
 from .trace import Trace
 
 __all__ = [
@@ -143,13 +142,26 @@ class Potential:
 
     Subclasses implement :meth:`grad`; ``rng`` is the calling agent's own
     stream and must be the only randomness consumed.  Deterministic
-    potentials simply ignore it.
+    potentials simply ignore it.  :meth:`grad_all` is an optional fast path
+    that evaluates every agent in one array expression; an override must
+    return the rows :meth:`grad` would and consume each agent's stream
+    exactly as :meth:`grad` does.
     """
 
     props: PotentialProps
 
     def grad(self, agent: int, z: np.ndarray, rng) -> np.ndarray:
         raise NotImplementedError
+
+    def grad_all(self, z: np.ndarray, noise: NoiseModel | None) -> np.ndarray:
+        """(m, d) gradients, row i at agent i's ratio estimate z[i].
+
+        ``noise`` owns the per-agent streams; None passes no stream, as in
+        a deterministic run.  By default each row is one :meth:`grad` call.
+        """
+        return np.stack([
+            self.grad(i, z[i], noise.stream(i) if noise is not None else None)
+            for i in range(z.shape[0])])
 
 
 class ZeroPotential(Potential):
@@ -159,6 +171,9 @@ class ZeroPotential(Potential):
         self.props = PotentialProps(dim=dim, mu=0.0, lipschitz=0.0)
 
     def grad(self, agent: int, z: np.ndarray, rng) -> np.ndarray:
+        return np.zeros_like(z)
+
+    def grad_all(self, z: np.ndarray, noise: NoiseModel | None) -> np.ndarray:
         return np.zeros_like(z)
 
 
@@ -171,40 +186,62 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
-def langevin_step(ns: NetworkState, mix, sched: StepSchedule,
+def _step(entries: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray,
+          z: np.ndarray, t: int, sched: StepSchedule, potential: Potential,
+          noise: NoiseModel | None) -> np.ndarray:
+    """One iteration in place on agent-major (m, d) buffers.
+
+    Mixes x into (w, y, z), then overwrites x with
+    w - alpha g(z) + sqrt(2 alpha) r, alpha = alpha(t+1).  Agent i's stream
+    gives its minibatch draws (inside ``potential.grad_all``) before its
+    Gaussian r_i.  Returns the mixed weights y.
+    """
+    _, y, _ = _mix(entries, x, y, t, w=w, z=z)
+    alpha = step_size(sched, t + 1)
+    np.multiply(potential.grad_all(z, noise), alpha, out=x)
+    np.subtract(w, x, out=x)
+    if noise is not None:
+        m, d = x.shape
+        drawn = np.array([noise.gaussian(i, d) for i in range(m)])
+        drawn *= np.sqrt(2.0 * alpha)
+        x += drawn
+    if not np.isfinite(x).all():
+        bad = int(np.argmin(np.isfinite(x).all(axis=1)))
+        raise DivergenceError(agent=bad, iteration=t + 1)
+    return y
+
+
+def langevin_step(ns: NetworkState, mix: MixingMatrix, sched: StepSchedule,
                   potential: Potential, noise: NoiseModel | None) -> NetworkState:
     """Advance the network by one iteration.
 
     Mixes (w, y, z), then updates every agent's x with its stochastic
     gradient at z_i and, unless ``noise`` is None, an injected Gaussian
-    scaled by sqrt(2 alpha(t+1)).
+    scaled by sqrt(2 alpha(t+1)).  Runs the same kernel as :func:`run` on
+    fresh buffers, so ``ns`` is left untouched.
 
     Returns the state at t+1.  Raises :class:`DivergenceError` when any
-    agent's new x contains non-finite entries.
+    agent's new x contains non-finite entries, and ``ValueError`` when the
+    graph size does not match the state.
     """
-    alpha = step_size(sched, ns.t + 1)
-    mixed = pushsum_mix(ns, mix)
-    m, d = mixed.w.shape
-    scale = np.sqrt(2.0 * alpha)
-
-    x_new = np.empty_like(mixed.w)
-    for i in range(m):
-        rng = noise.stream(i) if noise is not None else None
-        g = potential.grad(i, mixed.z[i], rng)
-        if noise is not None:
-            x_new[i] = mixed.w[i] - alpha * g + scale * noise.gaussian(i, d)
-        else:
-            x_new[i] = mixed.w[i] - alpha * g
-
-    finite = np.isfinite(x_new).all(axis=1)
-    if not finite.all():
-        raise DivergenceError(agent=int(np.argmin(finite)), iteration=ns.t + 1)
-    return NetworkState(x=x_new, y=mixed.y, w=mixed.w, z=mixed.z, t=ns.t + 1)
+    m = ns.num_agents
+    if mix.graph.num_nodes != m:
+        raise ValueError(f"graph has {mix.graph.num_nodes} nodes but the state has {m} agents")
+    x = np.array(ns.x, dtype=float)
+    w, z = np.empty_like(x), np.empty_like(x)
+    y = _step(mix.entries, x, ns.y, w, z, ns.t, sched, potential, noise)
+    return NetworkState(x=x, y=y, w=w, z=z, t=ns.t + 1)
 
 
 def average_state(ns: NetworkState) -> np.ndarray:
     """Network average xbar of the agent states."""
     return ns.x.mean(axis=0)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row; the arithmetic of np.linalg.norm(v, axis=1)
+    without its dispatch."""
+    return np.sqrt((v * v).sum(axis=1))
 
 
 def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
@@ -244,12 +281,15 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
     if noise is not None and noise.num_agents != m:
         raise ValueError("graph sequence and noise model disagree on the agent count")
 
-    ns = init_network(m, d)
+    x = np.zeros((m, d))
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (m, d):
             raise ValueError("x0 must have shape (num_agents, dim)")
-        ns = replace(ns, x=x0.copy(), z=x0.copy())
+        x[:] = x0
+    y = np.ones(m)
+    w = np.empty_like(x)
+    z = x.copy()
 
     n_rec = num_iters // stride + 1
     ts = np.zeros(n_rec, dtype=np.int64)
@@ -259,22 +299,22 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
     zdev = np.zeros((num_iters, m))
     pert = np.zeros((num_iters, m))
 
-    def record(k, state):
-        ts[k] = state.t
-        alphas[k] = step_size(sched, state.t)
-        states[k] = state.z
-        consensus[k] = consensus_error(state)
+    def record(k, t):
+        ts[k] = t
+        alphas[k] = step_size(sched, t)
+        states[k] = z
+        consensus[k] = _row_norms(z - xbar)
 
-    record(0, ns)
-    k = 1
+    xbar = x.sum(axis=0) / m
+    record(0, 0)
     for t in range(num_iters):
-        xbar_prev = average_state(ns)
-        ns = langevin_step(ns, seq.mixing_at(t), sched, potential, noise)
-        zdev[t] = np.linalg.norm(ns.z - xbar_prev, axis=1)
-        pert[t] = np.linalg.norm(ns.x - ns.w, axis=1)
-        if ns.t % stride == 0:
-            record(k, ns)
-            k += 1
+        y = _step(seq.mixing_at(t).entries, x, y, w, z, t, sched, potential,
+                  noise)
+        zdev[t] = _row_norms(z - xbar)
+        pert[t] = _row_norms(x - w)
+        xbar = x.sum(axis=0) / m
+        if (t + 1) % stride == 0:
+            record((t + 1) // stride, t + 1)
 
     return Trace(ts=ts, alphas=alphas, states=states, consensus=consensus,
                  z_dev=zdev, pert_norms=pert, num_iters=num_iters, stride=stride)

@@ -150,21 +150,31 @@ def linreg_posterior(ds: Dataset, prior: GaussianDist, sigma: float) -> Gaussian
 
 
 def grad_U_linreg(z: np.ndarray, batch_features: np.ndarray, batch_targets: np.ndarray,
-                  prior: GaussianDist, sigma: float, scale: float = 1.0) -> np.ndarray:
+                  prior: GaussianDist, sigma: float,
+                  scale: float | np.ndarray = 1.0) -> np.ndarray:
     """Gradient of the negative log posterior for linear regression.
 
     scale * X_b^T (X_b z - y_b) / sigma^2 + Sigma0^{-1} (z - mu0), where
     ``scale`` is the shard-to-batch size ratio that keeps the minibatch
     estimate unbiased.  An empty batch leaves only the prior term.
+
+    Broadcasts over leading axes: z (..., d), features (..., b, d), targets
+    (..., b) and a ``scale`` that broadcasts against (..., d) give one
+    gradient per leading index.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     z = np.asarray(z, dtype=float)
-    prior_term = np.linalg.solve(prior.cov, z - prior.mean)
-    if batch_features.shape[0] == 0:
+    prior_term = np.linalg.solve(prior.cov, (z - prior.mean)[..., None])[..., 0]
+    if batch_features.shape[-2] == 0:
         return prior_term
-    resid = batch_features @ z - batch_targets
-    return scale * (batch_features.T @ resid) / sigma ** 2 + prior_term
+    resid = (batch_features @ z[..., None])[..., 0] - batch_targets
+    return scale * _transpose_times(batch_features, resid) / sigma ** 2 + prior_term
+
+
+def _transpose_times(feats: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """X^T c over leading axes: feats (..., b, d), coef (..., b) -> (..., d)."""
+    return (np.swapaxes(feats, -1, -2) @ coef[..., None])[..., 0]
 
 
 def generate_mixture_data(n: int, theta1: float, theta2: float, sigma_x: float,
@@ -186,7 +196,8 @@ def generate_mixture_data(n: int, theta1: float, theta2: float, sigma_x: float,
 
 
 def grad_U_mixture(theta: np.ndarray, batch: np.ndarray, sigma_x: float = np.sqrt(2.0),
-                   prior_vars: tuple = (10.0, 1.0), scale: float = 1.0) -> np.ndarray:
+                   prior_vars: tuple = (10.0, 1.0), scale: float | np.ndarray = 1.0,
+                   mask: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the negative log posterior of the location mixture.
 
     ``theta`` stacks (theta1, theta2); ``batch`` holds raw sample values.
@@ -194,37 +205,49 @@ def grad_U_mixture(theta: np.ndarray, batch: np.ndarray, sigma_x: float = np.sqr
     difference with a saturating sigmoid, so far-out samples cannot
     overflow.  Independent zero-mean Gaussian priors with variances
     ``prior_vars`` close the posterior.
+
+    Broadcasts over leading axes: theta (..., 2) and batch (..., b) give
+    one gradient per leading index, with ``scale`` broadcasting against
+    (..., 2).  ``mask`` (..., b) holds 1 for samples and 0 for padding,
+    which then contributes nothing.
     """
     if sigma_x <= 0:
         raise ValueError("sigma_x must be positive")
-    a, b = float(theta[0]), float(theta[1])
-    x = np.asarray(batch, dtype=float).ravel()
+    theta = np.asarray(theta, dtype=float)
+    a, b = theta[..., :1], theta[..., 1:]
+    x = np.asarray(batch, dtype=float)
     s2 = sigma_x ** 2
     d1 = x - a
-    d2 = x - a - b
+    d2 = d1 - b
     # log N(x; a+b) - log N(x; a), feeding the responsibility of component 2
     r2 = expit((d1 ** 2 - d2 ** 2) / (2.0 * s2))
-    g1 = -scale * np.sum(d1 - r2 * b) / s2 + a / prior_vars[0]
-    g2 = -scale * np.sum(r2 * d2) / s2 + b / prior_vars[1]
-    return np.array([g1, g2])
+    # the two per-sample terms side by side, (..., 2, b), summed at once
+    terms = np.empty(r2.shape[:-1] + (2,) + r2.shape[-1:])
+    np.subtract(d1, r2 * b, out=terms[..., 0, :])
+    np.multiply(r2, d2, out=terms[..., 1, :])
+    if mask is not None:
+        terms *= mask[..., None, :]
+    return -scale * terms.sum(axis=-1) / s2 \
+        + theta / np.asarray(prior_vars, dtype=float)
 
 
 def grad_U_logistic(w: np.ndarray, batch_features: np.ndarray, batch_targets: np.ndarray,
-                    scale: float = 1.0) -> np.ndarray:
+                    scale: float | np.ndarray = 1.0) -> np.ndarray:
     """Gradient of the negative log posterior for logistic regression.
 
     Labels must be -1 or +1.  The likelihood part is
     scale * sum_i [-y_i x_i * sigmoid(-y_i w^T x_i)] and the Laplace prior
-    contributes sign(w), with sign(0) = 0.
+    contributes sign(w), with sign(0) = 0.  Broadcasts over leading axes
+    as :func:`grad_U_linreg` does.
     """
     w = np.asarray(w, dtype=float)
     y = np.asarray(batch_targets, dtype=float)
     if y.size and not np.all(np.abs(y) == 1.0):
         raise ValueError("logistic labels must be -1 or +1")
-    if batch_features.shape[0] == 0:
+    if batch_features.shape[-2] == 0:
         return np.sign(w)
-    coef = y * expit(-y * (batch_features @ w))
-    return -scale * (batch_features.T @ coef) + np.sign(w)
+    coef = y * expit(-y * (batch_features @ w[..., None])[..., 0])
+    return -scale * _transpose_times(batch_features, coef) + np.sign(w)
 
 
 def load_libsvm(path, num_features: int | None = None) -> Dataset:
@@ -340,22 +363,56 @@ class _ShardedPotential(Potential):
     from its own stream (one integers draw per step, before the Gaussian).
     ``batch_size=None`` uses the full shard deterministically and consumes
     no randomness.
+
+    Shards are stored stacked, (m, n_max, d) features and (m, n_max)
+    targets, so every agent's gradient comes from one array expression.
+    Shorter shards are padded with zero feature rows and target 1.0, a
+    valid label: a zero row adds exactly nothing to the regression and
+    logistic sums, and a 0/1 mask, kept only when shard sizes differ,
+    zeroes the padding out of the mixture's.
     """
 
     def __init__(self, ds: Dataset, shards, batch_size):
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         self.batch_size = batch_size
-        self.shard_features = [ds.features[s.indices] for s in shards]
-        self.shard_targets = [ds.targets[s.indices] for s in shards]
+        self._sizes = [len(s.indices) for s in shards]
+        rows = np.zeros((len(shards), max(self._sizes)), dtype=np.int64)
+        for i, s in enumerate(shards):
+            rows[i, :self._sizes[i]] = s.indices
+        pad = np.arange(rows.shape[1]) >= np.array(self._sizes)[:, None]
+        # one gather each, so no shard is ever held twice
+        self._features = ds.features[rows]
+        self._features[pad] = 0.0
+        self._targets = ds.targets[rows]
+        self._targets[pad] = 1.0
+        self._mask = (~pad).astype(float) if pad.any() else None
+        self.shard_features = [f[:n] for f, n in zip(self._features, self._sizes)]
+        self.shard_targets = [y[:n] for y, n in zip(self._targets, self._sizes)]
+        if batch_size is not None:
+            self._scale = (np.array(self._sizes) / batch_size)[:, None]
 
     def _draw(self, agent: int, rng):
+        """(features, targets, scale) of one agent's batch."""
         feats = self.shard_features[agent]
         targs = self.shard_targets[agent]
         if self.batch_size is None:
             return feats, targs, 1.0
         idx = rng.integers(0, feats.shape[0], size=self.batch_size)
         return feats[idx], targs[idx], feats.shape[0] / self.batch_size
+
+    def _draw_all(self, noise):
+        """(features, targets, scale) of every agent's batch, stacked.
+
+        Full shards come padded (see the class docstring); minibatch indices
+        are drawn agent by agent from each agent's own stream.
+        """
+        if self.batch_size is None:
+            return self._features, self._targets, 1.0
+        idx = np.array([noise.stream(i).integers(0, n, size=self.batch_size)
+                        for i, n in enumerate(self._sizes)])
+        rows = np.arange(len(self._sizes))[:, None]
+        return self._features[rows, idx], self._targets[rows, idx], self._scale
 
 
 class LinRegPotential(_ShardedPotential):
@@ -377,6 +434,11 @@ class LinRegPotential(_ShardedPotential):
 
     def grad(self, agent, z, rng):
         feats, targs, scale = self._draw(agent, rng)
+        return grad_U_linreg(z, feats, targs, self._agent_prior, self.sigma,
+                             scale)
+
+    def grad_all(self, z, noise):
+        feats, targs, scale = self._draw_all(noise)
         return grad_U_linreg(z, feats, targs, self._agent_prior, self.sigma,
                              scale)
 
@@ -402,6 +464,12 @@ class MixturePotential(_ShardedPotential):
         return grad_U_mixture(z, targs, self.sigma_x, self._agent_prior_vars,
                               scale)
 
+    def grad_all(self, z, noise):
+        _, targs, scale = self._draw_all(noise)
+        mask = self._mask if self.batch_size is None else None
+        return grad_U_mixture(z, targs, self.sigma_x, self._agent_prior_vars,
+                              scale, mask)
+
 
 class LogisticPotential(_ShardedPotential):
     """Sharded logistic-regression potential with a Laplace prior.
@@ -417,6 +485,10 @@ class LogisticPotential(_ShardedPotential):
 
     def grad(self, agent, z, rng):
         feats, targs, scale = self._draw(agent, rng)
+        return grad_U_logistic(z, feats, targs, scale)
+
+    def grad_all(self, z, noise):
+        feats, targs, scale = self._draw_all(noise)
         return grad_U_logistic(z, feats, targs, scale)
 
 
@@ -440,4 +512,12 @@ class GaussianPotential(Potential):
                                     lipschitz=float(eigs.max()) / num_agents)
 
     def grad(self, agent, z, rng):
-        return self.precision @ (z - self.mean) / self.num_agents
+        return self.grad_all(z, None)
+
+    def grad_all(self, z, noise):
+        # P (z - mean) / m as an elementwise product summed over the last
+        # axis: it broadcasts over leading axes (a single z included) and
+        # computes every row alike whatever their number, so grad and
+        # grad_all agree bitwise
+        return (self.precision * (z - self.mean)[..., None, :]).sum(axis=-1) \
+            / self.num_agents

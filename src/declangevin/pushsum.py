@@ -21,7 +21,6 @@ import numpy as np
 from .graphs import MixingMatrix
 
 __all__ = [
-    "AgentState",
     "NetworkState",
     "init_network",
     "pushsum_mix",
@@ -33,21 +32,12 @@ Y_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
-class AgentState:
-    """Read-only view of one agent's (x, y, w, z) quadruple."""
-
-    x: np.ndarray
-    y: float
-    w: np.ndarray
-    z: np.ndarray
-
-
-@dataclass(frozen=True)
 class NetworkState:
     """Stacked state of all agents at one iteration.
 
     Rows index agents: ``x`` and ``w`` are (m, d), ``y`` is (m,), ``z`` is
-    (m, d) and ``t`` counts completed iterations.
+    (m, d) and ``t`` counts completed iterations, so agent i's state is
+    row i of each array.
     """
 
     x: np.ndarray
@@ -70,11 +60,6 @@ class NetworkState:
     @property
     def dim(self) -> int:
         return self.x.shape[1]
-
-    def agent(self, i: int) -> AgentState:
-        if not 0 <= i < self.num_agents:
-            raise ValueError(f"agent {i} out of range")
-        return AgentState(x=self.x[i], y=float(self.y[i]), w=self.w[i], z=self.z[i])
 
 
 def init_network(num_agents: int, dim: int) -> NetworkState:

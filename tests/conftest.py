@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from declangevin import (DirectedGraph, NoiseModel, Potential,
                          generate_graph_sequence, step_size)
+
+# property tests draw their examples from a fixed seed and have no time
+# limit per example, so every run of the suite gives the same verdict
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 # Six nodes, three edges: 0 -> 1, 2 -> 3, 5 -> 0.  Small enough to write the
 # mixing matrix down by hand, ragged enough to exercise unequal out-degrees

@@ -5,7 +5,7 @@ import pytest
 
 from declangevin import (DirectedGraph, DirectedGraphSequence, MixingMatrix,
                          build_mixing_matrix, check_b_strong_connectivity,
-                         generate_graph_sequence, out_degree, spectral_bounds)
+                         generate_graph_sequence, spectral_bounds)
 
 from conftest import SIX_NODE_EDGES, SIX_NODE_MIXING
 
@@ -33,12 +33,15 @@ class TestDirectedGraph:
 
     def test_out_degrees_count_self_loop(self, six_node_graph):
         assert six_node_graph.out_degrees.tolist() == [2, 1, 2, 1, 1, 2]
-        assert out_degree(six_node_graph, 0) == 2
-        assert out_degree(six_node_graph, 4) == 1
+        assert six_node_graph.out_degrees[0] == 2
+        assert six_node_graph.out_degrees[4] == 1
 
     def test_out_degree_rejects_bad_node(self, six_node_graph):
+        with pytest.raises(IndexError):
+            six_node_graph.out_degrees[6]
+        # the cached degrees are shared, so they must not be writable
         with pytest.raises(ValueError):
-            out_degree(six_node_graph, 6)
+            six_node_graph.out_degrees[0] = 5
 
     def test_union_merges_edges(self):
         g1 = DirectedGraph(3, {(0, 1)})
@@ -148,6 +151,27 @@ class TestGraphSequences:
         assert mix.graph is seq.graph_at(5)
         assert np.array_equal(mix.entries,
                               build_mixing_matrix(seq.graph_at(5)).entries)
+
+    def test_mixing_cache_is_keyed_by_position(self, alternating_pairs_seq):
+        # one graph object at two positions of a periodic list still gets
+        # one matrix per position, and a position always finds its own
+        even, odd = alternating_pairs_seq.graphs
+        seq = generate_graph_sequence("periodic-list", 4, 2,
+                                      graphs=[even, odd, even])
+        assert seq.mixing_at(0) is seq.mixing_at(3)
+        assert seq.mixing_at(0) is not seq.mixing_at(2)
+        assert seq.mixing_at(2).graph is even
+        static = generate_graph_sequence("static", 4, seed=1)
+        assert static.mixing_at(0) is static.mixing_at(7)
+        # 600 random positions overflow the 256-entry cache twice
+        seq = generate_graph_sequence("seeded-random", 4, 3, seed=2)
+        for t in range(600):
+            mix = seq.mixing_at(t)
+            assert mix is seq.mixing_at(t)
+            assert mix.graph is seq.graph_at(t)
+            assert np.array_equal(mix.entries,
+                                  build_mixing_matrix(seq.graph_at(t)).entries)
+            assert len(seq._mixing_cache) <= 257
 
     def test_negative_time_rejected(self):
         seq = generate_graph_sequence("seeded-random", 4, 1, seed=0)

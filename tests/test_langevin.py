@@ -5,11 +5,14 @@ import pytest
 from dataclasses import replace
 
 from declangevin import (DivergenceError, GaussianDist, GaussianPotential,
-                         LinRegPotential, NetworkState, NoiseModel, Potential,
-                         PotentialProps, StepSchedule, ZeroPotential,
-                         average_state, generate_graph_sequence,
-                         generate_linreg_data, init_network, langevin_step,
-                         partition, run, run_gaussian_ensemble, step_size)
+                         LinRegPotential, LogisticPotential, MixturePotential,
+                         NetworkState, NoiseModel, Potential, PotentialProps,
+                         StepSchedule, ZeroPotential, average_state,
+                         consensus_error, generate_graph_sequence,
+                         generate_linreg_data, generate_mixture_data,
+                         grad_U_linreg, init_network, langevin_step,
+                         make_surrogate_classification, partition, run,
+                         run_gaussian_ensemble, step_size)
 
 from conftest import RecordingNoise, RecordingPotential, reference_ula
 
@@ -234,6 +237,106 @@ class TestRun:
         with pytest.raises(ValueError):
             run(seq, sched, ZeroPotential(2), NoiseModel(0, 3), 10,
                 x0=np.zeros((2, 2)))
+
+
+def step_loop(seq, sched, pot, noise, num_iters, stride, x0):
+    """Reference driver: ``run``'s record keeping around a loop of
+    ``langevin_step`` calls on immutable network states."""
+    m, d = x0.shape
+    ns = init_network(m, d)
+    ns = NetworkState(x=x0.copy(), y=ns.y, w=ns.w, z=x0.copy(), t=0)
+    states, consensus, zdev, pert = [ns.z], [consensus_error(ns)], [], []
+    for t in range(num_iters):
+        xbar = average_state(ns)
+        ns = langevin_step(ns, seq.mixing_at(t), sched, pot, noise)
+        zdev.append(np.linalg.norm(ns.z - xbar, axis=1))
+        pert.append(np.linalg.norm(ns.x - ns.w, axis=1))
+        if ns.t % stride == 0:
+            states.append(ns.z)
+            consensus.append(consensus_error(ns))
+    return (np.array(states), np.array(consensus), np.array(zdev),
+            np.array(pert))
+
+
+class TestDriverEquivalence:
+    # 31 rows over 3 agents: shards of 11, 10 and 10 rows, so full-shard
+    # gradients run over padded shards
+    @pytest.mark.parametrize("model", ["mixture", "logistic"])
+    @pytest.mark.parametrize("batch", [None, 4])
+    def test_run_matches_a_loop_of_steps(self, model, batch):
+        m, iters, stride = 3, 30, 3
+        if model == "mixture":
+            ds = generate_mixture_data(31, 0.0, 1.0, np.sqrt(2.0), seed=9)
+            pot = MixturePotential(ds, partition(ds, m, "random", 9),
+                                   batch_size=batch)
+        else:
+            ds = make_surrogate_classification(31, 5, seed=9, density=0.4)
+            pot = LogisticPotential(ds, partition(ds, m, "random", 9),
+                                    batch_size=batch)
+        d = pot.props.dim
+        seq = generate_graph_sequence("seeded-random", m, 2, seed=9)
+        sched = StepSchedule("harmonic", alpha0=0.05)
+        x0 = np.random.default_rng(9).standard_normal((m, d))
+
+        noise_run, noise_loop = RecordingNoise(9, m), RecordingNoise(9, m)
+        trace = run(seq, sched, pot, noise_run, iters, stride, x0=x0)
+        states, consensus, zdev, pert = step_loop(seq, sched, pot, noise_loop,
+                                                  iters, stride, x0)
+
+        for got, want in ((trace.states, states),
+                          (trace.consensus, consensus),
+                          (trace.z_dev, zdev), (trace.pert_norms, pert)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert len(noise_run.draws) == len(noise_loop.draws) == iters * m
+        for a, b in zip(noise_run.draws, noise_loop.draws):
+            assert np.array_equal(a, b)
+
+    def test_minibatch_draws_precede_the_gaussian(self):
+        # agent i's stream [seed, i] gives its batch indices, then its noise
+        m, d, batch, seed = 3, 2, 2, 4
+        ds = generate_linreg_data(31, d, 1.0, np.array([1.0, -1.0]), seed=4)
+        shards = partition(ds, m, "random", 4)
+        prior = GaussianDist(np.zeros(d), np.eye(d))
+        pot = LinRegPotential(ds, shards, prior, 1.0, batch_size=batch)
+        seq = generate_graph_sequence("seeded-random", m, 1, seed=4)
+        sched = StepSchedule("harmonic", alpha0=0.1)
+        rng = np.random.default_rng(4)
+        ns = NetworkState(x=rng.standard_normal((m, d)),
+                          y=rng.uniform(0.5, 1.5, m), w=np.zeros((m, d)),
+                          z=np.zeros((m, d)), t=0)
+
+        stepped = langevin_step(ns, seq.mixing_at(0), sched, pot,
+                                NoiseModel(seed, m))
+
+        alpha = step_size(sched, 1)
+        for i in range(m):
+            stream = np.random.default_rng([seed, i])
+            idx = stream.integers(0, len(shards[i].indices), size=batch)
+            rows = shards[i].indices[idx]
+            g = grad_U_linreg(stepped.z[i], ds.features[rows], ds.targets[rows],
+                              GaussianDist(prior.mean, m * prior.cov), 1.0,
+                              len(shards[i].indices) / batch)
+            want = stepped.w[i] - alpha * g \
+                + np.sqrt(2.0 * alpha) * stream.standard_normal(d)
+            np.testing.assert_allclose(stepped.x[i], want, rtol=0.0,
+                                       atol=1e-12)
+
+    def test_divergence_is_reported_alike(self):
+        # a step far above 2/L overflows after a few dozen iterations
+        m = 3
+        pot = GaussianPotential(np.zeros(2), 0.001 * np.eye(2), m)
+        seq = generate_graph_sequence("seeded-random", m, 1, seed=3)
+        sched = StepSchedule("harmonic", alpha0=50.0)
+        x0 = np.zeros((m, 2))
+        errors = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for drive in (run, step_loop):
+                with pytest.raises(DivergenceError) as info:
+                    drive(seq, sched, pot, NoiseModel(3, m), 400, 1, x0=x0)
+                errors.append((info.value.agent, info.value.iteration))
+        print(f"both drivers: agent {errors[0][0]}, iteration {errors[0][1]}")
+        assert errors[0] == errors[1]
+        assert 1 < errors[0][1] < 400
 
 
 class TestGaussianEnsemble:

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from declangevin import (Dataset, GaussianDist, GaussianPotential,
                          LinRegPotential, LogisticPotential, MixturePotential,
-                         ParseError, generate_linreg_data,
-                         generate_mixture_data, grad_U_linreg,
-                         grad_U_logistic, grad_U_mixture, linreg_posterior,
-                         load_libsvm, make_surrogate_classification,
-                         partition, save_libsvm)
+                         NoiseModel, ParseError, Shard, ZeroPotential,
+                         generate_linreg_data, generate_mixture_data,
+                         grad_U_linreg, grad_U_logistic, grad_U_mixture,
+                         linreg_posterior, load_libsvm,
+                         make_surrogate_classification, partition,
+                         save_libsvm)
 
 from conftest import central_fd
 
@@ -364,3 +367,57 @@ class TestPotentials:
         np.testing.assert_allclose(total,
                                    np.linalg.solve(cov, z - mean),
                                    atol=1e-12, rtol=0.0)
+
+
+def ragged_potential(kind, sizes, dim, batch, seed):
+    """A potential of the given kind over shards of exactly ``sizes`` rows."""
+    rng = np.random.default_rng(seed)
+    m, n = len(sizes), sum(sizes)
+    order = rng.permutation(n)
+    shards = [Shard(agent=i, indices=idx) for i, idx in
+              enumerate(np.split(order, np.cumsum(sizes)[:-1]))]
+    if kind == "linreg":
+        ds = generate_linreg_data(n, dim, 0.5, rng.standard_normal(dim), seed)
+        prior = GaussianDist(rng.standard_normal(dim), (1.0 + rng.random()) * np.eye(dim))
+        return LinRegPotential(ds, shards, prior, 0.5, batch_size=batch)
+    if kind == "mixture":
+        ds = generate_mixture_data(n, 0.0, 1.0, np.sqrt(2.0), seed)
+        return MixturePotential(ds, shards, batch_size=batch)
+    if kind == "logistic":
+        ds = make_surrogate_classification(n, dim, seed, density=0.5)
+        return LogisticPotential(ds, shards, batch_size=batch)
+    if kind == "gaussian":
+        root = rng.standard_normal((dim, dim))
+        return GaussianPotential(rng.standard_normal(dim),
+                                 root @ root.T + dim * np.eye(dim), m)
+    return ZeroPotential(dim)
+
+
+class TestGradAll:
+    @given(kind=st.sampled_from(["linreg", "mixture", "logistic", "gaussian",
+                                 "zero"]),
+           sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+           dim=st.integers(1, 4),
+           batch=st.sampled_from([None, 1, 3]),
+           seed=st.integers(0, 2 ** 16),
+           spread=st.sampled_from([0.1, 1.0, 10.0]))
+    def test_rows_match_grad_and_consume_the_same_draws(self, kind, sizes, dim,
+                                                        batch, seed, spread):
+        pot = ragged_potential(kind, sizes, dim, batch, seed)
+        m, d = len(sizes), pot.props.dim
+        z = spread * np.random.default_rng(seed + 1).standard_normal((m, d))
+        batched, looped = NoiseModel(seed, m), NoiseModel(seed, m)
+
+        rows = pot.grad_all(z, batched)
+        ref = np.stack([pot.grad(i, z[i], looped.stream(i)) for i in range(m)])
+
+        assert rows.shape == (m, d)
+        if kind == "gaussian":
+            # the single-agent chain tests compare run against grad bitwise
+            assert np.array_equal(rows, ref)
+        else:
+            np.testing.assert_allclose(rows, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+        for i in range(m):
+            assert batched.stream(i).bit_generator.state \
+                == looped.stream(i).bit_generator.state

@@ -48,13 +48,16 @@ class TestNetworkState:
             NetworkState(x=ns.x, y=ns.y, w=ns.w, z=ns.z, t=-1)
 
     def test_agent_view(self):
+        # agent i's quadruple is row i of every array
         rng = np.random.default_rng(0)
         ns = random_state(rng, 4, 3)
-        a = ns.agent(2)
-        assert np.array_equal(a.x, ns.x[2])
-        assert a.y == ns.y[2]
-        with pytest.raises(ValueError):
-            ns.agent(4)
+        mixed = pushsum_mix(ns, generate_graph_sequence(
+            "seeded-random", 4, 1, seed=0).mixing_at(0))
+        for i in range(4):
+            assert np.array_equal(mixed.z[i], mixed.w[i] / mixed.y[i])
+        assert np.array_equal(mixed.x[2], ns.x[2])
+        with pytest.raises(IndexError):
+            ns.x[4]
 
 
 class TestPushsumMix:
