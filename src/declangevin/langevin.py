@@ -13,6 +13,10 @@ mean injected noise, which is what makes the whole construction sample.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,15 @@ __all__ = [
 ]
 
 SCHEDULE_KINDS = ("harmonic", "power")
+
+# Most runs one chunk of run_gaussian_ensemble carries.  Chunks run in
+# parallel threads, each on its own noise stream, so this constant, unlike
+# the thread count, is part of what fixes the ensemble's results.
+_CHUNK_RUNS = 4096
+# Steps whose mixing matrices run_gaussian_ensemble holds at a time, as
+# many as mixing_at caches; the chunks all finish one block of steps
+# before the next begins.
+_MIXING_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -320,6 +333,15 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
                  z_dev=zdev, pert_norms=pert, num_iters=num_iters, stride=stride)
 
 
+def _worker_count(chunks: int) -> int:
+    """Threads for ``chunks`` ensemble chunks: at most one per usable core."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(chunks, cores)
+
+
 def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
                           target_mean: np.ndarray, target_cov: np.ndarray,
                           num_agents: int, num_iters: int, num_runs: int,
@@ -332,20 +354,36 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     graph sequence.  This estimates the distribution of the network average
     at chosen iterations, which a single trajectory cannot do.
 
-    The state is agent-major, (m, d, num_runs): row i holds agent i's
-    values in every run, so each step mixes all runs with one matrix product
-    through the same push-sum kernel as a single run, and the update works
-    on contiguous (m, num_runs) columns, one per coordinate.
+    The runs are split into chunks of at most 4096 runs, near-equal in
+    size, and the chunks run in a thread pool with one thread per usable
+    core at most; the runs share nothing but the mixing matrices, so the
+    chunks never communicate.  The chunks advance together in blocks of
+    256 steps, whose mixing matrices the calling thread fills while the
+    chunks run through the previous block, so memory does not grow with
+    the horizon.  When a chunk raises, or the caller is interrupted, every
+    chunk stops at its next step.  Within a chunk the state is agent-major,
+    (m, d, runs): row i holds agent i's values in every run of the chunk,
+    so each step mixes them with one matrix product through the same
+    push-sum kernel as a single run, and the update works on contiguous
+    (m, runs) columns, one per coordinate.
 
     Parameters
     ----------
+    num_agents : int
+        Must equal the node count of ``seq``.
+    num_runs : int
+        At least 1.
     checkpoints : sequence of int
         Iteration counts at which to snapshot; must be increasing and
         bounded by num_iters.
     noise_draw : callable, optional
         Hook returning the (num_runs, m, d) standard normal block for
-        iteration t; by default a single seeded generator supplies all
-        runs.  Tests use the hook to replay recorded noise.
+        iteration t; each chunk reads its own rows of that block.  The hook
+        is called once per chunk per step, from the worker threads, so it
+        must be a pure function of t.  Tests use it to replay recorded
+        noise.  By default chunk c draws from its own generator, seeded
+        from (seed, c), so the result depends on (seed, num_runs) only,
+        never on the number of threads or their scheduling.
 
     Returns
     -------
@@ -355,9 +393,10 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     Raises
     ------
     DivergenceError
-        If any state is non-finite at a checkpoint.  The last iteration is
-        always a checkpoint, and mixing cannot make a non-finite value
-        finite again, so no divergence goes unreported.
+        If any state is non-finite at a checkpoint: the earliest such
+        checkpoint over all runs, and there the lowest agent.  The last
+        iteration is always a checkpoint, and mixing cannot make a
+        non-finite value finite again, so no divergence goes unreported.
     """
     target_mean = np.asarray(target_mean, dtype=float)
     target_cov = np.asarray(target_cov, dtype=float)
@@ -368,39 +407,109 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
         raise ValueError("checkpoints must lie in [1, num_iters]")
     if sorted(checkpoints) != checkpoints:
         raise ValueError("checkpoints must be increasing")
+    if num_agents != seq.num_nodes:
+        raise ValueError(f"graph sequence has {seq.num_nodes} nodes but "
+                         f"num_agents is {num_agents}")
+    if num_runs < 1:
+        raise ValueError("num_runs must be at least 1")
 
-    rng = np.random.default_rng(seed)
-    m, r = num_agents, num_runs
-    x = np.zeros((m, d, r))
-    w = np.empty_like(x)
-    z = np.empty_like(x)
-    y = np.ones(m)
-    block = np.empty((r, m, d))
-    term = np.empty((m, r))
-    rows = (m, d * r)
-    snaps = np.zeros((len(checkpoints), r, d))
+    m = num_agents
+    horizon = max(checkpoints)
+    snaps = np.zeros((len(checkpoints), num_runs, d))
     want = {c: k for k, c in enumerate(checkpoints)}
+    # set when a chunk raises or the caller is interrupted; every chunk
+    # then stops at its next step
+    stop = threading.Event()
 
-    for t in range(max(checkpoints)):
-        _, y, _ = _mix(seq.mixing_at(t).entries, x.reshape(rows), y, t,
-                       w=w.reshape(rows), z=z.reshape(rows))
-        alpha = step_size(sched, t + 1)
-        scale = np.sqrt(2.0 * alpha)
-        drawn = rng.standard_normal(out=block) if noise_draw is None else noise_draw(t)
-        # x = w - alpha (z - mean) P^T / m + sqrt(2 alpha) noise, per coordinate
-        coef = (alpha / m) * precision
-        shift = coef @ target_mean
-        for k in range(d):
-            xk = x[:, k]
-            np.multiply(drawn[:, :, k].T, scale, out=xk)
-            xk += w[:, k]
-            for l in range(d):
-                np.multiply(z[:, l], coef[k, l], out=term)
-                xk -= term
-            xk += shift[k]
-        if t + 1 in want:
-            finite = np.isfinite(x).all(axis=(1, 2))
-            if not finite.all():
-                raise DivergenceError(agent=int(np.argmin(finite)), iteration=t + 1)
-            snaps[want[t + 1]] = x.mean(axis=0).T
+    def chunk(c: int, r0: int, r1: int):
+        """Runs r0:r1, snapshots written in place.  A generator: each block
+        of mixing matrices sent to it advances the runs through those
+        steps, after which it yields (iteration, agent) of a divergence,
+        or None."""
+        r = r1 - r0
+        x = np.zeros((m, d, r))
+        w = np.empty_like(x)
+        z = np.empty_like(x)
+        y = np.ones(m)
+        term = np.empty((m, r))
+        rows = (m, d * r)
+        if noise_draw is None:
+            rng = np.random.default_rng([seed, c])
+            normals = np.empty((r, m, d))
+        t, failure = 0, None
+        block = yield
+        while True:
+            for entries in block:
+                if stop.is_set():
+                    break
+                _, y, _ = _mix(entries, x.reshape(rows), y, t,
+                               w=w.reshape(rows), z=z.reshape(rows))
+                alpha = step_size(sched, t + 1)
+                scale = np.sqrt(2.0 * alpha)
+                if noise_draw is None:
+                    drawn = rng.standard_normal(out=normals)
+                else:
+                    drawn = noise_draw(t)[r0:r1]
+                # x = w - alpha (z - mean) P^T / m + sqrt(2 alpha) noise,
+                # per coordinate
+                coef = (alpha / m) * precision
+                shift = coef @ target_mean
+                for k in range(d):
+                    xk = x[:, k]
+                    np.multiply(drawn[:, :, k].T, scale, out=xk)
+                    xk += w[:, k]
+                    for l in range(d):
+                        np.multiply(z[:, l], coef[k, l], out=term)
+                        xk -= term
+                    xk += shift[k]
+                t += 1
+                if t in want:
+                    finite = np.isfinite(x).all(axis=(1, 2))
+                    if not finite.all():
+                        failure = t, int(np.argmin(finite))
+                        break
+                    snaps[want[t], r0:r1] = x.mean(axis=0).T
+            block = yield failure
+
+    def advance(runs, block):
+        try:
+            return runs.send(block)
+        except BaseException:
+            stop.set()
+            raise
+
+    parts = np.array_split(np.arange(num_runs), -(-num_runs // _CHUNK_RUNS))
+    chunks = [chunk(c, int(p[0]), int(p[-1]) + 1) for c, p in enumerate(parts)]
+    for runs in chunks:
+        next(runs)
+    # two buffers of mixing matrices, filled here and not in the workers
+    # (mixing_at's cache is not thread-safe): the next block is filled
+    # while the chunks run through the current one
+    mixing = np.empty((2, min(_MIXING_BLOCK, horizon), m, m))
+
+    def fill(t0):
+        block = mixing[t0 // _MIXING_BLOCK % 2,
+                       :min(_MIXING_BLOCK, horizon - t0)]
+        for t, entries in enumerate(block, t0):
+            entries[:] = seq.mixing_at(t).entries
+        return block
+
+    block = fill(0)
+    with ThreadPoolExecutor(_worker_count(len(chunks))) as pool:
+        for t0 in range(0, horizon, _MIXING_BLOCK):
+            # each task runs in a copy of the caller's context, which
+            # carries its numpy error state
+            futures = [pool.submit(contextvars.copy_context().run, advance,
+                                   runs, block) for runs in chunks]
+            try:
+                if t0 + _MIXING_BLOCK < horizon:
+                    block = fill(t0 + _MIXING_BLOCK)
+                failures = [f.result() for f in futures]
+            except BaseException:
+                stop.set()
+                raise
+            failures = [f for f in failures if f is not None]
+            if failures:
+                iteration, agent = min(failures)
+                raise DivergenceError(agent=agent, iteration=iteration)
     return snaps

@@ -144,7 +144,10 @@ def check_lemma4_bound(trace: Trace, delta: float | None = None,
     and ``lam`` default to the closed-form worst-case constants for the
     trace's network size and ``window_len``; a default ``lam`` brings its
     gap 1 - lam from :func:`spectral_bounds`, which stays positive at
-    network sizes where ``lam`` itself rounds to 1.0.
+    network sizes where ``lam`` itself rounds to 1.0.  Where the bound
+    overflows (from about 100 agents at the default constants) it reads
+    inf, never NaN: the true bound exceeds every double there, so the
+    check is not violated and ``max_ratio`` reads 0.
     """
     m = trace.num_agents
     if delta is None or lam is None:
@@ -166,9 +169,13 @@ def check_lemma4_bound(trace: Trace, delta: float | None = None,
     lhs = cum.max(axis=1)
     taus = np.arange(1, trace.num_iters)
     x0_l1 = np.abs(trace.states[0]).sum()
-    bound = (8.0 / delta) * (lam / gap) * x0_l1 \
-        + (8.0 / delta) * (d_hat * m / gap) * (1.0 + np.sqrt(taus))
-    ratios = lhs / bound
+    # from about 100 agents (8/delta)(lam/gap) overflows to inf, and with no
+    # initial mass inf * 0 would be a NaN that no comparison flags
+    first = 0.0 if x0_l1 == 0 else (8.0 / delta) * (lam / gap) * x0_l1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bound = first \
+            + (8.0 / delta) * (d_hat * m / gap) * (1.0 + np.sqrt(taus))
+        ratios = lhs / bound
     return BoundReport(taus=taus, lhs=lhs, bound=bound,
                        violated=bool(np.any(lhs > bound)),
                        max_ratio=float(ratios.max()) if len(ratios) else 0.0,

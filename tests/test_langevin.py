@@ -1,9 +1,16 @@
 """Schedules, noise streams, the network update and the ensemble runner."""
 
+import sys
+import threading
+import time
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
+from declangevin import langevin as langevin_module
 from declangevin import (DivergenceError, GaussianDist, GaussianPotential,
                          LinRegPotential, LogisticPotential, MixturePotential,
                          NetworkState, NoiseModel, Potential, PotentialProps,
@@ -414,3 +421,212 @@ class TestGaussianEnsemble:
                                       [100, 200, 400])
         assert 0 <= info.value.agent < 4
         assert info.value.iteration in (100, 200, 400)
+
+    def test_agent_count_must_match_the_graph_sequence(self):
+        seq = generate_graph_sequence("seeded-random", 3, 1, seed=0)
+        sched = StepSchedule("harmonic", 1.0)
+        with pytest.raises(ValueError, match="3 nodes but num_agents is 2"):
+            run_gaussian_ensemble(seq, sched, np.zeros(2), np.eye(2), 2, 10,
+                                  4, 0, [5])
+
+    def test_run_count_must_be_positive(self):
+        seq = generate_graph_sequence("seeded-random", 3, 1, seed=0)
+        sched = StepSchedule("harmonic", 1.0)
+        with pytest.raises(ValueError, match="num_runs"):
+            run_gaussian_ensemble(seq, sched, np.zeros(2), np.eye(2), 3, 10,
+                                  0, 0, [5])
+
+
+class TestEnsembleChunks:
+    """The ensemble splits its runs into chunks that run in a thread pool."""
+
+    @staticmethod
+    def small_chunks(monkeypatch, size, workers):
+        monkeypatch.setattr(langevin_module, "_CHUNK_RUNS", size)
+        monkeypatch.setattr(langevin_module, "_worker_count",
+                            lambda chunks: workers)
+
+    def test_snapshots_do_not_depend_on_the_worker_count(self, monkeypatch):
+        seq = generate_graph_sequence("seeded-random", 3, 1, seed=1)
+        sched = StepSchedule("harmonic", 1.0)
+        args = (seq, sched, np.zeros(2), np.eye(2), 3, 40, 10, 7, [10, 40])
+        results = []
+        for workers in (1, 3):
+            self.small_chunks(monkeypatch, 3, workers)
+            # more threads than cores, switching as often as they can: a
+            # lost or misplaced snapshot write would show as a difference
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                results.append(run_gaussian_ensemble(*args))
+            finally:
+                sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(results[0], results[1])
+        # four chunks of 3, 3, 2 and 2 runs, each on a stream of its own
+        firsts = results[0][-1, [0, 3, 6, 8]]
+        assert len(np.unique(firsts, axis=0)) == 4
+
+    def test_runs_replay_recorded_runs_across_chunk_boundaries(self, monkeypatch):
+        # five runs in chunks of 2, 2 and 1: a slip in any chunk's slice of
+        # the hook's block would pair a run with another run's noise
+        self.small_chunks(monkeypatch, 2, 2)
+        m, d, iters, runs = 4, 2, 30, 5
+        mean = np.array([0.5, -0.5])
+        cov = np.array([[1.0, 0.2], [0.2, 0.5]])
+        pot = GaussianPotential(mean, cov, m)
+        seq = generate_graph_sequence("seeded-random", m, 1, seed=6)
+        sched = StepSchedule("harmonic", alpha0=0.5)
+        checkpoints = [1, 15, 30]
+
+        blocks, averages = [], []
+        for r in range(runs):
+            noise = RecordingNoise(40 + r, m)
+            ns = init_network(m, d)
+            avg = {}
+            for t in range(iters):
+                ns = langevin_step(ns, seq.mixing_at(t), sched, pot, noise)
+                avg[t + 1] = average_state(ns)
+            blocks.append(noise.stacked(m, d))
+            averages.append(avg)
+        stacked = np.stack(blocks, axis=1)  # (iters, runs, m, d)
+
+        snaps = run_gaussian_ensemble(seq, sched, mean, cov, m, iters, runs, 0,
+                                      checkpoints,
+                                      noise_draw=lambda t: stacked[t])
+        for k, c in enumerate(checkpoints):
+            for r in range(runs):
+                np.testing.assert_allclose(snaps[k, r], averages[r][c],
+                                           atol=1e-12, rtol=0.0)
+
+    def test_divergence_names_the_earliest_checkpoint_of_any_chunk(self, monkeypatch):
+        # chunks of runs 0-1, 2-3 and 4-5; the last chunk blows up at agent 2
+        # in step 9, the first at agent 1 in step 19, the middle one never
+        self.small_chunks(monkeypatch, 2, 3)
+        m, d, runs = 4, 2, 6
+        seq = generate_graph_sequence("seeded-random", m, 1, seed=0)
+        sched = StepSchedule("harmonic", alpha0=0.5)
+
+        def draw(t):
+            block = np.zeros((runs, m, d))
+            if t == 9:
+                block[4:, 2] = np.inf
+            if t == 19:
+                block[:2, 1] = np.inf
+            return block
+
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DivergenceError) as info:
+                run_gaussian_ensemble(seq, sched, np.zeros(d), np.eye(d), m,
+                                      30, runs, 0, [5, 10, 20, 30],
+                                      noise_draw=draw)
+        assert (info.value.iteration, info.value.agent) == (10, 2)
+
+    def test_no_worker_thread_outlives_the_call(self, monkeypatch):
+        self.small_chunks(monkeypatch, 2, 3)
+        seq = generate_graph_sequence("seeded-random", 3, 1, seed=0)
+        sched = StepSchedule("harmonic", 1.0)
+        args = (seq, sched, np.zeros(2), np.eye(2), 3, 20, 7, 0, [10, 20])
+        before = threading.active_count()
+        run_gaussian_ensemble(*args)
+        assert threading.active_count() == before
+
+        def failing_draw(t):
+            if t == 5:
+                raise RuntimeError("recorded noise ran out")
+            return np.zeros((7, 3, 2))
+
+        with pytest.raises(RuntimeError, match="ran out"):
+            run_gaussian_ensemble(*args, noise_draw=failing_draw)
+        assert threading.active_count() == before
+        # the caller's numpy error state holds in the worker threads too, so
+        # the NaNs the infinite noise makes warn nowhere
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                run_gaussian_ensemble(*args, noise_draw=lambda t: np.full(
+                    (7, 3, 2), np.inf))
+        assert threading.active_count() == before
+
+    def test_blocks_of_steps_change_nothing_and_stay_in_the_caller(self, monkeypatch):
+        # blocks of 7 steps cut between checkpoints and across them
+        seq = generate_graph_sequence("seeded-random", 3, 1, seed=2)
+        sched = StepSchedule("harmonic", 1.0)
+        args = (seq, sched, np.zeros(2), np.eye(2), 3, 40, 10, 5, [6, 7, 8, 40])
+        self.small_chunks(monkeypatch, 3, 2)
+        whole = run_gaussian_ensemble(*args)
+        monkeypatch.setattr(langevin_module, "_MIXING_BLOCK", 7)
+        callers = set()
+        lookup = seq.mixing_at
+
+        def mixing_at(t):
+            callers.add(threading.current_thread())
+            return lookup(t)
+
+        monkeypatch.setattr(seq, "mixing_at", mixing_at)
+        np.testing.assert_array_equal(run_gaussian_ensemble(*args), whole)
+        assert callers == {threading.current_thread()}
+
+    def test_mixing_matrices_are_not_held_for_the_whole_horizon(self):
+        m, iters = 32, 2000
+        seq = generate_graph_sequence("static", m, 1, seed=0)
+        tracemalloc.start()
+        try:
+            run_gaussian_ensemble(seq, StepSchedule("harmonic", 0.1),
+                                  np.zeros(2), np.eye(2), m, iters, 1, 0,
+                                  [iters])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < iters * m * m * 8 / 2
+
+    def test_a_failing_chunk_stops_the_others(self, monkeypatch):
+        # one block for the whole horizon, so only the stop signal can end
+        # the first chunk before step 2000 when the second one fails
+        self.small_chunks(monkeypatch, 2, 2)
+        monkeypatch.setattr(langevin_module, "_MIXING_BLOCK", 2000)
+        seq = generate_graph_sequence("seeded-random", 3, 1, seed=0)
+        calls = []
+
+        class Block:
+            def __init__(self, t):
+                self.t = t
+
+            def __getitem__(self, rows):
+                if rows.start == 0:
+                    calls.append(self.t)
+                    time.sleep(1e-3)
+                elif self.t == 5:
+                    raise RuntimeError("recorded noise ran out")
+                return np.zeros((4, 3, 2))[rows]
+
+        with pytest.raises(RuntimeError, match="ran out"):
+            run_gaussian_ensemble(seq, StepSchedule("harmonic", 1.0),
+                                  np.zeros(2), np.eye(2), 3, 2000, 4, 0,
+                                  [2000], noise_draw=Block)
+        assert max(calls) < 100
+
+    def test_an_interrupt_in_the_caller_stops_every_chunk(self, monkeypatch):
+        # the caller fills the second block while the chunks run the first;
+        # an interrupt there must not wait for the chunks to finish it
+        self.small_chunks(monkeypatch, 2, 2)
+        monkeypatch.setattr(langevin_module, "_MIXING_BLOCK", 1000)
+        seq = generate_graph_sequence("seeded-random", 3, 1, seed=0)
+        lookup = seq.mixing_at
+        calls = []
+
+        def mixing_at(t):
+            if t == 1000:
+                raise KeyboardInterrupt
+            return lookup(t)
+
+        def draw(t):
+            calls.append(t)
+            time.sleep(1e-3)
+            return np.zeros((4, 3, 2))
+
+        monkeypatch.setattr(seq, "mixing_at", mixing_at)
+        with pytest.raises(KeyboardInterrupt):
+            run_gaussian_ensemble(seq, StepSchedule("harmonic", 1.0),
+                                  np.zeros(2), np.eye(2), 3, 2000, 4, 0,
+                                  [2000], noise_draw=draw)
+        assert max(calls) < 500

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from declangevin import (GaussianDist, Trace, check_lemma4_bound,
+from declangevin import (GaussianDist, GaussianPotential, NoiseModel,
+                         StepSchedule, Trace, check_lemma4_bound,
                          empirical_gaussian, estimate_delta_lambda,
-                         generate_graph_sequence, rate_fit, roc_auc,
+                         generate_graph_sequence, rate_fit, roc_auc, run,
                          spectral_bounds, w2_gaussian_bures,
                          w2_gaussian_paper, z_deviation_bound_series)
 from declangevin.graphs import DirectedGraph
@@ -199,6 +200,32 @@ class TestCumulativeBound:
         assert report.lam == 1.0
         assert np.all(np.isfinite(report.bound)) and np.all(report.bound > 0)
         assert not report.violated
+
+    def test_default_bound_at_a_hundred_agents_is_never_nan(self):
+        # delta = 1e-200 and gap ~ 1e-202 overflow (8/delta)(lam/gap); with
+        # x0 = 0 that term read inf * 0 = NaN, and no comparison flags a NaN
+        m = 100
+        seq = generate_graph_sequence("seeded-random", m, 1, seed=0)
+        trace = run(seq, StepSchedule("harmonic", alpha0=0.5),
+                    GaussianPotential(np.zeros(2), np.eye(2), m),
+                    NoiseModel(0, m), num_iters=30)
+        report = check_lemma4_bound(trace)
+        assert report.delta == 1e-200
+        assert not np.isnan(report.bound).any()
+        assert np.all(report.bound == np.inf)
+        # the ratios lie near exp(-900), below the smallest double
+        assert report.max_ratio == 0.0
+        assert not report.violated
+
+    def test_bound_at_a_hundred_agents_can_still_be_violated(self):
+        # no initial mass and no perturbation make the bound exactly zero,
+        # so any deviation at all exceeds it
+        trace = make_trace(np.zeros((100, 1)), np.full((20, 100), 0.01),
+                           np.zeros((20, 100)))
+        report = check_lemma4_bound(trace)
+        np.testing.assert_array_equal(report.bound, 0.0)
+        assert report.violated
+        assert report.max_ratio == np.inf
 
     def test_constant_validation(self):
         trace = make_trace(np.zeros((2, 1)), np.zeros((5, 2)),
