@@ -29,6 +29,15 @@ __all__ = [
 
 GRAPH_KINDS = ("static", "periodic-list", "seeded-random")
 
+# Bytes of window adjacency a seeded-random sequence keeps.  Past it the
+# oldest blocks of windows are dropped, to be generated again if asked for.
+_STORE_BYTES = 1 << 24
+# Steps per block of generated windows, which is also about how many steps
+# the connectivity check unites at once.
+_BLOCK_STEPS = 256
+# Mixing matrices, each with its graph, that mixing_at keeps.
+_VIEW_CACHE = 64
+
 
 @dataclass(frozen=True)
 class DirectedGraph:
@@ -49,50 +58,101 @@ class DirectedGraph:
     def __post_init__(self):
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be at least 1")
-        edges = frozenset((int(u), int(v)) for u, v in self.edges)
-        object.__setattr__(self, "edges", edges)
-        for u, v in edges:
-            if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-                raise ValueError(f"edge ({u}, {v}) out of range for {self.num_nodes} nodes")
-            if u == v:
-                raise ValueError(f"explicit self-loop ({u}, {u}) is not allowed")
+        pairs = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
+        outside = ((pairs < 0) | (pairs >= self.num_nodes)).any(axis=1)
+        if outside.any():
+            u, v = pairs[outside][0]
+            raise ValueError(f"edge ({u}, {v}) out of range for {self.num_nodes} nodes")
+        loops = pairs[:, 0] == pairs[:, 1]
+        if loops.any():
+            u = pairs[loops][0, 0]
+            raise ValueError(f"explicit self-loop ({u}, {u}) is not allowed")
+        object.__setattr__(self, "edges", frozenset(map(tuple, pairs.tolist())))
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """(m, m) booleans, [v, u] True when u sends to v or u == v."""
+        adj = np.eye(self.num_nodes, dtype=bool)
+        if self.edges:
+            u, v = np.array(list(self.edges)).T
+            adj[v, u] = True
+        adj.flags.writeable = False
+        return adj
 
     @cached_property
     def out_degrees(self) -> np.ndarray:
         """Out-degree of every node, self-loop included."""
-        degs = np.ones(self.num_nodes, dtype=np.int64)
-        for u, _ in self.edges:
-            degs[u] += 1
+        degs = self.adjacency.sum(axis=0)
         degs.flags.writeable = False
         return degs
 
-    def union(self, other: "DirectedGraph") -> "DirectedGraph":
-        if other.num_nodes != self.num_nodes:
-            raise ValueError("union requires graphs on the same node set")
-        return DirectedGraph(self.num_nodes, self.edges | other.edges)
-
     def is_strongly_connected(self) -> bool:
-        """True when every node reaches every other node along directed edges.
+        """True when every node reaches every other node along directed edges."""
+        return bool(_strongly_connected(self.adjacency[None])[0])
 
-        Checked by one forward reachability sweep per node.
-        """
-        if self.num_nodes == 1:
-            return True
-        succ = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            succ[u].append(v)
-        for start in range(self.num_nodes):
-            seen = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v in succ[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            if len(seen) < self.num_nodes:
-                return False
-        return True
+
+def _graph_from_adjacency(adj: np.ndarray) -> DirectedGraph:
+    v, u = np.nonzero(adj)
+    off = u != v
+    return DirectedGraph(adj.shape[0], frozenset(zip(u[off].tolist(), v[off].tolist())))
+
+
+def _strongly_connected(adj: np.ndarray) -> np.ndarray:
+    """Per leading index of the (k, m, m) adjacency adj, diagonal set: True
+    when every node reaches every other.
+
+    Squares the reachability matrices, which then cover paths twice as
+    long, until they cover m - 1 steps or are all full.  Each product is a
+    float32 BLAS call; clipped to 0/1 after each, every entry is a count of
+    at most m, exact in float32.
+    """
+    reach = adj.astype(np.float32)
+    for _ in range((adj.shape[-1] - 2).bit_length()):
+        if reach.all():
+            break
+        reach = np.matmul(reach, reach)
+        np.minimum(reach, 1.0, out=reach)
+    return reach.all(axis=(-2, -1))
+
+
+def _random_windows(m: int, b: int, seed: int, w0: int, count: int) -> np.ndarray:
+    """(count * b, m, m) adjacency of the seeded-random windows w0, w0+1, ...
+
+    Window w draws from its own generator, seeded from (seed, w): a random
+    Hamiltonian cycle, each of its edges placed in a random slot of the
+    window, then for every slot a random number of extra random edges, of
+    which self-loops change nothing.
+    """
+    adj = np.zeros((count, b, m, m), dtype=bool)
+    nodes = np.arange(m)
+    adj[..., nodes, nodes] = True
+    if m > 1:
+        succ = np.roll(nodes, -1)
+        for w, window in enumerate(adj, w0):
+            rng = np.random.default_rng([seed, w])
+            perm = rng.permutation(m)
+            # integers(0, 1, size=m) draws nothing, so B = 1 can skip it
+            slots = rng.integers(0, b, size=m) if b > 1 else 0
+            window[slots, perm[succ], perm] = True
+            for slot in window:
+                # no extra edges draws nothing, so the call can be skipped
+                extra = int(rng.integers(0, m + 1))
+                if extra:
+                    pairs = rng.integers(0, m, size=(extra, 2))
+                    slot[pairs[:, 1], pairs[:, 0]] = True
+    return adj.reshape(count * b, m, m)
+
+
+def _mixing_entries(adj: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Mixing entries of a (..., m, m) adjacency: (j, i) is 1/d_i where
+    adj[..., j, i] is set, with d_i the number set in column i."""
+    return np.multiply(adj, 1.0 / adj.sum(axis=-2)[..., None, :], out=out)
+
+
+def _check_columns(entries: np.ndarray) -> None:
+    # written so that NaN sums fail too
+    if not np.abs(entries.sum(axis=-2) - 1.0).max() <= 1e-12:
+        raise ValueError("mixing matrix columns must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -111,9 +171,13 @@ class MixingMatrix:
         m = self.graph.num_nodes
         if self.entries.shape != (m, m):
             raise ValueError("entries shape does not match the graph")
-        # written so that NaN sums fail too
-        if not np.abs(self.entries.sum(axis=0) - 1.0).max() <= 1e-12:
-            raise ValueError("mixing matrix columns must sum to 1")
+        _check_columns(self.entries)
+
+
+def _mixing_matrix(adj: np.ndarray, graph: DirectedGraph) -> MixingMatrix:
+    entries = _mixing_entries(adj)
+    entries.flags.writeable = False
+    return MixingMatrix(entries=entries, graph=graph)
 
 
 def build_mixing_matrix(g: DirectedGraph) -> MixingMatrix:
@@ -131,14 +195,7 @@ def build_mixing_matrix(g: DirectedGraph) -> MixingMatrix:
     -------
     MixingMatrix
     """
-    m = g.num_nodes
-    entries = np.zeros((m, m))
-    shares = 1.0 / g.out_degrees
-    entries[np.arange(m), np.arange(m)] = shares
-    for u, v in g.edges:
-        entries[v, u] = shares[u]
-    entries.flags.writeable = False
-    return MixingMatrix(entries=entries, graph=g)
+    return _mixing_matrix(g.adjacency, g)
 
 
 class DirectedGraphSequence:
@@ -150,6 +207,15 @@ class DirectedGraphSequence:
     Hamiltonian cycle is scattered over the window's slots and topped up
     with random extra edges, so every window union is strongly connected by
     construction and any time index can be generated independently.
+
+    Every kind is held as boolean adjacency, one (m, m) matrix per step.
+    Explicit graphs are converted once.  Seeded-random windows are
+    generated in blocks of about 256 steps into a store of at most 16 MiB,
+    which drops its oldest blocks first, so a window the connectivity check
+    generated is generated again by a run only when the horizon outgrew
+    the store.  :meth:`fill_mixing` turns a block of steps into mixing
+    matrices in one call; :meth:`graph_at` and :meth:`mixing_at` build
+    single-step views of the same arrays, of which a few are kept.
     """
 
     def __init__(self, kind: str, num_nodes: int, window_len: int = 1,
@@ -174,11 +240,13 @@ class DirectedGraphSequence:
             if kind == "static" and len(graphs) != 1:
                 raise ValueError("static kind takes exactly one graph")
             self.graphs = graphs
+            self._explicit = np.stack([g.adjacency for g in graphs])
         else:
             if graphs:
                 raise ValueError("seeded-random kind generates its own graphs")
             self.graphs = ()
-        self._window_cache: dict = {}
+            self._block_windows = max(1, _BLOCK_STEPS // self.window_len)
+            self._store: dict = {}
         self._mixing_cache: dict = {}
 
     def _position(self, t: int):
@@ -190,15 +258,51 @@ class DirectedGraphSequence:
             return divmod(t, self.window_len)
         return t % len(self.graphs)
 
+    def _block(self, k: int) -> np.ndarray:
+        """Adjacency of the steps of seeded-random block k, from the store."""
+        block = self._store.get(k)
+        if block is None:
+            n = self._block_windows
+            block = _random_windows(self.num_nodes, self.window_len, self.seed,
+                                    k * n, n)
+            block.flags.writeable = False
+            while self._store and (len(self._store) + 1) * block.nbytes > _STORE_BYTES:
+                del self._store[next(iter(self._store))]
+            self._store[k] = block
+        return block
+
+    def _adjacency(self, t0: int, n: int) -> np.ndarray:
+        """(n, m, m) adjacency of steps t0..t0+n-1, read-only."""
+        if t0 < 0:
+            raise ValueError("time index must be nonnegative")
+        if self.kind != "seeded-random":
+            return self._explicit[np.arange(t0, t0 + n) % len(self.graphs)]
+        size = self._block_windows * self.window_len
+        parts = []
+        for k in range(t0 // size, (t0 + n - 1) // size + 1):
+            lo = max(t0 - k * size, 0)
+            parts.append(self._block(k)[lo:t0 + n - k * size])
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def fill_mixing(self, t0: int, out: np.ndarray) -> np.ndarray:
+        """Write the mixing entries of step t0 + k into ``out[k]``, for every k.
+
+        ``out`` is a float (n, m, m) array; its entries are those of
+        ``mixing_at(t0 + k).entries``, bit for bit, and every column is
+        checked to sum to 1.  Returns ``out``.
+        """
+        m = self.num_nodes
+        if out.ndim != 3 or out.shape[1:] != (m, m):
+            raise ValueError(f"out must have shape (n, {m}, {m})")
+        _mixing_entries(self._adjacency(t0, len(out)), out=out)
+        _check_columns(out)
+        return out
+
     def graph_at(self, t: int) -> DirectedGraph:
         """Graph active at iteration t (t >= 0)."""
-        pos = self._position(t)
-        if self.kind != "seeded-random":
-            return self.graphs[pos]
-        w, slot = pos
-        if w not in self._window_cache:
-            self._window_cache[w] = self._random_window(w)
-        return self._window_cache[w][slot]
+        if self.kind == "seeded-random":
+            return self.mixing_at(t).graph
+        return self.graphs[self._position(t)]
 
     def mixing_at(self, t: int) -> MixingMatrix:
         """Mixing matrix of the graph active at iteration t.
@@ -207,29 +311,15 @@ class DirectedGraphSequence:
         object id, no other graph can ever take over.
         """
         pos = self._position(t)
-        if pos not in self._mixing_cache:
-            if len(self._mixing_cache) > 256:
-                self._mixing_cache.clear()
-            self._mixing_cache[pos] = build_mixing_matrix(self.graph_at(t))
-        return self._mixing_cache[pos]
-
-    def _random_window(self, w: int) -> tuple:
-        m, b = self.num_nodes, self.window_len
-        rng = np.random.default_rng([self.seed, w])
-        slot_edges = [set() for _ in range(b)]
-        if m > 1:
-            perm = rng.permutation(m)
-            cycle = [(int(perm[k]), int(perm[(k + 1) % m])) for k in range(m)]
-            slots = rng.integers(0, b, size=m)
-            for edge, s in zip(cycle, slots):
-                slot_edges[s].add(edge)
-            # sprinkle extra random edges so degrees vary between runs
-            for s in range(b):
-                for _ in range(int(rng.integers(0, m + 1))):
-                    u, v = rng.integers(0, m, size=2)
-                    if u != v:
-                        slot_edges[s].add((int(u), int(v)))
-        return tuple(DirectedGraph(m, frozenset(e)) for e in slot_edges)
+        mix = self._mixing_cache.get(pos)
+        if mix is None:
+            adj = self._adjacency(t, 1)[0]
+            graph = (_graph_from_adjacency(adj) if self.kind == "seeded-random"
+                     else self.graphs[pos])
+            if len(self._mixing_cache) >= _VIEW_CACHE:
+                del self._mixing_cache[next(iter(self._mixing_cache))]
+            mix = self._mixing_cache[pos] = _mixing_matrix(adj, graph)
+        return mix
 
 
 def generate_graph_sequence(kind: str, num_nodes: int, window_len: int = 1,
@@ -259,8 +349,7 @@ def generate_graph_sequence(kind: str, num_nodes: int, window_len: int = 1,
     """
     if kind == "static" and not graphs:
         # collapse one random window into a single strongly connected graph
-        proto = DirectedGraphSequence("seeded-random", num_nodes, 1, seed)
-        graphs = [proto.graph_at(0)]
+        graphs = [_graph_from_adjacency(_random_windows(num_nodes, 1, seed, 0, 1)[0])]
     return DirectedGraphSequence(kind, num_nodes, window_len, seed, graphs)
 
 
@@ -269,7 +358,10 @@ def check_b_strong_connectivity(seq: DirectedGraphSequence, horizon: int,
     """Check strong connectivity of every window union inside a horizon.
 
     The window length defaults to ``seq.window_len``.  Windows are the
-    blocks [k*B, (k+1)*B - 1] that fit entirely inside [0, horizon).
+    blocks [k*B, (k+1)*B - 1] that fit entirely inside [0, horizon).  They
+    are checked in batches of about 256 steps: the adjacency of each window
+    is OR-ed over its steps, then every union's reachability is computed at
+    once.
 
     Parameters
     ----------
@@ -290,11 +382,12 @@ def check_b_strong_connectivity(seq: DirectedGraphSequence, horizon: int,
         raise ValueError("window length must be at least 1")
     if horizon < b:
         raise ValueError(f"horizon {horizon} is shorter than one window of {b}")
-    for k in range(horizon // b):
-        union = seq.graph_at(k * b)
-        for s in range(1, b):
-            union = union.union(seq.graph_at(k * b + s))
-        if not union.is_strongly_connected():
+    m = seq.num_nodes
+    windows, batch = horizon // b, max(1, _BLOCK_STEPS // b)
+    for k0 in range(0, windows, batch):
+        k = min(batch, windows - k0)
+        union = seq._adjacency(k0 * b, k * b).reshape(k, b, m, m).any(axis=1)
+        if not _strongly_connected(union).all():
             return False
     return True
 

@@ -45,9 +45,9 @@ SCHEDULE_KINDS = ("harmonic", "power")
 # parallel threads, each on its own noise stream, so this constant, unlike
 # the thread count, is part of what fixes the ensemble's results.
 _CHUNK_RUNS = 4096
-# Steps whose mixing matrices run_gaussian_ensemble holds at a time, as
-# many as mixing_at caches; the chunks all finish one block of steps
-# before the next begins.
+# Steps whose mixing matrices run and run_gaussian_ensemble fill with one
+# fill_mixing call and hold at a time; the ensemble's chunks all finish one
+# block of steps before the next begins.
 _MIXING_BLOCK = 256
 
 
@@ -318,11 +318,14 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
         states[k] = z
         consensus[k] = _row_norms(z - xbar)
 
+    mixing = np.empty((min(_MIXING_BLOCK, num_iters), m, m))
     xbar = x.sum(axis=0) / m
     record(0, 0)
     for t in range(num_iters):
-        y = _step(seq.mixing_at(t).entries, x, y, w, z, t, sched, potential,
-                  noise)
+        k = t % _MIXING_BLOCK
+        if k == 0:
+            seq.fill_mixing(t, mixing[:num_iters - t])
+        y = _step(mixing[k], x, y, w, z, t, sched, potential, noise)
         zdev[t] = _row_norms(z - xbar)
         pert[t] = _row_norms(x - w)
         xbar = x.sum(axis=0) / m
@@ -483,16 +486,13 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     for runs in chunks:
         next(runs)
     # two buffers of mixing matrices, filled here and not in the workers
-    # (mixing_at's cache is not thread-safe): the next block is filled
-    # while the chunks run through the current one
+    # (the sequence's window store is not thread-safe): the next block is
+    # filled while the chunks run through the current one
     mixing = np.empty((2, min(_MIXING_BLOCK, horizon), m, m))
 
     def fill(t0):
-        block = mixing[t0 // _MIXING_BLOCK % 2,
-                       :min(_MIXING_BLOCK, horizon - t0)]
-        for t, entries in enumerate(block, t0):
-            entries[:] = seq.mixing_at(t).entries
-        return block
+        return seq.fill_mixing(t0, mixing[t0 // _MIXING_BLOCK % 2,
+                                          :horizon - t0])
 
     block = fill(0)
     with ThreadPoolExecutor(_worker_count(len(chunks))) as pool:

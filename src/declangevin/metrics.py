@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .graphs import DirectedGraphSequence, spectral_bounds
 from .models import GaussianDist
@@ -89,6 +88,23 @@ def empirical_gaussian(samples: np.ndarray) -> GaussianDist:
     return GaussianDist(mean=mean, cov=cov + COV_RIDGE * np.eye(d))
 
 
+def _rankdata(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of a 1-d array, tied values sharing the mean of their
+    ranks, as ``scipy.stats.rankdata`` gives them; any NaN makes every rank
+    NaN."""
+    n = len(values)
+    if np.isnan(values).any():
+        return np.full(n, np.nan)
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], n]
+    ranks = np.empty(n)
+    # the tie group at sorted positions [start, end) holds ranks start+1..end
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Area under the ROC curve by the rank-sum formula, ties counted half.
 
@@ -102,7 +118,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("need both classes to compute ROC-AUC")
     if not np.all(pos | neg):
         raise ValueError("labels must be -1 or +1")
-    ranks = rankdata(scores)
+    ranks = _rankdata(scores)
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
@@ -247,10 +263,11 @@ def estimate_delta_lambda(seq: DirectedGraphSequence, horizon: int) -> tuple:
         raise ValueError(f"horizon {horizon} is shorter than one product span {span}")
     delta_emp = np.inf
     lambda_emp = 0.0
+    mixing = seq.fill_mixing(0, np.empty((horizon, m, m)))
     for start in range(horizon - span + 1):
         prod = np.eye(m)
-        for t in range(start, start + span):
-            prod = seq.mixing_at(t).entries @ prod
+        for entries in mixing[start:start + span]:
+            prod = entries @ prod
         positive = prod[prod > 0.0]
         if positive.size:
             delta_emp = min(delta_emp, float(positive.min()))

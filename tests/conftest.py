@@ -46,6 +46,71 @@ def alternating_pairs_seq():
     return generate_graph_sequence("periodic-list", 4, 2, graphs=[even, odd])
 
 
+def reference_window(num_nodes, window_len, seed, w):
+    """The graphs of seeded-random window w, built edge by edge as sets.
+
+    This is how the package generated windows before it held them as
+    adjacency arrays; its generator must still take the same draws.
+    """
+    m, b = num_nodes, window_len
+    rng = np.random.default_rng([seed, w])
+    slot_edges = [set() for _ in range(b)]
+    if m > 1:
+        perm = rng.permutation(m)
+        cycle = [(int(perm[k]), int(perm[(k + 1) % m])) for k in range(m)]
+        slots = rng.integers(0, b, size=m)
+        for edge, s in zip(cycle, slots):
+            slot_edges[s].add(edge)
+        for s in range(b):
+            for _ in range(int(rng.integers(0, m + 1))):
+                u, v = rng.integers(0, m, size=2)
+                if u != v:
+                    slot_edges[s].add((int(u), int(v)))
+    return tuple(DirectedGraph(m, frozenset(e)) for e in slot_edges)
+
+
+def reference_mixing(g):
+    """Mixing entries of a graph, one edge at a time: column i holds 1/d_i
+    at i and at every node i sends to."""
+    m = g.num_nodes
+    degrees = np.ones(m, dtype=np.int64)
+    for u, _ in g.edges:
+        degrees[u] += 1
+    entries = np.zeros((m, m))
+    shares = 1.0 / degrees
+    entries[np.arange(m), np.arange(m)] = shares
+    for u, v in g.edges:
+        entries[v, u] = shares[u]
+    return entries
+
+
+def reference_strongly_connected(num_nodes, edges):
+    """Strong connectivity by one forward sweep per node over an edge set."""
+    succ = [[] for _ in range(num_nodes)]
+    for u, v in edges:
+        succ[u].append(v)
+    for start in range(num_nodes):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for v in succ[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if len(seen) < num_nodes:
+            return False
+    return True
+
+
+def reference_b_connected(seq, horizon, window_len):
+    """Every complete window's edge union, swept node by node."""
+    return all(
+        reference_strongly_connected(seq.num_nodes, frozenset().union(
+            *(seq.graph_at(k * window_len + s).edges
+              for s in range(window_len))))
+        for k in range(horizon // window_len))
+
+
 def reference_ula(grad, sched, seed, num_iters, dim):
     """Plain single-chain unadjusted Langevin iteration.
 

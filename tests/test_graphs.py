@@ -1,13 +1,22 @@
 """Directed graphs, mixing matrices, sequences and connectivity checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import declangevin.graphs as graphs_module
 from declangevin import (DirectedGraph, DirectedGraphSequence, MixingMatrix,
-                         build_mixing_matrix, check_b_strong_connectivity,
-                         generate_graph_sequence, spectral_bounds)
+                         StepSchedule, ZeroPotential, build_mixing_matrix,
+                         check_b_strong_connectivity, generate_graph_sequence,
+                         run, spectral_bounds)
 
-from conftest import SIX_NODE_EDGES, SIX_NODE_MIXING
+from conftest import (SIX_NODE_EDGES, SIX_NODE_MIXING, reference_b_connected,
+                      reference_mixing, reference_strongly_connected,
+                      reference_window)
+
+seeds = st.integers(0, 2 ** 32 - 1)
 
 
 def random_graph(rng, num_nodes):
@@ -42,15 +51,6 @@ class TestDirectedGraph:
         # the cached degrees are shared, so they must not be writable
         with pytest.raises(ValueError):
             six_node_graph.out_degrees[0] = 5
-
-    def test_union_merges_edges(self):
-        g1 = DirectedGraph(3, {(0, 1)})
-        g2 = DirectedGraph(3, {(1, 2)})
-        assert g1.union(g2).edges == frozenset({(0, 1), (1, 2)})
-
-    def test_union_rejects_mismatched_node_sets(self):
-        with pytest.raises(ValueError):
-            DirectedGraph(3).union(DirectedGraph(4))
 
     def test_ring_is_strongly_connected(self):
         ring = DirectedGraph(4, {(0, 1), (1, 2), (2, 3), (3, 0)})
@@ -97,6 +97,14 @@ class TestMixingMatrix:
     def test_rejects_nonstochastic_entries(self):
         with pytest.raises(ValueError, match="sum to 1"):
             MixingMatrix(entries=0.5 * np.eye(3), graph=DirectedGraph(3))
+
+    def test_fill_mixing_checks_every_block(self, six_node_graph):
+        seq = generate_graph_sequence("static", 6, graphs=[six_node_graph])
+        # a stack in which no node keeps any of its own mass
+        seq._explicit = np.zeros_like(seq._explicit)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="sum to 1"):
+                seq.fill_mixing(0, np.empty((3, 6, 6)))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -163,7 +171,7 @@ class TestGraphSequences:
         assert seq.mixing_at(2).graph is even
         static = generate_graph_sequence("static", 4, seed=1)
         assert static.mixing_at(0) is static.mixing_at(7)
-        # 600 random positions overflow the 256-entry cache twice
+        # 600 random positions overflow the 64-entry cache many times
         seq = generate_graph_sequence("seeded-random", 4, 3, seed=2)
         for t in range(600):
             mix = seq.mixing_at(t)
@@ -203,6 +211,91 @@ class TestBStrongConnectivity:
     def test_horizon_shorter_than_window_rejected(self, alternating_pairs_seq):
         with pytest.raises(ValueError, match="shorter than one window"):
             check_b_strong_connectivity(alternating_pairs_seq, 1)
+
+
+class TestArrayGraphLayer:
+    """The adjacency arrays against edge-by-edge references."""
+
+    @settings(max_examples=60)
+    @given(m=st.integers(1, 12), b=st.integers(1, 4), seed=seeds,
+           w=st.integers(0, 10 ** 6))
+    def test_windows_match_the_reference_generator(self, m, b, seed, w):
+        seq = generate_graph_sequence("seeded-random", m, b, seed=seed)
+        window = reference_window(m, b, seed, w)
+        entries = seq.fill_mixing(w * b, np.empty((b, m, m)))
+        for s, g in enumerate(window):
+            assert seq.graph_at(w * b + s).edges == g.edges
+            np.testing.assert_array_equal(entries[s], reference_mixing(g))
+        assert np.abs(entries.sum(axis=1) - 1.0).max() <= 1e-12
+        assert reference_strongly_connected(
+            m, frozenset().union(*(g.edges for g in window)))
+        horizon = (w % 50 + 1) * b
+        assert check_b_strong_connectivity(seq, horizon)
+        assert reference_b_connected(seq, horizon, b)
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_check_agrees_with_the_reference_on_explicit_sequences(self, data):
+        m = data.draw(st.integers(1, 6))
+        node = st.integers(0, m - 1)
+        graphs = data.draw(st.lists(
+            st.frozensets(st.tuples(node, node), max_size=2 * m).map(
+                lambda pairs: DirectedGraph(m, frozenset(
+                    (u, v) for u, v in pairs if u != v))),
+            min_size=1, max_size=5))
+        b = data.draw(st.integers(1, 4))
+        horizon = data.draw(st.integers(b, 30))
+        seq = generate_graph_sequence("periodic-list", m, 1, graphs=graphs)
+        assert (check_b_strong_connectivity(seq, horizon, window_len=b)
+                == reference_b_connected(seq, horizon, b))
+        for g in graphs:
+            assert g.is_strongly_connected() == reference_strongly_connected(
+                m, g.edges)
+
+    @settings(max_examples=25)
+    @given(kind=st.sampled_from(["seeded-random", "static"]),
+           m=st.integers(1, 12), b=st.integers(1, 4), seed=seeds,
+           t0=st.integers(0, 800), n=st.integers(1, 600))
+    def test_fill_mixing_equals_stacked_views(self, kind, m, b, seed, t0, n):
+        # n up to 600 steps crosses windows and blocks of about 256 steps
+        seq = generate_graph_sequence(kind, m, b, seed=seed)
+        np.testing.assert_array_equal(
+            seq.fill_mixing(t0, np.empty((n, m, m))),
+            np.stack([seq.mixing_at(t).entries for t in range(t0, t0 + n)]))
+
+
+class TestWindowStore:
+    def test_memory_stays_flat_past_the_budget(self, monkeypatch):
+        # 20 000 steps at m=8 are 1.28 MB of adjacency, ten budgets
+        budget = 1 << 17
+        monkeypatch.setattr(graphs_module, "_STORE_BYTES", budget)
+        seq = generate_graph_sequence("seeded-random", 8, 4, seed=0)
+        tracemalloc.start()
+        try:
+            assert check_b_strong_connectivity(seq, 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * budget
+        # the first blocks were dropped and come back the same
+        fresh = generate_graph_sequence("seeded-random", 8, 4, seed=0)
+        np.testing.assert_array_equal(seq.fill_mixing(0, np.empty((300, 8, 8))),
+                                      fresh.fill_mixing(0, np.empty((300, 8, 8))))
+
+    def test_check_then_run_generate_each_window_once(self, monkeypatch):
+        made = []
+        generate = graphs_module._random_windows
+
+        def counting(m, b, seed, w0, count):
+            made.extend(range(w0, w0 + count))
+            return generate(m, b, seed, w0, count)
+
+        monkeypatch.setattr(graphs_module, "_random_windows", counting)
+        seq = generate_graph_sequence("seeded-random", 4, 2, seed=3)
+        assert check_b_strong_connectivity(seq, 1000)
+        run(seq, StepSchedule("harmonic", 0.1), ZeroPotential(2), None, 1000)
+        assert sorted(made) == list(range(len(made)))
+        assert len(made) >= 500
 
 
 class TestSpectralBounds:

@@ -556,13 +556,13 @@ class TestEnsembleChunks:
         whole = run_gaussian_ensemble(*args)
         monkeypatch.setattr(langevin_module, "_MIXING_BLOCK", 7)
         callers = set()
-        lookup = seq.mixing_at
+        lookup = seq.fill_mixing
 
-        def mixing_at(t):
+        def fill_mixing(t0, out):
             callers.add(threading.current_thread())
-            return lookup(t)
+            return lookup(t0, out)
 
-        monkeypatch.setattr(seq, "mixing_at", mixing_at)
+        monkeypatch.setattr(seq, "fill_mixing", fill_mixing)
         np.testing.assert_array_equal(run_gaussian_ensemble(*args), whole)
         assert callers == {threading.current_thread()}
 
@@ -611,20 +611,20 @@ class TestEnsembleChunks:
         self.small_chunks(monkeypatch, 2, 2)
         monkeypatch.setattr(langevin_module, "_MIXING_BLOCK", 1000)
         seq = generate_graph_sequence("seeded-random", 3, 1, seed=0)
-        lookup = seq.mixing_at
+        lookup = seq.fill_mixing
         calls = []
 
-        def mixing_at(t):
-            if t == 1000:
+        def fill_mixing(t0, out):
+            if t0 == 1000:
                 raise KeyboardInterrupt
-            return lookup(t)
+            return lookup(t0, out)
 
         def draw(t):
             calls.append(t)
             time.sleep(1e-3)
             return np.zeros((4, 3, 2))
 
-        monkeypatch.setattr(seq, "mixing_at", mixing_at)
+        monkeypatch.setattr(seq, "fill_mixing", fill_mixing)
         with pytest.raises(KeyboardInterrupt):
             run_gaussian_ensemble(seq, StepSchedule("harmonic", 1.0),
                                   np.zeros(2), np.eye(2), 3, 2000, 4, 0,

@@ -1,9 +1,15 @@
 """Gaussian distances, AUC, and the deviation-bound monitors."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import norm, rankdata
 
+import declangevin
 from declangevin import (GaussianDist, GaussianPotential, NoiseModel,
                          StepSchedule, Trace, check_lemma4_bound,
                          empirical_gaussian, estimate_delta_lambda,
@@ -11,6 +17,7 @@ from declangevin import (GaussianDist, GaussianPotential, NoiseModel,
                          spectral_bounds, w2_gaussian_bures,
                          w2_gaussian_paper, z_deviation_bound_series)
 from declangevin.graphs import DirectedGraph
+from declangevin.metrics import _rankdata
 
 
 def random_spd(rng, d):
@@ -141,6 +148,28 @@ class TestRocAuc:
         assert roc_auc(np.array([0.0, 1.0, 2.0, 3.0]), labels) == 1.0
         assert roc_auc(np.array([3.0, 2.0, 1.0, 0.0]), labels) == 0.0
         assert roc_auc(np.zeros(4), labels) == 0.5
+
+    def test_ranks_equal_scipy_rankdata(self):
+        rng = np.random.default_rng(5)
+        cases = [np.array([2.5]), np.zeros(7), np.array([0.0, -0.0, 1.0]),
+                 np.array([np.inf, -np.inf, 3.0, np.inf]),
+                 np.array([1.0, np.nan, 0.0]), np.full(3, np.nan)]
+        for _ in range(200):
+            n = int(rng.integers(1, 80))
+            cases.append(rng.standard_normal(n))
+            cases.append(rng.integers(0, 4, size=n).astype(float))
+        for values in cases:
+            # bit for bit, NaN where scipy gives NaN
+            np.testing.assert_array_equal(_rankdata(values), rankdata(values))
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        code = ("import sys, declangevin.cli; "
+                "sys.exit('scipy.stats' in sys.modules)")
+        src = str(Path(declangevin.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=120)
+        assert done.returncode == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
