@@ -218,6 +218,8 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         raise ConfigError("seed must be nonnegative")
     if cfg.batch is not None and cfg.batch < 0:
         raise ConfigError("batch must be 0 (full shard) or positive")
+    if cfg.sigma_sq < 0:
+        raise ConfigError("sigma_sq must be nonnegative")
 
     sched = _build_schedule(cfg)
     if cfg.sigma_sq > 0 and np.sqrt(step_size(sched, 1)) > 1.0 / cfg.sigma_sq:
@@ -235,7 +237,7 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
     if not check_b_strong_connectivity(seq, max(cfg.iters, cfg.graph_b)):
         raise ConfigError("graph sequence is not B-strongly-connected over the horizon")
 
-    noise = NoiseModel(cfg.seed, cfg.agents, cfg.sigma_sq)
+    noise = NoiseModel(cfg.seed, cfg.agents)
     batch_cfg = _DEFAULT_BATCH[cfg.experiment] if cfg.batch is None else cfg.batch
     batch = None if batch_cfg == 0 else batch_cfg
 
@@ -388,13 +390,16 @@ def logistic_auc_series(trace, test: Dataset, eval_every: int):
     return trace.ts[picks], aucs
 
 
-def _monitor_metadata(trace, metadata: dict) -> None:
-    report = check_lemma4_bound(trace)
-    metadata.update(lemma4_violated=report.violated,
-                    lemma4_max_ratio=report.max_ratio,
-                    lemma4_delta=report.delta,
-                    lemma4_lambda=report.lam,
-                    lemma4_d_hat=report.d_hat)
+def _monitor_metadata(trace, setup: RunSetup):
+    """Check the deviation bound at the run's window length, record its
+    outcome in the metadata and return the report."""
+    report = check_lemma4_bound(trace, window_len=setup.cfg.graph_b)
+    setup.metadata.update(lemma4_violated=report.violated,
+                          lemma4_max_ratio=report.max_ratio,
+                          lemma4_delta=report.delta,
+                          lemma4_lambda=report.lam,
+                          lemma4_d_hat=report.d_hat)
+    return report
 
 
 def cmd_linreg(cfg: ExperimentConfig) -> int:
@@ -402,7 +407,7 @@ def cmd_linreg(cfg: ExperimentConfig) -> int:
     trace = run_experiment(cfg, setup)
     paper, bures = linreg_w2_series(trace, setup.extras["posterior"])
     if cfg.monitors == "on":
-        _monitor_metadata(trace, setup.metadata)
+        _monitor_metadata(trace, setup)
     header = ["t", "alpha", "w2_paper", "w2_bures"] + \
         [f"consensus_error_agent_{i}" for i in range(trace.num_agents)]
     rows = []
@@ -422,7 +427,7 @@ def cmd_mixture(cfg: ExperimentConfig) -> int:
     setup = prepare(cfg)
     trace = run_experiment(cfg, setup)
     if cfg.monitors == "on":
-        _monitor_metadata(trace, setup.metadata)
+        _monitor_metadata(trace, setup)
     m = trace.num_agents
     header = ["t", "alpha"] + \
         [f"theta1_agent_{i}" for i in range(m)] + \
@@ -451,7 +456,7 @@ def cmd_logistic(cfg: ExperimentConfig) -> int:
     trace = run_experiment(cfg, setup)
     eval_ts, aucs = logistic_auc_series(trace, setup.extras["test"], cfg.eval_every)
     if cfg.monitors == "on":
-        _monitor_metadata(trace, setup.metadata)
+        _monitor_metadata(trace, setup)
     m = trace.num_agents
     header = ["t", "alpha"] + [f"auc_agent_{i}" for i in range(m)] + ["auc_mean"]
     rows = []
@@ -468,10 +473,7 @@ def cmd_logistic(cfg: ExperimentConfig) -> int:
 def cmd_run(cfg: ExperimentConfig) -> int:
     setup = prepare(cfg)
     trace = run_experiment(cfg, setup)
-    report = None
-    if cfg.monitors == "on":
-        report = check_lemma4_bound(trace)
-        _monitor_metadata(trace, setup.metadata)
+    report = _monitor_metadata(trace, setup) if cfg.monitors == "on" else None
     m, d = trace.num_agents, trace.dim
     header = ["t", "alpha"]
     for i in range(m):

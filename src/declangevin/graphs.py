@@ -35,8 +35,6 @@ _STORE_BYTES = 1 << 24
 # Steps per block of generated windows, which is also about how many steps
 # the connectivity check unites at once.
 _BLOCK_STEPS = 256
-# Mixing matrices, each with its graph, that mixing_at keeps.
-_VIEW_CACHE = 64
 
 
 @dataclass(frozen=True)
@@ -174,12 +172,6 @@ class MixingMatrix:
         _check_columns(self.entries)
 
 
-def _mixing_matrix(adj: np.ndarray, graph: DirectedGraph) -> MixingMatrix:
-    entries = _mixing_entries(adj)
-    entries.flags.writeable = False
-    return MixingMatrix(entries=entries, graph=graph)
-
-
 def build_mixing_matrix(g: DirectedGraph) -> MixingMatrix:
     """Build the column-stochastic mixing matrix of a directed graph.
 
@@ -195,7 +187,9 @@ def build_mixing_matrix(g: DirectedGraph) -> MixingMatrix:
     -------
     MixingMatrix
     """
-    return _mixing_matrix(g.adjacency, g)
+    entries = _mixing_entries(g.adjacency)
+    entries.flags.writeable = False
+    return MixingMatrix(entries=entries, graph=g)
 
 
 class DirectedGraphSequence:
@@ -215,7 +209,7 @@ class DirectedGraphSequence:
     generated is generated again by a run only when the horizon outgrew
     the store.  :meth:`fill_mixing` turns a block of steps into mixing
     matrices in one call; :meth:`graph_at` and :meth:`mixing_at` build
-    single-step views of the same arrays, of which a few are kept.
+    single-step views of the same arrays on every call.
     """
 
     def __init__(self, kind: str, num_nodes: int, window_len: int = 1,
@@ -247,16 +241,6 @@ class DirectedGraphSequence:
             self.graphs = ()
             self._block_windows = max(1, _BLOCK_STEPS // self.window_len)
             self._store: dict = {}
-        self._mixing_cache: dict = {}
-
-    def _position(self, t: int):
-        """Where the graph active at t sits: its index in ``graphs``, or
-        (window, slot) for the seeded-random kind."""
-        if t < 0:
-            raise ValueError("time index must be nonnegative")
-        if self.kind == "seeded-random":
-            return divmod(t, self.window_len)
-        return t % len(self.graphs)
 
     def _block(self, k: int) -> np.ndarray:
         """Adjacency of the steps of seeded-random block k, from the store."""
@@ -300,26 +284,14 @@ class DirectedGraphSequence:
 
     def graph_at(self, t: int) -> DirectedGraph:
         """Graph active at iteration t (t >= 0)."""
+        adj = self._adjacency(t, 1)[0]
         if self.kind == "seeded-random":
-            return self.mixing_at(t).graph
-        return self.graphs[self._position(t)]
+            return _graph_from_adjacency(adj)
+        return self.graphs[t % len(self.graphs)]
 
     def mixing_at(self, t: int) -> MixingMatrix:
-        """Mixing matrix of the graph active at iteration t.
-
-        Cached by the graph's position in the sequence, which, unlike an
-        object id, no other graph can ever take over.
-        """
-        pos = self._position(t)
-        mix = self._mixing_cache.get(pos)
-        if mix is None:
-            adj = self._adjacency(t, 1)[0]
-            graph = (_graph_from_adjacency(adj) if self.kind == "seeded-random"
-                     else self.graphs[pos])
-            if len(self._mixing_cache) >= _VIEW_CACHE:
-                del self._mixing_cache[next(iter(self._mixing_cache))]
-            mix = self._mixing_cache[pos] = _mixing_matrix(adj, graph)
-        return mix
+        """Mixing matrix of the graph active at iteration t."""
+        return build_mixing_matrix(self.graph_at(t))
 
 
 def generate_graph_sequence(kind: str, num_nodes: int, window_len: int = 1,

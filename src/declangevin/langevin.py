@@ -112,21 +112,16 @@ class NoiseModel:
     index), so results do not depend on the order agents are processed in.
     Within one iteration an agent consumes its stream in a fixed order:
     first any minibatch index draws made by the potential, then the
-    isotropic Gaussian vector.  ``sigma_sq`` declares a bound on the
-    expected stochastic-gradient error norm; it is only used by config
-    validation, which requires sqrt(alpha) <= 1 / sigma_sq when positive.
+    isotropic Gaussian vector.
     """
 
-    def __init__(self, seed: int, num_agents: int, sigma_sq: float = 0.0):
+    def __init__(self, seed: int, num_agents: int):
         if seed < 0:
             raise ValueError("seed must be nonnegative")
         if num_agents < 1:
             raise ValueError("num_agents must be at least 1")
-        if sigma_sq < 0:
-            raise ValueError("sigma_sq must be nonnegative")
         self.seed = int(seed)
         self.num_agents = int(num_agents)
-        self.sigma_sq = float(sigma_sq)
         self._rngs = [np.random.default_rng([self.seed, i]) for i in range(num_agents)]
 
     def stream(self, agent: int) -> np.random.Generator:
@@ -377,8 +372,8 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     num_runs : int
         At least 1.
     checkpoints : sequence of int
-        Iteration counts at which to snapshot; must be increasing and
-        bounded by num_iters.
+        Iteration counts at which to snapshot: at least one, strictly
+        increasing, in [1, num_iters].
     noise_draw : callable, optional
         Hook returning the (num_runs, m, d) standard normal block for
         iteration t; each chunk reads its own rows of that block.  The hook
@@ -406,10 +401,11 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     d = target_mean.shape[0]
     precision = np.linalg.inv(target_cov)
     checkpoints = list(checkpoints)
-    if any(c < 1 or c > num_iters for c in checkpoints):
+    if not checkpoints or any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
+        raise ValueError("checkpoints must be one or more strictly increasing "
+                         "iteration counts")
+    if checkpoints[0] < 1 or checkpoints[-1] > num_iters:
         raise ValueError("checkpoints must lie in [1, num_iters]")
-    if sorted(checkpoints) != checkpoints:
-        raise ValueError("checkpoints must be increasing")
     if num_agents != seq.num_nodes:
         raise ValueError(f"graph sequence has {seq.num_nodes} nodes but "
                          f"num_agents is {num_agents}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .langevin import Potential, PotentialProps
 
@@ -110,6 +109,13 @@ class GaussianDist:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid 1 / (1 + exp(-v)); exp overflows to inf for v below
+    about -709, which gives exactly 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-v))
 
 
 def generate_linreg_data(n: int, dim: int, sigma: float, true_w: np.ndarray,
@@ -220,7 +226,7 @@ def grad_U_mixture(theta: np.ndarray, batch: np.ndarray, sigma_x: float = np.sqr
     d1 = x - a
     d2 = d1 - b
     # log N(x; a+b) - log N(x; a), feeding the responsibility of component 2
-    r2 = expit((d1 ** 2 - d2 ** 2) / (2.0 * s2))
+    r2 = _sigmoid((d1 ** 2 - d2 ** 2) / (2.0 * s2))
     # the two per-sample terms side by side, (..., 2, b), summed at once
     terms = np.empty(r2.shape[:-1] + (2,) + r2.shape[-1:])
     np.subtract(d1, r2 * b, out=terms[..., 0, :])
@@ -246,7 +252,7 @@ def grad_U_logistic(w: np.ndarray, batch_features: np.ndarray, batch_targets: np
         raise ValueError("logistic labels must be -1 or +1")
     if batch_features.shape[-2] == 0:
         return np.sign(w)
-    coef = y * expit(-y * (batch_features @ w[..., None])[..., 0])
+    coef = y * _sigmoid(-y * (batch_features @ w[..., None])[..., 0])
     return -scale * _transpose_times(batch_features, coef) + np.sign(w)
 
 
@@ -333,7 +339,7 @@ def make_surrogate_classification(n: int, dim: int, seed: int,
     hidden = rng.standard_normal(dim)
     logits = feats @ hidden
     logits -= np.median(logits)
-    targs = np.where(rng.random(n) < expit(logits), 1.0, -1.0)
+    targs = np.where(rng.random(n) < _sigmoid(logits), 1.0, -1.0)
     return Dataset(features=feats, targets=targs)
 
 

@@ -10,7 +10,7 @@ bytes.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +28,7 @@ class Trace:
     of those estimates to the network average.  ``z_dev`` and ``pert_norms`` are unthinned
     (num_iters, m) series: row s measures the step from iteration s to s+1,
     namely ||z_i(s+1) - xbar(s)|| and the norm of the update each agent
-    applied on top of its mixed value.  ``metrics`` maps a name to an
-    (indices, values) pair for any scalar series attached after the run.
+    applied on top of its mixed value.
     """
 
     ts: np.ndarray
@@ -40,7 +39,6 @@ class Trace:
     pert_norms: np.ndarray
     num_iters: int
     stride: int
-    metrics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n_rec = len(self.ts)

@@ -138,8 +138,8 @@ class RecordingNoise(NoiseModel):
     (num_iters, m, d) block structure.
     """
 
-    def __init__(self, seed, num_agents, sigma_sq=0.0):
-        super().__init__(seed, num_agents, sigma_sq)
+    def __init__(self, seed, num_agents):
+        super().__init__(seed, num_agents)
         self.draws = []
 
     def gaussian(self, agent, dim):

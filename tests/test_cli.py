@@ -10,7 +10,8 @@ from declangevin import (ConfigError, GaussianDist, build_config,
                          generate_linreg_data, linreg_posterior,
                          linreg_w2_series, logistic_auc_series, main,
                          make_surrogate_classification, prepare,
-                         run_experiment, save_libsvm, step_size)
+                         run_experiment, save_libsvm, spectral_bounds,
+                         step_size)
 from declangevin.cli import _FIELD_TYPES, ExperimentConfig, load_config_file
 
 
@@ -117,7 +118,8 @@ class TestSchedules:
 class TestPrepare:
     def test_basic_validation(self):
         for bad in [{"agents": 0}, {"iters": 0}, {"stride": 0},
-                    {"monitors": "maybe"}, {"seed": -1}, {"batch": -1}]:
+                    {"monitors": "maybe"}, {"seed": -1}, {"batch": -1},
+                    {"sigma_sq": -1.0}]:
             with pytest.raises(ConfigError):
                 prepare(build_config("run", bad))
 
@@ -263,6 +265,15 @@ class TestMain:
                      "--out", str(out)]) == 0
         assert b"# lemma4_violated=false\r\n" in out.read_bytes()
         assert "held" in capsys.readouterr().out
+
+    def test_monitors_use_the_run_window_length(self, tmp_path, capsys):
+        out = tmp_path / "b4.csv"
+        assert main(["run", "--agents", "4", "--graph_b", "4", "--iters", "40",
+                     "--monitors", "on", "--out", str(out)]) == 0
+        capsys.readouterr()
+        meta = dict(line[2:].split("=", 1) for line in
+                    out.read_text().splitlines() if line.startswith("# "))
+        assert float(meta["lemma4_delta"]) == spectral_bounds(4, 4).delta_lower
 
     def test_config_file_sits_between_defaults_and_flags(self, tmp_path,
                                                          capsys):

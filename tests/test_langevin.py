@@ -95,8 +95,6 @@ class TestNoiseModel:
             NoiseModel(-1, 2)
         with pytest.raises(ValueError):
             NoiseModel(0, 0)
-        with pytest.raises(ValueError):
-            NoiseModel(0, 2, sigma_sq=-1.0)
 
 
 class TestLangevinStep:
@@ -357,6 +355,11 @@ class TestGaussianEnsemble:
             run_gaussian_ensemble(seq, sched, mean, cov, 2, 10, 4, 0, [5, 11])
         with pytest.raises(ValueError):
             run_gaussian_ensemble(seq, sched, mean, cov, 2, 10, 4, 0, [5, 2])
+        # a repeated checkpoint would leave a snapshot row unwritten
+        with pytest.raises(ValueError, match="strictly increasing"):
+            run_gaussian_ensemble(seq, sched, mean, cov, 2, 10, 4, 0, [5, 5, 10])
+        with pytest.raises(ValueError, match="one or more"):
+            run_gaussian_ensemble(seq, sched, mean, cov, 2, 10, 4, 0, [])
 
     def test_snapshot_shape_and_determinism(self):
         seq = generate_graph_sequence("seeded-random", 3, 1, seed=1)

@@ -1,9 +1,12 @@
 """Datasets, gradients, the libsvm loader, sharding and potentials."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from declangevin import (Dataset, GaussianDist, GaussianPotential,
                          LinRegPotential, LogisticPotential, MixturePotential,
@@ -13,6 +16,7 @@ from declangevin import (Dataset, GaussianDist, GaussianPotential,
                          linreg_posterior, load_libsvm,
                          make_surrogate_classification, partition,
                          save_libsvm)
+from declangevin.models import _sigmoid
 
 from conftest import central_fd
 
@@ -174,6 +178,15 @@ class TestGradients:
                    for k in range(ds.n)]
         np.testing.assert_allclose(np.mean(singles, axis=0), full,
                                    atol=1e-10, rtol=0.0)
+
+    def test_sigmoid_matches_scipy_expit(self):
+        v = np.concatenate([np.linspace(-800.0, 800.0, 200_001),
+                            [0.0, -0.0, np.inf, -np.inf]])
+        np.testing.assert_allclose(_sigmoid(v), expit(v), rtol=0.0, atol=1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(_sigmoid(np.array([-1000.0, 1000.0])),
+                                          [0.0, 1.0])
 
     def test_mixture_gradient_survives_far_out_samples(self):
         g = grad_U_mixture(np.array([0.0, 1.0]), np.array([1e6, -1e6]))
