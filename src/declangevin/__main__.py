@@ -1,0 +1,8 @@
+"""``python -m declangevin``: the command-line experiments of :mod:`declangevin.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,13 +19,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graphs import check_b_strong_connectivity, generate_graph_sequence
+from .graphs import (check_b_strong_connectivity, generate_graph_sequence,
+                     spectral_bounds)
 from .langevin import NoiseModel, StepSchedule, run, step_size
 from .metrics import (check_lemma4_bound, empirical_gaussian, roc_auc,
                       w2_gaussian_bures, w2_gaussian_paper)
 from .models import (Dataset, GaussianDist, GaussianPotential, LinRegPotential,
-                     LogisticPotential, MixturePotential, generate_linreg_data,
-                     generate_mixture_data, linreg_posterior, load_libsvm,
+                     LogisticPotential, MixturePotential, Shard,
+                     generate_linreg_data, generate_mixture_data,
+                     linreg_posterior, load_libsvm,
                      make_surrogate_classification, partition)
 from .trace import write_csv
 
@@ -234,6 +236,14 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         seq = generate_graph_sequence(cfg.graph_kind, cfg.agents, cfg.graph_b, graph_seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if cfg.monitors == "on":
+        # the bound monitor needs the closed-form constants; find out
+        # before sampling whether they exist
+        try:
+            spectral_bounds(cfg.agents, cfg.graph_b)
+        except ValueError as exc:
+            raise ConfigError("--monitors on needs the closed-form mixing "
+                              f"bounds, but {exc}") from None
     if not check_b_strong_connectivity(seq, max(cfg.iters, cfg.graph_b)):
         raise ConfigError("graph sequence is not B-strongly-connected over the horizon")
 
@@ -296,10 +306,12 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         n_train = int(round(cfg.split_frac * ds.n))
         if n_train < cfg.agents or ds.n - n_train < 1:
             raise ConfigError("split leaves too few rows for training or testing")
-        train = Dataset(ds.features[order[:n_train]], ds.targets[order[:n_train]])
         test = Dataset(ds.features[order[n_train:]], ds.targets[order[n_train:]])
-        shards = _shard(train, cfg)
-        potential = LogisticPotential(train, shards, batch)
+        # the training shards as rows of the full dataset, which the
+        # potential gathers once
+        shards = [Shard(s.agent, order[:n_train][s.indices])
+                  for s in _shard(n_train, cfg)]
+        potential = LogisticPotential(ds, shards, batch)
         extras["test"] = test
         metadata.update(n=ds.n, dims=ds.dim, dataset=cfg.dataset,
                         surrogate=cfg.surrogate, split_seed=split_seed,
@@ -321,7 +333,7 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
                     potential=potential, metadata=metadata, extras=extras)
 
 
-def _shard(ds: Dataset, cfg: ExperimentConfig):
+def _shard(ds: Dataset | int, cfg: ExperimentConfig):
     try:
         return partition(ds, cfg.agents, "random", cfg.seed)
     except ValueError as exc:
@@ -410,11 +422,8 @@ def cmd_linreg(cfg: ExperimentConfig) -> int:
         _monitor_metadata(trace, setup)
     header = ["t", "alpha", "w2_paper", "w2_bures"] + \
         [f"consensus_error_agent_{i}" for i in range(trace.num_agents)]
-    rows = []
-    for k in range(len(trace.ts)):
-        rows.append([int(trace.ts[k]), trace.alphas[k],
-                     float(np.mean(paper[k])), float(np.mean(bures[k]))]
-                    + [float(c) for c in trace.consensus[k]])
+    rows = _rows(trace.ts, trace.alphas, paper.mean(axis=1),
+                 bures.mean(axis=1), trace.consensus)
     out = cfg.out or "linreg.csv"
     write_csv(out, setup.metadata, header, rows)
     final = paper[-1]
@@ -433,12 +442,8 @@ def cmd_mixture(cfg: ExperimentConfig) -> int:
         [f"theta1_agent_{i}" for i in range(m)] + \
         [f"theta2_agent_{i}" for i in range(m)] + \
         [f"consensus_error_agent_{i}" for i in range(m)]
-    rows = []
-    for k in range(len(trace.ts)):
-        rows.append([int(trace.ts[k]), trace.alphas[k]]
-                    + [float(v) for v in trace.states[k, :, 0]]
-                    + [float(v) for v in trace.states[k, :, 1]]
-                    + [float(c) for c in trace.consensus[k]])
+    rows = _rows(trace.ts, trace.alphas, trace.states[:, :, 0],
+                 trace.states[:, :, 1], trace.consensus)
     out = cfg.out or "mixture.csv"
     write_csv(out, setup.metadata, header, rows)
     burn = len(trace.ts) // 5
@@ -459,11 +464,8 @@ def cmd_logistic(cfg: ExperimentConfig) -> int:
         _monitor_metadata(trace, setup)
     m = trace.num_agents
     header = ["t", "alpha"] + [f"auc_agent_{i}" for i in range(m)] + ["auc_mean"]
-    rows = []
-    for row, t in enumerate(eval_ts):
-        alpha = step_size(setup.sched, int(t))
-        rows.append([int(t), alpha] + [float(a) for a in aucs[row]]
-                    + [float(np.mean(aucs[row]))])
+    alphas = [step_size(setup.sched, t) for t in eval_ts.tolist()]
+    rows = _rows(eval_ts, alphas, aucs, aucs.mean(axis=1))
     out = cfg.out or "logistic.csv"
     write_csv(out, setup.metadata, header, rows)
     print(f"logistic: wrote {out}; final mean test AUC {np.mean(aucs[-1]):.4f}")
@@ -480,26 +482,21 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         header += [f"x_agent_{i}_dim_{j}" for j in range(d)]
     header += [f"consensus_error_agent_{i}" for i in range(m)]
     header += [f"z_dev_agent_{i}" for i in range(m)]
+    ts = trace.ts
+    # step t-1 carried the network into iteration t
+    z_dev = np.full((len(ts), m), np.nan)
+    z_dev[1:] = trace.z_dev[ts[1:] - 1]
+    columns = [trace.alphas, trace.states.reshape(len(ts), m * d),
+               trace.consensus, z_dev]
     if report is not None:
         header += ["lemma4_lhs", "lemma4_bound"]
-    rows = []
-    for k in range(len(trace.ts)):
-        t = int(trace.ts[k])
-        row = [t, trace.alphas[k]]
-        row += [float(v) for v in trace.states[k].ravel()]
-        row += [float(c) for c in trace.consensus[k]]
-        # step t-1 carried the network into iteration t
-        if t >= 1:
-            row += [float(v) for v in trace.z_dev[t - 1]]
-        else:
-            row += [float("nan")] * m
-        if report is not None:
-            tau = t - 1
-            if tau >= 1:
-                row += [float(report.lhs[tau - 1]), float(report.bound[tau - 1])]
-            else:
-                row += [float("nan"), float("nan")]
-        rows.append(row)
+        # the report's prefix tau = t-1 >= 1 sits at its index tau-1
+        tau = ts[ts >= 2] - 1
+        lemma4 = np.full((len(ts), 2), np.nan)
+        lemma4[ts >= 2, 0] = report.lhs[tau - 1]
+        lemma4[ts >= 2, 1] = report.bound[tau - 1]
+        columns.append(lemma4)
+    rows = _rows(ts, *columns)
     out = cfg.out or "run.csv"
     write_csv(out, setup.metadata, header, rows)
     note = ""
@@ -508,6 +505,13 @@ def cmd_run(cfg: ExperimentConfig) -> int:
                f"(max ratio {report.max_ratio:.2e})"
     print(f"run: wrote {out}{note}")
     return 0
+
+
+def _rows(ts, *columns):
+    """CSV rows, one per iteration t in ``ts``: t, then every column's
+    values at t, as plain ints and floats, produced one at a time."""
+    table = np.column_stack(columns)
+    return ([t] + row.tolist() for t, row in zip(ts.tolist(), table))
 
 
 _COMMANDS = {"linreg": cmd_linreg, "mixture": cmd_mixture,

@@ -195,26 +195,26 @@ class DivergenceError(RuntimeError):
 
 
 def _step(entries: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray,
-          z: np.ndarray, t: int, sched: StepSchedule, potential: Potential,
-          noise: NoiseModel | None) -> np.ndarray:
-    """One iteration in place on agent-major (m, d) buffers.
+          z: np.ndarray, out: np.ndarray, t: int, sched: StepSchedule,
+          potential: Potential, noise: NoiseModel | None) -> np.ndarray:
+    """One iteration on agent-major (m, d) buffers.
 
-    Mixes x into (w, y, z), then overwrites x with
-    w - alpha g(z) + sqrt(2 alpha) r, alpha = alpha(t+1).  Agent i's stream
-    gives its minibatch draws (inside ``potential.grad_all``) before its
-    Gaussian r_i.  Returns the mixed weights y.
+    Mixes x into (w, y, z), then writes w - alpha g(z) + sqrt(2 alpha) r,
+    alpha = alpha(t+1), into ``out``.  Agent i's stream gives its minibatch
+    draws (inside ``potential.grad_all``) before its Gaussian r_i.  Returns
+    the mixed weights y.
     """
     _, y, _ = _mix(entries, x, y, t, w=w, z=z)
     alpha = step_size(sched, t + 1)
-    np.multiply(potential.grad_all(z, noise), alpha, out=x)
-    np.subtract(w, x, out=x)
+    np.multiply(potential.grad_all(z, noise), alpha, out=out)
+    np.subtract(w, out, out=out)
     if noise is not None:
-        m, d = x.shape
+        m, d = out.shape
         drawn = np.array([noise.gaussian(i, d) for i in range(m)])
         drawn *= np.sqrt(2.0 * alpha)
-        x += drawn
-    if not np.isfinite(x).all():
-        bad = int(np.argmin(np.isfinite(x).all(axis=1)))
+        out += drawn
+    if not np.isfinite(out).all():
+        bad = int(np.argmin(np.isfinite(out).all(axis=1)))
         raise DivergenceError(agent=bad, iteration=t + 1)
     return y
 
@@ -235,10 +235,10 @@ def langevin_step(ns: NetworkState, mix: MixingMatrix, sched: StepSchedule,
     m = ns.num_agents
     if mix.graph.num_nodes != m:
         raise ValueError(f"graph has {mix.graph.num_nodes} nodes but the state has {m} agents")
-    x = np.array(ns.x, dtype=float)
-    w, z = np.empty_like(x), np.empty_like(x)
-    y = _step(mix.entries, x, ns.y, w, z, ns.t, sched, potential, noise)
-    return NetworkState(x=x, y=y, w=w, z=z, t=ns.t + 1)
+    x = np.asarray(ns.x, dtype=float)
+    out, w, z = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    y = _step(mix.entries, x, ns.y, w, z, out, ns.t, sched, potential, noise)
+    return NetworkState(x=out, y=y, w=w, z=z, t=ns.t + 1)
 
 
 def average_state(ns: NetworkState) -> np.ndarray:
@@ -247,9 +247,9 @@ def average_state(ns: NetworkState) -> np.ndarray:
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row; the arithmetic of np.linalg.norm(v, axis=1)
-    without its dispatch."""
-    return np.sqrt((v * v).sum(axis=1))
+    """Euclidean norm along the last axis; the arithmetic of
+    np.linalg.norm(v, axis=-1) without its dispatch."""
+    return np.sqrt((v * v).sum(axis=-1))
 
 
 def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
@@ -289,43 +289,45 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
     if noise is not None and noise.num_agents != m:
         raise ValueError("graph sequence and noise model disagree on the agent count")
 
-    x = np.zeros((m, d))
+    # one block of steps at a time: step k reads xs[k] and writes ws[k],
+    # zs[k+1] and xs[k+1]; xs[0] carries x over from the previous block
+    block = min(_MIXING_BLOCK, num_iters)
+    xs = np.zeros((block + 1, m, d))
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (m, d):
             raise ValueError("x0 must have shape (num_agents, dim)")
-        x[:] = x0
+        xs[0] = x0
+    zs = xs.copy()
+    ws = np.empty((block, m, d))
     y = np.ones(m)
-    w = np.empty_like(x)
-    z = x.copy()
 
     n_rec = num_iters // stride + 1
-    ts = np.zeros(n_rec, dtype=np.int64)
-    alphas = np.zeros(n_rec)
+    ts = np.arange(n_rec, dtype=np.int64) * stride
+    alphas = np.array([step_size(sched, t) for t in ts.tolist()])
     states = np.zeros((n_rec, m, d))
     consensus = np.zeros((n_rec, m))
     zdev = np.zeros((num_iters, m))
     pert = np.zeros((num_iters, m))
+    states[0] = zs[0]
+    consensus[0] = _row_norms(zs[0] - xs[0].sum(axis=0) / m)
 
-    def record(k, t):
-        ts[k] = t
-        alphas[k] = step_size(sched, t)
-        states[k] = z
-        consensus[k] = _row_norms(z - xbar)
-
-    mixing = np.empty((min(_MIXING_BLOCK, num_iters), m, m))
-    xbar = x.sum(axis=0) / m
-    record(0, 0)
-    for t in range(num_iters):
-        k = t % _MIXING_BLOCK
-        if k == 0:
-            seq.fill_mixing(t, mixing[:num_iters - t])
-        y = _step(mixing[k], x, y, w, z, t, sched, potential, noise)
-        zdev[t] = _row_norms(z - xbar)
-        pert[t] = _row_norms(x - w)
-        xbar = x.sum(axis=0) / m
-        if (t + 1) % stride == 0:
-            record((t + 1) // stride, t + 1)
+    mixing = np.empty((block, m, m))
+    for t0 in range(0, num_iters, _MIXING_BLOCK):
+        n = min(_MIXING_BLOCK, num_iters - t0)
+        seq.fill_mixing(t0, mixing[:n])
+        for k in range(n):
+            y = _step(mixing[k], xs[k], y, ws[k], zs[k + 1], xs[k + 1],
+                      t0 + k, sched, potential, noise)
+        # xbar[k] is the network average at iteration t0 + k
+        xbar = xs[:n + 1].sum(axis=1)[:, None] / m
+        zdev[t0:t0 + n] = _row_norms(zs[1:n + 1] - xbar[:n])
+        pert[t0:t0 + n] = _row_norms(xs[1:n + 1] - ws[:n])
+        # records at the multiples of stride in (t0, t0 + n]
+        k = np.arange(stride - t0 % stride, n + 1, stride)
+        states[(t0 + k) // stride] = zs[k]
+        consensus[(t0 + k) // stride] = _row_norms(zs[k] - xbar[k])
+        xs[0] = xs[n]
 
     return Trace(ts=ts, alphas=alphas, states=states, consensus=consensus,
                  z_dev=zdev, pert_norms=pert, num_iters=num_iters, stride=stride)

@@ -88,27 +88,13 @@ def empirical_gaussian(samples: np.ndarray) -> GaussianDist:
     return GaussianDist(mean=mean, cov=cov + COV_RIDGE * np.eye(d))
 
 
-def _rankdata(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n of a 1-d array, tied values sharing the mean of their
-    ranks, as ``scipy.stats.rankdata`` gives them; any NaN makes every rank
-    NaN."""
-    n = len(values)
-    if np.isnan(values).any():
-        return np.full(n, np.nan)
-    order = np.argsort(values, kind="mergesort")
-    ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], n]
-    ranks = np.empty(n)
-    # the tie group at sorted positions [start, end) holds ranks start+1..end
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return ranks
-
-
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Area under the ROC curve by the rank-sum formula, ties counted half.
 
-    ``labels`` must contain both classes of {-1, +1}.
+    ``labels`` must contain both classes of {-1, +1}.  U, the rank sum of
+    the positives less its minimum, counts every negative below a positive
+    once and every tie a half; it is summed here from integer counts, so it
+    is exact.  Any NaN score gives NaN.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -118,10 +104,12 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("need both classes to compute ROC-AUC")
     if not np.all(pos | neg):
         raise ValueError("labels must be -1 or +1")
-    ranks = _rankdata(scores)
-    n_pos, n_neg = int(pos.sum()), int(neg.sum())
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    if np.isnan(scores).any():
+        return float("nan")
+    pos_sorted, neg_sorted = np.sort(scores[pos]), np.sort(scores[neg])
+    u = (np.searchsorted(neg_sorted, pos_sorted, "left").sum()
+         + np.searchsorted(neg_sorted, pos_sorted, "right").sum()) / 2
+    return float(u / (len(pos_sorted) * len(neg_sorted)))
 
 
 @dataclass(frozen=True)

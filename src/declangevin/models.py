@@ -335,7 +335,8 @@ def make_surrogate_classification(n: int, dim: int, seed: int,
     not separable.  Stands in for a real file when none is on disk.
     """
     rng = np.random.default_rng(seed)
-    feats = (rng.random((n, dim)) < density).astype(float)
+    feats = rng.random((n, dim))
+    np.less(feats, density, out=feats, casting="unsafe")
     hidden = rng.standard_normal(dim)
     logits = feats @ hidden
     logits -= np.median(logits)
@@ -343,19 +344,22 @@ def make_surrogate_classification(n: int, dim: int, seed: int,
     return Dataset(features=feats, targets=targs)
 
 
-def partition(ds: Dataset, num_shards: int, mode: str = "random", seed: int = 0) -> list:
-    """Split a dataset into near-equal shards, one per agent.
+def partition(ds: Dataset | int, num_shards: int, mode: str = "random",
+              seed: int = 0) -> list:
+    """Split a dataset, or a number of rows, into near-equal shards, one
+    per agent.
 
     ``random`` permutes the rows with the given seed before splitting into
     contiguous blocks; ``contiguous`` keeps the original order.  Shard sizes
-    differ by at most one row.
+    differ by at most one row.  The shards depend on the row count alone.
     """
-    if not 1 <= num_shards <= ds.n:
-        raise ValueError(f"cannot split {ds.n} rows into {num_shards} shards")
+    n = ds if isinstance(ds, (int, np.integer)) else ds.n
+    if not 1 <= num_shards <= n:
+        raise ValueError(f"cannot split {n} rows into {num_shards} shards")
     if mode == "random":
-        order = np.random.default_rng(seed).permutation(ds.n)
+        order = np.random.default_rng(seed).permutation(n)
     elif mode == "contiguous":
-        order = np.arange(ds.n)
+        order = np.arange(n)
     else:
         raise ValueError(f"unknown partition mode {mode!r}")
     return [Shard(agent=i, indices=chunk)

@@ -84,7 +84,10 @@ def write_csv(path, metadata: dict, header, rows) -> None:
     header : sequence of str
         Column names.
     rows : iterable of sequences
-        Row values; floats are written with repr so they parse back exactly.
+        Row values, consumed one row at a time, so a generator streams
+        them; floats are written with repr so they parse back exactly.
+        Rows of plain ``int``/``float`` go to the writer as they are, which
+        formats them the same way; other rows are formatted value by value.
     """
     with open(path, "w", newline="") as fh:
         for key, value in metadata.items():
@@ -92,4 +95,7 @@ def write_csv(path, metadata: dict, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(list(header))
         for row in rows:
-            writer.writerow([_format(v) for v in row])
+            if set(map(type, row)) <= {int, float}:
+                writer.writerow(row)
+            else:
+                writer.writerow([_format(v) for v in row])

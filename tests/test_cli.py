@@ -2,16 +2,22 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import declangevin
 from declangevin import (ConfigError, GaussianDist, build_config,
                          generate_linreg_data, linreg_posterior,
                          linreg_w2_series, logistic_auc_series, main,
                          make_surrogate_classification, prepare,
                          run_experiment, save_libsvm, spectral_bounds,
                          step_size)
+from declangevin import cli as cli_module
 from declangevin.cli import _FIELD_TYPES, ExperimentConfig, load_config_file
 
 
@@ -296,6 +302,33 @@ class TestMain:
     def test_config_errors_exit_with_two(self, capsys):
         assert main(["run", "--batch", "-1"]) == 2
         assert "batch" in capsys.readouterr().err
+
+    def test_monitors_reject_an_underflowing_delta_before_sampling(
+            self, tmp_path, capsys, monkeypatch):
+        # 64**(-64*3) is below the smallest double
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli_module, "run", no_sampling)
+        code = main(["run", "--agents", "64", "--graph_b", "3", "--iters",
+                     "3000", "--monitors", "on", "--out",
+                     str(tmp_path / "u.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "m=64" in err and "B=3" in err
+        assert not (tmp_path / "u.csv").exists()
+
+    def test_package_runs_as_a_module(self, tmp_path):
+        out = tmp_path / "m.csv"
+        src = str(Path(declangevin.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "declangevin", "run",
+             "--agents", "2", "--iters", "5", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert out.read_bytes().startswith(b"# experiment=run\r\n")
 
     def test_divergence_exits_with_one(self, tmp_path, capsys):
         # the state overflows before the finiteness check trips

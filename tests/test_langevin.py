@@ -296,6 +296,41 @@ class TestDriverEquivalence:
         for a, b in zip(noise_run.draws, noise_loop.draws):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("start", ["x0", "zeros"])
+    def test_run_matches_a_loop_of_steps_across_blocks(self, start):
+        # 600 steps are two full blocks of run's steps and a ragged tail,
+        # and a stride of 7 puts records at different offsets in each block
+        m, iters, stride = 3, 600, 7
+        assert iters > 2 * langevin_module._MIXING_BLOCK
+        assert langevin_module._MIXING_BLOCK % stride != 0
+        assert iters % langevin_module._MIXING_BLOCK != 0
+        ds = generate_mixture_data(31, 0.0, 1.0, np.sqrt(2.0), seed=9)
+        pot = MixturePotential(ds, partition(ds, m, "random", 9), batch_size=4)
+        seq = generate_graph_sequence("seeded-random", m, 2, seed=9)
+        sched = StepSchedule("harmonic", alpha0=0.05)
+        x0 = np.random.default_rng(9).standard_normal((m, 2))
+        if start == "zeros":
+            x0_run, x0 = None, np.zeros((m, 2))
+        else:
+            x0_run = x0
+
+        noise_run, noise_loop = RecordingNoise(9, m), RecordingNoise(9, m)
+        trace = run(seq, sched, pot, noise_run, iters, stride, x0=x0_run)
+        states, consensus, zdev, pert = step_loop(seq, sched, pot, noise_loop,
+                                                  iters, stride, x0)
+
+        np.testing.assert_array_equal(trace.ts, np.arange(0, iters + 1, stride))
+        assert trace.alphas.tolist() == [step_size(sched, t)
+                                         for t in range(0, iters + 1, stride)]
+        for got, want in ((trace.states, states),
+                          (trace.consensus, consensus),
+                          (trace.z_dev, zdev), (trace.pert_norms, pert)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert len(noise_run.draws) == len(noise_loop.draws) == iters * m
+        for a, b in zip(noise_run.draws, noise_loop.draws):
+            assert np.array_equal(a, b)
+
     def test_minibatch_draws_precede_the_gaussian(self):
         # agent i's stream [seed, i] gives its batch indices, then its noise
         m, d, batch, seed = 3, 2, 2, 4

@@ -17,7 +17,6 @@ from declangevin import (GaussianDist, GaussianPotential, NoiseModel,
                          spectral_bounds, w2_gaussian_bures,
                          w2_gaussian_paper, z_deviation_bound_series)
 from declangevin.graphs import DirectedGraph
-from declangevin.metrics import _rankdata
 
 
 def random_spd(rng, d):
@@ -149,18 +148,43 @@ class TestRocAuc:
         assert roc_auc(np.array([3.0, 2.0, 1.0, 0.0]), labels) == 0.0
         assert roc_auc(np.zeros(4), labels) == 0.5
 
-    def test_ranks_equal_scipy_rankdata(self):
+    def test_equals_the_scipy_rank_sum_bitwise(self):
+        def rank_sum(scores, labels):
+            # the rank-sum formula on scipy's ranks, as roc_auc once
+            # computed it
+            pos = labels == 1.0
+            n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+            u = rankdata(scores)[pos].sum() - n_pos * (n_pos + 1) / 2.0
+            return float(u / (n_pos * n_neg))
+
         rng = np.random.default_rng(5)
-        cases = [np.array([2.5]), np.zeros(7), np.array([0.0, -0.0, 1.0]),
-                 np.array([np.inf, -np.inf, 3.0, np.inf]),
-                 np.array([1.0, np.nan, 0.0]), np.full(3, np.nan)]
-        for _ in range(200):
-            n = int(rng.integers(1, 80))
-            cases.append(rng.standard_normal(n))
-            cases.append(rng.integers(0, 4, size=n).astype(float))
-        for values in cases:
-            # bit for bit, NaN where scipy gives NaN
-            np.testing.assert_array_equal(_rankdata(values), rankdata(values))
+        cases = [(np.array([0.0, -0.0, 1.0, -0.0]),
+                  np.array([1.0, -1.0, -1.0, 1.0])),
+                 (np.array([np.inf, -np.inf, 3.0, np.inf, -np.inf]),
+                  np.array([1.0, -1.0, 1.0, -1.0, -1.0])),
+                 (np.array([1.0, np.nan, 0.0]), np.array([1.0, -1.0, -1.0])),
+                 (np.full(3, np.nan), np.array([-1.0, 1.0, 1.0])),
+                 (np.array([2.5, 1.0]), np.array([1.0, -1.0]))]
+        for k in range(300):
+            n = int(rng.integers(2, 120))
+            scores = [rng.standard_normal(n),
+                      rng.integers(0, 4, size=n).astype(float),
+                      rng.choice([0.0, -0.0, 1.0, np.inf, -np.inf], size=n)][k % 3]
+            if k % 5 == 0:
+                # a single positive, or a single negative
+                labels = np.full(n, 1.0 if k % 2 else -1.0)
+                labels[int(rng.integers(n))] *= -1.0
+            else:
+                labels = np.where(rng.random(n) < rng.random(), 1.0, -1.0)
+                labels[:2] = (1.0, -1.0)
+            cases.append((scores, labels))
+        for scores, labels in cases:
+            got, want = roc_auc(scores, labels), rank_sum(scores, labels)
+            # bit for bit, NaN where the rank sum gives NaN
+            if np.isnan(want):
+                assert np.isnan(got)
+            else:
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_cli_import_loads_no_scipy(self):
         code = ("import sys, declangevin.cli; "

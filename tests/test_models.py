@@ -283,8 +283,24 @@ class TestSurrogateData:
         ds = make_surrogate_classification(2000, 123, seed=6)
         assert abs(ds.features.mean() - 14.0 / 123.0) < 0.01
 
+    def test_features_are_the_thresholded_uniform_draws(self):
+        ds = make_surrogate_classification(300, 20, seed=7, density=0.3)
+        draws = np.random.default_rng(7).random((300, 20))
+        np.testing.assert_array_equal(ds.features, (draws < 0.3).astype(float))
+
 
 class TestPartition:
+    def test_a_row_count_splits_like_a_dataset_of_that_many_rows(self):
+        ds = make_surrogate_classification(23, 4, seed=0)
+        for mode in ("random", "contiguous"):
+            by_rows = partition(ds, 4, mode, seed=3)
+            by_count = partition(23, 4, mode, seed=3)
+            assert [s.agent for s in by_rows] == [s.agent for s in by_count]
+            for a, b in zip(by_rows, by_count):
+                np.testing.assert_array_equal(a.indices, b.indices)
+        with pytest.raises(ValueError):
+            partition(3, 4)
+
     def test_shards_cover_the_rows_exactly_once(self):
         ds = make_surrogate_classification(23, 4, seed=0)
         shards = partition(ds, 4, "random", seed=1)

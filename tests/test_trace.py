@@ -1,5 +1,8 @@
 """Trace consistency checks and deterministic CSV output."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,3 +82,25 @@ class TestWriteCsv:
                   [[np.float64(2.0), np.int64(7)]])
         assert path.read_bytes() == \
             b"# n=3\r\n# f=0.5\r\n# b=false\r\nv\r\n2.0,7\r\n"
+
+    def test_rows_stream_from_a_generator(self, tmp_path):
+        def rows():
+            for t in range(100_000):
+                yield [t, t / 7.0 if t % 9 else float("nan")]
+
+        listed, streamed = tmp_path / "list.csv", tmp_path / "gen.csv"
+        table = list(rows())
+        held = sys.getsizeof(table) + sum(
+            sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in table)
+        write_csv(listed, {"n": 100_000}, ["t", "v"], table)
+        del table
+        tracemalloc.start()
+        try:
+            write_csv(streamed, {"n": 100_000}, ["t", "v"], rows())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert streamed.read_bytes() == listed.read_bytes()
+        # the list holds about 14 MB; streaming holds a row and the
+        # writer's buffers, under 0.2 MB
+        assert peak < held / 20
