@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import typing
@@ -110,6 +111,10 @@ _DEFAULTS = {
 # batch 0 means the full shard; the mixture gradient uses each node's whole
 # sample set, the regression experiments subsample
 _DEFAULT_BATCH = {"linreg": 1, "mixture": 0, "logistic": 32, "run": 0}
+
+# test scores held at once while the AUC series is computed: about 40
+# states' scores on a 6512-row test set
+_AUC_CHUNK_BYTES = 2 << 20
 
 
 def build_config(experiment: str, *override_maps) -> ExperimentConfig:
@@ -214,6 +219,8 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         raise ConfigError("iters must be at least 1")
     if cfg.stride < 1:
         raise ConfigError("stride must be at least 1")
+    if cfg.eval_every < 1:
+        raise ConfigError("eval_every must be at least 1")
     if cfg.monitors not in ("on", "off"):
         raise ConfigError("monitors must be 'on' or 'off'")
     if cfg.seed < 0:
@@ -298,6 +305,14 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
                         sigma_x_sq=cfg.sigma_x_sq, prior_var1=cfg.prior_var1,
                         prior_var2=cfg.prior_var2, shard_sizes=_sizes(shards))
     elif cfg.experiment == "logistic":
+        # the AUC series scores recorded multiples of eval_every and the
+        # final iteration if it is recorded
+        if cfg.iters % cfg.stride and math.lcm(cfg.stride, cfg.eval_every) > cfg.iters:
+            raise ConfigError(
+                f"iters={cfg.iters}, stride={cfg.stride} and eval_every="
+                f"{cfg.eval_every} leave no evaluation point: no recorded "
+                f"iteration is a multiple of eval_every, and the last one "
+                f"is not recorded")
         ds = _logistic_data(cfg)
         split_seed = cfg.seed if cfg.split_seed is None else cfg.split_seed
         if not 0.0 < cfg.split_frac < 1.0:
@@ -307,6 +322,11 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         if n_train < cfg.agents or ds.n - n_train < 1:
             raise ConfigError("split leaves too few rows for training or testing")
         test = Dataset(ds.features[order[n_train:]], ds.targets[order[n_train:]])
+        n_pos = int((test.targets == 1.0).sum())
+        if n_pos in (0, test.n):
+            raise ConfigError(
+                f"the test split holds {n_pos} positive and {test.n - n_pos} "
+                f"negative rows; its ROC-AUC needs both classes")
         # the training shards as rows of the full dataset, which the
         # potential gathers once
         shards = [Shard(s.agent, order[:n_train][s.indices])
@@ -389,17 +409,26 @@ def linreg_w2_series(trace, posterior: GaussianDist):
 def logistic_auc_series(trace, test: Dataset, eval_every: int):
     """Per-agent test ROC-AUC at recorded multiples of ``eval_every``.
 
-    The final iteration is always evaluated.  Returns (eval_ts, aucs) with
-    aucs of shape (n_evals, agents).
+    The final iteration is evaluated too when it was recorded, that is when
+    the stride divides the iteration count.  The picked agent states are
+    scored against the test set in chunks of rows, one matrix product and
+    one ``roc_auc`` call each, so that at most about 2 MiB of scores are
+    held at once.  Returns (eval_ts, aucs) with aucs of shape
+    (n_evals, agents).
     """
-    picks = [k for k, t in enumerate(trace.ts)
-             if t > 0 and (t % eval_every == 0 or t == trace.num_iters)]
-    aucs = np.zeros((len(picks), trace.num_agents))
-    for row, k in enumerate(picks):
-        for i in range(trace.num_agents):
-            scores = test.features @ trace.states[k, i]
-            aucs[row, i] = roc_auc(scores, test.targets)
-    return trace.ts[picks], aucs
+    if eval_every < 1:
+        raise ValueError("eval_every must be at least 1")
+    ts = trace.ts
+    picks = np.flatnonzero((ts > 0) & ((ts % eval_every == 0)
+                                       | (ts == trace.num_iters)))
+    states = trace.states[picks].reshape(-1, trace.dim)
+    aucs = np.empty(len(states))
+    width = max(1, _AUC_CHUNK_BYTES // (8 * test.n))
+    for start in range(0, len(states), width):
+        rows = states[start:start + width]
+        aucs[start:start + width] = roc_auc(rows @ test.features.T,
+                                            test.targets)
+    return ts[picks], aucs.reshape(len(picks), trace.num_agents)
 
 
 def _monitor_metadata(trace, setup: RunSetup):

@@ -88,28 +88,38 @@ def empirical_gaussian(samples: np.ndarray) -> GaussianDist:
     return GaussianDist(mean=mean, cov=cov + COV_RIDGE * np.eye(d))
 
 
-def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
+def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
     """Area under the ROC curve by the rank-sum formula, ties counted half.
 
-    ``labels`` must contain both classes of {-1, +1}.  U, the rank sum of
-    the positives less its minimum, counts every negative below a positive
-    once and every tie a half; it is summed here from integer counts, so it
-    is exact.  Any NaN score gives NaN.
+    ``scores`` has shape (..., n): one score per label along its last axis,
+    and one scoring of the n examples per leading index.  The result has
+    the leading shape, and 1-d scores give a float.  ``labels`` must contain
+    both classes of {-1, +1}.  U, the rank sum of the positives less its
+    minimum, counts every negative below a positive once and every tie a
+    half; it is summed here from integer counts, so it is exact.  A scoring
+    with any NaN gives NaN.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    pos = labels == 1.0
-    neg = labels == -1.0
-    if not (pos.any() and neg.any()):
+    if labels.ndim != 1 or scores.shape[-1:] != labels.shape:
+        raise ValueError("scores must end in an axis of one score per label")
+    pos = np.flatnonzero(labels == 1.0)
+    neg = np.flatnonzero(labels == -1.0)
+    if not (len(pos) and len(neg)):
         raise ValueError("need both classes to compute ROC-AUC")
-    if not np.all(pos | neg):
+    if len(pos) + len(neg) != len(labels):
         raise ValueError("labels must be -1 or +1")
-    if np.isnan(scores).any():
-        return float("nan")
-    pos_sorted, neg_sorted = np.sort(scores[pos]), np.sort(scores[neg])
-    u = (np.searchsorted(neg_sorted, pos_sorted, "left").sum()
-         + np.searchsorted(neg_sorted, pos_sorted, "right").sum()) / 2
-    return float(u / (len(pos_sorted) * len(neg_sorted)))
+    rows = scores.reshape(-1, len(labels))
+    pos_sorted = np.take(rows, pos, axis=1)
+    neg_sorted = np.take(rows, neg, axis=1)
+    pos_sorted.sort(axis=1)
+    neg_sorted.sort(axis=1)
+    u = np.array([np.searchsorted(q, p, "left").sum()
+                  + np.searchsorted(q, p, "right").sum()
+                  for p, q in zip(pos_sorted, neg_sorted)]) / 2
+    auc = u / (len(pos) * len(neg))
+    auc[np.isnan(rows).any(axis=1)] = np.nan
+    return float(auc[0]) if scores.ndim == 1 else auc.reshape(scores.shape[:-1])
 
 
 @dataclass(frozen=True)

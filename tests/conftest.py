@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from declangevin import (DirectedGraph, NoiseModel, Potential,
-                         generate_graph_sequence, step_size)
+                         generate_graph_sequence, roc_auc, step_size)
 
 # property tests draw their examples from a fixed seed and have no time
 # limit per example, so every run of the suite gives the same verdict
@@ -109,6 +109,20 @@ def reference_b_connected(seq, horizon, window_len):
             *(seq.graph_at(k * window_len + s).edges
               for s in range(window_len))))
         for k in range(horizon // window_len))
+
+
+def reference_auc_series(trace, test, eval_every):
+    """Per-agent test ROC-AUC, one state and one 1-d ``roc_auc`` call at a
+    time, as the package computed the series before it scored states in
+    chunks."""
+    picks = [k for k, t in enumerate(trace.ts)
+             if t > 0 and (t % eval_every == 0 or t == trace.num_iters)]
+    aucs = np.zeros((len(picks), trace.num_agents))
+    for row, k in enumerate(picks):
+        for i in range(trace.num_agents):
+            scores = test.features @ trace.states[k, i]
+            aucs[row, i] = roc_auc(scores, test.targets)
+    return trace.ts[picks], aucs
 
 
 def reference_ula(grad, sched, seed, num_iters, dim):

@@ -5,20 +5,23 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import declangevin
-from declangevin import (ConfigError, GaussianDist, build_config,
-                         generate_linreg_data, linreg_posterior,
+from declangevin import (ConfigError, Dataset, GaussianDist, Trace,
+                         build_config, generate_linreg_data, linreg_posterior,
                          linreg_w2_series, logistic_auc_series, main,
                          make_surrogate_classification, prepare,
                          run_experiment, save_libsvm, spectral_bounds,
                          step_size)
 from declangevin import cli as cli_module
 from declangevin.cli import _FIELD_TYPES, ExperimentConfig, load_config_file
+
+from conftest import reference_auc_series
 
 
 class TestBuildConfig:
@@ -125,7 +128,7 @@ class TestPrepare:
     def test_basic_validation(self):
         for bad in [{"agents": 0}, {"iters": 0}, {"stride": 0},
                     {"monitors": "maybe"}, {"seed": -1}, {"batch": -1},
-                    {"sigma_sq": -1.0}]:
+                    {"sigma_sq": -1.0}, {"eval_every": 0}]:
             with pytest.raises(ConfigError):
                 prepare(build_config("run", bad))
 
@@ -197,6 +200,26 @@ class TestPrepare:
         assert setup.metadata["n"] == 120
         assert setup.metadata["dims"] == 8
 
+    def test_logistic_needs_an_evaluation_point(self):
+        # records at 0, 7 and 14: none a multiple of 10, and t=20 unrecorded
+        cfg = build_config("logistic", {"surrogate": "on", "n": 200,
+                                        "iters": 20, "stride": 7,
+                                        "eval_every": 10})
+        with pytest.raises(ConfigError, match="iters=20, stride=7 and "
+                                              "eval_every=10"):
+            prepare(cfg)
+        # a recorded last iteration or a recorded multiple is enough
+        for ok in [{"iters": 21}, {"iters": 70}, {"eval_every": 14}]:
+            prepare(dataclasses.replace(cfg, **ok))
+
+    def test_logistic_test_split_needs_both_classes(self):
+        # six rows split 5/1 leave one negative row to test on
+        cfg = build_config("logistic", {"surrogate": "on", "n": 6,
+                                        "agents": 2, "seed": 3, "iters": 20})
+        with pytest.raises(ConfigError,
+                           match="0 positive and 1 negative rows"):
+            prepare(cfg)
+
     def test_unknown_model(self):
         # explicit alpha0: the automatic step size only knows gaussian
         with pytest.raises(ConfigError, match="registered"):
@@ -236,6 +259,48 @@ class TestRunExperiment:
         np.testing.assert_array_equal(eval_ts, [10, 20])
         assert aucs.shape == (2, 3)
         assert np.all((0.0 <= aucs) & (aucs <= 1.0))
+
+    def test_logistic_auc_series_equals_the_per_state_loop(self,
+                                                             monkeypatch):
+        cfg = build_config("logistic", {"surrogate": "on", "n": 600,
+                                        "dims": 12, "agents": 3, "iters": 40,
+                                        "stride": 3, "eval_every": 4,
+                                        "batch": 8})
+        setup = prepare(cfg)
+        trace = run_experiment(cfg, setup)
+        test = setup.extras["test"]
+        # chunks of 5 states: 3 evaluations (t=12, 24, 36) times 3 agents
+        # leave a ragged last chunk of 4
+        monkeypatch.setattr(cli_module, "_AUC_CHUNK_BYTES", 5 * 8 * test.n)
+        eval_ts, aucs = logistic_auc_series(trace, test, cfg.eval_every)
+        want_ts, want = reference_auc_series(trace, test, cfg.eval_every)
+        np.testing.assert_array_equal(eval_ts, [12, 24, 36])
+        np.testing.assert_array_equal(eval_ts, want_ts)
+        assert aucs.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="eval_every"):
+            logistic_auc_series(trace, test, 0)
+
+    def test_logistic_auc_series_scores_in_bounded_memory(self):
+        # 100 evaluations of 4 agents on a 6512-row test set: all 400
+        # states' scores at once would take 20.8 MB, and as much again to
+        # split them by class
+        rng = np.random.default_rng(0)
+        n_rec, m, d = 101, 4, 123
+        trace = Trace(ts=np.arange(n_rec) * 10, alphas=np.zeros(n_rec),
+                      states=rng.standard_normal((n_rec, m, d)),
+                      consensus=np.zeros((n_rec, m)),
+                      z_dev=np.zeros((1000, m)), pert_norms=np.zeros((1000, m)),
+                      num_iters=1000, stride=10)
+        test = Dataset((rng.random((6512, d)) < 0.1).astype(float),
+                       np.where(rng.random(6512) < 0.25, 1.0, -1.0))
+        tracemalloc.start()
+        try:
+            eval_ts, aucs = logistic_auc_series(trace, test, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert aucs.shape == (100, 4)
+        assert peak < 10e6
 
 
 class TestMain:
@@ -317,6 +382,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert "m=64" in err and "B=3" in err
         assert not (tmp_path / "u.csv").exists()
+
+    @pytest.mark.parametrize("eval_every", ["0", "-5"])
+    def test_eval_every_below_one_exits_before_sampling(
+            self, eval_every, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli_module, "run", no_sampling)
+        code = main(["logistic", "--surrogate", "on", "--n", "2000",
+                     "--iters", "20", "--eval_every", eval_every, "--out",
+                     str(tmp_path / "e.csv")])
+        assert code == 2
+        assert "eval_every must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
 
     def test_package_runs_as_a_module(self, tmp_path):
         out = tmp_path / "m.csv"

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.stats import norm, rankdata
 
 import declangevin
@@ -185,6 +186,41 @@ class TestRocAuc:
                 assert np.isnan(got)
             else:
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @given(data=st.data(), lead=st.sampled_from([(1,), (5,), (3, 4)]),
+           n=st.integers(2, 40))
+    def test_leading_axes_equal_a_loop_of_1d_calls(self, data, lead, n):
+        labels = np.array(data.draw(st.lists(
+            st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+        if data.draw(st.booleans()):
+            # one class has a single member
+            labels[:] = labels[0]
+            labels[data.draw(st.integers(0, n - 1))] *= -1.0
+        else:
+            labels[:2] = (1.0, -1.0)
+        pool = [0.0, -0.0, 1.0, 2.5, np.inf, -np.inf]
+        scores = np.array(data.draw(st.lists(
+            st.sampled_from(pool), min_size=int(np.prod(lead)) * n,
+            max_size=int(np.prod(lead)) * n))).reshape(*lead, n)
+        flat = scores.reshape(-1, n)
+        # NaN in some scorings only
+        for row in data.draw(st.lists(st.integers(0, len(flat) - 1),
+                                      max_size=2)):
+            flat[row, data.draw(st.integers(0, n - 1))] = np.nan
+        got = roc_auc(scores, labels)
+        assert isinstance(got, np.ndarray) and got.shape == lead
+        want = np.array([roc_auc(row, labels) for row in flat]).reshape(lead)
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_dimensional_scores_give_a_float(self):
+        got = roc_auc(np.array([0.0, 1.0, 2.0]), np.array([-1.0, 1.0, 1.0]))
+        assert type(got) is float and got == 1.0
+        nan = roc_auc(np.array([np.nan, 1.0]), np.array([-1.0, 1.0]))
+        assert type(nan) is float and np.isnan(nan)
+
+    def test_scores_must_end_in_the_label_axis(self):
+        with pytest.raises(ValueError, match="one score per label"):
+            roc_auc(np.zeros((2, 4)), np.array([1.0, -1.0, 1.0]))
 
     def test_cli_import_loads_no_scipy(self):
         code = ("import sys, declangevin.cli; "
