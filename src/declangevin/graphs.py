@@ -113,32 +113,118 @@ def _strongly_connected(adj: np.ndarray) -> np.ndarray:
     return reach.all(axis=(-2, -1))
 
 
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier, as in
+# numpy/random/bit_generator.pyx and pcg64.h
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hash_keys(const: int, mult: int, n: int) -> np.ndarray:
+    """(2, n, 1) uint32: the xor and multiply keys of n successive hashes."""
+    keys = [const]
+    for _ in range(n):
+        keys.append(keys[-1] * mult & _MASK32)
+    return np.array([keys[:-1], keys[1:]], dtype=np.uint32)[..., None]
+
+
+def _hash(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    v = (values ^ keys[0]) * keys[1]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> 16)
+
+
+def _window_states(seed: int, w0: int, count: int) -> list:
+    """``(state, inc)`` of ``np.random.default_rng([seed, w]).bit_generator``
+    for the windows w = w0, ..., w0 + count - 1.
+
+    Runs numpy's SeedSequence over uint32 arrays, one lane per window: the
+    entropy is seed's 32-bit words followed by w, hashed into a pool of 4
+    words and drawn out as 4 uint64 words.  Every hash key depends on the
+    position alone, so the keys are shared by all lanes.  PCG64's seeding
+    step then runs in Python ints.
+    """
+    if seed < 0:
+        raise ValueError(f"graph seed must be nonnegative, got {seed}")
+    if w0 + count > 1 << 32:
+        raise ValueError(f"window index {w0 + count - 1} is past 2**32 - 1, "
+                         "the last window a graph seed covers")
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    n = len(words) + 1
+    entropy = np.zeros((max(n, 4), count), dtype=np.uint32)
+    entropy[:n - 1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[n - 1] = np.arange(w0, w0 + count)
+    keys = _hash_keys(_INIT_A, _MULT_A, 16 + 4 * max(n - 4, 0))
+    pool = _hash(entropy[:4], keys[:, :4])
+    for src in range(4):
+        # the other three words take the hashes of this one, in turn
+        dst = [d for d in range(4) if d != src]
+        k = 4 + 3 * src
+        pool[dst] = _mix(pool[dst], _hash(pool[src], keys[:, k:k + 3]))
+    for i, word in enumerate(entropy[4:n]):
+        k = 16 + 4 * i
+        pool = _mix(pool, _hash(word, keys[:, k:k + 4]))
+    out = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_keys(_INIT_B, _MULT_B, 8))
+    out = out.astype(np.uint64)
+    # PCG64 takes the uint64 words as (seed high, seed low, increment high,
+    # increment low), steps once, adds the seed and steps again
+    states = []
+    for hi, lo, inc_hi, inc_lo in zip(*(out[1::2] << 32 | out[0::2]).tolist()):
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
 def _random_windows(m: int, b: int, seed: int, w0: int, count: int) -> np.ndarray:
     """(count * b, m, m) adjacency of the seeded-random windows w0, w0+1, ...
 
-    Window w draws from its own generator, seeded from (seed, w): a random
+    Window w draws from ``np.random.default_rng([seed, w])``: a random
     Hamiltonian cycle, each of its edges placed in a random slot of the
     window, then for every slot a random number of extra random edges, of
-    which self-loops change nothing.
+    which self-loops change nothing.  One generator is re-seeded per window
+    with the states :func:`_window_states` derives for the whole block.
     """
-    adj = np.zeros((count, b, m, m), dtype=bool)
+    adj = np.zeros((count * b, m, m), dtype=bool)
     nodes = np.arange(m)
-    adj[..., nodes, nodes] = True
+    adj[:, nodes, nodes] = True
     if m > 1:
-        succ = np.roll(nodes, -1)
-        for w, window in enumerate(adj, w0):
-            rng = np.random.default_rng([seed, w])
-            perm = rng.permutation(m)
+        states = _window_states(seed, w0, count)
+        bits = np.random.PCG64(0)
+        rng = np.random.Generator(bits)
+        state = bits.state
+        perms = np.empty((count, m), dtype=np.int64)
+        slots = np.zeros((count, m), dtype=np.int64)
+        extra, pairs = [], []
+        for w, (s, inc) in enumerate(states):
+            state["state"] = {"state": s, "inc": inc}
+            bits.state = state
+            perms[w] = rng.permutation(m)
             # integers(0, 1, size=m) draws nothing, so B = 1 can skip it
-            slots = rng.integers(0, b, size=m) if b > 1 else 0
-            window[slots, perm[succ], perm] = True
-            for slot in window:
+            if b > 1:
+                slots[w] = rng.integers(0, b, size=m)
+            for _ in range(b):
                 # no extra edges draws nothing, so the call can be skipped
-                extra = int(rng.integers(0, m + 1))
-                if extra:
-                    pairs = rng.integers(0, m, size=(extra, 2))
-                    slot[pairs[:, 1], pairs[:, 0]] = True
-    return adj.reshape(count * b, m, m)
+                k = int(rng.integers(0, m + 1))
+                extra.append(k)
+                if k:
+                    pairs.append(rng.integers(0, m, size=(k, 2)))
+        succ = np.roll(nodes, -1)
+        adj[b * np.arange(count)[:, None] + slots, perms[:, succ], perms] = True
+        if pairs:
+            pairs = np.concatenate(pairs)
+            adj[np.repeat(np.arange(count * b), extra), pairs[:, 1], pairs[:, 0]] = True
+    return adj
 
 
 def _mixing_entries(adj: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -201,6 +287,10 @@ class DirectedGraphSequence:
     Hamiltonian cycle is scattered over the window's slots and topped up
     with random extra edges, so every window union is strongly connected by
     construction and any time index can be generated independently.
+    Window w takes the draws of ``np.random.default_rng([seed, w])``, so
+    the seed must be nonnegative and w below 2**32.  The generator states
+    of a block of windows are derived in one vectorised pass of numpy's
+    SeedSequence, and one generator is re-seeded for each window.
 
     Every kind is held as boolean adjacency, one (m, m) matrix per step.
     Explicit graphs are converted once.  Seeded-random windows are
@@ -220,6 +310,8 @@ class DirectedGraphSequence:
             raise ValueError("num_nodes must be at least 1")
         if window_len < 1:
             raise ValueError("window_len must be at least 1")
+        if seed < 0:
+            raise ValueError(f"graph seed must be nonnegative, got {seed}")
         self.kind = kind
         self.num_nodes = int(num_nodes)
         self.window_len = int(window_len)
@@ -273,13 +365,14 @@ class DirectedGraphSequence:
 
         ``out`` is a float (n, m, m) array; its entries are those of
         ``mixing_at(t0 + k).entries``, bit for bit, and every column is
-        checked to sum to 1.  Returns ``out``.
+        checked to sum to 1.  Returns ``out``, untouched when n is 0.
         """
         m = self.num_nodes
         if out.ndim != 3 or out.shape[1:] != (m, m):
             raise ValueError(f"out must have shape (n, {m}, {m})")
-        _mixing_entries(self._adjacency(t0, len(out)), out=out)
-        _check_columns(out)
+        if len(out):
+            _mixing_entries(self._adjacency(t0, len(out)), out=out)
+            _check_columns(out)
         return out
 
     def graph_at(self, t: int) -> DirectedGraph:

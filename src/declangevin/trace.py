@@ -86,8 +86,9 @@ def write_csv(path, metadata: dict, header, rows) -> None:
     rows : iterable of sequences
         Row values, consumed one row at a time, so a generator streams
         them; floats are written with repr so they parse back exactly.
-        Rows of plain ``int``/``float`` go to the writer as they are, which
-        formats them the same way; other rows are formatted value by value.
+        Rows of plain ``int``/``float`` are joined from their reprs, the
+        bytes ``csv.writer`` would write for them; other rows go through
+        the writer value by value.
     """
     with open(path, "w", newline="") as fh:
         for key, value in metadata.items():
@@ -96,6 +97,6 @@ def write_csv(path, metadata: dict, header, rows) -> None:
         writer.writerow(list(header))
         for row in rows:
             if set(map(type, row)) <= {int, float}:
-                writer.writerow(row)
+                fh.write(",".join(map(repr, row)) + "\r\n")
             else:
                 writer.writerow([_format(v) for v in row])

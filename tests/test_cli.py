@@ -397,6 +397,19 @@ class TestMain:
         assert "eval_every must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["seeded-random", "static"])
+    def test_negative_graph_seed_exits_before_any_draw(
+            self, kind, tmp_path, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a graph was drawn")
+
+        monkeypatch.setattr(np.random, "Generator", no_draws)
+        code = main(["run", "--graph_kind", kind, "--graph_seed", "-1",
+                     "--iters", "10", "--out", str(tmp_path / "g.csv")])
+        assert code == 2
+        assert "graph seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
     def test_package_runs_as_a_module(self, tmp_path):
         out = tmp_path / "m.csv"
         src = str(Path(declangevin.__file__).parents[1])

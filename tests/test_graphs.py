@@ -295,6 +295,68 @@ class TestWindowStore:
         assert len(made) >= 500
 
 
+class TestWindowSeeding:
+    """Block seeding against a fresh ``default_rng([seed, w])`` per window."""
+
+    @settings(max_examples=60)
+    @given(seed=st.one_of(st.integers(0, 2 ** 32 - 1),
+                          st.integers(2 ** 32, 2 ** 64 - 1),
+                          st.integers(2 ** 64, 2 ** 70),
+                          st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 70])),
+           w0=st.one_of(st.integers(0, 2 ** 32 - 6),
+                        st.sampled_from([0, 2 ** 32 - 6])),
+           count=st.integers(1, 5))
+    def test_states_equal_the_reference_generator(self, seed, w0, count):
+        states = graphs_module._window_states(seed, w0, count)
+        assert len(states) == count
+        for w, (state, inc) in enumerate(states, w0):
+            ref = np.random.default_rng([seed, w]).bit_generator.state
+            assert ref["state"] == {"state": state, "inc": inc}
+
+    def test_seeds_of_four_and_more_words_mix_in_the_rest(self):
+        for seed in (2 ** 96, 2 ** 96 + 5, 2 ** 200 - 1):
+            for w, (state, inc) in enumerate(
+                    graphs_module._window_states(seed, 7, 3), 7):
+                ref = np.random.default_rng([seed, w]).bit_generator.state
+                assert ref["state"] == {"state": state, "inc": inc}
+
+    def test_window_two_to_the_32_raises(self):
+        graphs_module._window_states(3, 2 ** 32 - 1, 1)
+        for w0, count in [(2 ** 32, 1), (2 ** 32 - 1, 2)]:
+            with pytest.raises(ValueError, match=r"2\*\*32 - 1"):
+                graphs_module._window_states(3, w0, count)
+        seq = generate_graph_sequence("seeded-random", 4, 1, seed=3)
+        with pytest.raises(ValueError, match=r"2\*\*32 - 1"):
+            seq.fill_mixing(2 ** 32, np.empty((1, 4, 4)))
+
+    @settings(max_examples=20)
+    @given(m=st.integers(1, 12), b=st.integers(1, 4),
+           seed=st.integers(2 ** 32, 2 ** 70), w=st.integers(0, 10 ** 6))
+    def test_windows_match_the_reference_generator_at_wide_seeds(
+            self, m, b, seed, w):
+        seq = generate_graph_sequence("seeded-random", m, b, seed=seed)
+        for s, g in enumerate(reference_window(m, b, seed, w)):
+            assert seq.graph_at(w * b + s).edges == g.edges
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 9])
+    @pytest.mark.parametrize("seed", [0, 3, 2 ** 32 + 1])
+    def test_static_without_graphs_is_window_zero(self, m, seed):
+        seq = generate_graph_sequence("static", m, seed=seed)
+        assert seq.graph_at(0).edges == reference_window(m, 1, seed, 0)[0].edges
+
+    @pytest.mark.parametrize("kind", ["seeded-random", "static"])
+    def test_negative_seeds_are_rejected(self, kind):
+        with pytest.raises(ValueError, match="-3"):
+            generate_graph_sequence(kind, 4, 1, seed=-3)
+
+    @pytest.mark.parametrize("kind", ["seeded-random", "static"])
+    @pytest.mark.parametrize("t0", [0, 5, 256, 300])
+    def test_fill_mixing_on_an_empty_block_returns_out(self, kind, t0):
+        seq = generate_graph_sequence(kind, 4, 1, seed=2)
+        out = np.empty((0, 4, 4))
+        assert seq.fill_mixing(t0, out) is out
+
+
 class TestSpectralBounds:
     def test_single_node_mixes_exactly(self):
         sb = spectral_bounds(1, 4)

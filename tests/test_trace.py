@@ -1,5 +1,7 @@
 """Trace consistency checks and deterministic CSV output."""
 
+import csv
+import io
 import sys
 import tracemalloc
 
@@ -82,6 +84,20 @@ class TestWriteCsv:
                   [[np.float64(2.0), np.int64(7)]])
         assert path.read_bytes() == \
             b"# n=3\r\n# f=0.5\r\n# b=false\r\nv\r\n2.0,7\r\n"
+
+    def test_number_rows_have_the_csv_writer_bytes(self, tmp_path):
+        rows = [[float("nan"), float("inf"), -float("inf"), -0.0, 0.0],
+                [5e-324, 1e308, -1e308, 2.5e-7, 1 / 3],
+                [0, -1, 2 ** 63, -(2 ** 70), 10 ** 40],
+                [7, 0.1, float("nan"), 12345678901234567890, -5e-324],
+                [], [1.0]]
+        path = tmp_path / "n.csv"
+        write_csv(path, {}, ["a", "b", "c", "d", "e"], rows)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["a", "b", "c", "d", "e"])
+        writer.writerows(rows)
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_rows_stream_from_a_generator(self, tmp_path):
         def rows():
