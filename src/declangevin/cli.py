@@ -286,7 +286,7 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         potential = LinRegPotential(ds, shards, prior, cfg.data_sigma, batch)
         extras["posterior"] = linreg_posterior(ds, prior, cfg.data_sigma)
         # chains start at prior draws; stream [seed, m] is disjoint from the
-        # per-agent noise streams [seed, 0..m-1]
+        # per-agent noise streams [seed, i] and [seed, i, 1], i < m
         init_rng = np.random.default_rng([cfg.seed, cfg.agents])
         extras["x0"] = prior.mean + init_rng.standard_normal(
             (cfg.agents, cfg.dims)) @ np.linalg.cholesky(prior.cov).T

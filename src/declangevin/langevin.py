@@ -14,6 +14,7 @@ mean injected noise, which is what makes the whole construction sample.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -46,8 +47,8 @@ SCHEDULE_KINDS = ("harmonic", "power")
 # the thread count, is part of what fixes the ensemble's results.
 _CHUNK_RUNS = 4096
 # Steps whose mixing matrices run and run_gaussian_ensemble fill with one
-# fill_mixing call and hold at a time; the ensemble's chunks all finish one
-# block of steps before the next begins.
+# fill_mixing call and hold at a time, and whose noise run draws at once;
+# the ensemble's chunks all finish one block of steps before the next begins.
 _MIXING_BLOCK = 256
 
 
@@ -67,6 +68,9 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        for name in ("alpha0", "offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha0 <= 0:
             raise ValueError("alpha0 must be positive")
         if self.kind == "power":
@@ -106,13 +110,14 @@ def step_size(sched: StepSchedule, t: int) -> float:
 
 
 class NoiseModel:
-    """Per-agent Gaussian injection streams.
+    """Per-agent noise streams.
 
-    Every agent owns an independent generator seeded from (seed, agent
-    index), so results do not depend on the order agents are processed in.
-    Within one iteration an agent consumes its stream in a fixed order:
-    first any minibatch index draws made by the potential, then the
-    isotropic Gaussian vector.
+    Every agent owns two independent generators seeded from (seed, agent
+    index), so results do not depend on the order agents are processed in:
+    [seed, i] gives agent i's isotropic Gaussians and [seed, i, 1], its
+    :meth:`stream`, its potential's draws (minibatch indices).  So each can
+    be drawn a block of steps at a time, which on numpy's generators equals
+    drawing step by step.
     """
 
     def __init__(self, seed: int, num_agents: int):
@@ -123,12 +128,21 @@ class NoiseModel:
         self.seed = int(seed)
         self.num_agents = int(num_agents)
         self._rngs = [np.random.default_rng([self.seed, i]) for i in range(num_agents)]
+        self._streams = [np.random.default_rng([self.seed, i, 1]) for i in range(num_agents)]
 
     def stream(self, agent: int) -> np.random.Generator:
-        return self._rngs[agent]
+        return self._streams[agent]
 
     def gaussian(self, agent: int, dim: int) -> np.ndarray:
         return self._rngs[agent].standard_normal(dim)
+
+    def gaussian_block(self, steps: int, dim: int) -> np.ndarray:
+        """(steps, m, dim) standard normals, row [k, i] agent i's vector at
+        the k-th of the next ``steps`` steps; one draw per agent."""
+        block = np.empty((self.num_agents, steps, dim))
+        for rng, rows in zip(self._rngs, block):
+            rng.standard_normal(out=rows)
+        return block.swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
@@ -148,12 +162,14 @@ class PotentialProps:
 class Potential:
     """Interface for per-agent stochastic gradients.
 
-    Subclasses implement :meth:`grad`; ``rng`` is the calling agent's own
-    stream and must be the only randomness consumed.  Deterministic
-    potentials simply ignore it.  :meth:`grad_all` is an optional fast path
-    that evaluates every agent in one array expression; an override must
-    return the rows :meth:`grad` would and consume each agent's stream
-    exactly as :meth:`grad` does.
+    Subclasses implement :meth:`grad`; ``rng`` is the calling agent's
+    :meth:`NoiseModel.stream`, apart from its Gaussians, and must be the
+    only randomness consumed.  Deterministic potentials simply ignore it.
+    :meth:`grad_all` is an optional fast path that evaluates every agent in
+    one array expression; an override must return the rows :meth:`grad`
+    would and consume each agent's stream exactly as :meth:`grad` does.
+    The drivers call :meth:`draw` once per block of steps and
+    :meth:`grad_drawn` every step, which by default is :meth:`grad_all`.
     """
 
     props: PotentialProps
@@ -170,6 +186,15 @@ class Potential:
         return np.stack([
             self.grad(i, z[i], noise.stream(i) if noise is not None else None)
             for i in range(z.shape[0])])
+
+    def draw(self, noise: NoiseModel | None, steps: int):
+        """Every agent's draws for the next ``steps`` steps; entry k goes to
+        :meth:`grad_drawn` at the k-th.  By default each entry is ``noise``."""
+        return [noise] * steps
+
+    def grad_drawn(self, z: np.ndarray, drawn) -> np.ndarray:
+        """(m, d) gradients at z from one step's entry of :meth:`draw`."""
+        return self.grad_all(z, drawn)
 
 
 class ZeroPotential(Potential):
@@ -194,25 +219,32 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
+def _draws(sched: StepSchedule, potential: Potential,
+           noise: NoiseModel | None, t0: int, steps: int, dim: int):
+    """Step sizes alpha(t+1), the potential's draws and the injections
+    sqrt(2 alpha(t+1)) r_i (None without noise) of steps t0 .. t0+steps-1."""
+    alphas = [step_size(sched, t + 1) for t in range(t0, t0 + steps)]
+    gauss = [None] * steps
+    if noise is not None:
+        gauss = noise.gaussian_block(steps, dim)
+        gauss *= np.sqrt(2.0 * np.array(alphas))[:, None, None]
+    return alphas, potential.draw(noise, steps), gauss
+
+
 def _step(entries: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray,
-          z: np.ndarray, out: np.ndarray, t: int, sched: StepSchedule,
-          potential: Potential, noise: NoiseModel | None) -> np.ndarray:
+          z: np.ndarray, out: np.ndarray, t: int, alpha: float,
+          potential: Potential, drawn, gauss: np.ndarray | None) -> np.ndarray:
     """One iteration on agent-major (m, d) buffers.
 
-    Mixes x into (w, y, z), then writes w - alpha g(z) + sqrt(2 alpha) r,
-    alpha = alpha(t+1), into ``out``.  Agent i's stream gives its minibatch
-    draws (inside ``potential.grad_all``) before its Gaussian r_i.  Returns
-    the mixed weights y.
+    Mixes x into (w, y, z), then writes w - alpha g(z) + gauss, alpha =
+    alpha(t+1), into ``out``; ``drawn`` and ``gauss`` are the step's
+    entries from :func:`_draws`.  Returns the mixed weights y.
     """
     _, y, _ = _mix(entries, x, y, t, w=w, z=z)
-    alpha = step_size(sched, t + 1)
-    np.multiply(potential.grad_all(z, noise), alpha, out=out)
+    np.multiply(potential.grad_drawn(z, drawn), alpha, out=out)
     np.subtract(w, out, out=out)
-    if noise is not None:
-        m, d = out.shape
-        drawn = np.array([noise.gaussian(i, d) for i in range(m)])
-        drawn *= np.sqrt(2.0 * alpha)
-        out += drawn
+    if gauss is not None:
+        out += gauss
     if not np.isfinite(out).all():
         bad = int(np.argmin(np.isfinite(out).all(axis=1)))
         raise DivergenceError(agent=bad, iteration=t + 1)
@@ -225,19 +257,21 @@ def langevin_step(ns: NetworkState, mix: MixingMatrix, sched: StepSchedule,
 
     Mixes (w, y, z), then updates every agent's x with its stochastic
     gradient at z_i and, unless ``noise`` is None, an injected Gaussian
-    scaled by sqrt(2 alpha(t+1)).  Runs the same kernel as :func:`run` on
-    fresh buffers, so ``ns`` is left untouched.
+    scaled by sqrt(2 alpha(t+1)).  Runs the same kernel as :func:`run`, on
+    a block of one step and fresh buffers, so ``ns`` is left untouched.
 
     Returns the state at t+1.  Raises :class:`DivergenceError` when any
     agent's new x contains non-finite entries, and ``ValueError`` when the
-    graph size does not match the state.
+    graph size does not match the state or a minibatch potential lacks noise.
     """
     m = ns.num_agents
     if mix.graph.num_nodes != m:
         raise ValueError(f"graph has {mix.graph.num_nodes} nodes but the state has {m} agents")
     x = np.asarray(ns.x, dtype=float)
+    alphas, drawn, gauss = _draws(sched, potential, noise, ns.t, 1, x.shape[1])
     out, w, z = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    y = _step(mix.entries, x, ns.y, w, z, out, ns.t, sched, potential, noise)
+    y = _step(mix.entries, x, ns.y, w, z, out, ns.t, alphas[0], potential,
+              drawn[0], gauss[0])
     return NetworkState(x=out, y=y, w=w, z=z, t=ns.t + 1)
 
 
@@ -265,8 +299,9 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
     sched : StepSchedule
     potential : Potential
     noise : NoiseModel or None
-        Owns the per-agent streams; None runs the deterministic iteration
-        (mixing plus drift only).
+        Owns the per-agent streams, drawn once per block of 256 steps; None
+        runs the deterministic iteration (mixing plus drift only), which a
+        minibatch potential rejects before the first step.
     num_iters : int
     stride : int
         Snapshot thinning: agent samples (the ratio estimates z) and
@@ -315,10 +350,11 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
     mixing = np.empty((block, m, m))
     for t0 in range(0, num_iters, _MIXING_BLOCK):
         n = min(_MIXING_BLOCK, num_iters - t0)
+        alpha, drawn, gauss = _draws(sched, potential, noise, t0, n, d)
         seq.fill_mixing(t0, mixing[:n])
         for k in range(n):
             y = _step(mixing[k], xs[k], y, ws[k], zs[k + 1], xs[k + 1],
-                      t0 + k, sched, potential, noise)
+                      t0 + k, alpha[k], potential, drawn[k], gauss[k])
         # xbar[k] is the network average at iteration t0 + k
         xbar = xs[:n + 1].sum(axis=1)[:, None] / m
         zdev[t0:t0 + n] = _row_norms(zs[1:n + 1] - xbar[:n])

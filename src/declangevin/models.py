@@ -370,9 +370,9 @@ class _ShardedPotential(Potential):
     """Common minibatch plumbing for data-sharded potentials.
 
     Each agent resamples ``batch_size`` rows of its shard with replacement
-    from its own stream (one integers draw per step, before the Gaussian).
-    ``batch_size=None`` uses the full shard deterministically and consumes
-    no randomness.
+    every step, from its own :meth:`NoiseModel.stream`; :meth:`draw` takes
+    a block of steps' indices in one draw per agent.  ``batch_size=None``
+    uses the full shard deterministically and consumes no randomness.
 
     Shards are stored stacked, (m, n_max, d) features and (m, n_max)
     targets, so every agent's gradient comes from one array expression.
@@ -411,16 +411,26 @@ class _ShardedPotential(Potential):
         idx = rng.integers(0, feats.shape[0], size=self.batch_size)
         return feats[idx], targs[idx], feats.shape[0] / self.batch_size
 
-    def _draw_all(self, noise):
-        """(features, targets, scale) of every agent's batch, stacked.
-
-        Full shards come padded (see the class docstring); minibatch indices
-        are drawn agent by agent from each agent's own stream.
-        """
+    def draw(self, noise, steps):
+        """(steps, m, batch_size) row indices, agent i's from one draw on
+        its stream; full shards draw nothing (None per step)."""
         if self.batch_size is None:
+            return [None] * steps
+        if noise is None:
+            raise ValueError(f"batch_size={self.batch_size} draws from the noise "
+                             "streams; a run without noise needs batch_size=None")
+        return np.stack([noise.stream(i).integers(0, n, size=(steps, self.batch_size))
+                         for i, n in enumerate(self._sizes)], axis=1)
+
+    def grad_all(self, z, noise):
+        return self.grad_drawn(z, self.draw(noise, 1)[0])
+
+    def _batches(self, idx):
+        """(features, targets, scale) of every agent's batch, stacked: rows
+        ``idx`` (m, batch_size) of each shard, or with ``idx`` None the
+        padded full shards (see the class docstring)."""
+        if idx is None:
             return self._features, self._targets, 1.0
-        idx = np.array([noise.stream(i).integers(0, n, size=self.batch_size)
-                        for i, n in enumerate(self._sizes)])
         rows = np.arange(len(self._sizes))[:, None]
         return self._features[rows, idx], self._targets[rows, idx], self._scale
 
@@ -447,8 +457,8 @@ class LinRegPotential(_ShardedPotential):
         return grad_U_linreg(z, feats, targs, self._agent_prior, self.sigma,
                              scale)
 
-    def grad_all(self, z, noise):
-        feats, targs, scale = self._draw_all(noise)
+    def grad_drawn(self, z, idx):
+        feats, targs, scale = self._batches(idx)
         return grad_U_linreg(z, feats, targs, self._agent_prior, self.sigma,
                              scale)
 
@@ -474,9 +484,9 @@ class MixturePotential(_ShardedPotential):
         return grad_U_mixture(z, targs, self.sigma_x, self._agent_prior_vars,
                               scale)
 
-    def grad_all(self, z, noise):
-        _, targs, scale = self._draw_all(noise)
-        mask = self._mask if self.batch_size is None else None
+    def grad_drawn(self, z, idx):
+        _, targs, scale = self._batches(idx)
+        mask = self._mask if idx is None else None
         return grad_U_mixture(z, targs, self.sigma_x, self._agent_prior_vars,
                               scale, mask)
 
@@ -497,8 +507,8 @@ class LogisticPotential(_ShardedPotential):
         feats, targs, scale = self._draw(agent, rng)
         return grad_U_logistic(z, feats, targs, scale)
 
-    def grad_all(self, z, noise):
-        feats, targs, scale = self._draw_all(noise)
+    def grad_drawn(self, z, idx):
+        feats, targs, scale = self._batches(idx)
         return grad_U_logistic(z, feats, targs, scale)
 
 

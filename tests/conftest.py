@@ -147,19 +147,19 @@ def reference_ula(grad, sched, seed, num_iters, dim):
 class RecordingNoise(NoiseModel):
     """Noise model that remembers every Gaussian vector it hands out.
 
-    Draws are appended in call order, which the update loop fixes as agent
-    0..m-1 within each iteration, so ``stacked(m, d)`` recovers the
-    (num_iters, m, d) block structure.
+    Each block of draws is appended step by step and, within a step, agent
+    0..m-1, so ``stacked(m, d)`` recovers the (num_iters, m, d) block
+    structure.
     """
 
     def __init__(self, seed, num_agents):
         super().__init__(seed, num_agents)
         self.draws = []
 
-    def gaussian(self, agent, dim):
-        vec = super().gaussian(agent, dim)
-        self.draws.append(vec.copy())
-        return vec
+    def gaussian_block(self, steps, dim):
+        block = super().gaussian_block(steps, dim)
+        self.draws.extend(block.reshape(-1, dim).copy())
+        return block
 
     def stacked(self, num_agents, dim):
         return np.asarray(self.draws).reshape(-1, num_agents, dim)

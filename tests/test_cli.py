@@ -397,6 +397,22 @@ class TestMain:
         assert "eval_every must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--alpha0", "nan"], "alpha0"), (["--alpha0", "inf"], "alpha0"),
+        (["--schedule", "power", "--alpha0", "0.1", "--sched_offset", "nan"],
+         "offset")])
+    def test_non_finite_schedule_exits_before_any_draw(
+            self, flags, field, tmp_path, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(np.random, "Generator", no_draws)
+        code = main(["run", *flags, "--iters", "10", "--out",
+                     str(tmp_path / "a.csv")])
+        assert code == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
+
     @pytest.mark.parametrize("kind", ["seeded-random", "static"])
     def test_negative_graph_seed_exits_before_any_draw(
             self, kind, tmp_path, capsys, monkeypatch):

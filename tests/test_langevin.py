@@ -9,6 +9,8 @@ import warnings
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given
+from hypothesis import strategies as st
 
 from declangevin import langevin as langevin_module
 from declangevin import (DivergenceError, GaussianDist, GaussianPotential,
@@ -70,6 +72,14 @@ class TestStepSchedule:
         with pytest.raises(ValueError):
             StepSchedule("power", alpha0=0.1, offset=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["alpha0", "offset"])
+    def test_non_finite_constants_are_rejected(self, field, value):
+        for kind in ("harmonic", "power"):
+            args = {"alpha0": 0.1, "offset": 2.0, field: value}
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                StepSchedule(kind, **args)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             step_size(StepSchedule("harmonic", alpha0=1.0), -1)
@@ -89,6 +99,42 @@ class TestNoiseModel:
     def test_stream_advances(self):
         nm = NoiseModel(0, 1)
         assert not np.array_equal(nm.gaussian(0, 3), nm.gaussian(0, 3))
+
+    def test_block_draws_are_successive_step_draws(self):
+        m, d, steps = 3, 4, 5
+        blocked, stepped = NoiseModel(11, m), NoiseModel(11, m)
+        block = blocked.gaussian_block(steps, d)
+        assert block.shape == (steps, m, d)
+        for k in range(steps):
+            for i in range(m):
+                assert np.array_equal(block[k, i], stepped.gaussian(i, d))
+
+    # run draws a block of steps at once and langevin_step one step at a
+    # time; the two agree only because numpy's generators fill an (n, ...)
+    # draw as n successive draws, which is its behaviour rather than a
+    # documented contract
+    @given(n=st.integers(1, 256), d=st.integers(1, 8),
+           b=st.sampled_from([1, 3, 5, 32]), k=st.integers(1, 6512),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_numpy_block_draws_equal_successive_draws(self, n, d, b, k, seed):
+        def stream():
+            return np.random.default_rng([seed, 0])
+
+        step = stream()
+        normals = [step.standard_normal(d) for _ in range(n)]
+        block = stream()
+        filled = np.empty((n, d))
+        block.standard_normal(out=filled)
+        assert np.array_equal(filled, normals)
+        assert block.bit_generator.state == step.bit_generator.state
+        block = stream()
+        assert np.array_equal(block.standard_normal((n, d)), normals)
+        assert block.bit_generator.state == step.bit_generator.state
+
+        step, block = stream(), stream()
+        indices = [step.integers(0, k, size=b) for _ in range(n)]
+        assert np.array_equal(block.integers(0, k, size=(n, b)), indices)
+        assert block.bit_generator.state == step.bit_generator.state
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -331,8 +377,9 @@ class TestDriverEquivalence:
         for a, b in zip(noise_run.draws, noise_loop.draws):
             assert np.array_equal(a, b)
 
-    def test_minibatch_draws_precede_the_gaussian(self):
-        # agent i's stream [seed, i] gives its batch indices, then its noise
+    def test_minibatch_indices_and_gaussians_use_separate_streams(self):
+        # agent i's indices come from stream [seed, i, 1], its noise from
+        # [seed, i]
         m, d, batch, seed = 3, 2, 2, 4
         ds = generate_linreg_data(31, d, 1.0, np.array([1.0, -1.0]), seed=4)
         shards = partition(ds, m, "random", 4)
@@ -350,16 +397,44 @@ class TestDriverEquivalence:
 
         alpha = step_size(sched, 1)
         for i in range(m):
-            stream = np.random.default_rng([seed, i])
-            idx = stream.integers(0, len(shards[i].indices), size=batch)
+            idx = np.random.default_rng([seed, i, 1]).integers(
+                0, len(shards[i].indices), size=batch)
             rows = shards[i].indices[idx]
             g = grad_U_linreg(stepped.z[i], ds.features[rows], ds.targets[rows],
                               GaussianDist(prior.mean, m * prior.cov), 1.0,
                               len(shards[i].indices) / batch)
-            want = stepped.w[i] - alpha * g \
-                + np.sqrt(2.0 * alpha) * stream.standard_normal(d)
+            want = stepped.w[i] - alpha * g + np.sqrt(2.0 * alpha) \
+                * np.random.default_rng([seed, i]).standard_normal(d)
             np.testing.assert_allclose(stepped.x[i], want, rtol=0.0,
                                        atol=1e-12)
+
+    def test_full_shard_runs_leave_every_index_stream_untouched(self):
+        m, seed = 3, 8
+        ds = generate_mixture_data(31, 0.0, 1.0, np.sqrt(2.0), seed=8)
+        pot = MixturePotential(ds, partition(ds, m, "random", 8),
+                               batch_size=None)
+        seq = generate_graph_sequence("seeded-random", m, 2, seed=8)
+        noise = NoiseModel(seed, m)
+        run(seq, StepSchedule("harmonic", alpha0=0.05), pot, noise, 300)
+        for i in range(m):
+            assert noise.stream(i).bit_generator.state \
+                == np.random.default_rng([seed, i, 1]).bit_generator.state
+
+    def test_minibatch_potentials_need_noise(self, monkeypatch):
+        def no_steps(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        m = 3
+        ds = generate_mixture_data(31, 0.0, 1.0, np.sqrt(2.0), seed=9)
+        pot = MixturePotential(ds, partition(ds, m, "random", 9), batch_size=4)
+        seq = generate_graph_sequence("seeded-random", m, 1, seed=9)
+        sched = StepSchedule("harmonic", alpha0=0.05)
+        monkeypatch.setattr(langevin_module, "_step", no_steps)
+        with pytest.raises(ValueError, match="batch_size=4"):
+            run(seq, sched, pot, None, 10)
+        with pytest.raises(ValueError, match="batch_size=4"):
+            langevin_step(init_network(m, 2), seq.mixing_at(0), sched, pot,
+                          None)
 
     def test_divergence_is_reported_alike(self):
         # a step far above 2/L overflows after a few dozen iterations
