@@ -20,9 +20,7 @@ from .langevin import (SCHEDULE_KINDS, DivergenceError, NoiseModel, Potential,
                        average_state, langevin_step, run,
                        run_gaussian_ensemble, step_size)
 from .metrics import (BoundReport, check_lemma4_bound, empirical_gaussian,
-                      estimate_delta_lambda, rate_fit, roc_auc,
-                      w2_gaussian_bures, w2_gaussian_paper,
-                      z_deviation_bound_series)
+                      rate_fit, roc_auc, w2_gaussian_bures, w2_gaussian_paper)
 from .models import (Dataset, GaussianDist, GaussianPotential, LinRegPotential,
                      LogisticPotential, MixturePotential, ParseError, Shard,
                      generate_linreg_data, generate_mixture_data,
@@ -68,7 +66,6 @@ __all__ = [
     "check_lemma4_bound",
     "consensus_error",
     "empirical_gaussian",
-    "estimate_delta_lambda",
     "generate_graph_sequence",
     "generate_linreg_data",
     "generate_mixture_data",
@@ -97,5 +94,4 @@ __all__ = [
     "w2_gaussian_bures",
     "w2_gaussian_paper",
     "write_csv",
-    "z_deviation_bound_series",
 ]

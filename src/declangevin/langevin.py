@@ -133,9 +133,6 @@ class NoiseModel:
     def stream(self, agent: int) -> np.random.Generator:
         return self._streams[agent]
 
-    def gaussian(self, agent: int, dim: int) -> np.ndarray:
-        return self._rngs[agent].standard_normal(dim)
-
     def gaussian_block(self, steps: int, dim: int) -> np.ndarray:
         """(steps, m, dim) standard normals, row [k, i] agent i's vector at
         the k-th of the next ``steps`` steps; one draw per agent."""
@@ -160,41 +157,29 @@ class PotentialProps:
 
 
 class Potential:
-    """Interface for per-agent stochastic gradients.
+    """Interface for the agents' stochastic gradients.
 
-    Subclasses implement :meth:`grad`; ``rng`` is the calling agent's
-    :meth:`NoiseModel.stream`, apart from its Gaussians, and must be the
-    only randomness consumed.  Deterministic potentials simply ignore it.
-    :meth:`grad_all` is an optional fast path that evaluates every agent in
-    one array expression; an override must return the rows :meth:`grad`
-    would and consume each agent's stream exactly as :meth:`grad` does.
     The drivers call :meth:`draw` once per block of steps and
-    :meth:`grad_drawn` every step, which by default is :meth:`grad_all`.
+    :meth:`grad_drawn` every step.  ``draw`` takes any randomness the
+    potential needs (minibatch indices) from agent i's
+    :meth:`NoiseModel.stream` and from nowhere else; ``grad_drawn``
+    returns all m agents' gradients at once.
+    ``num_agents`` is the network size the potential was built for, or
+    None when any size will do.
     """
 
     props: PotentialProps
-
-    def grad(self, agent: int, z: np.ndarray, rng) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad_all(self, z: np.ndarray, noise: NoiseModel | None) -> np.ndarray:
-        """(m, d) gradients, row i at agent i's ratio estimate z[i].
-
-        ``noise`` owns the per-agent streams; None passes no stream, as in
-        a deterministic run.  By default each row is one :meth:`grad` call.
-        """
-        return np.stack([
-            self.grad(i, z[i], noise.stream(i) if noise is not None else None)
-            for i in range(z.shape[0])])
+    num_agents: int | None = None
 
     def draw(self, noise: NoiseModel | None, steps: int):
         """Every agent's draws for the next ``steps`` steps; entry k goes to
-        :meth:`grad_drawn` at the k-th.  By default each entry is ``noise``."""
-        return [noise] * steps
+        :meth:`grad_drawn` at the k-th.  By default nothing is drawn."""
+        return [None] * steps
 
     def grad_drawn(self, z: np.ndarray, drawn) -> np.ndarray:
-        """(m, d) gradients at z from one step's entry of :meth:`draw`."""
-        return self.grad_all(z, drawn)
+        """(m, d) gradients, row i at agent i's ratio estimate z[i], from
+        one step's entry of :meth:`draw`."""
+        raise NotImplementedError
 
 
 class ZeroPotential(Potential):
@@ -203,10 +188,7 @@ class ZeroPotential(Potential):
     def __init__(self, dim: int):
         self.props = PotentialProps(dim=dim, mu=0.0, lipschitz=0.0)
 
-    def grad(self, agent: int, z: np.ndarray, rng) -> np.ndarray:
-        return np.zeros_like(z)
-
-    def grad_all(self, z: np.ndarray, noise: NoiseModel | None) -> np.ndarray:
+    def grad_drawn(self, z: np.ndarray, drawn) -> np.ndarray:
         return np.zeros_like(z)
 
 
@@ -217,6 +199,13 @@ class DivergenceError(RuntimeError):
         super().__init__(f"non-finite state at agent {agent}, iteration {iteration}")
         self.agent = agent
         self.iteration = iteration
+
+
+def _check_agents(potential: Potential, m: int) -> None:
+    """Refuse a potential built for another network size than m."""
+    if potential.num_agents not in (None, m):
+        raise ValueError(f"potential is built for {potential.num_agents} "
+                         f"agents but the graph has {m} nodes")
 
 
 def _draws(sched: StepSchedule, potential: Potential,
@@ -262,11 +251,13 @@ def langevin_step(ns: NetworkState, mix: MixingMatrix, sched: StepSchedule,
 
     Returns the state at t+1.  Raises :class:`DivergenceError` when any
     agent's new x contains non-finite entries, and ``ValueError`` when the
-    graph size does not match the state or a minibatch potential lacks noise.
+    graph size does not match the state or the potential, or a minibatch
+    potential lacks noise.
     """
     m = ns.num_agents
     if mix.graph.num_nodes != m:
         raise ValueError(f"graph has {mix.graph.num_nodes} nodes but the state has {m} agents")
+    _check_agents(potential, m)
     x = np.asarray(ns.x, dtype=float)
     alphas, drawn, gauss = _draws(sched, potential, noise, ns.t, 1, x.shape[1])
     out, w, z = np.empty_like(x), np.empty_like(x), np.empty_like(x)
@@ -298,6 +289,7 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
         network size.
     sched : StepSchedule
     potential : Potential
+        Its ``num_agents``, unless None, must equal the node count.
     noise : NoiseModel or None
         Owns the per-agent streams, drawn once per block of 256 steps; None
         runs the deterministic iteration (mixing plus drift only), which a
@@ -323,6 +315,7 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
     d = potential.props.dim
     if noise is not None and noise.num_agents != m:
         raise ValueError("graph sequence and noise model disagree on the agent count")
+    _check_agents(potential, m)
 
     # one block of steps at a time: step k reads xs[k] and writes ws[k],
     # zs[k+1] and xs[k+1]; xs[0] carries x over from the previous block

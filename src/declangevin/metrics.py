@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DirectedGraphSequence, spectral_bounds
+from .graphs import spectral_bounds
 from .models import GaussianDist
 from .trace import Trace
 
@@ -24,9 +24,7 @@ __all__ = [
     "empirical_gaussian",
     "roc_auc",
     "check_lemma4_bound",
-    "z_deviation_bound_series",
     "rate_fit",
-    "estimate_delta_lambda",
 ]
 
 COV_RIDGE = 1e-9
@@ -196,35 +194,6 @@ def check_lemma4_bound(trace: Trace, delta: float | None = None,
                        delta=float(delta), lam=float(lam), d_hat=float(d_hat))
 
 
-def z_deviation_bound_series(trace: Trace, delta: float | None = None,
-                             lam: float | None = None,
-                             window_len: int = 1) -> tuple:
-    """Per-step deviation bound alongside the observed worst-agent deviation.
-
-    Returns (lhs, bound) arrays over steps, where lhs[t] is the largest
-    ||z_i(t+1) - xbar(t)|| and bound[t] is
-
-        (8/delta) * (lam**(t+1) * sum_i ||x_i(0)||_1
-                     + sum_{s<=t} lam**(t-s) * sum_i e_i(s)),
-
-    accumulated with the geometric recursion so long runs stay linear time.
-    """
-    m = trace.num_agents
-    if delta is None or lam is None:
-        sb = spectral_bounds(m, window_len)
-        delta = sb.delta_lower if delta is None else delta
-        lam = sb.lambda_upper if lam is None else lam
-    lhs = trace.z_dev.max(axis=1)
-    x0_l1 = np.abs(trace.states[0]).sum()
-    pert_sums = trace.pert_norms.sum(axis=1)
-    bound = np.zeros(trace.num_iters)
-    geo = x0_l1
-    for t in range(trace.num_iters):
-        geo = lam * geo + pert_sums[t]
-        bound[t] = (8.0 / delta) * geo
-    return lhs, bound
-
-
 def rate_fit(w2_series: np.ndarray, ts: np.ndarray) -> float:
     """Log-log decay slope of a distance series over its second half.
 
@@ -244,32 +213,3 @@ def rate_fit(w2_series: np.ndarray, ts: np.ndarray) -> float:
     slope, _ = np.polyfit(np.log1p(ts[half:]), np.log(w2[half:]), 1)
     return float(slope)
 
-
-def estimate_delta_lambda(seq: DirectedGraphSequence, horizon: int) -> tuple:
-    """Empirical mixing constants from sliding products of mixing matrices.
-
-    Over every window of m * B consecutive iterations inside the horizon,
-    multiplies the mixing matrices in application order and records the
-    smallest positive entry of the product and its second singular value
-    taken to the per-step root (the geometric contraction factor toward the
-    rank-one consensus limit).  Returns (delta_emp, lambda_emp): the
-    smallest entry seen and the largest contraction factor seen.
-    """
-    m = seq.num_nodes
-    span = m * seq.window_len
-    if horizon < span:
-        raise ValueError(f"horizon {horizon} is shorter than one product span {span}")
-    delta_emp = np.inf
-    lambda_emp = 0.0
-    mixing = seq.fill_mixing(0, np.empty((horizon, m, m)))
-    for start in range(horizon - span + 1):
-        prod = np.eye(m)
-        for entries in mixing[start:start + span]:
-            prod = entries @ prod
-        positive = prod[prod > 0.0]
-        if positive.size:
-            delta_emp = min(delta_emp, float(positive.min()))
-        if m > 1:
-            sv = np.linalg.svd(prod, compute_uv=False)
-            lambda_emp = max(lambda_emp, float(sv[1]) ** (1.0 / span))
-    return float(delta_emp), float(lambda_emp)

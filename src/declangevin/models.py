@@ -367,7 +367,8 @@ def partition(ds: Dataset | int, num_shards: int, mode: str = "random",
 
 
 class _ShardedPotential(Potential):
-    """Common minibatch plumbing for data-sharded potentials.
+    """Common minibatch plumbing for data-sharded potentials, one agent per
+    shard.
 
     Each agent resamples ``batch_size`` rows of its shard with replacement
     every step, from its own :meth:`NoiseModel.stream`; :meth:`draw` takes
@@ -397,33 +398,21 @@ class _ShardedPotential(Potential):
         self._targets = ds.targets[rows]
         self._targets[pad] = 1.0
         self._mask = (~pad).astype(float) if pad.any() else None
-        self.shard_features = [f[:n] for f, n in zip(self._features, self._sizes)]
+        self.num_agents = len(shards)
         self.shard_targets = [y[:n] for y, n in zip(self._targets, self._sizes)]
         if batch_size is not None:
             self._scale = (np.array(self._sizes) / batch_size)[:, None]
-
-    def _draw(self, agent: int, rng):
-        """(features, targets, scale) of one agent's batch."""
-        feats = self.shard_features[agent]
-        targs = self.shard_targets[agent]
-        if self.batch_size is None:
-            return feats, targs, 1.0
-        idx = rng.integers(0, feats.shape[0], size=self.batch_size)
-        return feats[idx], targs[idx], feats.shape[0] / self.batch_size
 
     def draw(self, noise, steps):
         """(steps, m, batch_size) row indices, agent i's from one draw on
         its stream; full shards draw nothing (None per step)."""
         if self.batch_size is None:
-            return [None] * steps
+            return super().draw(noise, steps)
         if noise is None:
             raise ValueError(f"batch_size={self.batch_size} draws from the noise "
                              "streams; a run without noise needs batch_size=None")
         return np.stack([noise.stream(i).integers(0, n, size=(steps, self.batch_size))
                          for i, n in enumerate(self._sizes)], axis=1)
-
-    def grad_all(self, z, noise):
-        return self.grad_drawn(z, self.draw(noise, 1)[0])
 
     def _batches(self, idx):
         """(features, targets, scale) of every agent's batch, stacked: rows
@@ -452,11 +441,6 @@ class LinRegPotential(_ShardedPotential):
         self._agent_prior = GaussianDist(prior.mean, prior.cov * len(shards))
         self.props = PotentialProps(dim=ds.dim)
 
-    def grad(self, agent, z, rng):
-        feats, targs, scale = self._draw(agent, rng)
-        return grad_U_linreg(z, feats, targs, self._agent_prior, self.sigma,
-                             scale)
-
     def grad_drawn(self, z, idx):
         feats, targs, scale = self._batches(idx)
         return grad_U_linreg(z, feats, targs, self._agent_prior, self.sigma,
@@ -479,11 +463,6 @@ class MixturePotential(_ShardedPotential):
         self._agent_prior_vars = (self.prior_vars[0] * m, self.prior_vars[1] * m)
         self.props = PotentialProps(dim=2)
 
-    def grad(self, agent, z, rng):
-        _, targs, scale = self._draw(agent, rng)
-        return grad_U_mixture(z, targs, self.sigma_x, self._agent_prior_vars,
-                              scale)
-
     def grad_drawn(self, z, idx):
         _, targs, scale = self._batches(idx)
         mask = self._mask if idx is None else None
@@ -502,10 +481,6 @@ class LogisticPotential(_ShardedPotential):
     def __init__(self, ds: Dataset, shards, batch_size: int | None = 32):
         super().__init__(ds, shards, batch_size)
         self.props = PotentialProps(dim=ds.dim)
-
-    def grad(self, agent, z, rng):
-        feats, targs, scale = self._draw(agent, rng)
-        return grad_U_logistic(z, feats, targs, scale)
 
     def grad_drawn(self, z, idx):
         feats, targs, scale = self._batches(idx)
@@ -532,12 +507,12 @@ class GaussianPotential(Potential):
                                     lipschitz=float(eigs.max()) / num_agents)
 
     def grad(self, agent, z, rng):
-        return self.grad_all(z, None)
+        return self.grad_drawn(z, None)
 
-    def grad_all(self, z, noise):
+    def grad_drawn(self, z, drawn):
         # P (z - mean) / m as an elementwise product summed over the last
         # axis: it broadcasts over leading axes (a single z included) and
         # computes every row alike whatever their number, so grad and
-        # grad_all agree bitwise
+        # grad_drawn agree bitwise
         return (self.precision * (z - self.mean)[..., None, :]).sum(axis=-1) \
             / self.num_agents

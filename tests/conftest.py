@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from declangevin import (DirectedGraph, NoiseModel, Potential,
-                         generate_graph_sequence, roc_auc, step_size)
+from declangevin import (DirectedGraph, GaussianDist, LinRegPotential,
+                         LogisticPotential, MixturePotential, NoiseModel,
+                         Potential, generate_graph_sequence, grad_U_linreg,
+                         grad_U_logistic, grad_U_mixture, roc_auc, step_size)
 
 # property tests draw their examples from a fixed seed and have no time
 # limit per example, so every run of the suite gives the same verdict
@@ -144,6 +146,40 @@ def reference_ula(grad, sched, seed, num_iters, dim):
     return out
 
 
+def reference_agent_grads(pot, ds, shards, z, noise):
+    """Every agent's gradient at its row of z, one agent at a time.
+
+    This is how the sharded potentials computed gradients before they
+    stacked their shards: agent i's batch is ``pot.batch_size`` rows of its
+    own shard of ``ds``, drawn by one ``integers`` call on
+    ``noise.stream(i)`` (the whole shard without a batch size), rescaled by
+    shard over batch size, and its term is the ``grad_U_*`` formula with
+    1/m of a Gaussian prior.
+    """
+    m = len(shards)
+    rows = []
+    for i, shard in enumerate(shards):
+        feats = ds.features[shard.indices]
+        targs = ds.targets[shard.indices]
+        scale = 1.0
+        if pot.batch_size is not None:
+            idx = noise.stream(i).integers(0, len(targs), size=pot.batch_size)
+            feats, targs = feats[idx], targs[idx]
+            scale = len(shard.indices) / pot.batch_size
+        if isinstance(pot, LinRegPotential):
+            prior = GaussianDist(pot.prior.mean, pot.prior.cov * m)
+            rows.append(grad_U_linreg(z[i], feats, targs, prior, pot.sigma,
+                                      scale))
+        elif isinstance(pot, MixturePotential):
+            prior_vars = tuple(v * m for v in pot.prior_vars)
+            rows.append(grad_U_mixture(z[i], targs, pot.sigma_x, prior_vars,
+                                       scale))
+        else:
+            assert isinstance(pot, LogisticPotential)
+            rows.append(grad_U_logistic(z[i], feats, targs, scale))
+    return np.stack(rows)
+
+
 class RecordingNoise(NoiseModel):
     """Noise model that remembers every Gaussian vector it hands out.
 
@@ -166,16 +202,21 @@ class RecordingNoise(NoiseModel):
 
 
 class RecordingPotential(Potential):
-    """Wraps a potential and remembers every gradient it returns."""
+    """Wraps a potential and remembers every gradient row it returns, step
+    by step and, within a step, agent 0..m-1."""
 
     def __init__(self, inner):
         self.inner = inner
         self.props = inner.props
+        self.num_agents = inner.num_agents
         self.grads = []
 
-    def grad(self, agent, z, rng):
-        g = self.inner.grad(agent, z, rng)
-        self.grads.append(np.asarray(g, dtype=float).copy())
+    def draw(self, noise, steps):
+        return self.inner.draw(noise, steps)
+
+    def grad_drawn(self, z, drawn):
+        g = self.inner.grad_drawn(z, drawn)
+        self.grads.extend(np.array(g, dtype=float))
         return g
 
     def stacked(self, num_agents, dim):

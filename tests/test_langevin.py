@@ -30,8 +30,8 @@ class ExplodingPotential(Potential):
     def __init__(self, dim):
         self.props = PotentialProps(dim=dim)
 
-    def grad(self, agent, z, rng):
-        return np.full(self.props.dim, np.inf)
+    def grad_drawn(self, z, drawn):
+        return np.full_like(z, np.inf)
 
 
 class TestStepSchedule:
@@ -87,27 +87,29 @@ class TestStepSchedule:
 
 class TestNoiseModel:
     def test_streams_are_independent_of_query_order(self):
-        a = NoiseModel(3, 2)
-        b = NoiseModel(3, 2)
-        a0 = a.gaussian(0, 4)
-        a1 = a.gaussian(1, 4)
-        b1 = b.gaussian(1, 4)
-        b0 = b.gaussian(0, 4)
-        assert np.array_equal(a0, b0)
-        assert np.array_equal(a1, b1)
+        # agent i's rows are what its own generator gives when drawn alone,
+        # whichever agents come before it, and no two agents share a row
+        block = NoiseModel(3, 2).gaussian_block(1, 4)
+        for i in (1, 0):
+            alone = np.random.default_rng([3, i]).standard_normal(4)
+            assert np.array_equal(block[0, i], alone)
+        assert not np.array_equal(block[0, 0], block[0, 1])
 
     def test_stream_advances(self):
         nm = NoiseModel(0, 1)
-        assert not np.array_equal(nm.gaussian(0, 3), nm.gaussian(0, 3))
+        assert not np.array_equal(nm.gaussian_block(1, 3), nm.gaussian_block(1, 3))
 
     def test_block_draws_are_successive_step_draws(self):
         m, d, steps = 3, 4, 5
         blocked, stepped = NoiseModel(11, m), NoiseModel(11, m)
         block = blocked.gaussian_block(steps, d)
         assert block.shape == (steps, m, d)
+        rngs = [np.random.default_rng([11, i]) for i in range(m)]
         for k in range(steps):
+            step = stepped.gaussian_block(1, d)[0]
             for i in range(m):
-                assert np.array_equal(block[k, i], stepped.gaussian(i, d))
+                assert np.array_equal(block[k, i], step[i])
+                assert np.array_equal(block[k, i], rngs[i].standard_normal(d))
 
     # run draws a block of steps at once and langevin_step one step at a
     # time; the two agree only because numpy's generators fill an (n, ...)
@@ -167,7 +169,7 @@ class TestLangevinStep:
         class Probe(Potential):
             props = PotentialProps(dim=1)
 
-            def grad(self, agent, z, rng):
+            def grad_drawn(self, z, drawn):
                 seen.append(z.copy())
                 return np.zeros_like(z)
 
@@ -177,7 +179,7 @@ class TestLangevinStep:
                           t=0)
         mixed = langevin_step(ns, seq.mixing_at(0), StepSchedule("harmonic", 0.1),
                               Probe(), None)
-        np.testing.assert_array_equal(np.concatenate(seen), mixed.z.ravel())
+        np.testing.assert_array_equal(np.concatenate(seen), mixed.z)
 
     def test_divergence_raises_with_location(self):
         seq = generate_graph_sequence("seeded-random", 3, 1, seed=1)
@@ -288,6 +290,38 @@ class TestRun:
         with pytest.raises(ValueError):
             run(seq, sched, ZeroPotential(2), NoiseModel(0, 3), 10,
                 x0=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("kind", ["linreg", "gaussian"])
+    def test_a_potential_for_another_network_size_is_refused(self, kind):
+        # one shard on four nodes would hand every agent the whole prior,
+        # and a one-agent Gaussian would sample the wrong target
+        if kind == "linreg":
+            ds = generate_linreg_data(20, 2, 1.0, np.array([1.0, -1.0]), seed=8)
+            pot = LinRegPotential(ds, partition(ds, 1), GaussianDist(
+                np.zeros(2), np.eye(2)), 1.0, batch_size=1)
+        else:
+            pot = GaussianPotential(np.zeros(2), np.eye(2), num_agents=1)
+        assert pot.num_agents == 1
+        seq = generate_graph_sequence("seeded-random", 4, 1, seed=8)
+        sched = StepSchedule("harmonic", 0.1)
+        noise = RecordingNoise(8, 4)
+        before = [noise.stream(i).bit_generator.state for i in range(4)]
+        counts = "built for 1 agents but the graph has 4 nodes"
+        with pytest.raises(ValueError, match=counts):
+            run(seq, sched, pot, noise, 10)
+        with pytest.raises(ValueError, match=counts):
+            langevin_step(init_network(4, 2), seq.mixing_at(0), sched, pot,
+                          noise)
+        assert noise.draws == []
+        assert [noise.stream(i).bit_generator.state for i in range(4)] == before
+
+    @pytest.mark.parametrize("m", [1, 3, 7])
+    def test_zero_potential_runs_at_any_network_size(self, m):
+        assert ZeroPotential(2).num_agents is None
+        seq = generate_graph_sequence("seeded-random", m, 1, seed=m)
+        trace = run(seq, StepSchedule("harmonic", 0.1), ZeroPotential(2),
+                    NoiseModel(m, m), 5)
+        assert trace.states.shape == (6, m, 2)
 
 
 def step_loop(seq, sched, pot, noise, num_iters, stride, x0):

@@ -13,11 +13,9 @@ from scipy.stats import norm, rankdata
 import declangevin
 from declangevin import (GaussianDist, GaussianPotential, NoiseModel,
                          StepSchedule, Trace, check_lemma4_bound,
-                         empirical_gaussian, estimate_delta_lambda,
-                         generate_graph_sequence, rate_fit, roc_auc, run,
-                         spectral_bounds, w2_gaussian_bures,
-                         w2_gaussian_paper, z_deviation_bound_series)
-from declangevin.graphs import DirectedGraph
+                         empirical_gaussian, generate_graph_sequence,
+                         rate_fit, roc_auc, run, spectral_bounds,
+                         w2_gaussian_bures, w2_gaussian_paper)
 
 
 def random_spd(rng, d):
@@ -326,24 +324,6 @@ class TestCumulativeBound:
             check_lemma4_bound(trace, delta=0.5, lam=1.0)
 
 
-class TestDeviationSeries:
-    def test_recursion_matches_the_explicit_double_sum(self):
-        rng = np.random.default_rng(5)
-        x0 = rng.standard_normal((3, 2))
-        z_dev = rng.random((30, 3))
-        pert = rng.random((30, 3))
-        trace = make_trace(x0, z_dev, pert)
-        lhs, bound = z_deviation_bound_series(trace, delta=0.2, lam=0.6)
-        np.testing.assert_array_equal(lhs, z_dev.max(axis=1))
-        x0_l1 = np.abs(x0).sum()
-        pert_sums = pert.sum(axis=1)
-        expected = [(8.0 / 0.2) * (0.6 ** (t + 1) * x0_l1
-                                   + sum(0.6 ** (t - s) * pert_sums[s]
-                                         for s in range(t + 1)))
-                    for t in range(30)]
-        np.testing.assert_allclose(bound, expected, rtol=1e-10)
-
-
 class TestRateFit:
     def test_recovers_an_exact_power_law(self):
         ts = np.arange(100)
@@ -365,27 +345,3 @@ class TestRateFit:
         with pytest.raises(ValueError):
             rate_fit(np.ones(30), np.arange(29))
 
-
-class TestEmpiricalMixingConstants:
-    def test_static_complete_graph_is_exact(self):
-        edges = frozenset((i, j) for i in range(3) for j in range(3)
-                          if i != j)
-        g = DirectedGraph(3, edges)
-        seq = generate_graph_sequence("static", 3, graphs=[g])
-        delta_emp, lambda_emp = estimate_delta_lambda(seq, horizon=10)
-        # every product equals the rank-one matrix with entries 1/3; the
-        # per-step root turns an O(1e-16) singular value into O(1e-6)
-        assert delta_emp == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert lambda_emp == pytest.approx(0.0, abs=1e-5)
-
-    def test_random_sequences_beat_the_worst_case_constants(self):
-        seq = generate_graph_sequence("seeded-random", 4, 2, seed=6)
-        delta_emp, lambda_emp = estimate_delta_lambda(seq, horizon=32)
-        sb = spectral_bounds(4, 2)
-        assert delta_emp >= sb.delta_lower
-        assert 0.0 <= lambda_emp < 1.0
-
-    def test_horizon_must_cover_one_product_span(self):
-        seq = generate_graph_sequence("seeded-random", 4, 2, seed=6)
-        with pytest.raises(ValueError):
-            estimate_delta_lambda(seq, horizon=7)

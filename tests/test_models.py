@@ -18,7 +18,7 @@ from declangevin import (Dataset, GaussianDist, GaussianPotential,
                          save_libsvm)
 from declangevin.models import _sigmoid
 
-from conftest import central_fd
+from conftest import central_fd, reference_agent_grads
 
 
 def linreg_neg_log_post(z, feats, targs, prior, sigma):
@@ -338,7 +338,7 @@ class TestPotentials:
         prior = GaussianDist(np.zeros(2), np.eye(2))
         pot = LinRegPotential(ds, shards, prior, 1.0, batch_size=None)
         z = np.array([0.3, -0.6])
-        total = sum(pot.grad(i, z, None) for i in range(4))
+        total = pot.grad_drawn(np.tile(z, (4, 1)), None).sum(0)
         expected = grad_U_linreg(z, ds.features, ds.targets, prior, 1.0)
         np.testing.assert_allclose(total, expected, atol=1e-9, rtol=0.0)
 
@@ -348,7 +348,7 @@ class TestPotentials:
         pot = MixturePotential(ds, shards, np.sqrt(2.0), (10.0, 1.0),
                                batch_size=None)
         theta = np.array([0.2, 0.7])
-        total = sum(pot.grad(i, theta, None) for i in range(3))
+        total = pot.grad_drawn(np.tile(theta, (3, 1)), None).sum(0)
         expected = grad_U_mixture(theta, ds.targets, np.sqrt(2.0),
                                   (10.0, 1.0))
         np.testing.assert_allclose(total, expected, atol=1e-9, rtol=0.0)
@@ -358,7 +358,7 @@ class TestPotentials:
         shards = partition(ds, 3, "random", 22)
         pot = LogisticPotential(ds, shards, batch_size=None)
         w = np.array([0.5, -0.5, 1.0, -1.0, 2.0])
-        total = sum(pot.grad(i, w, None) for i in range(3))
+        total = pot.grad_drawn(np.tile(w, (3, 1)), None).sum(0)
         expected = grad_U_logistic(w, ds.features, ds.targets) \
             + 2.0 * np.sign(w)
         np.testing.assert_allclose(total, expected, atol=1e-9, rtol=0.0)
@@ -368,9 +368,15 @@ class TestPotentials:
         shards = partition(ds, 2, "random", 23)
         prior = GaussianDist(np.zeros(2), np.eye(2))
         pot = LinRegPotential(ds, shards, prior, 1.0, batch_size=2)
-        z = np.zeros(2)
-        a = pot.grad(0, z, np.random.default_rng([7, 0]))
-        b = pot.grad(0, z, np.random.default_rng([7, 0]))
+        z = np.zeros((2, 2))
+        idx = pot.draw(NoiseModel(7, 2), 3)
+        assert idx.shape == (3, 2, 2)
+        for i, shard in enumerate(shards):
+            own = np.random.default_rng([7, i, 1]).integers(
+                0, len(shard.indices), size=(3, 2))
+            np.testing.assert_array_equal(idx[:, i], own)
+        a = pot.grad_drawn(z, idx[0])
+        b = pot.grad_drawn(z, pot.draw(NoiseModel(7, 2), 1)[0])
         np.testing.assert_array_equal(a, b)
 
     def test_batch_size_validation(self):
@@ -392,14 +398,15 @@ class TestPotentials:
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
         pot = GaussianPotential(mean, cov, 5)
         z = np.array([0.7, 0.1])
-        total = sum(pot.grad(i, z, None) for i in range(5))
+        total = pot.grad_drawn(np.tile(z, (5, 1)), None).sum(0)
         np.testing.assert_allclose(total,
                                    np.linalg.solve(cov, z - mean),
                                    atol=1e-12, rtol=0.0)
 
 
 def ragged_potential(kind, sizes, dim, batch, seed):
-    """A potential of the given kind over shards of exactly ``sizes`` rows."""
+    """A potential of the given kind over shards of exactly ``sizes`` rows,
+    with the dataset and shards of a sharded kind (else None, None)."""
     rng = np.random.default_rng(seed)
     m, n = len(sizes), sum(sizes)
     order = rng.permutation(n)
@@ -408,18 +415,18 @@ def ragged_potential(kind, sizes, dim, batch, seed):
     if kind == "linreg":
         ds = generate_linreg_data(n, dim, 0.5, rng.standard_normal(dim), seed)
         prior = GaussianDist(rng.standard_normal(dim), (1.0 + rng.random()) * np.eye(dim))
-        return LinRegPotential(ds, shards, prior, 0.5, batch_size=batch)
+        return LinRegPotential(ds, shards, prior, 0.5, batch_size=batch), ds, shards
     if kind == "mixture":
         ds = generate_mixture_data(n, 0.0, 1.0, np.sqrt(2.0), seed)
-        return MixturePotential(ds, shards, batch_size=batch)
+        return MixturePotential(ds, shards, batch_size=batch), ds, shards
     if kind == "logistic":
         ds = make_surrogate_classification(n, dim, seed, density=0.5)
-        return LogisticPotential(ds, shards, batch_size=batch)
+        return LogisticPotential(ds, shards, batch_size=batch), ds, shards
     if kind == "gaussian":
         root = rng.standard_normal((dim, dim))
         return GaussianPotential(rng.standard_normal(dim),
-                                 root @ root.T + dim * np.eye(dim), m)
-    return ZeroPotential(dim)
+                                 root @ root.T + dim * np.eye(dim), m), None, None
+    return ZeroPotential(dim), None, None
 
 
 class TestGradAll:
@@ -432,19 +439,22 @@ class TestGradAll:
            spread=st.sampled_from([0.1, 1.0, 10.0]))
     def test_rows_match_grad_and_consume_the_same_draws(self, kind, sizes, dim,
                                                         batch, seed, spread):
-        pot = ragged_potential(kind, sizes, dim, batch, seed)
+        pot, ds, shards = ragged_potential(kind, sizes, dim, batch, seed)
         m, d = len(sizes), pot.props.dim
         z = spread * np.random.default_rng(seed + 1).standard_normal((m, d))
         batched, looped = NoiseModel(seed, m), NoiseModel(seed, m)
 
-        rows = pot.grad_all(z, batched)
-        ref = np.stack([pot.grad(i, z[i], looped.stream(i)) for i in range(m)])
+        rows = pot.grad_drawn(z, pot.draw(batched, 1)[0])
 
         assert rows.shape == (m, d)
         if kind == "gaussian":
             # the single-agent chain tests compare run against grad bitwise
+            ref = np.stack([pot.grad(i, z[i], None) for i in range(m)])
             assert np.array_equal(rows, ref)
+        elif kind == "zero":
+            assert np.array_equal(rows, np.zeros((m, d)))
         else:
+            ref = reference_agent_grads(pot, ds, shards, z, looped)
             np.testing.assert_allclose(rows, ref, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max())
         for i in range(m):
