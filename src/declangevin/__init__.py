@@ -26,7 +26,7 @@ from .models import (Dataset, GaussianDist, GaussianPotential, LinRegPotential,
                      generate_linreg_data, generate_mixture_data,
                      grad_U_linreg, grad_U_logistic, grad_U_mixture,
                      linreg_posterior, load_libsvm,
-                     make_surrogate_classification, partition, save_libsvm)
+                     make_surrogate_classification, partition)
 from .pushsum import (NetworkState, consensus_error, init_network,
                       pushsum_mix)
 from .trace import Trace, write_csv
@@ -88,7 +88,6 @@ __all__ = [
     "run",
     "run_experiment",
     "run_gaussian_ensemble",
-    "save_libsvm",
     "spectral_bounds",
     "step_size",
     "w2_gaussian_bures",

@@ -229,6 +229,14 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         raise ConfigError("batch must be 0 (full shard) or positive")
     if cfg.sigma_sq < 0:
         raise ConfigError("sigma_sq must be nonnegative")
+    if cfg.experiment == "run":
+        # the automatic step size divides by model_kappa
+        if not cfg.model_kappa > 0:
+            raise ConfigError("model_kappa must be positive")
+        if cfg.model_dim < 1:
+            raise ConfigError("model_dim must be at least 1")
+    elif cfg.experiment in ("linreg", "mixture") and cfg.n < 1:
+        raise ConfigError("n must be at least 1")
 
     sched = _build_schedule(cfg)
     if cfg.sigma_sq > 0 and np.sqrt(step_size(sched, 1)) > 1.0 / cfg.sigma_sq:
@@ -340,8 +348,6 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
     else:
         if cfg.model != "gaussian":
             raise ConfigError(f"unknown model {cfg.model!r}; registered: gaussian")
-        if cfg.model_kappa <= 0:
-            raise ConfigError("model_kappa must be positive")
         potential = GaussianPotential(np.zeros(cfg.model_dim),
                                       np.eye(cfg.model_dim) / cfg.model_kappa,
                                       cfg.agents)

@@ -33,7 +33,9 @@ GRAPH_KINDS = ("static", "periodic-list", "seeded-random")
 # oldest blocks of windows are dropped, to be generated again if asked for.
 _STORE_BYTES = 1 << 24
 # Steps per block of generated windows, which is also about how many steps
-# the connectivity check unites at once.
+# the connectivity check unites at once.  Part of the seeded-random law: the
+# max(1, 256 // B) windows of block k all draw from one generator seeded
+# [seed, k], so changing it changes every window.
 _BLOCK_STEPS = 256
 
 
@@ -113,117 +115,34 @@ def _strongly_connected(adj: np.ndarray) -> np.ndarray:
     return reach.all(axis=(-2, -1))
 
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier, as in
-# numpy/random/bit_generator.pyx and pcg64.h
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+def _random_windows(m: int, b: int, seed: int, k: int, count: int) -> np.ndarray:
+    """(count * b, m, m) adjacency of the count seeded-random windows of block k.
 
-
-def _hash_keys(const: int, mult: int, n: int) -> np.ndarray:
-    """(2, n, 1) uint32: the xor and multiply keys of n successive hashes."""
-    keys = [const]
-    for _ in range(n):
-        keys.append(keys[-1] * mult & _MASK32)
-    return np.array([keys[:-1], keys[1:]], dtype=np.uint32)[..., None]
-
-
-def _hash(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    v = (values ^ keys[0]) * keys[1]
-    return v ^ (v >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return r ^ (r >> 16)
-
-
-def _window_states(seed: int, w0: int, count: int) -> list:
-    """``(state, inc)`` of ``np.random.default_rng([seed, w]).bit_generator``
-    for the windows w = w0, ..., w0 + count - 1.
-
-    Runs numpy's SeedSequence over uint32 arrays, one lane per window: the
-    entropy is seed's 32-bit words followed by w, hashed into a pool of 4
-    words and drawn out as 4 uint64 words.  Every hash key depends on the
-    position alone, so the keys are shared by all lanes.  PCG64's seeding
-    step then runs in Python ints.
+    The block draws from one ``np.random.default_rng([seed, k])``: a random
+    Hamiltonian cycle per window, each of its edges placed in a random slot
+    of the window, then for every slot a random number of extra random
+    edges, of which self-loops change nothing.  Each of the four kinds of
+    draw is one call for the whole block.
     """
     if seed < 0:
         raise ValueError(f"graph seed must be nonnegative, got {seed}")
-    if w0 + count > 1 << 32:
-        raise ValueError(f"window index {w0 + count - 1} is past 2**32 - 1, "
-                         "the last window a graph seed covers")
-    words = []
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    n = len(words) + 1
-    entropy = np.zeros((max(n, 4), count), dtype=np.uint32)
-    entropy[:n - 1] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[n - 1] = np.arange(w0, w0 + count)
-    keys = _hash_keys(_INIT_A, _MULT_A, 16 + 4 * max(n - 4, 0))
-    pool = _hash(entropy[:4], keys[:, :4])
-    for src in range(4):
-        # the other three words take the hashes of this one, in turn
-        dst = [d for d in range(4) if d != src]
-        k = 4 + 3 * src
-        pool[dst] = _mix(pool[dst], _hash(pool[src], keys[:, k:k + 3]))
-    for i, word in enumerate(entropy[4:n]):
-        k = 16 + 4 * i
-        pool = _mix(pool, _hash(word, keys[:, k:k + 4]))
-    out = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_keys(_INIT_B, _MULT_B, 8))
-    out = out.astype(np.uint64)
-    # PCG64 takes the uint64 words as (seed high, seed low, increment high,
-    # increment low), steps once, adds the seed and steps again
-    states = []
-    for hi, lo, inc_hi, inc_lo in zip(*(out[1::2] << 32 | out[0::2]).tolist()):
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        states.append((((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
-
-
-def _random_windows(m: int, b: int, seed: int, w0: int, count: int) -> np.ndarray:
-    """(count * b, m, m) adjacency of the seeded-random windows w0, w0+1, ...
-
-    Window w draws from ``np.random.default_rng([seed, w])``: a random
-    Hamiltonian cycle, each of its edges placed in a random slot of the
-    window, then for every slot a random number of extra random edges, of
-    which self-loops change nothing.  One generator is re-seeded per window
-    with the states :func:`_window_states` derives for the whole block.
-    """
+    if k >= 1 << 32:
+        # past it k takes two 32-bit words of entropy, and [seed, k]
+        # collides with the blocks of other seeds
+        raise ValueError(f"block index {k} is past 2**32 - 1, "
+                         "the last block a graph seed covers")
     adj = np.zeros((count * b, m, m), dtype=bool)
     nodes = np.arange(m)
     adj[:, nodes, nodes] = True
     if m > 1:
-        states = _window_states(seed, w0, count)
-        bits = np.random.PCG64(0)
-        rng = np.random.Generator(bits)
-        state = bits.state
-        perms = np.empty((count, m), dtype=np.int64)
-        slots = np.zeros((count, m), dtype=np.int64)
-        extra, pairs = [], []
-        for w, (s, inc) in enumerate(states):
-            state["state"] = {"state": s, "inc": inc}
-            bits.state = state
-            perms[w] = rng.permutation(m)
-            # integers(0, 1, size=m) draws nothing, so B = 1 can skip it
-            if b > 1:
-                slots[w] = rng.integers(0, b, size=m)
-            for _ in range(b):
-                # no extra edges draws nothing, so the call can be skipped
-                k = int(rng.integers(0, m + 1))
-                extra.append(k)
-                if k:
-                    pairs.append(rng.integers(0, m, size=(k, 2)))
+        rng = np.random.default_rng([seed, k])
+        perms = rng.permuted(np.tile(nodes, (count, 1)), axis=1)
+        slots = rng.integers(0, b, size=(count, m))
+        extra = rng.integers(0, m + 1, size=count * b)
+        pairs = rng.integers(0, m, size=(extra.sum(), 2))
         succ = np.roll(nodes, -1)
         adj[b * np.arange(count)[:, None] + slots, perms[:, succ], perms] = True
-        if pairs:
-            pairs = np.concatenate(pairs)
-            adj[np.repeat(np.arange(count * b), extra), pairs[:, 1], pairs[:, 0]] = True
+        adj[np.repeat(np.arange(count * b), extra), pairs[:, 1], pairs[:, 0]] = True
     return adj
 
 
@@ -283,14 +202,14 @@ class DirectedGraphSequence:
 
     Three kinds are supported.  ``static`` repeats a single graph.
     ``periodic-list`` cycles through an explicit list.  ``seeded-random``
-    derives window w = t // window_len from (seed, w) alone: a random
-    Hamiltonian cycle is scattered over the window's slots and topped up
-    with random extra edges, so every window union is strongly connected by
-    construction and any time index can be generated independently.
-    Window w takes the draws of ``np.random.default_rng([seed, w])``, so
-    the seed must be nonnegative and w below 2**32.  The generator states
-    of a block of windows are derived in one vectorised pass of numpy's
-    SeedSequence, and one generator is re-seeded for each window.
+    groups the windows of window_len steps into blocks of
+    n = max(1, 256 // window_len) windows and derives block k from
+    (seed, k) alone: each window is a random Hamiltonian cycle scattered
+    over the window's slots and topped up with random extra edges, so every
+    window union is strongly connected by construction and any block can be
+    generated independently.  Block k takes the draws of one
+    ``np.random.default_rng([seed, k])``, so the seed must be nonnegative
+    and k below 2**32.
 
     Every kind is held as boolean adjacency, one (m, m) matrix per step.
     Explicit graphs are converted once.  Seeded-random windows are
@@ -338,9 +257,8 @@ class DirectedGraphSequence:
         """Adjacency of the steps of seeded-random block k, from the store."""
         block = self._store.get(k)
         if block is None:
-            n = self._block_windows
             block = _random_windows(self.num_nodes, self.window_len, self.seed,
-                                    k * n, n)
+                                    k, self._block_windows)
             block.flags.writeable = False
             while self._store and (len(self._store) + 1) * block.nbytes > _STORE_BYTES:
                 del self._store[next(iter(self._store))]
@@ -397,14 +315,16 @@ def generate_graph_sequence(kind: str, num_nodes: int, window_len: int = 1,
         ``static`` repeats ``graphs[0]`` (a single random strongly connected
         graph is generated from ``seed`` when no graph is given).
         ``periodic-list`` cycles through ``graphs``.  ``seeded-random`` draws
-        an independent window of graphs for every block of ``window_len``
-        iterations; each window union is strongly connected by construction.
+        a window of graphs for every ``window_len`` iterations, a block of
+        windows per generator; each window union is strongly connected by
+        construction.
     num_nodes : int
     window_len : int
         Window length B over which unions must be strongly connected.
     seed : int
-        Seed for the random kinds; a given (seed, window index) pair always
-        yields the same graphs.
+        Seed for the random kinds; a given (seed, block index) pair always
+        yields the same graphs, a block being max(1, 256 // window_len)
+        windows.
     graphs : sequence of DirectedGraph, optional
         Explicit graphs for the static and periodic-list kinds.
 

@@ -28,7 +28,6 @@ __all__ = [
     "grad_U_mixture",
     "grad_U_logistic",
     "load_libsvm",
-    "save_libsvm",
     "make_surrogate_classification",
     "partition",
     "LinRegPotential",
@@ -312,18 +311,6 @@ def load_libsvm(path, num_features: int | None = None) -> Dataset:
         for idx, val in row:
             feats[i, idx - 1] = val
     return Dataset(features=feats, targets=np.asarray(labels))
-
-
-def save_libsvm(ds: Dataset, path) -> None:
-    """Write a dataset in the sparse 'label idx:val ...' text format."""
-    with open(path, "w") as fh:
-        for i in range(ds.n):
-            toks = [f"{int(ds.targets[i]):+d}"]
-            row = ds.features[i]
-            for j in np.nonzero(row)[0]:
-                val = row[j]
-                toks.append(f"{j + 1}:{int(val) if val == int(val) else repr(float(val))}")
-            fh.write(" ".join(toks) + "\n")
 
 
 def make_surrogate_classification(n: int, dim: int, seed: int,

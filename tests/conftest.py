@@ -48,11 +48,39 @@ def alternating_pairs_seq():
     return generate_graph_sequence("periodic-list", 4, 2, graphs=[even, odd])
 
 
-def reference_window(num_nodes, window_len, seed, w):
-    """The graphs of seeded-random window w, built edge by edge as sets.
+def reference_block(num_nodes, window_len, seed, k, count):
+    """The graphs of the count seeded-random windows of block k, built edge
+    by edge as sets.
 
-    This is how the package generated windows before it held them as
-    adjacency arrays; its generator must still take the same draws.
+    The block's draws come from one ``default_rng([seed, k])``: every
+    window's cycle by its own ``permutation`` call, then every window's
+    slots, every slot's number of extra edges and all the extra edges.
+    """
+    m, b = num_nodes, window_len
+    rng = np.random.default_rng([seed, k])
+    slot_edges = [set() for _ in range(count * b)]
+    if m > 1:
+        perms = [rng.permutation(m) for _ in range(count)]
+        slots = rng.integers(0, b, size=(count, m))
+        extra = rng.integers(0, m + 1, size=count * b)
+        pairs = iter(rng.integers(0, m, size=(int(extra.sum()), 2)).tolist())
+        for w, perm in enumerate(perms):
+            for i in range(m):
+                edge = (int(perm[i]), int(perm[(i + 1) % m]))
+                slot_edges[w * b + slots[w, i]].add(edge)
+        for s, n_extra in enumerate(extra):
+            for _ in range(n_extra):
+                u, v = next(pairs)
+                if u != v:
+                    slot_edges[s].add((u, v))
+    return tuple(DirectedGraph(m, frozenset(e)) for e in slot_edges)
+
+
+def reference_window(num_nodes, window_len, seed, w):
+    """The graphs of window w under the package's earlier law, one
+    ``default_rng([seed, w])`` per window, built edge by edge as sets.
+
+    A static sequence without graphs still takes window 0 of it at B = 1.
     """
     m, b = num_nodes, window_len
     rng = np.random.default_rng([seed, w])
@@ -69,6 +97,19 @@ def reference_window(num_nodes, window_len, seed, w):
                 if u != v:
                     slot_edges[s].add((int(u), int(v)))
     return tuple(DirectedGraph(m, frozenset(e)) for e in slot_edges)
+
+
+def save_libsvm(ds, path):
+    """Write a dataset in the sparse 'label idx:val ...' text format that
+    ``load_libsvm`` reads."""
+    with open(path, "w") as fh:
+        for i in range(ds.n):
+            toks = [f"{int(ds.targets[i]):+d}"]
+            row = ds.features[i]
+            for j in np.nonzero(row)[0]:
+                val = row[j]
+                toks.append(f"{j + 1}:{int(val) if val == int(val) else repr(float(val))}")
+            fh.write(" ".join(toks) + "\n")
 
 
 def reference_mixing(g):

@@ -16,12 +16,21 @@ from declangevin import (ConfigError, Dataset, GaussianDist, Trace,
                          build_config, generate_linreg_data, linreg_posterior,
                          linreg_w2_series, logistic_auc_series, main,
                          make_surrogate_classification, prepare,
-                         run_experiment, save_libsvm, spectral_bounds,
-                         step_size)
+                         run_experiment, spectral_bounds, step_size)
 from declangevin import cli as cli_module
 from declangevin.cli import _FIELD_TYPES, ExperimentConfig, load_config_file
 
-from conftest import reference_auc_series
+from conftest import reference_auc_series, save_libsvm
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail the test on any numpy generator being built."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(np.random, "Generator", fail)
+    monkeypatch.setattr(np.random, "default_rng", fail)
 
 
 class TestBuildConfig:
@@ -402,24 +411,30 @@ class TestMain:
         (["--schedule", "power", "--alpha0", "0.1", "--sched_offset", "nan"],
          "offset")])
     def test_non_finite_schedule_exits_before_any_draw(
-            self, flags, field, tmp_path, capsys, monkeypatch):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("a draw was made")
-
-        monkeypatch.setattr(np.random, "Generator", no_draws)
+            self, flags, field, tmp_path, capsys, no_draws):
         code = main(["run", *flags, "--iters", "10", "--out",
                      str(tmp_path / "a.csv")])
         assert code == 2
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--model_kappa", "0"], "model_kappa must be positive"),
+        (["run", "--model_kappa", "-1"], "model_kappa must be positive"),
+        (["run", "--model_dim", "0"], "model_dim must be at least 1"),
+        (["run", "--model_dim", "-1"], "model_dim must be at least 1"),
+        (["linreg", "--n", "0"], "n must be at least 1"),
+        (["mixture", "--n", "-1"], "n must be at least 1")])
+    def test_bad_model_or_data_size_exits_before_any_draw(
+            self, argv, message, tmp_path, capsys, no_draws):
+        code = main([*argv, "--iters", "10", "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("kind", ["seeded-random", "static"])
     def test_negative_graph_seed_exits_before_any_draw(
-            self, kind, tmp_path, capsys, monkeypatch):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("a graph was drawn")
-
-        monkeypatch.setattr(np.random, "Generator", no_draws)
+            self, kind, tmp_path, capsys, no_draws):
         code = main(["run", "--graph_kind", kind, "--graph_seed", "-1",
                      "--iters", "10", "--out", str(tmp_path / "g.csv")])
         assert code == 2

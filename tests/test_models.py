@@ -14,11 +14,10 @@ from declangevin import (Dataset, GaussianDist, GaussianPotential,
                          generate_linreg_data, generate_mixture_data,
                          grad_U_linreg, grad_U_logistic, grad_U_mixture,
                          linreg_posterior, load_libsvm,
-                         make_surrogate_classification, partition,
-                         save_libsvm)
+                         make_surrogate_classification, partition)
 from declangevin.models import _sigmoid
 
-from conftest import central_fd, reference_agent_grads
+from conftest import central_fd, reference_agent_grads, save_libsvm
 
 
 def linreg_neg_log_post(z, feats, targs, prior, sigma):
