@@ -111,6 +111,12 @@ _DEFAULTS = {
 # batch 0 means the full shard; the mixture gradient uses each node's whole
 # sample set, the regression experiments subsample
 _DEFAULT_BATCH = {"linreg": 1, "mixture": 0, "logistic": 32, "run": 0}
+# Fields of each experiment that must be positive, and counts that must be
+# at least 1; prepare checks them before anything is drawn.
+_POSITIVE = {"run": ("model_kappa",), "linreg": ("data_sigma",),
+             "mixture": ("sigma_x_sq", "prior_var1", "prior_var2")}
+_AT_LEAST_ONE = {"run": ("model_dim",), "linreg": ("n",), "mixture": ("n",),
+                 "logistic": ("dims",)}
 
 # test scores held at once while the AUC series is computed: about 40
 # states' scores on a 6512-row test set
@@ -229,14 +235,14 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         raise ConfigError("batch must be 0 (full shard) or positive")
     if cfg.sigma_sq < 0:
         raise ConfigError("sigma_sq must be nonnegative")
-    if cfg.experiment == "run":
-        # the automatic step size divides by model_kappa
-        if not cfg.model_kappa > 0:
-            raise ConfigError("model_kappa must be positive")
-        if cfg.model_dim < 1:
-            raise ConfigError("model_dim must be at least 1")
-    elif cfg.experiment in ("linreg", "mixture") and cfg.n < 1:
-        raise ConfigError("n must be at least 1")
+    # model and data fields, written as "not x > 0" so that NaN fails; the
+    # automatic step size of run divides by model_kappa
+    for name in _POSITIVE.get(cfg.experiment, ()):
+        if not getattr(cfg, name) > 0:
+            raise ConfigError(f"{name} must be positive")
+    for name in _AT_LEAST_ONE.get(cfg.experiment, ()):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be at least 1")
 
     sched = _build_schedule(cfg)
     if cfg.sigma_sq > 0 and np.sqrt(step_size(sched, 1)) > 1.0 / cfg.sigma_sq:
@@ -286,8 +292,6 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
 
     if cfg.experiment == "linreg":
         true_w = _parse_true_w(cfg)
-        if cfg.data_sigma <= 0:
-            raise ConfigError("data_sigma must be positive")
         ds = generate_linreg_data(cfg.n, cfg.dims, cfg.data_sigma, true_w, cfg.seed)
         shards = _shard(ds, cfg)
         prior = GaussianDist(np.zeros(cfg.dims), np.eye(cfg.dims))
@@ -302,8 +306,6 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
                         true_w=cfg.true_w,
                         shard_sizes=_sizes(shards))
     elif cfg.experiment == "mixture":
-        if cfg.sigma_x_sq <= 0:
-            raise ConfigError("sigma_x_sq must be positive")
         sigma_x = float(np.sqrt(cfg.sigma_x_sq))
         ds = generate_mixture_data(cfg.n, cfg.theta1, cfg.theta2, sigma_x, cfg.seed)
         shards = _shard(ds, cfg)

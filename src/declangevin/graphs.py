@@ -29,9 +29,6 @@ __all__ = [
 
 GRAPH_KINDS = ("static", "periodic-list", "seeded-random")
 
-# Bytes of window adjacency a seeded-random sequence keeps.  Past it the
-# oldest blocks of windows are dropped, to be generated again if asked for.
-_STORE_BYTES = 1 << 24
 # Steps per block of generated windows, which is also about how many steps
 # the connectivity check unites at once.  Part of the seeded-random law: the
 # max(1, 256 // B) windows of block k all draw from one generator seeded
@@ -213,10 +210,9 @@ class DirectedGraphSequence:
 
     Every kind is held as boolean adjacency, one (m, m) matrix per step.
     Explicit graphs are converted once.  Seeded-random windows are
-    generated in blocks of about 256 steps into a store of at most 16 MiB,
-    which drops its oldest blocks first, so a window the connectivity check
-    generated is generated again by a run only when the horizon outgrew
-    the store.  :meth:`fill_mixing` turns a block of steps into mixing
+    generated in blocks of about 256 steps, and only the last block
+    generated is kept, so a reader that goes forward in time generates each
+    block once.  :meth:`fill_mixing` turns a block of steps into mixing
     matrices in one call; :meth:`graph_at` and :meth:`mixing_at` build
     single-step views of the same arrays on every call.
     """
@@ -251,19 +247,17 @@ class DirectedGraphSequence:
                 raise ValueError("seeded-random kind generates its own graphs")
             self.graphs = ()
             self._block_windows = max(1, _BLOCK_STEPS // self.window_len)
-            self._store: dict = {}
+            self._last = (-1, None)
 
     def _block(self, k: int) -> np.ndarray:
-        """Adjacency of the steps of seeded-random block k, from the store."""
-        block = self._store.get(k)
-        if block is None:
+        """Adjacency of the steps of seeded-random block k."""
+        last = self._last
+        if last[0] != k:
             block = _random_windows(self.num_nodes, self.window_len, self.seed,
                                     k, self._block_windows)
             block.flags.writeable = False
-            while self._store and (len(self._store) + 1) * block.nbytes > _STORE_BYTES:
-                del self._store[next(iter(self._store))]
-            self._store[k] = block
-        return block
+            self._last = last = (k, block)
+        return last[1]
 
     def _adjacency(self, t0: int, n: int) -> np.ndarray:
         """(n, m, m) adjacency of steps t0..t0+n-1, read-only."""

@@ -94,6 +94,8 @@ class StepSchedule:
             raise ValueError("horizon must be at least 1")
         if not 0 < alpha_end < alpha_start:
             raise ValueError("need 0 < alpha_end < alpha_start")
+        if not 0 < exponent <= 1:
+            raise ValueError("power schedule exponent must lie in (0, 1]")
         ratio = (alpha_start / alpha_end) ** (1.0 / exponent)
         offset = horizon / (ratio - 1.0)
         alpha0 = alpha_start * offset ** exponent
@@ -387,14 +389,14 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     size, and the chunks run in a thread pool with one thread per usable
     core at most; the runs share nothing but the mixing matrices, so the
     chunks never communicate.  The chunks advance together in blocks of
-    256 steps, whose mixing matrices the calling thread fills while the
-    chunks run through the previous block, so memory does not grow with
-    the horizon.  When a chunk raises, or the caller is interrupted, every
-    chunk stops at its next step.  Within a chunk the state is agent-major,
-    (m, d, runs): row i holds agent i's values in every run of the chunk,
-    so each step mixes them with one matrix product through the same
-    push-sum kernel as a single run, and the update works on contiguous
-    (m, runs) columns, one per coordinate.
+    256 steps: the calling thread fills one block of mixing matrices, then
+    every chunk runs through it, so memory does not grow with the horizon.
+    When a chunk raises, or the caller is interrupted, every chunk stops at
+    its next step.  Within a chunk the state is agent-major, (m, d, runs):
+    row i holds agent i's values in every run of the chunk, so each step
+    mixes them with one matrix product through the same push-sum kernel as
+    a single run, and the update is one batched product with the target's
+    precision matrix.
 
     Parameters
     ----------
@@ -450,93 +452,66 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     # set when a chunk raises or the caller is interrupted; every chunk
     # then stops at its next step
     stop = threading.Event()
+    parts = np.array_split(np.arange(num_runs), -(-num_runs // _CHUNK_RUNS))
+    bounds = [(int(p[0]), int(p[-1]) + 1) for p in parts]
+    xs = [np.zeros((m, d, r1 - r0)) for r0, r1 in bounds]
+    ys = [np.ones(m) for _ in bounds]
+    rngs = [np.random.default_rng([seed, c]) for c in range(len(bounds))]
 
-    def chunk(c: int, r0: int, r1: int):
-        """Runs r0:r1, snapshots written in place.  A generator: each block
-        of mixing matrices sent to it advances the runs through those
-        steps, after which it yields (iteration, agent) of a divergence,
-        or None."""
-        r = r1 - r0
-        x = np.zeros((m, d, r))
-        w = np.empty_like(x)
-        z = np.empty_like(x)
-        y = np.ones(m)
-        term = np.empty((m, r))
-        rows = (m, d * r)
-        if noise_draw is None:
-            rng = np.random.default_rng([seed, c])
-            normals = np.empty((r, m, d))
-        t, failure = 0, None
-        block = yield
-        while True:
-            for entries in block:
+    def advance(c: int, t0: int, block: np.ndarray):
+        """Runs chunk c through steps t0 .. t0+len(block)-1 and returns
+        (iteration, agent) of a divergence at a checkpoint, or None."""
+        try:
+            (r0, r1), x, y = bounds[c], xs[c], ys[c]
+            rows = (m, d * (r1 - r0))
+            w, z = np.empty_like(x), np.empty_like(x)
+            normals = np.empty((r1 - r0, m, d))
+            for t in range(t0, t0 + len(block)):
                 if stop.is_set():
                     break
-                _, y, _ = _mix(entries, x.reshape(rows), y, t,
+                _, y, _ = _mix(block[t - t0], x.reshape(rows), y, t,
                                w=w.reshape(rows), z=z.reshape(rows))
                 alpha = step_size(sched, t + 1)
-                scale = np.sqrt(2.0 * alpha)
                 if noise_draw is None:
-                    drawn = rng.standard_normal(out=normals)
+                    drawn = rngs[c].standard_normal(out=normals)
                 else:
                     drawn = noise_draw(t)[r0:r1]
-                # x = w - alpha (z - mean) P^T / m + sqrt(2 alpha) noise,
-                # per coordinate
-                coef = (alpha / m) * precision
-                shift = coef @ target_mean
-                for k in range(d):
-                    xk = x[:, k]
-                    np.multiply(drawn[:, :, k].T, scale, out=xk)
-                    xk += w[:, k]
-                    for l in range(d):
-                        np.multiply(z[:, l], coef[k, l], out=term)
-                        xk -= term
-                    xk += shift[k]
-                t += 1
-                if t in want:
+                # x = sqrt(2 alpha) xi + w - (alpha / m) P (z - mean)
+                z -= target_mean[:, None]
+                np.matmul(precision, z, out=x)
+                x *= -alpha / m
+                x += w
+                np.multiply(drawn.transpose(1, 2, 0), np.sqrt(2.0 * alpha), out=z)
+                x += z
+                if t + 1 in want:
                     finite = np.isfinite(x).all(axis=(1, 2))
                     if not finite.all():
-                        failure = t, int(np.argmin(finite))
-                        break
-                    snaps[want[t], r0:r1] = x.mean(axis=0).T
-            block = yield failure
-
-    def advance(runs, block):
-        try:
-            return runs.send(block)
+                        return t + 1, int(np.argmin(finite))
+                    snaps[want[t + 1], r0:r1] = x.mean(axis=0).T
+            ys[c] = y
+            return None
         except BaseException:
             stop.set()
             raise
 
-    parts = np.array_split(np.arange(num_runs), -(-num_runs // _CHUNK_RUNS))
-    chunks = [chunk(c, int(p[0]), int(p[-1]) + 1) for c, p in enumerate(parts)]
-    for runs in chunks:
-        next(runs)
-    # two buffers of mixing matrices, filled here and not in the workers
-    # (the sequence's window store is not thread-safe): the next block is
-    # filled while the chunks run through the current one
-    mixing = np.empty((2, min(_MIXING_BLOCK, horizon), m, m))
-
-    def fill(t0):
-        return seq.fill_mixing(t0, mixing[t0 // _MIXING_BLOCK % 2,
-                                          :horizon - t0])
-
-    block = fill(0)
-    with ThreadPoolExecutor(_worker_count(len(chunks))) as pool:
-        for t0 in range(0, horizon, _MIXING_BLOCK):
-            # each task runs in a copy of the caller's context, which
-            # carries its numpy error state
-            futures = [pool.submit(contextvars.copy_context().run, advance,
-                                   runs, block) for runs in chunks]
-            try:
-                if t0 + _MIXING_BLOCK < horizon:
-                    block = fill(t0 + _MIXING_BLOCK)
+    # one block of mixing matrices, filled here and not in the workers (the
+    # sequence's window memo is not thread-safe) before the chunks run it
+    mixing = np.empty((min(_MIXING_BLOCK, horizon), m, m))
+    with ThreadPoolExecutor(_worker_count(len(bounds))) as pool:
+        try:
+            for t0 in range(0, horizon, _MIXING_BLOCK):
+                block = seq.fill_mixing(t0, mixing[:horizon - t0])
+                # each task runs in a copy of the caller's context, which
+                # carries its numpy error state
+                futures = [pool.submit(contextvars.copy_context().run,
+                                       advance, c, t0, block)
+                           for c in range(len(bounds))]
                 failures = [f.result() for f in futures]
-            except BaseException:
-                stop.set()
-                raise
-            failures = [f for f in failures if f is not None]
-            if failures:
-                iteration, agent = min(failures)
-                raise DivergenceError(agent=agent, iteration=iteration)
+                failures = [f for f in failures if f is not None]
+                if failures:
+                    iteration, agent = min(failures)
+                    raise DivergenceError(agent=agent, iteration=iteration)
+        except BaseException:
+            stop.set()
+            raise
     return snaps

@@ -79,8 +79,9 @@ def write_csv(path, metadata: dict, header, rows) -> None:
         Output file, overwritten if present.
     metadata : dict
         Written first as '# key=value' comment lines, in insertion order.
-        Keep values free of newlines; no timestamps belong here, the same
-        inputs must produce the same bytes.
+        A key or value that holds a line break raises ValueError before the
+        file is opened.  No timestamps belong here: the same inputs must
+        produce the same bytes.
     header : sequence of str
         Column names.
     rows : iterable of sequences
@@ -90,9 +91,13 @@ def write_csv(path, metadata: dict, header, rows) -> None:
         bytes ``csv.writer`` would write for them; other rows go through
         the writer value by value.
     """
+    lines = [f"{key}={_format(value)}" for key, value in metadata.items()]
+    for key, line in zip(metadata, lines):
+        if "\r" in line or "\n" in line:
+            raise ValueError(f"metadata entry {key!r} holds a line break")
     with open(path, "w", newline="") as fh:
-        for key, value in metadata.items():
-            fh.write(f"# {key}={_format(value)}\r\n")
+        for line in lines:
+            fh.write(f"# {line}\r\n")
         writer = csv.writer(fh)
         writer.writerow(list(header))
         for row in rows:

@@ -424,13 +424,28 @@ class TestMain:
         (["run", "--model_dim", "0"], "model_dim must be at least 1"),
         (["run", "--model_dim", "-1"], "model_dim must be at least 1"),
         (["linreg", "--n", "0"], "n must be at least 1"),
-        (["mixture", "--n", "-1"], "n must be at least 1")])
+        (["mixture", "--n", "-1"], "n must be at least 1"),
+        (["linreg", "--data_sigma", "nan"], "data_sigma must be positive"),
+        (["mixture", "--sigma_x_sq", "nan"], "sigma_x_sq must be positive"),
+        (["mixture", "--prior_var1", "-1"], "prior_var1 must be positive"),
+        (["mixture", "--prior_var1", "nan"], "prior_var1 must be positive"),
+        (["mixture", "--prior_var2", "0"], "prior_var2 must be positive"),
+        (["logistic", "--surrogate", "on", "--dims", "0"],
+         "dims must be at least 1")])
     def test_bad_model_or_data_size_exits_before_any_draw(
             self, argv, message, tmp_path, capsys, no_draws):
         code = main([*argv, "--iters", "10", "--out", str(tmp_path / "s.csv")])
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+    def test_schedule_exponent_of_zero_exits_before_any_draw(
+            self, tmp_path, capsys, no_draws):
+        code = main(["linreg", "--sched_p", "0", "--out",
+                     str(tmp_path / "p.csv")])
+        assert code == 2
+        assert "exponent must lie in (0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("kind", ["seeded-random", "static"])
     def test_negative_graph_seed_exits_before_any_draw(

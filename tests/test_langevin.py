@@ -1,5 +1,6 @@
 """Schedules, noise streams, the network update and the ensemble runner."""
 
+import signal
 import sys
 import threading
 import time
@@ -61,6 +62,12 @@ class TestStepSchedule:
             StepSchedule.power_from_endpoints(0.0005, 0.008, 0.65, 200)
         with pytest.raises(ValueError):
             StepSchedule.power_from_endpoints(0.008, 0.0005, 0.65, 0)
+
+    @pytest.mark.parametrize("exponent", [0.0, -0.5, 1.5, float("nan")])
+    def test_endpoint_solver_checks_the_exponent_before_dividing_by_it(
+            self, exponent):
+        with pytest.raises(ValueError, match=r"exponent must lie in \(0, 1\]"):
+            StepSchedule.power_from_endpoints(0.008, 0.0005, exponent, 200)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -753,25 +760,20 @@ class TestEnsembleChunks:
         assert max(calls) < 100
 
     def test_an_interrupt_in_the_caller_stops_every_chunk(self, monkeypatch):
-        # the caller fills the second block while the chunks run the first;
-        # an interrupt there must not wait for the chunks to finish it
+        # a SIGINT reaches the caller while it waits on a block of 1000
+        # steps; it must not wait for the chunks to finish that block
         self.small_chunks(monkeypatch, 2, 2)
         monkeypatch.setattr(langevin_module, "_MIXING_BLOCK", 1000)
         seq = generate_graph_sequence("seeded-random", 3, 1, seed=0)
-        lookup = seq.fill_mixing
         calls = []
-
-        def fill_mixing(t0, out):
-            if t0 == 1000:
-                raise KeyboardInterrupt
-            return lookup(t0, out)
 
         def draw(t):
             calls.append(t)
+            if t == 5:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
             time.sleep(1e-3)
             return np.zeros((4, 3, 2))
 
-        monkeypatch.setattr(seq, "fill_mixing", fill_mixing)
         with pytest.raises(KeyboardInterrupt):
             run_gaussian_ensemble(seq, StepSchedule("harmonic", 1.0),
                                   np.zeros(2), np.eye(2), 3, 2000, 4, 0,

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 import sys
 import tracemalloc
 
@@ -56,6 +57,16 @@ class TestWriteCsv:
         expected = (b"# a=1\r\n# b=2.5\r\n# c=true\r\n# d=x\r\n"
                     b"t,v\r\n0,0.1\r\n1,nan\r\n")
         assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("metadata, key", [
+        ({"true_w": "1.0,\n-1.0"}, "true_w"), ({"a": 1, "dataset": "x\ry"}, "dataset"),
+        ({"a\nb": 1}, "a\nb")])
+    def test_a_line_break_in_metadata_raises_before_the_file_is_opened(
+            self, metadata, key, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            write_csv(path, metadata, ["t"], [[0]])
+        assert not path.exists()
 
     def test_floats_round_trip_through_repr(self, tmp_path):
         values = [1.0 / 3.0, 1e-300, 0.1 + 0.2, -7.5e17]
