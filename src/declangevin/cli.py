@@ -219,6 +219,11 @@ def _parse_true_w(cfg: ExperimentConfig) -> np.ndarray:
 
 def prepare(cfg: ExperimentConfig) -> RunSetup:
     """Validate a configuration and build the objects it describes."""
+    # a line break would split the CSV's metadata lines
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, str) and ("\r" in value or "\n" in value):
+            raise ConfigError(f"{f.name} holds a line break")
     if cfg.agents < 1:
         raise ConfigError("agents must be at least 1")
     if cfg.iters < 1:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DirectedGraphSequence, MixingMatrix
-from .pushsum import NetworkState, _mix
+from .pushsum import NetworkState, _weights
 from .trace import Trace
 
 __all__ = [
@@ -222,24 +222,33 @@ def _draws(sched: StepSchedule, potential: Potential,
     return alphas, potential.draw(noise, steps), gauss
 
 
-def _step(entries: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray,
-          z: np.ndarray, out: np.ndarray, t: int, alpha: float,
-          potential: Potential, drawn, gauss: np.ndarray | None) -> np.ndarray:
-    """One iteration on agent-major (m, d) buffers.
+def _step(mixing: np.ndarray, y: np.ndarray, xs: np.ndarray, ws: np.ndarray,
+          zs: np.ndarray, t0: int, alphas, potential: Potential, drawn,
+          gauss) -> np.ndarray:
+    """Steps t0 .. t0+len(mixing)-1 on agent-major (m, d) buffers.
 
-    Mixes x into (w, y, z), then writes w - alpha g(z) + gauss, alpha =
-    alpha(t+1), into ``out``; ``drawn`` and ``gauss`` are the step's
-    entries from :func:`_draws`.  Returns the mixed weights y.
+    Step k mixes xs[k] into ws[k], divides it by the push-sum weights into
+    zs[k+1] and writes ws[k] - alphas[k] g(zs[k+1]) + gauss[k] into xs[k+1],
+    with the entries from :func:`_draws` and ``y`` the weights at t0.
+    Returns the weights after each step.  The steps stop before a weight
+    underflow, so a divergence before it raises first.
     """
-    _, y, _ = _mix(entries, x, y, t, w=w, z=z)
-    np.multiply(potential.grad_drawn(z, drawn), alpha, out=out)
-    np.subtract(w, out, out=out)
-    if gauss is not None:
-        out += gauss
-    if not np.isfinite(out).all():
-        bad = int(np.argmin(np.isfinite(out).all(axis=1)))
-        raise DivergenceError(agent=bad, iteration=t + 1)
-    return y
+    ys, underflow = _weights(mixing, y, t0)
+    for a, x, w, z, out, yk, alpha, dk, g in zip(
+            mixing, xs, ws, zs[1:], xs[1:], ys[:, :, None], alphas, drawn, gauss):
+        np.matmul(a, x, out=w)
+        np.divide(w, yk, out=z)
+        np.multiply(potential.grad_drawn(z, dk), alpha, out=out)
+        np.subtract(w, out, out=out)
+        if g is not None:
+            out += g
+    # (step, agent) pairs in order: the first is the earliest, lowest agent
+    bad = np.argwhere(~np.isfinite(xs[1:len(ys) + 1]).all(axis=2))
+    if len(bad):
+        raise DivergenceError(agent=int(bad[0, 1]), iteration=t0 + int(bad[0, 0]) + 1)
+    if underflow is not None:
+        raise underflow
+    return ys
 
 
 def langevin_step(ns: NetworkState, mix: MixingMatrix, sched: StepSchedule,
@@ -260,12 +269,12 @@ def langevin_step(ns: NetworkState, mix: MixingMatrix, sched: StepSchedule,
     if mix.graph.num_nodes != m:
         raise ValueError(f"graph has {mix.graph.num_nodes} nodes but the state has {m} agents")
     _check_agents(potential, m)
-    x = np.asarray(ns.x, dtype=float)
-    alphas, drawn, gauss = _draws(sched, potential, noise, ns.t, 1, x.shape[1])
-    out, w, z = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    y = _step(mix.entries, x, ns.y, w, z, out, ns.t, alphas[0], potential,
-              drawn[0], gauss[0])
-    return NetworkState(x=out, y=y, w=w, z=z, t=ns.t + 1)
+    alphas, drawn, gauss = _draws(sched, potential, noise, ns.t, 1, ns.dim)
+    xs = np.array([ns.x, ns.x], dtype=float)
+    ws, zs = np.empty_like(xs[1:]), np.empty_like(xs)
+    ys = _step(mix.entries[None], ns.y, xs, ws, zs, ns.t, alphas, potential,
+               drawn, gauss)
+    return NetworkState(x=xs[1], y=ys[0], w=ws[0], z=zs[1], t=ns.t + 1)
 
 
 def average_state(ns: NetworkState) -> np.ndarray:
@@ -347,9 +356,8 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
         n = min(_MIXING_BLOCK, num_iters - t0)
         alpha, drawn, gauss = _draws(sched, potential, noise, t0, n, d)
         seq.fill_mixing(t0, mixing[:n])
-        for k in range(n):
-            y = _step(mixing[k], xs[k], y, ws[k], zs[k + 1], xs[k + 1],
-                      t0 + k, alpha[k], potential, drawn[k], gauss[k])
+        y = _step(mixing[:n], y, xs, ws, zs, t0, alpha, potential, drawn,
+                  gauss)[-1]
         # xbar[k] is the network average at iteration t0 + k
         xbar = xs[:n + 1].sum(axis=1)[:, None] / m
         zdev[t0:t0 + n] = _row_norms(zs[1:n + 1] - xbar[:n])
@@ -387,16 +395,17 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
 
     The runs are split into chunks of at most 4096 runs, near-equal in
     size, and the chunks run in a thread pool with one thread per usable
-    core at most; the runs share nothing but the mixing matrices, so the
-    chunks never communicate.  The chunks advance together in blocks of
-    256 steps: the calling thread fills one block of mixing matrices, then
+    core at most; the runs share nothing but the mixing matrices and the
+    push-sum weights, so the chunks never communicate.  The chunks advance
+    together in blocks of 256 steps: the calling thread fills one block of
+    mixing matrices and runs the weight recursion through it once, then
     every chunk runs through it, so memory does not grow with the horizon.
     When a chunk raises, or the caller is interrupted, every chunk stops at
     its next step.  Within a chunk the state is agent-major, (m, d, runs):
     row i holds agent i's values in every run of the chunk, so each step
-    mixes them with one matrix product through the same push-sum kernel as
-    a single run, and the update is one batched product with the target's
-    precision matrix.
+    mixes them with one matrix product and one division by the weights, as
+    a single run does, and the update is one batched product with the
+    target's precision matrix.
 
     Parameters
     ----------
@@ -428,6 +437,8 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
         checkpoint over all runs, and there the lowest agent.  The last
         iteration is always a checkpoint, and mixing cannot make a
         non-finite value finite again, so no divergence goes unreported.
+    FloatingPointError
+        If a push-sum weight underflows before any such checkpoint.
     """
     target_mean = np.asarray(target_mean, dtype=float)
     target_cov = np.asarray(target_cov, dtype=float)
@@ -455,22 +466,22 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     parts = np.array_split(np.arange(num_runs), -(-num_runs // _CHUNK_RUNS))
     bounds = [(int(p[0]), int(p[-1]) + 1) for p in parts]
     xs = [np.zeros((m, d, r1 - r0)) for r0, r1 in bounds]
-    ys = [np.ones(m) for _ in bounds]
     rngs = [np.random.default_rng([seed, c]) for c in range(len(bounds))]
 
-    def advance(c: int, t0: int, block: np.ndarray):
-        """Runs chunk c through steps t0 .. t0+len(block)-1 and returns
-        (iteration, agent) of a divergence at a checkpoint, or None."""
+    def advance(c: int, t0: int, block: np.ndarray, ys: np.ndarray):
+        """Runs chunk c through steps t0 .. t0+len(ys)-1, with push-sum
+        weights ``ys``, and returns (iteration, agent) of a divergence at a
+        checkpoint, or None."""
         try:
-            (r0, r1), x, y = bounds[c], xs[c], ys[c]
+            (r0, r1), x = bounds[c], xs[c]
             rows = (m, d * (r1 - r0))
             w, z = np.empty_like(x), np.empty_like(x)
             normals = np.empty((r1 - r0, m, d))
-            for t in range(t0, t0 + len(block)):
+            for t, y in enumerate(ys[:, :, None, None], start=t0):
                 if stop.is_set():
                     break
-                _, y, _ = _mix(block[t - t0], x.reshape(rows), y, t,
-                               w=w.reshape(rows), z=z.reshape(rows))
+                np.matmul(block[t - t0], x.reshape(rows), out=w.reshape(rows))
+                np.divide(w, y, out=z)
                 alpha = step_size(sched, t + 1)
                 if noise_draw is None:
                     drawn = rngs[c].standard_normal(out=normals)
@@ -488,7 +499,6 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
                     if not finite.all():
                         return t + 1, int(np.argmin(finite))
                     snaps[want[t + 1], r0:r1] = x.mean(axis=0).T
-            ys[c] = y
             return None
         except BaseException:
             stop.set()
@@ -497,20 +507,25 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     # one block of mixing matrices, filled here and not in the workers (the
     # sequence's window memo is not thread-safe) before the chunks run it
     mixing = np.empty((min(_MIXING_BLOCK, horizon), m, m))
+    y = np.ones(m)
     with ThreadPoolExecutor(_worker_count(len(bounds))) as pool:
         try:
             for t0 in range(0, horizon, _MIXING_BLOCK):
                 block = seq.fill_mixing(t0, mixing[:horizon - t0])
+                ys, underflow = _weights(block, y, t0)
                 # each task runs in a copy of the caller's context, which
                 # carries its numpy error state
                 futures = [pool.submit(contextvars.copy_context().run,
-                                       advance, c, t0, block)
+                                       advance, c, t0, block, ys)
                            for c in range(len(bounds))]
                 failures = [f.result() for f in futures]
                 failures = [f for f in failures if f is not None]
                 if failures:
                     iteration, agent = min(failures)
                     raise DivergenceError(agent=agent, iteration=iteration)
+                if underflow is not None:
+                    raise underflow
+                y = ys[-1]
         except BaseException:
             stop.set()
             raise

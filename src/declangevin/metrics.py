@@ -112,10 +112,14 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
     neg_sorted = np.take(rows, neg, axis=1)
     pos_sorted.sort(axis=1)
     neg_sorted.sort(axis=1)
-    u = np.array([np.searchsorted(q, p, "left").sum()
-                  + np.searchsorted(q, p, "right").sum()
-                  for p, q in zip(pos_sorted, neg_sorted)]) / 2
-    auc = u / (len(pos) * len(neg))
+    u = []
+    for p, q in zip(pos_sorted, neg_sorted):
+        below = np.searchsorted(q, p, "left")
+        # a positive ties only with negatives equal to q[below]
+        tie = q[np.minimum(below, len(q) - 1)] == p
+        u.append(2 * below.sum()
+                 + (np.searchsorted(q, p[tie], "right") - below[tie]).sum())
+    auc = np.array(u) / 2 / (len(pos) * len(neg))
     auc[np.isnan(rows).any(axis=1)] = np.nan
     return float(auc[0]) if scores.ndim == 1 else auc.reshape(scores.shape[:-1])
 

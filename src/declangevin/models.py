@@ -218,10 +218,15 @@ def grad_U_mixture(theta: np.ndarray, batch: np.ndarray, sigma_x: float = np.sqr
     """
     if sigma_x <= 0:
         raise ValueError("sigma_x must be positive")
-    theta = np.asarray(theta, dtype=float)
+    return _grad_mixture(np.asarray(theta, dtype=float),
+                         np.asarray(batch, dtype=float), sigma_x ** 2,
+                         np.asarray(prior_vars, dtype=float), scale, mask)
+
+
+def _grad_mixture(theta, x, s2, prior_vars, scale, mask):
+    """:func:`grad_U_mixture` on float arrays, given s2 = sigma_x**2 and
+    the prior variances as an array."""
     a, b = theta[..., :1], theta[..., 1:]
-    x = np.asarray(batch, dtype=float)
-    s2 = sigma_x ** 2
     d1 = x - a
     d2 = d1 - b
     # log N(x; a+b) - log N(x; a), feeding the responsibility of component 2
@@ -232,8 +237,7 @@ def grad_U_mixture(theta: np.ndarray, batch: np.ndarray, sigma_x: float = np.sqr
     np.multiply(r2, d2, out=terms[..., 1, :])
     if mask is not None:
         terms *= mask[..., None, :]
-    return -scale * terms.sum(axis=-1) / s2 \
-        + theta / np.asarray(prior_vars, dtype=float)
+    return -scale * terms.sum(axis=-1) / s2 + theta / prior_vars
 
 
 def grad_U_logistic(w: np.ndarray, batch_features: np.ndarray, batch_targets: np.ndarray,
@@ -247,12 +251,19 @@ def grad_U_logistic(w: np.ndarray, batch_features: np.ndarray, batch_targets: np
     """
     w = np.asarray(w, dtype=float)
     y = np.asarray(batch_targets, dtype=float)
+    _check_labels(y)
+    return _grad_logistic(w, batch_features, y, scale)
+
+
+def _check_labels(y: np.ndarray) -> None:
     if y.size and not np.all(np.abs(y) == 1.0):
         raise ValueError("logistic labels must be -1 or +1")
-    if batch_features.shape[-2] == 0:
-        return np.sign(w)
-    coef = y * _sigmoid(-y * (batch_features @ w[..., None])[..., 0])
-    return -scale * _transpose_times(batch_features, coef) + np.sign(w)
+
+
+def _grad_logistic(w, feats, y, scale):
+    """:func:`grad_U_logistic` on float arrays with checked labels."""
+    coef = y * _sigmoid(-y * (feats @ w[..., None])[..., 0])
+    return -scale * _transpose_times(feats, coef) + np.sign(w)
 
 
 def load_libsvm(path, num_features: int | None = None) -> Dataset:
@@ -387,6 +398,7 @@ class _ShardedPotential(Potential):
         self._mask = (~pad).astype(float) if pad.any() else None
         self.num_agents = len(shards)
         self.shard_targets = [y[:n] for y, n in zip(self._targets, self._sizes)]
+        self._rows = np.arange(len(shards))[:, None]
         if batch_size is not None:
             self._scale = (np.array(self._sizes) / batch_size)[:, None]
 
@@ -407,8 +419,8 @@ class _ShardedPotential(Potential):
         padded full shards (see the class docstring)."""
         if idx is None:
             return self._features, self._targets, 1.0
-        rows = np.arange(len(self._sizes))[:, None]
-        return self._features[rows, idx], self._targets[rows, idx], self._scale
+        return (self._features[self._rows, idx], self._targets[self._rows, idx],
+                self._scale)
 
 
 class LinRegPotential(_ShardedPotential):
@@ -446,15 +458,17 @@ class MixturePotential(_ShardedPotential):
         super().__init__(ds, shards, batch_size)
         self.sigma_x = float(sigma_x)
         self.prior_vars = (float(prior_vars[0]), float(prior_vars[1]))
-        m = len(shards)
-        self._agent_prior_vars = (self.prior_vars[0] * m, self.prior_vars[1] * m)
+        if self.sigma_x <= 0:
+            raise ValueError("sigma_x must be positive")
+        self._s2 = self.sigma_x ** 2
+        self._agent_prior_vars = np.array(self.prior_vars) * len(shards)
         self.props = PotentialProps(dim=2)
 
     def grad_drawn(self, z, idx):
         _, targs, scale = self._batches(idx)
         mask = self._mask if idx is None else None
-        return grad_U_mixture(z, targs, self.sigma_x, self._agent_prior_vars,
-                              scale, mask)
+        return _grad_mixture(z, targs, self._s2, self._agent_prior_vars,
+                             scale, mask)
 
 
 class LogisticPotential(_ShardedPotential):
@@ -467,11 +481,11 @@ class LogisticPotential(_ShardedPotential):
 
     def __init__(self, ds: Dataset, shards, batch_size: int | None = 32):
         super().__init__(ds, shards, batch_size)
+        _check_labels(self._targets)
         self.props = PotentialProps(dim=ds.dim)
 
     def grad_drawn(self, z, idx):
-        feats, targs, scale = self._batches(idx)
-        return grad_U_logistic(z, feats, targs, scale)
+        return _grad_logistic(z, *self._batches(idx))
 
 
 class GaussianPotential(Potential):

@@ -75,22 +75,22 @@ def init_network(num_agents: int, dim: int) -> NetworkState:
     )
 
 
-def _mix(entries: np.ndarray, x: np.ndarray, y: np.ndarray, t: int,
-         w: np.ndarray | None = None, z: np.ndarray | None = None) -> tuple:
-    """Push-sum round on agent-major state: (w, y, z) = (A x, A y, A x / A y).
-
-    ``x`` has one row per agent, (m, d) for a single run or (m, d*R) for R
-    runs; ``w`` and ``z`` are optional output buffers of the same shape.
-    ``t`` only labels the underflow error.
-    """
-    w = np.matmul(entries, x, out=w)
-    y = entries @ y
-    if np.any(y < Y_FLOOR):
-        bad = int(np.argmin(y))
-        raise FloatingPointError(
-            f"push-sum weight underflow at agent {bad} (y={y[bad]:.3e}, t={t})")
-    z = np.divide(w, y[:, None], out=z)
-    return w, y, z
+def _weights(entries: np.ndarray, y: np.ndarray, t0: int) -> tuple:
+    """(ys, error): row k of ys is y(t0+k+1) = A_{t0+k} y(t0+k), from y = y(t0)
+    and the (n, m, m) block ``entries``; the weights do not depend on the
+    values, so one recursion serves every run over the same graphs.  If a
+    weight falls below the floor, ys stops before that step and error is the
+    FloatingPointError naming it; otherwise error is None."""
+    ys = np.empty((len(entries), len(y)))
+    for a, row in zip(entries, ys):
+        y = np.matmul(a, y, out=row)
+    low = (ys < Y_FLOOR).any(axis=1)
+    if not low.any():
+        return ys, None
+    k = int(np.argmax(low))
+    bad = int(np.argmin(ys[k]))
+    return ys[:k], FloatingPointError(
+        f"push-sum weight underflow at agent {bad} (y={ys[k, bad]:.3e}, t={t0 + k})")
 
 
 def pushsum_mix(ns: NetworkState, mix: MixingMatrix) -> NetworkState:
@@ -113,8 +113,11 @@ def pushsum_mix(ns: NetworkState, mix: MixingMatrix) -> NetworkState:
     m = ns.num_agents
     if mix.graph.num_nodes != m:
         raise ValueError(f"graph has {mix.graph.num_nodes} nodes but the state has {m} agents")
-    w, y, z = _mix(mix.entries, ns.x, ns.y, ns.t)
-    return replace(ns, w=w, y=y, z=z)
+    ys, underflow = _weights(mix.entries[None], ns.y, ns.t)
+    if underflow is not None:
+        raise underflow
+    w = mix.entries @ ns.x
+    return replace(ns, w=w, y=ys[0], z=w / ys[0][:, None])
 
 
 def consensus_error(ns: NetworkState) -> np.ndarray:

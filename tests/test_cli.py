@@ -447,6 +447,20 @@ class TestMain:
         assert "exponent must lie in (0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("experiment, field, value", [
+        ("linreg", "true_w", "1.0,\n-1.0"),
+        ("logistic", "dataset", "data/a9a\r"),
+        ("logistic", "surrogate", "on\r\n")])
+    def test_a_line_break_in_a_string_value_exits_before_any_draw(
+            self, experiment, field, value, tmp_path, capsys, no_draws):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({field: value}))
+        code = main([experiment, "--config", str(config), "--out",
+                     str(tmp_path / "b.csv")])
+        assert code == 2
+        assert f"{field} holds a line break" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
     @pytest.mark.parametrize("kind", ["seeded-random", "static"])
     def test_negative_graph_seed_exits_before_any_draw(
             self, kind, tmp_path, capsys, no_draws):

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from declangevin import langevin as langevin_module
-from declangevin import (DivergenceError, GaussianDist, GaussianPotential,
+from declangevin import (DirectedGraph, DivergenceError, GaussianDist, GaussianPotential,
                          LinRegPotential, LogisticPotential, MixturePotential,
                          NetworkState, NoiseModel, Potential, PotentialProps,
                          StepSchedule, ZeroPotential, average_state,
@@ -779,3 +779,116 @@ class TestEnsembleChunks:
                                   np.zeros(2), np.eye(2), 3, 2000, 4, 0,
                                   [2000], noise_draw=draw)
         assert max(calls) < 500
+
+
+class DivergingAt(Potential):
+    """Zero gradient, except an infinite one at the given step."""
+
+    def __init__(self, dim, step):
+        self.props = PotentialProps(dim=dim)
+        self.step, self.calls = step, 0
+
+    def grad_drawn(self, z, drawn):
+        self.calls += 1
+        return np.full_like(z, np.inf if self.calls == self.step + 1 else 0.0)
+
+
+class TestBlockBookkeeping:
+    """The push-sum weights run once per block, ahead of the steps, and the
+    finite check once after them; the earliest error still wins."""
+
+    # agent 0 keeps half its weight each step and receives nothing, so its
+    # weight 2**-(t+1) falls below the floor at step t = 996, in the middle
+    # of the fourth 256-step block
+    UNDERFLOW = r"push-sum weight underflow at agent 0 \(y=7\.466e-301, t=996\)"
+
+    @staticmethod
+    def one_edge():
+        return generate_graph_sequence("static", 2,
+                                       graphs=[DirectedGraph(2, {(0, 1)})])
+
+    def step_loop(self, pot, num_iters):
+        seq, ns = self.one_edge(), init_network(2, 1)
+        for t in range(num_iters):
+            ns = langevin_step(ns, seq.mixing_at(t), StepSchedule("harmonic", 0.1),
+                               pot, None)
+
+    def test_an_underflow_in_the_middle_of_a_block_names_its_step(self):
+        sched = StepSchedule("harmonic", 0.1)
+        with pytest.raises(FloatingPointError, match=self.UNDERFLOW):
+            run(self.one_edge(), sched, ZeroPotential(1), None, 1200)
+        with pytest.raises(FloatingPointError, match=self.UNDERFLOW):
+            self.step_loop(ZeroPotential(1), 1200)
+        with pytest.raises(FloatingPointError, match=self.UNDERFLOW), \
+                np.errstate(over="ignore", invalid="ignore"):
+            run_gaussian_ensemble(self.one_edge(), sched, np.zeros(1),
+                                  np.eye(1), 2, 1200, 3, 0, [1200])
+
+    @pytest.mark.parametrize("diverge_at, error", [
+        (990, DivergenceError), (1000, FloatingPointError)])
+    def test_the_earlier_of_a_divergence_and_an_underflow_wins(
+            self, diverge_at, error):
+        sched = StepSchedule("harmonic", 0.1)
+        with pytest.raises(error) as info, np.errstate(invalid="ignore"):
+            run(self.one_edge(), sched, DivergingAt(1, diverge_at), None, 1200)
+        with pytest.raises(error) as loop_info:
+            self.step_loop(DivergingAt(1, diverge_at), 1200)
+        assert str(info.value) == str(loop_info.value)
+        if error is DivergenceError:
+            assert info.value.iteration == diverge_at + 1
+
+        def noise(t):
+            return np.full((3, 2, 1), np.inf if t == diverge_at else 0.0)
+
+        with pytest.raises(error) as ens_info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            run_gaussian_ensemble(self.one_edge(), sched, np.zeros(1),
+                                  np.eye(1), 2, 1200, 3, 0,
+                                  [diverge_at + 1, 1200], noise_draw=noise)
+        if error is DivergenceError:
+            assert ens_info.value.iteration == diverge_at + 1
+        else:
+            assert ens_info.match(self.UNDERFLOW)
+
+    @pytest.mark.parametrize("chunk_runs", [2, 5, 4096])
+    def test_the_ensemble_runs_the_weights_once_per_step_in_the_caller(
+            self, chunk_runs, monkeypatch):
+        monkeypatch.setattr(langevin_module, "_CHUNK_RUNS", chunk_runs)
+        monkeypatch.setattr(langevin_module, "_MIXING_BLOCK", 16)
+        steps, callers, weights = [], set(), langevin_module._weights
+
+        def counted(entries, y, t0):
+            steps.extend(range(t0, t0 + len(entries)))
+            callers.add(threading.current_thread())
+            return weights(entries, y, t0)
+
+        monkeypatch.setattr(langevin_module, "_weights", counted)
+        seq = generate_graph_sequence("seeded-random", 3, 1, seed=4)
+        run_gaussian_ensemble(seq, StepSchedule("harmonic", 1.0), np.zeros(2),
+                              np.eye(2), 3, 40, 10, 0, [10, 40])
+        assert steps == list(range(40))
+        assert callers == {threading.current_thread()}
+
+    def test_run_runs_the_weights_once_per_block(self, monkeypatch):
+        calls, weights = [], langevin_module._weights
+
+        def counted(entries, y, t0):
+            calls.append((t0, len(entries)))
+            return weights(entries, y, t0)
+
+        monkeypatch.setattr(langevin_module, "_weights", counted)
+        seq = generate_graph_sequence("seeded-random", 3, 1, seed=4)
+        run(seq, StepSchedule("harmonic", 0.1), ZeroPotential(2),
+            NoiseModel(0, 3), 600)
+        assert calls == [(0, 256), (256, 256), (512, 88)]
+
+    def test_single_agent_under_a_power_schedule_is_bitwise_a_plain_chain(self):
+        # the run's step sizes must be the scalar step_size, bit for bit:
+        # a vectorised power differs from it in the last bit at some steps
+        pot = GaussianPotential(np.array([0.4, -0.2]),
+                                np.array([[1.0, 0.3], [0.3, 2.0]]), 1)
+        sched = StepSchedule("power", alpha0=0.37, offset=2.9, exponent=0.55)
+        seq = generate_graph_sequence("seeded-random", 1, 1, seed=5)
+        trace = run(seq, sched, pot, NoiseModel(5, 1), 600)
+        ref = reference_ula(lambda x: pot.grad(0, x, None), sched, 5, 600, 2)
+        assert np.array_equal(trace.states[1:, 0, :], ref[:-1])

@@ -141,6 +141,24 @@ class TestRocAuc:
             assert roc_auc(scores, labels) == pytest.approx(
                 self.pairwise_oracle(scores, labels), abs=1e-12)
 
+    def test_rows_with_many_ties_match_an_exact_pair_count(self):
+        # few distinct values, so most positives tie with some negative;
+        # twice U counts a win as 2 and a tie as 1, exactly, in integers
+        rng = np.random.default_rng(17)
+        labels = np.where(rng.random(301) < 0.3, 1.0, -1.0)
+        pool = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf])
+        scores = rng.choice(pool, size=(40, 301))
+        scores[::7] = 0.0
+        # every positive above every negative, then below
+        scores[3] = np.where(labels == 1.0, 5.0, 1.0)
+        scores[4] = -scores[3]
+        pos, neg = scores[:, labels == 1.0], scores[:, labels == -1.0]
+        twice_u = (2 * (pos[:, :, None] > neg[:, None, :])
+                   + (pos[:, :, None] == neg[:, None, :])).sum(axis=(1, 2))
+        want = twice_u / 2 / (pos.shape[1] * neg.shape[1])
+        assert want[3] == 1.0 and want[4] == 0.0 and want[0] == 0.5
+        np.testing.assert_array_equal(roc_auc(scores, labels), want)
+
     def test_extreme_cases(self):
         labels = np.array([-1.0, -1.0, 1.0, 1.0])
         assert roc_auc(np.array([0.0, 1.0, 2.0, 3.0]), labels) == 1.0

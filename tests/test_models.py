@@ -352,6 +352,20 @@ class TestPotentials:
                                   (10.0, 1.0))
         np.testing.assert_allclose(total, expected, atol=1e-9, rtol=0.0)
 
+    @pytest.mark.parametrize("label", [0.0, 2.0, -0.5])
+    def test_logistic_potential_checks_its_labels_when_built(self, label):
+        ds = make_surrogate_classification(30, 4, seed=23)
+        bad = Dataset(ds.features, np.where(np.arange(30) == 17, label,
+                                            ds.targets))
+        with pytest.raises(ValueError, match="must be -1 or \\+1"):
+            LogisticPotential(bad, partition(bad, 3, "random", 23),
+                              batch_size=2)
+
+    def test_mixture_potential_checks_sigma_x_when_built(self):
+        ds = generate_mixture_data(30, 0.0, 1.0, np.sqrt(2.0), seed=24)
+        with pytest.raises(ValueError, match="sigma_x must be positive"):
+            MixturePotential(ds, partition(ds, 3), sigma_x=0.0)
+
     def test_logistic_agent_terms_carry_one_regularizer_each(self):
         ds = make_surrogate_classification(60, 5, seed=22)
         shards = partition(ds, 3, "random", 22)
