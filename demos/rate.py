@@ -29,8 +29,7 @@ def main():
     print(f"{m} agents, {runs} runs, harmonic step alpha0={alpha0}")
     snaps = run_gaussian_ensemble(seq, sched, np.zeros(d), np.eye(d), m,
                                   iters, runs, 11, cps)
-    w2 = np.array([w2_gaussian_bures(empirical_gaussian(s), target)
-                   for s in snaps])
+    w2 = w2_gaussian_bures(empirical_gaussian(snaps), target)
 
     print(f"\n{'t':>5} {'W2 to target':>13}")
     for k in sorted(set(range(0, len(cps), 10)) | {len(cps) - 1}):

@@ -11,16 +11,14 @@ from __future__ import annotations
 from .cli import (ConfigError, ExperimentConfig, build_config,
                   linreg_w2_series, logistic_auc_series, main, prepare,
                   run_experiment)
-from .graphs import (GRAPH_KINDS, DirectedGraph, DirectedGraphSequence,
-                     MixingMatrix, SpectralBounds, build_mixing_matrix,
-                     check_b_strong_connectivity, generate_graph_sequence,
-                     spectral_bounds)
-from .langevin import (SCHEDULE_KINDS, DivergenceError, NoiseModel, Potential,
-                       PotentialProps, StepSchedule, ZeroPotential,
-                       average_state, langevin_step, run,
-                       run_gaussian_ensemble, step_size)
-from .metrics import (BoundReport, check_lemma4_bound, empirical_gaussian,
-                      rate_fit, roc_auc, w2_gaussian_bures, w2_gaussian_paper)
+from .graphs import (DirectedGraph, DirectedGraphSequence, MixingMatrix,
+                     build_mixing_matrix, check_b_strong_connectivity,
+                     generate_graph_sequence, spectral_bounds)
+from .langevin import (DivergenceError, NoiseModel, Potential, PotentialProps,
+                       StepSchedule, ZeroPotential, average_state,
+                       langevin_step, run, run_gaussian_ensemble, step_size)
+from .metrics import (check_lemma4_bound, empirical_gaussian, rate_fit,
+                      roc_auc, w2_gaussian_bures, w2_gaussian_paper)
 from .models import (Dataset, GaussianDist, GaussianPotential, LinRegPotential,
                      LogisticPotential, MixturePotential, ParseError, Shard,
                      generate_linreg_data, generate_mixture_data,
@@ -34,14 +32,12 @@ from .trace import Trace, write_csv
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
     "ConfigError",
     "Dataset",
     "DirectedGraph",
     "DirectedGraphSequence",
     "DivergenceError",
     "ExperimentConfig",
-    "GRAPH_KINDS",
     "GaussianDist",
     "GaussianPotential",
     "LinRegPotential",
@@ -53,9 +49,7 @@ __all__ = [
     "ParseError",
     "Potential",
     "PotentialProps",
-    "SCHEDULE_KINDS",
     "Shard",
-    "SpectralBounds",
     "StepSchedule",
     "Trace",
     "ZeroPotential",

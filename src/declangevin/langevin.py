@@ -291,7 +291,9 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
         noise: NoiseModel, num_iters: int, stride: int = 1,
         x0: np.ndarray | None = None) -> Trace:
-    """Drive the iteration for ``num_iters`` steps and record a trace.
+    """Drive the iteration for ``num_iters`` steps and record a trace;
+    raise :class:`DivergenceError` at the first iteration and agent whose
+    state, deviation or consensus error is not finite.
 
     Parameters
     ----------
@@ -366,6 +368,12 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
         k = np.arange(stride - t0 % stride, n + 1, stride)
         states[(t0 + k) // stride] = zs[k]
         consensus[(t0 + k) // stride] = _row_norms(zs[k] - xbar[k])
+        # finite states can still be far enough apart to overflow a norm
+        bad = ~np.isfinite(zdev[t0:t0 + n])
+        bad[k - 1] |= ~np.isfinite(consensus[(t0 + k) // stride])
+        if bad.any():
+            step, agent = np.argwhere(bad)[0]
+            raise DivergenceError(agent=int(agent), iteration=t0 + int(step) + 1)
         xs[0] = xs[n]
 
     return Trace(ts=ts, alphas=alphas, states=states, consensus=consensus,

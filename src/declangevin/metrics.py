@@ -4,7 +4,8 @@ Two Gaussian transport distances are provided on purpose.  The first adds
 the mean distance to the Frobenius distance of the covariance square roots;
 the second is the exact 2-Wasserstein distance between Gaussians.  They
 agree when the means match and the covariances commute, and the first upper
-bounds the second in general, so both are kept and cross-checked.
+bounds the second in general, so both are kept and cross-checked.  Both, and
+the fits, take stacks over leading axes, as :func:`roc_auc` does.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ COV_RIDGE = 1e-9
 
 
 def _sym_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition, clamping at zero."""
+    """Symmetric PSD square roots of (..., d, d) matrices, clamping at zero."""
     vals, vecs = np.linalg.eigh(mat)
-    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-    return 0.5 * (root + root.T)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) \
+        @ np.swapaxes(vecs, -1, -2)
+    return 0.5 * (root + np.swapaxes(root, -1, -2))
 
 
-def w2_gaussian_paper(g1: GaussianDist, g2: GaussianDist) -> float:
+def w2_gaussian_paper(g1: GaussianDist, g2: GaussianDist) -> float | np.ndarray:
     """Mean distance plus Frobenius distance of covariance square roots.
 
     ||m1 - m2||_2 + ||Sigma1^(1/2) - Sigma2^(1/2)||_F.  This upper-bounds
@@ -46,12 +48,12 @@ def w2_gaussian_paper(g1: GaussianDist, g2: GaussianDist) -> float:
     """
     if g1.dim != g2.dim:
         raise ValueError("dimension mismatch")
-    mean_part = np.linalg.norm(g1.mean - g2.mean)
-    cov_part = np.linalg.norm(_sym_sqrt(g1.cov) - _sym_sqrt(g2.cov), ord="fro")
-    return float(mean_part + cov_part)
+    dist = np.linalg.norm(g1.mean - g2.mean, axis=-1) \
+        + np.linalg.norm(_sym_sqrt(g1.cov) - _sym_sqrt(g2.cov), axis=(-2, -1))
+    return float(dist) if np.ndim(dist) == 0 else dist
 
 
-def w2_gaussian_bures(g1: GaussianDist, g2: GaussianDist) -> float:
+def w2_gaussian_bures(g1: GaussianDist, g2: GaussianDist) -> float | np.ndarray:
     """Exact 2-Wasserstein distance between two Gaussians.
 
     sqrt(||m1 - m2||^2 + tr(S1 + S2 - 2 (S1^(1/2) S2 S1^(1/2))^(1/2))).
@@ -62,10 +64,12 @@ def w2_gaussian_bures(g1: GaussianDist, g2: GaussianDist) -> float:
         raise ValueError("dimension mismatch")
     root1 = _sym_sqrt(g1.cov)
     cross = np.linalg.eigvalsh(root1 @ g2.cov @ root1)
-    cross_tr = np.sqrt(np.clip(cross, 0.0, None)).sum()
-    gap = np.trace(g1.cov) + np.trace(g2.cov) - 2.0 * cross_tr
-    sq = np.sum((g1.mean - g2.mean) ** 2) + gap
-    return float(np.sqrt(max(sq, 0.0)))
+    cross_tr = np.sqrt(np.clip(cross, 0.0, None)).sum(axis=-1)
+    gap = np.trace(g1.cov, axis1=-2, axis2=-1) \
+        + np.trace(g2.cov, axis1=-2, axis2=-1) - 2.0 * cross_tr
+    sq = np.sum((g1.mean - g2.mean) ** 2, axis=-1) + gap
+    dist = np.sqrt(np.maximum(sq, 0.0))
+    return float(dist) if np.ndim(dist) == 0 else dist
 
 
 def empirical_gaussian(samples: np.ndarray) -> GaussianDist:
@@ -73,16 +77,18 @@ def empirical_gaussian(samples: np.ndarray) -> GaussianDist:
 
     Uses the sample mean and the unbiased covariance plus 1e-9 on the
     diagonal, so even a constant cloud yields a valid distribution.
-    Requires at least dim + 1 samples.
+    Requires at least dim + 1 samples, (..., n, d) or n 1-d ones.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]
-    n, d = samples.shape
+    n, d = samples.shape[-2:]
     if n < d + 1:
         raise ValueError(f"need at least {d + 1} samples for a {d}-d fit, got {n}")
-    mean = samples.mean(axis=0)
-    cov = np.atleast_2d(np.cov(samples, rowvar=False, ddof=1))
+    mean = samples.mean(axis=-2)
+    centred = samples - mean[..., None, :]
+    # times the reciprocal, as np.cov does, so that one cloud's fit is np.cov's
+    cov = np.swapaxes(centred, -1, -2) @ centred * (1.0 / (n - 1))
     return GaussianDist(mean=mean, cov=cov + COV_RIDGE * np.eye(d))
 
 

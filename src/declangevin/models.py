@@ -88,7 +88,8 @@ class Shard:
 
 @dataclass(frozen=True)
 class GaussianDist:
-    """Multivariate normal given by mean and SPD covariance."""
+    """Multivariate normal given by mean (d,) and SPD covariance (d, d), or
+    a stack of them over leading axes, (..., d) and (..., d, d)."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -96,18 +97,18 @@ class GaussianDist:
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if cov.shape != (mean.shape[0], mean.shape[0]):
+        if cov.shape != mean.shape + mean.shape[-1:]:
             raise ValueError("covariance shape must match the mean")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):
+        if not np.allclose(cov, np.swapaxes(cov, -1, -2), rtol=0.0, atol=1e-10):
             raise ValueError("covariance must be symmetric")
-        if np.linalg.eigvalsh(cov).min() <= 0:
+        if (np.linalg.eigvalsh(cov) <= 0).any():
             raise ValueError("covariance must be positive definite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -145,6 +146,8 @@ def linreg_posterior(ds: Dataset, prior: GaussianDist, sigma: float) -> Gaussian
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    if prior.mean.ndim != 1:
+        raise ValueError("prior must be a single Gaussian, not a stack")
     feats, targs = ds.features, ds.targets
     prior_prec = np.linalg.inv(prior.cov)
     prec = prior_prec + feats.T @ feats / sigma ** 2
@@ -434,6 +437,8 @@ class LinRegPotential(_ShardedPotential):
     def __init__(self, ds: Dataset, shards, prior: GaussianDist, sigma: float,
                  batch_size: int | None = 1):
         super().__init__(ds, shards, batch_size)
+        if prior.mean.ndim != 1:
+            raise ValueError("prior must be a single Gaussian, not a stack")
         self.prior = prior
         self.sigma = float(sigma)
         # 1/m prior weight == m-times-wider prior covariance in the gradient

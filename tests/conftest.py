@@ -8,8 +8,10 @@ from hypothesis import settings
 
 from declangevin import (DirectedGraph, GaussianDist, LinRegPotential,
                          LogisticPotential, MixturePotential, NoiseModel,
-                         Potential, generate_graph_sequence, grad_U_linreg,
-                         grad_U_logistic, grad_U_mixture, roc_auc, step_size)
+                         Potential, empirical_gaussian,
+                         generate_graph_sequence, grad_U_linreg,
+                         grad_U_logistic, grad_U_mixture, roc_auc, step_size,
+                         w2_gaussian_bures, w2_gaussian_paper)
 
 # property tests draw their examples from a fixed seed and have no time
 # limit per example, so every run of the suite gives the same verdict
@@ -166,6 +168,27 @@ def reference_auc_series(trace, test, eval_every):
             scores = test.features @ trace.states[k, i]
             aucs[row, i] = roc_auc(scores, test.targets)
     return trace.ts[picks], aucs
+
+
+def reference_w2_series(trace, posterior):
+    """Per-agent W2 distances of trailing-window fits to the posterior, one
+    record and one agent at a time, each window refit from its samples by
+    ``empirical_gaussian``, as the package computed the series before it
+    took the fits from prefix sums."""
+    ts, states = trace.ts, trace.states
+    n_rec, m, d = states.shape
+    paper = np.full((n_rec, m), np.nan)
+    bures = np.full((n_rec, m), np.nan)
+    for k in range(n_rec):
+        t = ts[k]
+        window = (ts > t / 2) & (ts <= t)
+        if window.sum() < d + 1:
+            continue
+        for i in range(m):
+            fit = empirical_gaussian(states[window, i, :])
+            paper[k, i] = w2_gaussian_paper(fit, posterior)
+            bures[k, i] = w2_gaussian_bures(fit, posterior)
+    return paper, bures
 
 
 def reference_ula(grad, sched, seed, num_iters, dim):

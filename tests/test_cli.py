@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import declangevin
 from declangevin import (ConfigError, Dataset, GaussianDist, Trace,
@@ -20,7 +21,7 @@ from declangevin import (ConfigError, Dataset, GaussianDist, Trace,
 from declangevin import cli as cli_module
 from declangevin.cli import _FIELD_TYPES, ExperimentConfig, load_config_file
 
-from conftest import reference_auc_series, save_libsvm
+from conftest import reference_auc_series, reference_w2_series, save_libsvm
 
 
 @pytest.fixture
@@ -254,6 +255,52 @@ class TestRunExperiment:
         assert np.isnan(paper[:5]).all()
         assert np.isfinite(paper[5:]).all()
         assert np.all(paper[5:] + 1e-9 >= bures[5:])
+
+    @staticmethod
+    def w2_trace(states, stride):
+        n_rec, m, _ = states.shape
+        num_iters = (n_rec - 1) * stride
+        return Trace(ts=np.arange(n_rec) * stride, alphas=np.zeros(n_rec),
+                     states=states, consensus=np.zeros((n_rec, m)),
+                     z_dev=np.zeros((num_iters, m)),
+                     pert_norms=np.zeros((num_iters, m)),
+                     num_iters=num_iters, stride=stride)
+
+    @staticmethod
+    def assert_w2_series_match(trace, posterior, rtol):
+        got = linreg_w2_series(trace, posterior)
+        for have, want in zip(got, reference_w2_series(trace, posterior)):
+            np.testing.assert_array_equal(np.isnan(have), np.isnan(want))
+            np.testing.assert_allclose(have, want, rtol=rtol, atol=0.0)
+
+    @settings(max_examples=40)
+    @given(n_rec=st.integers(1, 60), m=st.integers(1, 4),
+           d=st.integers(1, 4), stride=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 16))
+    def test_linreg_w2_series_equals_the_per_window_refits(self, n_rec, m,
+                                                            d, stride, seed):
+        rng = np.random.default_rng(seed)
+        r = rng.standard_normal((d, d))
+        posterior = GaussianDist(3.0 * rng.standard_normal(d),
+                                 r @ r.T + 0.1 * np.eye(d))
+        states = posterior.mean + rng.standard_normal((n_rec, m, d)) \
+            @ r.T + 0.5 * rng.standard_normal(d)
+        self.assert_w2_series_match(self.w2_trace(states, stride), posterior,
+                                    1e-10)
+
+    def test_linreg_w2_series_holds_far_from_the_origin(self):
+        # posterior mean at 1e4; the samples drift steadily up to 66 sd
+        # off it, so the prefix sums grow far beyond any window's spread
+        rng = np.random.default_rng(5)
+        n_rec, m, d = 10_000, 1, 2
+        posterior = GaussianDist(np.array([1e4, -1e4]),
+                                 np.array([[1.0, 0.3], [0.3, 0.5]]))
+        drift = np.linspace(0.0, 66.0, n_rec)[:, None, None] \
+            * np.array([1.0, 0.5])
+        states = posterior.mean + drift \
+            + rng.standard_normal((n_rec, m, d)) * np.array([1.0, 0.7])
+        self.assert_w2_series_match(self.w2_trace(states, 1), posterior,
+                                    1e-10)
 
     def test_logistic_auc_series_picks_evaluation_points(self):
         cfg = build_config("logistic", {"dataset": "no/such/file",

@@ -217,6 +217,19 @@ class TestRun:
                     None, 10, x0=x0)
         np.testing.assert_array_equal(trace.states[0], x0)
 
+    def test_an_overflowing_deviation_raises(self):
+        # node 0 only sends, so its push-sum weight halves every step and
+        # its ratio estimate grows until, at iteration 518, the squared
+        # norms of its deviation and consensus error overflow while every
+        # state is still finite
+        seq = generate_graph_sequence("static", 2, 1,
+                                      graphs=[DirectedGraph(2, {(0, 1)})])
+        with np.errstate(over="ignore"):
+            with pytest.raises(DivergenceError) as info:
+                run(seq, StepSchedule("harmonic", alpha0=0.1),
+                    ZeroPotential(1), NoiseModel(0, 2), 990)
+        assert (info.value.agent, info.value.iteration) == (0, 518)
+
     def test_pure_consensus_contracts_to_the_initial_average(self):
         seq = generate_graph_sequence("seeded-random", 6, 1, seed=4)
         rng = np.random.default_rng(4)

@@ -86,6 +86,28 @@ class TestW2Gaussian:
         assert w2_gaussian_bures(g, g) == pytest.approx(0.0, abs=1e-5)
         assert w2_gaussian_paper(g, g) == pytest.approx(0.0, abs=1e-5)
 
+    def test_stacks_equal_per_pair_calls(self):
+        rng = np.random.default_rng(3)
+        lead, d = (3, 4), 3
+        means = rng.standard_normal(lead + (d,))
+        covs = np.array([random_spd(rng, d) for _ in range(12)])
+        stack = GaussianDist(means, covs.reshape(lead + (d, d)))
+        other = GaussianDist(rng.standard_normal(d), random_spd(rng, d))
+        pairs = [(GaussianDist(mu, c), other)
+                 for mu, c in zip(means.reshape(-1, d), covs)]
+        for w2 in (w2_gaussian_paper, w2_gaussian_bures):
+            assert type(w2(*pairs[0])) is float
+            want = np.array([w2(a, b) for a, b in pairs]).reshape(lead)
+            got = w2(stack, other)
+            assert got.shape == lead
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+            # either side may be the stack, and stacks broadcast together
+            np.testing.assert_allclose(w2(other, stack),
+                                       [[w2(b, a) for a, b in pairs[r:r + 4]]
+                                        for r in (0, 4, 8)],
+                                       rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(w2(stack, stack), 0.0, atol=1e-6)
+
     def test_dimension_mismatch(self):
         g1 = GaussianDist(np.zeros(2), np.eye(2))
         g2 = GaussianDist(np.zeros(3), np.eye(3))
@@ -104,6 +126,16 @@ class TestEmpiricalGaussian:
         np.testing.assert_array_equal(
             fit.cov,
             np.cov(samples, rowvar=False, ddof=1) + 1e-9 * np.eye(3))
+
+    def test_stacked_clouds_equal_per_cloud_fits(self):
+        rng = np.random.default_rng(4)
+        clouds = rng.standard_normal((2, 3, 20, 4)) + rng.standard_normal(4)
+        fit = empirical_gaussian(clouds)
+        assert fit.mean.shape == (2, 3, 4) and fit.cov.shape == (2, 3, 4, 4)
+        for idx in np.ndindex(2, 3):
+            one = empirical_gaussian(clouds[idx])
+            np.testing.assert_array_equal(fit.mean[idx], one.mean)
+            np.testing.assert_array_equal(fit.cov[idx], one.cov)
 
     def test_one_dimensional_samples_are_promoted(self):
         samples = np.array([0.0, 1.0, 2.0, 3.0])

@@ -72,6 +72,22 @@ class TestGaussianDist:
         with pytest.raises(ValueError):
             GaussianDist(np.zeros(2), -np.eye(2))
 
+    def test_stacks_check_every_slice(self):
+        means, covs = np.zeros((4, 3, 2)), np.tile(np.eye(2), (4, 3, 1, 1))
+        g = GaussianDist(means, covs)
+        assert g.dim == 2 and g.cov.shape == (4, 3, 2, 2)
+        with pytest.raises(ValueError, match="shape"):
+            GaussianDist(means, covs[:3])
+        with pytest.raises(ValueError, match="shape"):
+            GaussianDist(means, np.eye(2))
+        asym, indef = covs.copy(), covs.copy()
+        asym[2, 1, 0, 1] = 0.5
+        indef[3, 2] = [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(ValueError, match="symmetric"):
+            GaussianDist(means, asym)
+        with pytest.raises(ValueError, match="positive definite"):
+            GaussianDist(means, indef)
+
 
 class TestLinRegData:
     def test_deterministic_and_shaped(self):
@@ -127,6 +143,14 @@ class TestLinRegPosterior:
         ds = generate_linreg_data(10, 2, 1.0, np.zeros(2), 0)
         with pytest.raises(ValueError):
             linreg_posterior(ds, GaussianDist(np.zeros(2), np.eye(2)), 0.0)
+
+    def test_a_stacked_prior_is_refused(self):
+        ds = generate_linreg_data(10, 2, 1.0, np.zeros(2), 0)
+        stack = GaussianDist(np.zeros((3, 2)), np.tile(np.eye(2), (3, 1, 1)))
+        with pytest.raises(ValueError, match="single"):
+            linreg_posterior(ds, stack, 1.0)
+        with pytest.raises(ValueError, match="single"):
+            LinRegPotential(ds, partition(ds, 2), stack, 1.0)
 
 
 class TestGradients:
