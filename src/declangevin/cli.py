@@ -1,10 +1,15 @@
 """Command-line experiments: linreg, mixture, logistic and a generic run.
 
 Configuration is a flat set of key=value fields.  Defaults depend on the
-subcommand, a JSON config file (one flat object) overrides them, and any
-field can be overridden again by a flag of the same name.  Every run writes
-one CSV whose '#' header echoes the resolved configuration, so a result
-file is self-describing and two runs with equal configuration and seed are
+subcommand (the minibatch, for one: linreg 1, logistic 32, mixture and run
+0, the full shard), a JSON config file (one flat object) overrides them,
+and any field can be overridden again by a flag of the same name.
+
+Every subcommand runs the same path: prepare, sample, check the deviation
+bound if monitors are on, write the experiment's table as one CSV and
+print one line "<subcommand>: wrote <out>; <summary>".  The CSV's '#'
+header echoes the resolved configuration, so a result file is
+self-describing and two runs with equal configuration and seed are
 byte-identical.
 """
 
@@ -66,7 +71,7 @@ class ExperimentConfig:
     sched_p: float = 0.65
     alpha_start: float | None = None
     alpha_end: float | None = None
-    batch: int | None = None
+    batch: int = 0
     sigma_sq: float = 0.0
     n: int = 800
     dims: int = 2
@@ -95,22 +100,18 @@ def _coercion_type(hint) -> type:
 _FIELD_TYPES = {name: _coercion_type(hint)
                 for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 
-_EXPERIMENTS = ("linreg", "mixture", "logistic", "run")
-
+# batch 0 means the full shard; the mixture gradient uses each node's whole
+# sample set, the regression experiments subsample
 _DEFAULTS = {
     "linreg": dict(iters=200, n=800, dims=2, data_sigma=1.0, true_w="1.0,-1.0",
                    schedule="power", alpha_start=0.008, alpha_end=0.0005,
-                   sched_p=0.65),
+                   sched_p=0.65, batch=1),
     "mixture": dict(iters=10000, n=800, schedule="power", alpha_start=0.01,
                     alpha_end=0.0001, sched_p=0.65),
     "logistic": dict(iters=1000, n=32561, dims=123, schedule="power",
-                     alpha0=0.008, sched_offset=12.0, sched_p=0.45),
+                     alpha0=0.008, sched_offset=12.0, sched_p=0.45, batch=32),
     "run": dict(iters=1000, schedule="harmonic"),
 }
-
-# batch 0 means the full shard; the mixture gradient uses each node's whole
-# sample set, the regression experiments subsample
-_DEFAULT_BATCH = {"linreg": 1, "mixture": 0, "logistic": 32, "run": 0}
 # Fields of each experiment that must be positive, and counts that must be
 # at least 1; prepare checks them before anything is drawn.
 _POSITIVE = {"run": ("model_kappa",), "linreg": ("data_sigma",),
@@ -224,19 +225,14 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         value = getattr(cfg, f.name)
         if isinstance(value, str) and ("\r" in value or "\n" in value):
             raise ConfigError(f"{f.name} holds a line break")
-    if cfg.agents < 1:
-        raise ConfigError("agents must be at least 1")
-    if cfg.iters < 1:
-        raise ConfigError("iters must be at least 1")
-    if cfg.stride < 1:
-        raise ConfigError("stride must be at least 1")
-    if cfg.eval_every < 1:
-        raise ConfigError("eval_every must be at least 1")
+    for name in ("agents", "iters", "stride", "eval_every"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be at least 1")
     if cfg.monitors not in ("on", "off"):
         raise ConfigError("monitors must be 'on' or 'off'")
     if cfg.seed < 0:
         raise ConfigError("seed must be nonnegative")
-    if cfg.batch is not None and cfg.batch < 0:
+    if cfg.batch < 0:
         raise ConfigError("batch must be 0 (full shard) or positive")
     if cfg.sigma_sq < 0:
         raise ConfigError("sigma_sq must be nonnegative")
@@ -274,8 +270,7 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         raise ConfigError("graph sequence is not B-strongly-connected over the horizon")
 
     noise = NoiseModel(cfg.seed, cfg.agents)
-    batch_cfg = _DEFAULT_BATCH[cfg.experiment] if cfg.batch is None else cfg.batch
-    batch = None if batch_cfg == 0 else batch_cfg
+    batch = cfg.batch or None
 
     metadata = {
         "experiment": cfg.experiment,
@@ -290,7 +285,7 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         "graph_kind": cfg.graph_kind,
         "graph_b": cfg.graph_b,
         "graph_seed": graph_seed,
-        "batch": batch_cfg,
+        "batch": cfg.batch,
         "sigma_sq": cfg.sigma_sq,
     }
     extras: dict = {}
@@ -391,9 +386,8 @@ def run_experiment(cfg: ExperimentConfig, setup: RunSetup | None = None):
     """Run one configured experiment and return its trace."""
     if setup is None:
         setup = prepare(cfg)
-    trace = run(setup.seq, setup.sched, setup.potential, setup.noise,
-                cfg.iters, cfg.stride, x0=setup.extras.get("x0"))
-    return trace
+    return run(setup.seq, setup.sched, setup.potential, setup.noise,
+               cfg.iters, cfg.stride, x0=setup.extras.get("x0"))
 
 
 def linreg_w2_series(trace, posterior: GaussianDist):
@@ -462,96 +456,69 @@ def _monitor_metadata(trace, setup: RunSetup):
     return report
 
 
-def cmd_linreg(cfg: ExperimentConfig) -> int:
-    setup = prepare(cfg)
-    trace = run_experiment(cfg, setup)
+def _per_agent(m: int, *names) -> list:
+    """Column names "<name>_agent_<i>", i < m, for each name in turn."""
+    return [f"{name}_agent_{i}" for name in names for i in range(m)]
+
+
+def _linreg_table(trace, setup: RunSetup, report):
     paper, bures = linreg_w2_series(trace, setup.extras["posterior"])
-    if cfg.monitors == "on":
-        _monitor_metadata(trace, setup)
     header = ["t", "alpha", "w2_paper", "w2_bures"] + \
-        [f"consensus_error_agent_{i}" for i in range(trace.num_agents)]
+        _per_agent(trace.num_agents, "consensus_error")
     rows = _rows(trace.ts, trace.alphas, paper.mean(axis=1),
                  bures.mean(axis=1), trace.consensus)
-    out = cfg.out or "linreg.csv"
-    write_csv(out, setup.metadata, header, rows)
-    print(f"linreg: wrote {out}; final mean W2 {np.mean(paper[-1]):.4f} "
-          f"(paper form), {np.mean(bures[-1]):.4f} (exact)")
-    return 0
+    return header, rows, (f"final mean W2 {np.mean(paper[-1]):.4f} (paper "
+                          f"form), {np.mean(bures[-1]):.4f} (exact)")
 
 
-def cmd_mixture(cfg: ExperimentConfig) -> int:
-    setup = prepare(cfg)
-    trace = run_experiment(cfg, setup)
-    if cfg.monitors == "on":
-        _monitor_metadata(trace, setup)
-    m = trace.num_agents
-    header = ["t", "alpha"] + \
-        [f"theta1_agent_{i}" for i in range(m)] + \
-        [f"theta2_agent_{i}" for i in range(m)] + \
-        [f"consensus_error_agent_{i}" for i in range(m)]
-    rows = _rows(trace.ts, trace.alphas, trace.states[:, :, 0],
-                 trace.states[:, :, 1], trace.consensus)
-    out = cfg.out or "mixture.csv"
-    write_csv(out, setup.metadata, header, rows)
-    burn = len(trace.ts) // 5
-    post = trace.states[burn:]
+def _mixture_table(trace, setup: RunSetup, report):
+    # free the unused report and count the occupancy before building the
+    # table, so that neither is alive at the occupancy's peak memory
+    del report
+    cfg, post = setup.cfg, trace.states[len(trace.ts) // 5:]
     near_a = np.linalg.norm(post - np.array([cfg.theta1, cfg.theta2]), axis=2) < 0.5
     flipped = np.array([cfg.theta1 + cfg.theta2, -cfg.theta2])
     near_b = np.linalg.norm(post - flipped, axis=2) < 0.5
-    print(f"mixture: wrote {out}; post-burn-in occupancy near the two modes "
-          f"{near_a.mean():.2f} / {near_b.mean():.2f}")
-    return 0
+    summary = (f"post-burn-in occupancy near the two modes "
+               f"{near_a.mean():.2f} / {near_b.mean():.2f}")
+    header = ["t", "alpha"] + _per_agent(trace.num_agents, "theta1", "theta2",
+                                         "consensus_error")
+    rows = _rows(trace.ts, trace.alphas, trace.states[:, :, 0],
+                 trace.states[:, :, 1], trace.consensus)
+    return header, rows, summary
 
 
-def cmd_logistic(cfg: ExperimentConfig) -> int:
-    setup = prepare(cfg)
-    trace = run_experiment(cfg, setup)
-    eval_ts, aucs = logistic_auc_series(trace, setup.extras["test"], cfg.eval_every)
-    if cfg.monitors == "on":
-        _monitor_metadata(trace, setup)
-    m = trace.num_agents
-    header = ["t", "alpha"] + [f"auc_agent_{i}" for i in range(m)] + ["auc_mean"]
+def _logistic_table(trace, setup: RunSetup, report):
+    eval_ts, aucs = logistic_auc_series(trace, setup.extras["test"],
+                                        setup.cfg.eval_every)
+    header = ["t", "alpha"] + _per_agent(trace.num_agents, "auc") + ["auc_mean"]
     alphas = [step_size(setup.sched, t) for t in eval_ts.tolist()]
     rows = _rows(eval_ts, alphas, aucs, aucs.mean(axis=1))
-    out = cfg.out or "logistic.csv"
-    write_csv(out, setup.metadata, header, rows)
-    print(f"logistic: wrote {out}; final mean test AUC {np.mean(aucs[-1]):.4f}")
-    return 0
+    return header, rows, f"final mean test AUC {np.mean(aucs[-1]):.4f}"
 
 
-def cmd_run(cfg: ExperimentConfig) -> int:
-    setup = prepare(cfg)
-    trace = run_experiment(cfg, setup)
-    report = _monitor_metadata(trace, setup) if cfg.monitors == "on" else None
+def _run_table(trace, setup: RunSetup, report):
     m, d = trace.num_agents, trace.dim
-    header = ["t", "alpha"]
-    for i in range(m):
-        header += [f"x_agent_{i}_dim_{j}" for j in range(d)]
-    header += [f"consensus_error_agent_{i}" for i in range(m)]
-    header += [f"z_dev_agent_{i}" for i in range(m)]
+    header = ["t", "alpha"] + [f"x_agent_{i}_dim_{j}" for i in range(m)
+                               for j in range(d)]
+    header += _per_agent(m, "consensus_error", "z_dev")
     ts = trace.ts
     # step t-1 carried the network into iteration t
     z_dev = np.full((len(ts), m), np.nan)
     z_dev[1:] = trace.z_dev[ts[1:] - 1]
     columns = [trace.alphas, trace.states.reshape(len(ts), m * d),
                trace.consensus, z_dev]
-    if report is not None:
-        header += ["lemma4_lhs", "lemma4_bound"]
-        # the report's prefix tau = t-1 >= 1 sits at its index tau-1
-        tau = ts[ts >= 2] - 1
-        lemma4 = np.full((len(ts), 2), np.nan)
-        lemma4[ts >= 2, 0] = report.lhs[tau - 1]
-        lemma4[ts >= 2, 1] = report.bound[tau - 1]
-        columns.append(lemma4)
-    rows = _rows(ts, *columns)
-    out = cfg.out or "run.csv"
-    write_csv(out, setup.metadata, header, rows)
-    note = ""
-    if report is not None:
-        note = f"; deviation bound {'VIOLATED' if report.violated else 'held'} " \
-               f"(max ratio {report.max_ratio:.2e})"
-    print(f"run: wrote {out}{note}")
-    return 0
+    if report is None:
+        return header, _rows(ts, *columns), ""
+    header += ["lemma4_lhs", "lemma4_bound"]
+    # the report's prefix tau = t-1 >= 1 sits at its index tau-1
+    tau = ts[ts >= 2] - 1
+    lemma4 = np.full((len(ts), 2), np.nan)
+    lemma4[ts >= 2] = np.column_stack([report.lhs[tau - 1], report.bound[tau - 1]])
+    columns.append(lemma4)
+    return header, _rows(ts, *columns), (
+        f"deviation bound {'VIOLATED' if report.violated else 'held'} "
+        f"(max ratio {report.max_ratio:.2e})")
 
 
 def _rows(ts, *columns):
@@ -561,15 +528,32 @@ def _rows(ts, *columns):
     return ([t] + row.tolist() for t, row in zip(ts.tolist(), table))
 
 
-_COMMANDS = {"linreg": cmd_linreg, "mixture": cmd_mixture,
-             "logistic": cmd_logistic, "run": cmd_run}
-
-_HELP = {
-    "linreg": "Bayesian linear regression against its conjugate posterior",
-    "mixture": "bimodal Gaussian-mixture posterior over two location offsets",
-    "logistic": "L1-regularized logistic regression scored by test ROC-AUC",
-    "run": "generic run of a registered model with optional bound monitors",
+# subcommand -> (help text, table); a table maps (trace, setup, bound report
+# or None) to the CSV header, its rows and the summary after "wrote <out>"
+_EXPERIMENTS = {
+    "linreg": ("Bayesian linear regression against its conjugate posterior",
+               _linreg_table),
+    "mixture": ("bimodal Gaussian-mixture posterior over two location offsets",
+                _mixture_table),
+    "logistic": ("L1-regularized logistic regression scored by test ROC-AUC",
+                 _logistic_table),
+    "run": ("generic run of a registered model with optional bound monitors",
+            _run_table),
 }
+
+
+def _command(cfg: ExperimentConfig) -> int:
+    """Run one subcommand: prepare, sample, check the bound if monitors are
+    on, write the experiment's table and print one line."""
+    setup = prepare(cfg)
+    trace = run_experiment(cfg, setup)
+    # the report goes straight to the table, which alone holds it
+    header, rows, summary = _EXPERIMENTS[cfg.experiment][1](
+        trace, setup, _monitor_metadata(trace, setup) if cfg.monitors == "on" else None)
+    out = cfg.out or f"{cfg.experiment}.csv"
+    write_csv(out, setup.metadata, header, rows)
+    print(f"{cfg.experiment}: wrote {out}" + (f"; {summary}" if summary else ""))
+    return 0
 
 
 def _add_flags(parser: argparse.ArgumentParser) -> None:
@@ -587,22 +571,18 @@ def main(argv=None) -> int:
         description="decentralized Langevin sampling experiments over "
                     "directed time-varying graphs")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _EXPERIMENTS:
-        _add_flags(sub.add_parser(name, help=_HELP[name]))
+    for name, (help_text, _) in _EXPERIMENTS.items():
+        _add_flags(sub.add_parser(name, help=help_text))
     args = parser.parse_args(argv)
 
     try:
         file_overrides = load_config_file(args.config) if args.config else {}
         cli_overrides = {f.name: getattr(args, f.name)
                          for f in fields(ExperimentConfig) if f.name != "experiment"}
-        cfg = build_config(args.command, file_overrides, cli_overrides)
-        return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _command(build_config(args.command, file_overrides, cli_overrides))
     except (ValueError, FloatingPointError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

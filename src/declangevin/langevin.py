@@ -195,12 +195,14 @@ class ZeroPotential(Potential):
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an agent's state stops being finite."""
+    """Raised when an agent's state, or a quantity recorded from it, stops
+    being finite; ``quantity`` names which."""
 
-    def __init__(self, agent: int, iteration: int):
-        super().__init__(f"non-finite state at agent {agent}, iteration {iteration}")
+    def __init__(self, agent: int, iteration: int, quantity: str = "state"):
+        super().__init__(f"non-finite {quantity} at agent {agent}, iteration {iteration}")
         self.agent = agent
         self.iteration = iteration
+        self.quantity = quantity
 
 
 def _check_agents(potential: Potential, m: int) -> None:
@@ -284,8 +286,10 @@ def average_state(ns: NetworkState) -> np.ndarray:
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm along the last axis; the arithmetic of
-    np.linalg.norm(v, axis=-1) without its dispatch."""
-    return np.sqrt((v * v).sum(axis=-1))
+    np.linalg.norm(v, axis=-1) without its dispatch.  A norm too large for
+    a float is inf, without a warning: the caller checks for it."""
+    with np.errstate(over="ignore"):
+        return np.sqrt((v * v).sum(axis=-1))
 
 
 def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
@@ -293,7 +297,7 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
         x0: np.ndarray | None = None) -> Trace:
     """Drive the iteration for ``num_iters`` steps and record a trace;
     raise :class:`DivergenceError` at the first iteration and agent whose
-    state, deviation or consensus error is not finite.
+    state, deviation, perturbation or consensus error is not finite.
 
     Parameters
     ----------
@@ -369,11 +373,16 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
         states[(t0 + k) // stride] = zs[k]
         consensus[(t0 + k) // stride] = _row_norms(zs[k] - xbar[k])
         # finite states can still be far enough apart to overflow a norm
-        bad = ~np.isfinite(zdev[t0:t0 + n])
+        bad = ~np.isfinite(zdev[t0:t0 + n]) | ~np.isfinite(pert[t0:t0 + n])
         bad[k - 1] |= ~np.isfinite(consensus[(t0 + k) // stride])
         if bad.any():
             step, agent = np.argwhere(bad)[0]
-            raise DivergenceError(agent=int(agent), iteration=t0 + int(step) + 1)
+            i = t0 + step
+            quantity = ("deviation norm" if not np.isfinite(zdev[i, agent]) else
+                        "perturbation norm" if not np.isfinite(pert[i, agent]) else
+                        "consensus error")
+            raise DivergenceError(agent=int(agent), iteration=int(i) + 1,
+                                  quantity=quantity)
         xs[0] = xs[n]
 
     return Trace(ts=ts, alphas=alphas, states=states, consensus=consensus,

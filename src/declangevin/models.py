@@ -172,12 +172,18 @@ def grad_U_linreg(z: np.ndarray, batch_features: np.ndarray, batch_targets: np.n
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    z = np.asarray(z, dtype=float)
-    prior_term = np.linalg.solve(prior.cov, (z - prior.mean)[..., None])[..., 0]
-    if batch_features.shape[-2] == 0:
+    return _grad_linreg(np.asarray(z, dtype=float), batch_features,
+                        batch_targets, prior.mean, np.linalg.inv(prior.cov),
+                        sigma, scale)
+
+
+def _grad_linreg(z, feats, targs, prior_mean, prior_prec, sigma, scale):
+    """:func:`grad_U_linreg` on a float z, given the prior precision."""
+    prior_term = (prior_prec @ (z - prior_mean)[..., None])[..., 0]
+    if feats.shape[-2] == 0:
         return prior_term
-    resid = (batch_features @ z[..., None])[..., 0] - batch_targets
-    return scale * _transpose_times(batch_features, resid) / sigma ** 2 + prior_term
+    resid = (feats @ z[..., None])[..., 0] - targs
+    return scale * _transpose_times(feats, resid) / sigma ** 2 + prior_term
 
 
 def _transpose_times(feats: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -441,14 +447,16 @@ class LinRegPotential(_ShardedPotential):
             raise ValueError("prior must be a single Gaussian, not a stack")
         self.prior = prior
         self.sigma = float(sigma)
+        if self.sigma <= 0:
+            raise ValueError("sigma must be positive")
         # 1/m prior weight == m-times-wider prior covariance in the gradient
-        self._agent_prior = GaussianDist(prior.mean, prior.cov * len(shards))
+        self._agent_prec = np.linalg.inv(prior.cov * len(shards))
         self.props = PotentialProps(dim=ds.dim)
 
     def grad_drawn(self, z, idx):
         feats, targs, scale = self._batches(idx)
-        return grad_U_linreg(z, feats, targs, self._agent_prior, self.sigma,
-                             scale)
+        return _grad_linreg(z, feats, targs, self.prior.mean, self._agent_prec,
+                            self.sigma, scale)
 
 
 class MixturePotential(_ShardedPotential):

@@ -537,3 +537,55 @@ class TestMain:
                          str(tmp_path / "d.csv")])
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
+
+
+class TestCommandPath:
+    SMOKE = {
+        "linreg": ["--n", "60", "--iters", "40", "--stride", "5"],
+        "mixture": ["--n", "60", "--iters", "40"],
+        "logistic": ["--surrogate", "on", "--n", "2000", "--iters", "40"],
+        "run": ["--iters", "30"],
+    }
+    STEPS = ("prepare", "run_experiment", "check_lemma4_bound", "write_csv")
+
+    @pytest.mark.parametrize("command", sorted(SMOKE))
+    def test_every_subcommand_takes_each_step_once(self, command, tmp_path,
+                                                   capsys, monkeypatch):
+        # the steps are looked up on the module at call time, so wrappers
+        # installed there (as the benchmark's spans are) see every call
+        calls = dict.fromkeys(self.STEPS, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in self.STEPS:
+            monkeypatch.setattr(cli_module, name,
+                                counted(name, getattr(cli_module, name)))
+        out = tmp_path / f"{command}.csv"
+        assert main([command, *self.SMOKE[command], "--monitors", "on",
+                     "--out", str(out)]) == 0
+        assert calls == dict.fromkeys(self.STEPS, 1)
+        meta = [line[2:].split("=", 1)[0] for line in
+                out.read_text().splitlines() if line.startswith("# ")]
+        for key in ("violated", "max_ratio", "delta", "lambda", "d_hat"):
+            assert f"lemma4_{key}" in meta
+        assert capsys.readouterr().out.startswith(f"{command}: wrote {out}")
+
+    def test_batch_defaults_per_subcommand(self):
+        assert [build_config(name).batch for name in
+                ("linreg", "mixture", "logistic", "run")] == [1, 0, 32, 0]
+
+    def test_a_null_batch_in_a_config_file_keeps_the_default(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"batch": None}))
+        overrides = load_config_file(config)
+        assert build_config("linreg", overrides).batch == 1
+        assert build_config("logistic", overrides).batch == 32
+
+    def test_batch_zero_is_the_full_shard(self):
+        cfg = build_config("logistic", {"surrogate": "on", "n": 2000,
+                                        "batch": 0})
+        assert prepare(cfg).potential.batch_size is None

@@ -230,6 +230,46 @@ class TestRun:
                     ZeroPotential(1), NoiseModel(0, 2), 990)
         assert (info.value.agent, info.value.iteration) == (0, 518)
 
+    def test_an_overflowing_deviation_is_named_without_a_warning(self):
+        # the same run as above, with every warning an error: the norm's
+        # overflow warns nowhere, and the error names the deviation, not
+        # the (finite) state
+        seq = generate_graph_sequence("static", 2, 1,
+                                      graphs=[DirectedGraph(2, {(0, 1)})])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                run(seq, StepSchedule("harmonic", alpha0=0.1),
+                    ZeroPotential(1), NoiseModel(0, 2), 990)
+        assert (info.value.agent, info.value.iteration) == (0, 518)
+        assert info.value.quantity == "deviation norm"
+        assert str(info.value) == \
+            "non-finite deviation norm at agent 0, iteration 518"
+
+    def test_an_overflowing_perturbation_is_named(self):
+        # one finite but huge gradient step: the new states are finite, the
+        # deviation is zero, no consensus error is recorded at stride 2, and
+        # the perturbation's norm overflows
+        class Kick(Potential):
+            props = PotentialProps(dim=2)
+
+            def grad_drawn(self, z, drawn):
+                return np.full_like(z, 1e200)
+
+        seq = generate_graph_sequence("seeded-random", 2, 1, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError,
+                               match="non-finite perturbation norm at agent 0, "
+                                     "iteration 1$"):
+                run(seq, StepSchedule("harmonic", alpha0=0.1), Kick(), None, 1,
+                    stride=2)
+
+    def test_divergence_error_names_a_state_by_default(self):
+        err = DivergenceError(agent=2, iteration=7)
+        assert str(err) == "non-finite state at agent 2, iteration 7"
+        assert err.quantity == "state"
+
     def test_pure_consensus_contracts_to_the_initial_average(self):
         seq = generate_graph_sequence("seeded-random", 6, 1, seed=4)
         rng = np.random.default_rng(4)
