@@ -318,7 +318,7 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
         The per-step deviation and perturbation series are always kept in
         full for the monitors.
     x0 : ndarray, optional
-        Initial (m, d) agent states; zeros by default.
+        Initial (m, d) agent states, finite; zeros by default.
 
     Returns
     -------
@@ -342,6 +342,8 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (m, d):
             raise ValueError("x0 must have shape (num_agents, dim)")
+        if not np.isfinite(x0).all():
+            raise ValueError("x0 must be finite")
         xs[0] = x0
     zs = xs.copy()
     ws = np.empty((block, m, d))
@@ -356,6 +358,9 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
     pert = np.zeros((num_iters, m))
     states[0] = zs[0]
     consensus[0] = _row_norms(zs[0] - xs[0].sum(axis=0) / m)
+    if not np.isfinite(consensus[0]).all():
+        raise DivergenceError(agent=int(np.argmin(np.isfinite(consensus[0]))),
+                              iteration=0, quantity="consensus error")
 
     mixing = np.empty((block, m, m))
     for t0 in range(0, num_iters, _MIXING_BLOCK):

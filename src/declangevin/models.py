@@ -48,7 +48,9 @@ class Dataset:
     ``features`` is (n, d); ``targets`` is length n and holds labels in
     {-1, +1} for classification, real responses for regression, or the raw
     sample values for the mixture model (mirrored into a single feature
-    column so both access patterns work).
+    column so both access patterns work).  Both are held as read-only
+    views, so no write through the dataset reaches a potential that gathers
+    from it; the arrays passed in stay writable.
     """
 
     features: np.ndarray
@@ -63,6 +65,8 @@ class Dataset:
             raise ValueError("targets length must match the number of rows")
         if not (np.isfinite(feats).all() and np.isfinite(targs).all()):
             raise ValueError("dataset contains non-finite values")
+        feats, targs = feats.view(), targs.view()
+        feats.flags.writeable = targs.flags.writeable = False
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "targets", targs)
 
@@ -382,22 +386,35 @@ class _ShardedPotential(Potential):
     a block of steps' indices in one draw per agent.  ``batch_size=None``
     uses the full shard deterministically and consumes no randomness.
 
-    Shards are stored stacked, (m, n_max, d) features and (m, n_max)
-    targets, so every agent's gradient comes from one array expression.
-    Shorter shards are padded with zero feature rows and target 1.0, a
-    valid label: a zero row adds exactly nothing to the regression and
-    logistic sums, and a 0/1 mask, kept only when shard sizes differ,
-    zeroes the padding out of the mixture's.
+    A minibatch potential copies no data: it keeps the dataset's read-only
+    arrays and a table of each shard's dataset rows, and every step gathers
+    its (m, batch_size, d) features and (m, batch_size) targets from the
+    dataset through that table.  Full shards are read whole every step, so
+    they are gathered once and stored stacked, (m, n_max, d) features and
+    (m, n_max) targets, and every agent's gradient comes from one array
+    expression.  Shorter shards are padded with zero feature rows and
+    target 1.0, a valid label: a zero row adds exactly nothing to the
+    regression and logistic sums, and a 0/1 mask, kept only when shard
+    sizes differ, zeroes the padding out of the mixture's.
     """
 
     def __init__(self, ds: Dataset, shards, batch_size):
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         self.batch_size = batch_size
+        self.num_agents = len(shards)
         self._sizes = [len(s.indices) for s in shards]
         rows = np.zeros((len(shards), max(self._sizes)), dtype=np.int64)
         for i, s in enumerate(shards):
             rows[i, :self._sizes[i]] = s.indices
+        if batch_size is not None:
+            self._features, self._targets = ds.features, ds.targets
+            # agent i's local row j is dataset row _table[j + _offsets[i]]
+            self._table = rows.ravel()
+            self._offsets = np.arange(0, rows.size, rows.shape[1])[:, None]
+            self._scale = (np.array(self._sizes) / batch_size)[:, None]
+            self.shard_targets = [ds.targets[s.indices] for s in shards]
+            return
         pad = np.arange(rows.shape[1]) >= np.array(self._sizes)[:, None]
         # one gather each, so no shard is ever held twice
         self._features = ds.features[rows]
@@ -405,11 +422,7 @@ class _ShardedPotential(Potential):
         self._targets = ds.targets[rows]
         self._targets[pad] = 1.0
         self._mask = (~pad).astype(float) if pad.any() else None
-        self.num_agents = len(shards)
         self.shard_targets = [y[:n] for y, n in zip(self._targets, self._sizes)]
-        self._rows = np.arange(len(shards))[:, None]
-        if batch_size is not None:
-            self._scale = (np.array(self._sizes) / batch_size)[:, None]
 
     def draw(self, noise, steps):
         """(steps, m, batch_size) row indices, agent i's from one draw on
@@ -424,12 +437,12 @@ class _ShardedPotential(Potential):
 
     def _batches(self, idx):
         """(features, targets, scale) of every agent's batch, stacked: rows
-        ``idx`` (m, batch_size) of each shard, or with ``idx`` None the
-        padded full shards (see the class docstring)."""
+        ``idx`` (m, batch_size) of each shard, gathered from the dataset, or
+        with ``idx`` None the padded full shards (see the class docstring)."""
         if idx is None:
             return self._features, self._targets, 1.0
-        return (self._features[self._rows, idx], self._targets[self._rows, idx],
-                self._scale)
+        rows = self._table.take(idx + self._offsets)
+        return self._features.take(rows, axis=0), self._targets.take(rows), self._scale
 
 
 class LinRegPotential(_ShardedPotential):
@@ -494,7 +507,7 @@ class LogisticPotential(_ShardedPotential):
 
     def __init__(self, ds: Dataset, shards, batch_size: int | None = 32):
         super().__init__(ds, shards, batch_size)
-        _check_labels(self._targets)
+        _check_labels(np.concatenate(self.shard_targets))
         self.props = PotentialProps(dim=ds.dim)
 
     def grad_drawn(self, z, idx):

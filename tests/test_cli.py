@@ -210,6 +210,19 @@ class TestPrepare:
         assert setup.metadata["n"] == 120
         assert setup.metadata["dims"] == 8
 
+    def test_logistic_prepare_holds_the_training_rows_once(self):
+        # the dataset, the test split's copy and the potential's row table;
+        # no stacked copy of the training shards
+        cfg = build_config("logistic", {"surrogate": "on", "n": 8000})
+        tracemalloc.start()
+        try:
+            setup = prepare(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * cfg.n * cfg.dims * 8
+        assert setup.potential.batch_size == 32
+
     def test_logistic_needs_an_evaluation_point(self):
         # records at 0, 7 and 14: none a multiple of 10, and t=20 unrecorded
         cfg = build_config("logistic", {"surrogate": "on", "n": 200,
@@ -528,6 +541,18 @@ class TestMain:
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
         assert out.read_bytes().startswith(b"# experiment=run\r\n")
+
+    def test_importing_the_cli_loads_no_test_or_scipy_modules(self):
+        # numpy is the only runtime dependency
+        src = str(Path(declangevin.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, declangevin.cli; print(sorted("
+             "{'scipy', 'hypothesis', 'pytest'} & {n.split('.')[0] for n in "
+             "sys.modules}))"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_divergence_exits_with_one(self, tmp_path, capsys):
         # the state overflows before the finiteness check trips

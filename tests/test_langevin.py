@@ -217,6 +217,24 @@ class TestRun:
                     None, 10, x0=x0)
         np.testing.assert_array_equal(trace.states[0], x0)
 
+    def test_a_non_finite_x0_is_refused(self):
+        seq = generate_graph_sequence("seeded-random", 2, 1, seed=0)
+        with pytest.raises(ValueError, match="x0"):
+            run(seq, StepSchedule("harmonic", 0.1), ZeroPotential(2), None, 3,
+                x0=[[np.nan, 0.0], [0.0, 0.0]])
+
+    def test_an_overflowing_initial_consensus_error_raises(self):
+        # finite rows far enough apart that the squared norm of each one's
+        # distance to the average overflows at iteration 0
+        seq = generate_graph_sequence("seeded-random", 2, 1, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                run(seq, StepSchedule("harmonic", 0.1), ZeroPotential(2), None,
+                    3, x0=[[1e160, 1e160], [-1e160, -1e160]])
+        assert (info.value.agent, info.value.iteration) == (0, 0)
+        assert info.value.quantity == "consensus error"
+
     def test_an_overflowing_deviation_raises(self):
         # node 0 only sends, so its push-sum weight halves every step and
         # its ratio estimate grows until, at iteration 518, the squared

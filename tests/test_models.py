@@ -1,5 +1,6 @@
 """Datasets, gradients, the libsvm loader, sharding and potentials."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -56,6 +57,17 @@ class TestDataset:
     def test_size_properties(self):
         ds = Dataset(features=np.zeros((5, 3)), targets=np.zeros(5))
         assert ds.n == 5 and ds.dim == 3
+
+    def test_arrays_are_read_only_views_of_writable_inputs(self):
+        feats, targs = np.zeros((5, 3)), np.zeros(5)
+        ds = Dataset(features=feats, targets=targs)
+        with pytest.raises(ValueError):
+            ds.features[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ds.targets[0] = 1.0
+        assert feats.flags.writeable and targs.flags.writeable
+        feats[0, 0] = 2.0
+        assert ds.features[0, 0] == 2.0
 
 
 class TestGaussianDist:
@@ -439,6 +451,21 @@ class TestPotentials:
         np.testing.assert_allclose(total,
                                    np.linalg.solve(cov, z - mean),
                                    atol=1e-12, rtol=0.0)
+
+
+class TestShardStorage:
+    def test_a_minibatch_potential_copies_no_features(self):
+        # the potential keeps the dataset's arrays and a row table; the
+        # stacked (m, n_max, d) copy of the shards is for full shards only
+        ds = make_surrogate_classification(20000, 100, seed=5)
+        shards = partition(ds, 4, "random", 5)
+        tracemalloc.start()
+        try:
+            LogisticPotential(ds, shards, batch_size=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * ds.features.nbytes
 
 
 def ragged_potential(kind, sizes, dim, batch, seed):
