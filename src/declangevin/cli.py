@@ -44,6 +44,8 @@ __all__ = [
     "prepare",
     "run_experiment",
     "main",
+    "linreg_w2_series",
+    "logistic_auc_series",
 ]
 
 
@@ -383,9 +385,12 @@ def _logistic_data(cfg: ExperimentConfig) -> Dataset:
 
 
 def run_experiment(cfg: ExperimentConfig, setup: RunSetup | None = None):
-    """Run one configured experiment and return its trace."""
+    """Run one configured experiment and return its trace; ``setup``, when
+    given, must be prepared from ``cfg``."""
     if setup is None:
         setup = prepare(cfg)
+    elif setup.cfg != cfg:
+        raise ValueError("setup was prepared from another configuration")
     return run(setup.seq, setup.sched, setup.potential, setup.noise,
                cfg.iters, cfg.stride, x0=setup.extras.get("x0"))
 

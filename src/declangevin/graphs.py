@@ -5,7 +5,8 @@ iteration.  Every node always counts itself among its own out-neighbors, so
 the out-degree used for mass splitting is the number of out-edges plus one.
 A sequence of graphs is B-strongly-connected when the union of the edge sets
 over each window [kB, (k+1)B - 1] is strongly connected; individual graphs in
-the window may be arbitrarily sparse.
+the window may be arbitrarily sparse.  A graph reaches the sampler only
+through its column-stochastic mixing matrix, which holds entries alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "DirectedGraph",
     "DirectedGraphSequence",
     "MixingMatrix",
-    "SpectralBounds",
     "build_mixing_matrix",
     "check_b_strong_connectivity",
     "generate_graph_sequence",
@@ -75,17 +75,6 @@ class DirectedGraph:
             adj[v, u] = True
         adj.flags.writeable = False
         return adj
-
-    @cached_property
-    def out_degrees(self) -> np.ndarray:
-        """Out-degree of every node, self-loop included."""
-        degs = self.adjacency.sum(axis=0)
-        degs.flags.writeable = False
-        return degs
-
-    def is_strongly_connected(self) -> bool:
-        """True when every node reaches every other node along directed edges."""
-        return bool(_strongly_connected(self.adjacency[None])[0])
 
 
 def _graph_from_adjacency(adj: np.ndarray) -> DirectedGraph:
@@ -157,41 +146,30 @@ def _check_columns(entries: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """Column-stochastic mixing matrix paired with the graph it came from.
+    """Column-stochastic (m, m) mixing matrix, the one form in which a graph
+    reaches the sampler.
 
     ``entries[j, i]`` is 1/d_i, with d_i node i's out-degree, when i sends
     to j (or j == i) and 0 otherwise, so each column i spreads node i's mass
-    uniformly over its out-neighborhood.
+    uniformly over its out-neighborhood.  The entries are held as a
+    read-only view; they must be square and every column must sum to 1.
     """
 
     entries: np.ndarray
-    graph: DirectedGraph
 
     def __post_init__(self):
-        m = self.graph.num_nodes
-        if self.entries.shape != (m, m):
-            raise ValueError("entries shape does not match the graph")
-        _check_columns(self.entries)
+        entries = np.asarray(self.entries, dtype=float).view()
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            raise ValueError(f"mixing entries must be square, got shape {entries.shape}")
+        _check_columns(entries)
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
 
 
 def build_mixing_matrix(g: DirectedGraph) -> MixingMatrix:
-    """Build the column-stochastic mixing matrix of a directed graph.
-
-    Column i holds 1/d_i at every out-neighbor of i and at i itself, where
-    d_i is the out-degree including the self-loop.  Entry (j, i) is nonzero
-    exactly when i = j or (i, j) is an edge.
-
-    Parameters
-    ----------
-    g : DirectedGraph
-
-    Returns
-    -------
-    MixingMatrix
-    """
-    entries = _mixing_entries(g.adjacency)
-    entries.flags.writeable = False
-    return MixingMatrix(entries=entries, graph=g)
+    """The :class:`MixingMatrix` of a directed graph: entry (j, i) is
+    nonzero exactly when i = j or (i, j) is an edge."""
+    return MixingMatrix(_mixing_entries(g.adjacency))
 
 
 class DirectedGraphSequence:
@@ -213,8 +191,9 @@ class DirectedGraphSequence:
     generated in blocks of about 256 steps, and only the last block
     generated is kept, so a reader that goes forward in time generates each
     block once.  :meth:`fill_mixing` turns a block of steps into mixing
-    matrices in one call; :meth:`graph_at` and :meth:`mixing_at` build
-    single-step views of the same arrays on every call.
+    matrices in one call, and :meth:`mixing_at` is that call on a block of
+    one step; :meth:`graph_at` builds a single step's graph from the same
+    arrays on every call.
     """
 
     def __init__(self, kind: str, num_nodes: int, window_len: int = 1,
@@ -275,9 +254,10 @@ class DirectedGraphSequence:
     def fill_mixing(self, t0: int, out: np.ndarray) -> np.ndarray:
         """Write the mixing entries of step t0 + k into ``out[k]``, for every k.
 
-        ``out`` is a float (n, m, m) array; its entries are those of
-        ``mixing_at(t0 + k).entries``, bit for bit, and every column is
-        checked to sum to 1.  Returns ``out``, untouched when n is 0.
+        ``out`` is a float (n, m, m) array; ``out[k]`` gets the
+        :class:`MixingMatrix` entries of the graph of step t0 + k, and every
+        column is checked to sum to 1.  Returns ``out``, untouched when n
+        is 0.
         """
         m = self.num_nodes
         if out.ndim != 3 or out.shape[1:] != (m, m):
@@ -295,8 +275,10 @@ class DirectedGraphSequence:
         return self.graphs[t % len(self.graphs)]
 
     def mixing_at(self, t: int) -> MixingMatrix:
-        """Mixing matrix of the graph active at iteration t."""
-        return build_mixing_matrix(self.graph_at(t))
+        """Mixing matrix of the graph active at iteration t: the block of
+        one step that :meth:`fill_mixing` writes."""
+        m = self.num_nodes
+        return MixingMatrix(self.fill_mixing(t, np.empty((1, m, m)))[0])
 
 
 def generate_graph_sequence(kind: str, num_nodes: int, window_len: int = 1,
@@ -332,15 +314,15 @@ def generate_graph_sequence(kind: str, num_nodes: int, window_len: int = 1,
     return DirectedGraphSequence(kind, num_nodes, window_len, seed, graphs)
 
 
-def check_b_strong_connectivity(seq: DirectedGraphSequence, horizon: int,
-                                window_len: int | None = None) -> bool:
+def check_b_strong_connectivity(seq: DirectedGraphSequence, horizon: int) -> bool:
     """Check strong connectivity of every window union inside a horizon.
 
-    The window length defaults to ``seq.window_len``.  Windows are the
-    blocks [k*B, (k+1)*B - 1] that fit entirely inside [0, horizon).  They
-    are checked in batches of about 256 steps: the adjacency of each window
-    is OR-ed over its steps, then every union's reachability is computed at
-    once.
+    The window length B is ``seq.window_len``, the one the sequence's law
+    is stated in.  Windows are the blocks [k*B, (k+1)*B - 1] that fit
+    entirely inside [0, horizon).  They are checked in batches of about 256
+    steps: the adjacency of each window is OR-ed over its steps, then every
+    union's reachability is computed at once.  A static sequence with B = 1
+    checks its one graph.
 
     Parameters
     ----------
@@ -348,17 +330,13 @@ def check_b_strong_connectivity(seq: DirectedGraphSequence, horizon: int,
     horizon : int
         Number of iterations the sequence will be used for; must be at least
         one full window.
-    window_len : int, optional
-        Override for the window length B.
 
     Returns
     -------
     bool
         True when every complete window union is strongly connected.
     """
-    b = seq.window_len if window_len is None else int(window_len)
-    if b < 1:
-        raise ValueError("window length must be at least 1")
+    b = seq.window_len
     if horizon < b:
         raise ValueError(f"horizon {horizon} is shorter than one window of {b}")
     m = seq.num_nodes

@@ -54,10 +54,10 @@ _MIXING_BLOCK = 256
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Decaying step-size schedule alpha(t).
+    """Decaying step-size schedule alpha(t) = alpha0 / (offset + t) ** exponent.
 
-    ``harmonic`` gives alpha0 / (1 + t).  ``power`` gives
-    alpha0 / (offset + t) ** exponent with exponent in (0, 1].
+    ``harmonic`` is alpha0 / (1 + t) and refuses other offsets and
+    exponents; ``power`` takes offset > 0 and exponent in (0, 1].
     """
 
     kind: str
@@ -73,14 +73,14 @@ class StepSchedule:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha0 <= 0:
             raise ValueError("alpha0 must be positive")
+        if self.kind == "harmonic" and (self.offset, self.exponent) != (1.0, 1.0):
+            raise ValueError("a harmonic schedule has offset 1 and exponent 1, got "
+                             f"{self.offset} and {self.exponent}; use 'power'")
         if self.kind == "power":
             if self.offset <= 0:
                 raise ValueError("power schedule offset must be positive")
             if not 0 < self.exponent <= 1:
                 raise ValueError("power schedule exponent must lie in (0, 1]")
-
-    def __call__(self, t: int) -> float:
-        return step_size(self, t)
 
     @classmethod
     def power_from_endpoints(cls, alpha_start: float, alpha_end: float,
@@ -106,8 +106,6 @@ def step_size(sched: StepSchedule, t: int) -> float:
     """Evaluate the schedule at iteration t >= 0."""
     if t < 0:
         raise ValueError("iteration index must be nonnegative")
-    if sched.kind == "harmonic":
-        return sched.alpha0 / (1.0 + t)
     return sched.alpha0 / (sched.offset + t) ** sched.exponent
 
 
@@ -264,12 +262,12 @@ def langevin_step(ns: NetworkState, mix: MixingMatrix, sched: StepSchedule,
 
     Returns the state at t+1.  Raises :class:`DivergenceError` when any
     agent's new x contains non-finite entries, and ``ValueError`` when the
-    graph size does not match the state or the potential, or a minibatch
-    potential lacks noise.
+    mixing matrix's size does not match the state or the potential, or a
+    minibatch potential lacks noise.
     """
     m = ns.num_agents
-    if mix.graph.num_nodes != m:
-        raise ValueError(f"graph has {mix.graph.num_nodes} nodes but the state has {m} agents")
+    if len(mix.entries) != m:
+        raise ValueError(f"mixing matrix has {len(mix.entries)} nodes but the state has {m} agents")
     _check_agents(potential, m)
     alphas, drawn, gauss = _draws(sched, potential, noise, ns.t, 1, ns.dim)
     xs = np.array([ns.x, ns.x], dtype=float)
@@ -357,7 +355,9 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
     zdev = np.zeros((num_iters, m))
     pert = np.zeros((num_iters, m))
     states[0] = zs[0]
-    consensus[0] = _row_norms(zs[0] - xs[0].sum(axis=0) / m)
+    # finite states may sum to inf: no warning, the norms' checks report it
+    with np.errstate(over="ignore"):
+        consensus[0] = _row_norms(zs[0] - xs[0].sum(axis=0) / m)
     if not np.isfinite(consensus[0]).all():
         raise DivergenceError(agent=int(np.argmin(np.isfinite(consensus[0]))),
                               iteration=0, quantity="consensus error")
@@ -370,7 +370,8 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
         y = _step(mixing[:n], y, xs, ws, zs, t0, alpha, potential, drawn,
                   gauss)[-1]
         # xbar[k] is the network average at iteration t0 + k
-        xbar = xs[:n + 1].sum(axis=1)[:, None] / m
+        with np.errstate(over="ignore"):
+            xbar = xs[:n + 1].sum(axis=1)[:, None] / m
         zdev[t0:t0 + n] = _row_norms(zs[1:n + 1] - xbar[:n])
         pert[t0:t0 + n] = _row_norms(xs[1:n + 1] - ws[:n])
         # records at the multiples of stride in (t0, t0 + n]
@@ -461,11 +462,9 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
         non-finite value finite again, so no divergence goes unreported.
     FloatingPointError
         If a push-sum weight underflows before any such checkpoint.
+    ValueError
+        If :class:`GaussianPotential` refuses the target, or a size is wrong.
     """
-    target_mean = np.asarray(target_mean, dtype=float)
-    target_cov = np.asarray(target_cov, dtype=float)
-    d = target_mean.shape[0]
-    precision = np.linalg.inv(target_cov)
     checkpoints = list(checkpoints)
     if not checkpoints or any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be one or more strictly increasing "
@@ -477,8 +476,13 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
                          f"num_agents is {num_agents}")
     if num_runs < 1:
         raise ValueError("num_runs must be at least 1")
+    # imported here: models imports this module
+    from .models import GaussianPotential
 
-    m = num_agents
+    target = GaussianPotential(target_mean, target_cov, num_agents)
+    target_mean, precision = target.mean, target.precision
+
+    m, d = num_agents, target_mean.shape[0]
     horizon = max(checkpoints)
     snaps = np.zeros((len(checkpoints), num_runs, d))
     want = {c: k for k, c in enumerate(checkpoints)}

@@ -19,7 +19,6 @@ from .models import GaussianDist
 from .trace import Trace
 
 __all__ = [
-    "BoundReport",
     "w2_gaussian_paper",
     "w2_gaussian_bures",
     "empirical_gaussian",

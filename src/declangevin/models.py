@@ -101,18 +101,31 @@ class GaussianDist:
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if cov.shape != mean.shape + mean.shape[-1:]:
-            raise ValueError("covariance shape must match the mean")
-        if not np.allclose(cov, np.swapaxes(cov, -1, -2), rtol=0.0, atol=1e-10):
-            raise ValueError("covariance must be symmetric")
-        if (np.linalg.eigvalsh(cov) <= 0).any():
-            raise ValueError("covariance must be positive definite")
+        _check_covariance(mean, cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[-1]
+
+
+def _check_covariance(mean, cov, invert=False):
+    """Refuse a covariance (stack) that does not match ``mean`` or is not
+    finite, symmetric to within 1e-10 and positive definite.  Returns it, or
+    with ``invert`` its inverse, and that matrix's eigenvalues, which are
+    positive exactly when the covariance's are."""
+    if cov.shape != mean.shape + mean.shape[-1:]:
+        raise ValueError("covariance shape must match the mean")
+    if not np.isfinite(cov).all():
+        raise ValueError("covariance must be finite")
+    if not (np.abs(cov - np.swapaxes(cov, -1, -2)) <= 1e-10).all():
+        raise ValueError("covariance must be symmetric")
+    mat = np.linalg.inv(cov) if invert else cov
+    eigs = np.linalg.eigvalsh(mat)
+    if not eigs.min(initial=np.inf) > 0:
+        raise ValueError("covariance must be positive definite")
+    return mat, eigs
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -406,6 +419,10 @@ class _ShardedPotential(Potential):
         self._sizes = [len(s.indices) for s in shards]
         rows = np.zeros((len(shards), max(self._sizes)), dtype=np.int64)
         for i, s in enumerate(shards):
+            if s.agent != i:
+                raise ValueError(f"shard {i} belongs to agent {s.agent}, not agent {i}")
+            if len(s.indices) and not 0 <= s.indices.min() <= s.indices.max() < ds.n:
+                raise ValueError(f"shard {i} holds a row outside [0, {ds.n})")
             rows[i, :self._sizes[i]] = s.indices
         if batch_size is not None:
             self._features, self._targets = ds.features, ds.targets
@@ -517,18 +534,20 @@ class LogisticPotential(_ShardedPotential):
 class GaussianPotential(Potential):
     """Quadratic target split evenly across agents.
 
-    The network as a whole targets N(mean, cov); each agent holds 1/m of
-    the potential, so the declared per-agent constants are the target
-    curvature extremes divided by m.
+    The network as a whole targets N(mean, cov), cov checked as
+    :class:`GaussianDist` checks it; each agent holds 1/m of the potential,
+    so the declared per-agent constants are the target curvature extremes
+    divided by m.
     """
 
     def __init__(self, mean: np.ndarray, cov: np.ndarray, num_agents: int):
         mean = np.asarray(mean, dtype=float)
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        if mean.ndim != 1:
+            raise ValueError("the target must be a single Gaussian, not a stack")
+        self.precision, eigs = _check_covariance(mean, cov, invert=True)
         self.mean = mean
-        self.precision = np.linalg.inv(cov)
         self.num_agents = int(num_agents)
-        eigs = np.linalg.eigvalsh(self.precision)
         self.props = PotentialProps(dim=mean.shape[0],
                                     mu=float(eigs.min()) / num_agents,
                                     lipschitz=float(eigs.max()) / num_agents)

@@ -105,14 +105,14 @@ def pushsum_mix(ns: NetworkState, mix: MixingMatrix) -> NetworkState:
     Raises
     ------
     ValueError
-        If the graph size does not match the state.
+        If the mixing matrix's size does not match the state.
     FloatingPointError
         If any weight falls below a representable floor, which would make
         the ratio z meaningless.
     """
     m = ns.num_agents
-    if mix.graph.num_nodes != m:
-        raise ValueError(f"graph has {mix.graph.num_nodes} nodes but the state has {m} agents")
+    if len(mix.entries) != m:
+        raise ValueError(f"mixing matrix has {len(mix.entries)} nodes but the state has {m} agents")
     ys, underflow = _weights(mix.entries[None], ns.y, ns.t)
     if underflow is not None:
         raise underflow

@@ -257,6 +257,14 @@ class TestRunExperiment:
         assert a.states.shape == (11, 3, 2)
         np.testing.assert_array_equal(a.states, b.states)
 
+    def test_a_setup_of_another_config_is_refused(self):
+        # a 5-agent, 30-step setup would give a run of 20 steps on 5 agents
+        setup = prepare(build_config("run", {"agents": 5, "iters": 30}))
+        cfg = build_config("run", {"agents": 5, "iters": 20})
+        with pytest.raises(ValueError, match="another configuration"):
+            run_experiment(cfg, setup)
+        assert run_experiment(setup.cfg, setup).num_iters == 30
+
     def test_linreg_distance_series_fills_in_once_the_window_is_full(self):
         cfg = build_config("linreg", {"n": 80, "agents": 3, "iters": 40,
                                       "stride": 5})

@@ -27,6 +27,12 @@ def random_graph(rng, num_nodes):
     return DirectedGraph(num_nodes, frozenset(edges))
 
 
+def strongly_connected(g):
+    """The connectivity check on the static sequence of g, window 1."""
+    return check_b_strong_connectivity(
+        generate_graph_sequence("static", g.num_nodes, graphs=[g]), 1)
+
+
 class TestDirectedGraph:
     def test_rejects_empty_node_set(self):
         with pytest.raises(ValueError):
@@ -41,27 +47,21 @@ class TestDirectedGraph:
             DirectedGraph(3, {(1, 1)})
 
     def test_out_degrees_count_self_loop(self, six_node_graph):
-        assert six_node_graph.out_degrees.tolist() == [2, 1, 2, 1, 1, 2]
-        assert six_node_graph.out_degrees[0] == 2
-        assert six_node_graph.out_degrees[4] == 1
-
-    def test_out_degree_rejects_bad_node(self, six_node_graph):
-        with pytest.raises(IndexError):
-            six_node_graph.out_degrees[6]
-        # the cached degrees are shared, so they must not be writable
-        with pytest.raises(ValueError):
-            six_node_graph.out_degrees[0] = 5
+        degrees = six_node_graph.adjacency.sum(axis=0)
+        assert degrees.tolist() == [2, 1, 2, 1, 1, 2]
+        assert degrees[0] == 2
+        assert degrees[4] == 1
 
     def test_ring_is_strongly_connected(self):
         ring = DirectedGraph(4, {(0, 1), (1, 2), (2, 3), (3, 0)})
-        assert ring.is_strongly_connected()
+        assert strongly_connected(ring)
 
     def test_chain_is_not_strongly_connected(self):
         chain = DirectedGraph(4, {(0, 1), (1, 2), (2, 3)})
-        assert not chain.is_strongly_connected()
+        assert not strongly_connected(chain)
 
     def test_single_node_is_strongly_connected(self):
-        assert DirectedGraph(1).is_strongly_connected()
+        assert strongly_connected(DirectedGraph(1))
 
 
 class TestMixingMatrix:
@@ -85,7 +85,7 @@ class TestMixingMatrix:
         for i in range(6):
             col = entries[:, i]
             np.testing.assert_array_equal(col[col != 0.0],
-                                          1.0 / g.out_degrees[i])
+                                          1.0 / g.adjacency.sum(axis=0)[i])
 
     def test_column_sums_one_over_random_graphs(self):
         rng = np.random.default_rng(13)
@@ -96,7 +96,7 @@ class TestMixingMatrix:
 
     def test_rejects_nonstochastic_entries(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            MixingMatrix(entries=0.5 * np.eye(3), graph=DirectedGraph(3))
+            MixingMatrix(entries=0.5 * np.eye(3))
 
     def test_fill_mixing_checks_every_block(self, six_node_graph):
         seq = generate_graph_sequence("static", 6, graphs=[six_node_graph])
@@ -107,8 +107,20 @@ class TestMixingMatrix:
                 seq.fill_mixing(0, np.empty((3, 6, 6)))
 
     def test_rejects_shape_mismatch(self):
+        # columns that sum to 1, but no square matrix
+        with pytest.raises(ValueError, match="square"):
+            MixingMatrix(entries=np.full((2, 3), 0.5))
+        with pytest.raises(ValueError, match="square"):
+            MixingMatrix(entries=np.ones(3))
+
+    def test_entries_are_a_read_only_view(self, six_node_graph):
+        entries = SIX_NODE_MIXING.copy()
+        mix = MixingMatrix(entries)
         with pytest.raises(ValueError):
-            MixingMatrix(entries=np.eye(2), graph=DirectedGraph(3))
+            mix.entries[0, 0] = 1.0
+        assert entries.flags.writeable
+        with pytest.raises(ValueError):
+            build_mixing_matrix(six_node_graph).entries[0, 0] = 1.0
 
 
 class TestGraphSequences:
@@ -118,7 +130,8 @@ class TestGraphSequences:
 
     def test_static_without_graph_generates_connected_one(self):
         seq = generate_graph_sequence("static", 5, seed=3)
-        assert seq.graph_at(0).is_strongly_connected()
+        assert check_b_strong_connectivity(seq, 1)
+        assert strongly_connected(seq.graph_at(0))
 
     def test_static_rejects_multiple_graphs(self, six_node_graph):
         with pytest.raises(ValueError):
@@ -156,7 +169,7 @@ class TestGraphSequences:
     def test_mixing_at_matches_graph_at(self):
         seq = generate_graph_sequence("seeded-random", 4, 1, seed=0)
         mix = seq.mixing_at(5)
-        assert mix.graph.edges == seq.graph_at(5).edges
+        assert np.array_equal(mix.entries, reference_mixing(seq.graph_at(5)))
         assert np.array_equal(mix.entries,
                               build_mixing_matrix(seq.graph_at(5)).entries)
 
@@ -167,14 +180,15 @@ class TestGraphSequences:
         seq = generate_graph_sequence("periodic-list", 4, 2,
                                       graphs=[even, odd, even])
         assert np.array_equal(seq.mixing_at(0).entries, seq.mixing_at(3).entries)
-        assert seq.mixing_at(2).graph is even
+        assert np.array_equal(seq.mixing_at(2).entries,
+                              build_mixing_matrix(even).entries)
         static = generate_graph_sequence("static", 4, seed=1)
         assert np.array_equal(static.mixing_at(0).entries,
                               static.mixing_at(7).entries)
         seq = generate_graph_sequence("seeded-random", 4, 3, seed=2)
         for t in range(600):
             mix = seq.mixing_at(t)
-            assert mix.graph.edges == seq.graph_at(t).edges
+            assert np.array_equal(mix.entries, reference_mixing(seq.graph_at(t)))
             assert np.array_equal(mix.entries,
                                   build_mixing_matrix(seq.graph_at(t)).entries)
 
@@ -202,8 +216,9 @@ class TestBStrongConnectivity:
 
     def test_alternating_pairs_need_the_full_window(self, alternating_pairs_seq):
         assert check_b_strong_connectivity(alternating_pairs_seq, 8)
-        assert not check_b_strong_connectivity(alternating_pairs_seq, 8,
-                                               window_len=1)
+        per_step = generate_graph_sequence("periodic-list", 4, 1,
+                                           graphs=alternating_pairs_seq.graphs)
+        assert not check_b_strong_connectivity(per_step, 8)
 
     def test_horizon_shorter_than_window_rejected(self, alternating_pairs_seq):
         with pytest.raises(ValueError, match="shorter than one window"):
@@ -259,11 +274,11 @@ class TestArrayGraphLayer:
             min_size=1, max_size=5))
         b = data.draw(st.integers(1, 4))
         horizon = data.draw(st.integers(b, 30))
-        seq = generate_graph_sequence("periodic-list", m, 1, graphs=graphs)
-        assert (check_b_strong_connectivity(seq, horizon, window_len=b)
+        seq = generate_graph_sequence("periodic-list", m, b, graphs=graphs)
+        assert (check_b_strong_connectivity(seq, horizon)
                 == reference_b_connected(seq, horizon, b))
         for g in graphs:
-            assert g.is_strongly_connected() == reference_strongly_connected(
+            assert strongly_connected(g) == reference_strongly_connected(
                 m, g.edges)
 
     @settings(max_examples=25)

@@ -47,9 +47,19 @@ class TestStepSchedule:
         assert step_size(sched, 0) == 1.0
         assert step_size(sched, 12) == 0.5
 
-    def test_schedule_is_callable(self):
-        sched = StepSchedule("harmonic", alpha0=1.0)
-        assert sched(7) == step_size(sched, 7)
+    @pytest.mark.parametrize("fields", [{"offset": 5.0}, {"exponent": 0.5},
+                                        {"offset": 5.0, "exponent": 0.5}])
+    def test_harmonic_refuses_other_offsets_and_exponents(self, fields):
+        with pytest.raises(ValueError, match="harmonic schedule has offset 1"):
+            StepSchedule("harmonic", alpha0=0.1, **fields)
+
+    def test_harmonic_is_the_power_formula_at_offset_and_exponent_one(self):
+        # alpha0 / (1 + t) ** 1 is alpha0 / (1 + t), bit for bit
+        rng = np.random.default_rng(0)
+        for alpha0 in [0.1, 0.8, 1.0, 2.0 / 3.0, *rng.uniform(1e-6, 1e3, 6)]:
+            sched = StepSchedule("harmonic", alpha0=float(alpha0))
+            for t in [*range(2000), 2 ** 31, 10 ** 12, 2 ** 53 - 1]:
+                assert step_size(sched, t) == alpha0 / (1.0 + t)
 
     def test_endpoint_solver_hits_both_endpoints(self):
         sched = StepSchedule.power_from_endpoints(0.008, 0.0005, 0.65, 200)
@@ -234,6 +244,37 @@ class TestRun:
                     3, x0=[[1e160, 1e160], [-1e160, -1e160]])
         assert (info.value.agent, info.value.iteration) == (0, 0)
         assert info.value.quantity == "consensus error"
+
+    def test_an_overflowing_network_average_at_iteration_0_raises(self):
+        # finite states whose sum, and so the network average, overflows
+        seq = generate_graph_sequence("seeded-random", 2, 1, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                run(seq, StepSchedule("harmonic", 0.1), ZeroPotential(1), None,
+                    3, x0=[[1e308], [1e308]])
+        assert (info.value.agent, info.value.iteration) == (0, 0)
+        assert info.value.quantity == "consensus error"
+
+    def test_an_overflowing_network_average_in_a_block_raises(self):
+        # one finite kick at step 100 takes both states past 1e308: each
+        # stays finite, the network average of iteration 101 overflows, and
+        # the kick's own norm is reported first, without a warning
+        class Kick(Potential):
+            props = PotentialProps(dim=1)
+            calls = 0
+
+            def grad_drawn(self, z, drawn):
+                self.calls += 1
+                return np.full_like(z, -1.1e307 if self.calls == 101 else 0.0)
+
+        seq = generate_graph_sequence("seeded-random", 2, 1, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                run(seq, StepSchedule("harmonic", 1000.0), Kick(), None, 200)
+        assert (info.value.agent, info.value.iteration) == (0, 101)
+        assert info.value.quantity == "perturbation norm"
 
     def test_an_overflowing_deviation_raises(self):
         # node 0 only sends, so its push-sum weight halves every step and
@@ -653,6 +694,18 @@ class TestGaussianEnsemble:
         with pytest.raises(ValueError, match="3 nodes but num_agents is 2"):
             run_gaussian_ensemble(seq, sched, np.zeros(2), np.eye(2), 2, 10,
                                   4, 0, [5])
+
+    @pytest.mark.parametrize("cov, message", [
+        ([[1.0, 0.9], [0.0, 1.0]], "symmetric"),
+        ([[1.0, 2.0], [2.0, 1.0]], "positive definite"),
+        ([[1.0, 0.0], [0.0, np.inf]], "finite"),
+        (np.eye(3), "shape")])
+    def test_the_target_covariance_is_checked(self, cov, message):
+        seq = generate_graph_sequence("seeded-random", 3, 1, seed=0)
+        sched = StepSchedule("harmonic", 1.0)
+        with pytest.raises(ValueError, match=message):
+            run_gaussian_ensemble(seq, sched, np.zeros(2), np.array(cov), 3,
+                                  10, 4, 0, [5])
 
     def test_run_count_must_be_positive(self):
         seq = generate_graph_sequence("seeded-random", 3, 1, seed=0)

@@ -442,6 +442,22 @@ class TestPotentials:
         assert pot.props.mu == pytest.approx(1.0 / 16.0)
         assert pot.props.lipschitz == pytest.approx(1.0 / 4.0)
 
+    @pytest.mark.parametrize("mean, cov, message", [
+        # eigvalsh reads one triangle: this one alone would give 1/4
+        (np.zeros(2), [[1.0, 0.9], [0.0, 1.0]], "symmetric"),
+        (np.zeros(2), [[1.0, 2.0], [2.0, 1.0]], "positive definite"),
+        # singular: the potential's inversion refuses it first
+        (np.zeros(2), [[0.0, 0.0], [0.0, 1.0]], "positive definite|Singular matrix"),
+        (np.zeros(2), [[np.nan, 0.0], [0.0, 1.0]], "finite"),
+        (np.zeros(3), np.eye(2), "shape"),
+        (np.zeros((2, 2)), np.stack([np.eye(2)] * 2), "single Gaussian")])
+    def test_gaussian_potential_checks_the_covariance(self, mean, cov, message):
+        with pytest.raises(ValueError, match=message):
+            GaussianPotential(mean, np.array(cov), 4)
+        if mean.ndim == 1:
+            with pytest.raises(ValueError, match=message):
+                GaussianDist(mean, np.array(cov))
+
     def test_gaussian_agent_terms_sum_to_the_target_gradient(self):
         mean = np.array([1.0, -1.0])
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -454,6 +470,22 @@ class TestPotentials:
 
 
 class TestShardStorage:
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_shards_out_of_agent_order_are_refused(self, batch):
+        ds = generate_linreg_data(10, 2, 1.0, np.zeros(2), 0)
+        shards = partition(ds, 2)
+        prior = GaussianDist(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="shard 0 belongs to agent 1"):
+            LinRegPotential(ds, shards[::-1], prior, 1.0, batch_size=batch)
+
+    @pytest.mark.parametrize("row", [-1, 10])
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_rows_outside_the_dataset_are_refused(self, row, batch):
+        ds = generate_linreg_data(10, 2, 1.0, np.zeros(2), 0)
+        shards = [Shard(0, [0, 1, 2]), Shard(1, [3, row])]
+        with pytest.raises(ValueError, match=r"shard 1 holds a row outside \[0, 10\)"):
+            MixturePotential(ds, shards, batch_size=batch)
+
     def test_a_minibatch_potential_copies_no_features(self):
         # the potential keeps the dataset's arrays and a row table; the
         # stacked (m, n_max, d) copy of the shards is for full shards only

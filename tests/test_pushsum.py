@@ -17,7 +17,7 @@ def random_state(rng, m, d):
 def neighbour_sum_mix(g, x, y):
     """Reference round in receiver-sum form: each node keeps one share of its
     own mass and every edge (u, v) carries one share of u's mass to v."""
-    degs = g.out_degrees
+    degs = g.adjacency.sum(axis=0)
     share_x, share_y = x / degs[:, None], y / degs
     w, y_new = share_x.copy(), share_y.copy()
     for u, v in g.edges:
