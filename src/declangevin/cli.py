@@ -25,8 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graphs import (check_b_strong_connectivity, generate_graph_sequence,
-                     spectral_bounds)
+from .graphs import generate_graph_sequence, spectral_bounds
 from .langevin import NoiseModel, StepSchedule, run, step_size
 from .metrics import (COV_RIDGE, check_lemma4_bound, roc_auc,
                       w2_gaussian_bures, w2_gaussian_paper)
@@ -70,7 +69,7 @@ class ExperimentConfig:
     schedule: str = "power"
     alpha0: float | None = None
     sched_offset: float | None = None
-    sched_p: float = 0.65
+    sched_p: float | None = None
     alpha_start: float | None = None
     alpha_end: float | None = None
     batch: int = 0
@@ -107,9 +106,9 @@ _FIELD_TYPES = {name: _coercion_type(hint)
 _DEFAULTS = {
     "linreg": dict(iters=200, n=800, dims=2, data_sigma=1.0, true_w="1.0,-1.0",
                    schedule="power", alpha_start=0.008, alpha_end=0.0005,
-                   sched_p=0.65, batch=1),
+                   batch=1),
     "mixture": dict(iters=10000, n=800, schedule="power", alpha_start=0.01,
-                    alpha_end=0.0001, sched_p=0.65),
+                    alpha_end=0.0001),
     "logistic": dict(iters=1000, n=32561, dims=123, schedule="power",
                      alpha0=0.008, sched_offset=12.0, sched_p=0.45, batch=32),
     "run": dict(iters=1000, schedule="harmonic"),
@@ -186,7 +185,19 @@ class RunSetup:
 
 
 def _build_schedule(cfg: ExperimentConfig) -> StepSchedule:
+    """The configured schedule; a schedule field set away from its
+    subcommand default that the schedule would not read is refused, not
+    dropped."""
     endpoints = cfg.alpha_start is not None or cfg.alpha_end is not None
+    unread = (("alpha0", "sched_offset") if endpoints else
+              ("sched_offset", "sched_p") if cfg.schedule == "harmonic" else ())
+    defaults = _DEFAULTS[cfg.experiment]
+    given = [name for name in unread
+             if getattr(cfg, name) not in (None, defaults.get(name))]
+    if given:
+        form = "endpoint-solved" if endpoints else "harmonic"
+        raise ConfigError(f"{form} schedules do not read {' or '.join(given)}")
+    exponent = 0.65 if cfg.sched_p is None else cfg.sched_p
     try:
         if endpoints:
             if cfg.alpha_start is None or cfg.alpha_end is None:
@@ -194,18 +205,19 @@ def _build_schedule(cfg: ExperimentConfig) -> StepSchedule:
             if cfg.schedule != "power":
                 raise ConfigError("endpoint-solved schedules require schedule=power")
             return StepSchedule.power_from_endpoints(
-                cfg.alpha_start, cfg.alpha_end, cfg.sched_p, cfg.iters)
-        if cfg.alpha0 is None:
-            if cfg.experiment == "run" and cfg.model == "gaussian":
-                # largest step the known per-agent curvature admits
-                kappa = cfg.model_kappa
-                return StepSchedule("harmonic", alpha0=cfg.agents / (4.0 * kappa))
+                cfg.alpha_start, cfg.alpha_end, exponent, cfg.iters)
+        alpha0 = cfg.alpha0
+        if alpha0 is None and cfg.schedule == "harmonic" and \
+                cfg.experiment == "run" and cfg.model == "gaussian":
+            # largest step the known per-agent curvature admits
+            alpha0 = cfg.agents / (4.0 * cfg.model_kappa)
+        if alpha0 is None:
             raise ConfigError("alpha0 is required without alpha_start/alpha_end")
         if cfg.schedule == "harmonic":
-            return StepSchedule("harmonic", alpha0=cfg.alpha0)
+            return StepSchedule("harmonic", alpha0=alpha0)
         offset = 1.0 if cfg.sched_offset is None else cfg.sched_offset
-        return StepSchedule("power", alpha0=cfg.alpha0, offset=offset,
-                            exponent=cfg.sched_p)
+        return StepSchedule(cfg.schedule, alpha0=alpha0, offset=offset,
+                            exponent=exponent)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -236,6 +248,8 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         raise ConfigError("seed must be nonnegative")
     if cfg.batch < 0:
         raise ConfigError("batch must be 0 (full shard) or positive")
+    if cfg.experiment == "run" and cfg.batch:
+        raise ConfigError("run's models hold no data to subsample; batch must be 0")
     if cfg.sigma_sq < 0:
         raise ConfigError("sigma_sq must be nonnegative")
     # model and data fields, written as "not x > 0" so that NaN fails; the
@@ -268,8 +282,8 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         except ValueError as exc:
             raise ConfigError("--monitors on needs the closed-form mixing "
                               f"bounds, but {exc}") from None
-    if not check_b_strong_connectivity(seq, max(cfg.iters, cfg.graph_b)):
-        raise ConfigError("graph sequence is not B-strongly-connected over the horizon")
+    # no connectivity pass: every sequence built here is B-strongly
+    # connected by construction
 
     noise = NoiseModel(cfg.seed, cfg.agents)
     batch = cfg.batch or None
@@ -452,7 +466,7 @@ def logistic_auc_series(trace, test: Dataset, eval_every: int):
 def _monitor_metadata(trace, setup: RunSetup):
     """Check the deviation bound at the run's window length, record its
     outcome in the metadata and return the report."""
-    report = check_lemma4_bound(trace, window_len=setup.cfg.graph_b)
+    report = check_lemma4_bound(trace, window_len=setup.seq.window_len)
     setup.metadata.update(lemma4_violated=report.violated,
                           lemma4_max_ratio=report.max_ratio,
                           lemma4_delta=report.delta,

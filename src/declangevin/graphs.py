@@ -5,8 +5,9 @@ iteration.  Every node always counts itself among its own out-neighbors, so
 the out-degree used for mass splitting is the number of out-edges plus one.
 A sequence of graphs is B-strongly-connected when the union of the edge sets
 over each window [kB, (k+1)B - 1] is strongly connected; individual graphs in
-the window may be arbitrarily sparse.  A graph reaches the sampler only
-through its column-stochastic mixing matrix, which holds entries alone.
+the window may be arbitrarily sparse.  A sequence holds its graphs once, as
+per-step adjacency, and a graph reaches the sampler only through its
+column-stochastic mixing matrix, which holds entries alone.
 """
 
 from __future__ import annotations
@@ -77,12 +78,6 @@ class DirectedGraph:
         return adj
 
 
-def _graph_from_adjacency(adj: np.ndarray) -> DirectedGraph:
-    v, u = np.nonzero(adj)
-    off = u != v
-    return DirectedGraph(adj.shape[0], frozenset(zip(u[off].tolist(), v[off].tolist())))
-
-
 def _strongly_connected(adj: np.ndarray) -> np.ndarray:
     """Per leading index of the (k, m, m) adjacency adj, diagonal set: True
     when every node reaches every other.
@@ -108,10 +103,9 @@ def _random_windows(m: int, b: int, seed: int, k: int, count: int) -> np.ndarray
     Hamiltonian cycle per window, each of its edges placed in a random slot
     of the window, then for every slot a random number of extra random
     edges, of which self-loops change nothing.  Each of the four kinds of
-    draw is one call for the whole block.
+    draw is one call for the whole block.  The seed is nonnegative, which
+    the sequence checks once.
     """
-    if seed < 0:
-        raise ValueError(f"graph seed must be nonnegative, got {seed}")
     if k >= 1 << 32:
         # past it k takes two 32-bit words of entropy, and [seed, k]
         # collides with the blocks of other seeds
@@ -173,27 +167,29 @@ def build_mixing_matrix(g: DirectedGraph) -> MixingMatrix:
 
 
 class DirectedGraphSequence:
-    """Time-indexed sequence of directed graphs on a fixed node set.
+    """Time-indexed sequence of directed graphs on ``num_nodes`` nodes.
 
-    Three kinds are supported.  ``static`` repeats a single graph.
-    ``periodic-list`` cycles through an explicit list.  ``seeded-random``
-    groups the windows of window_len steps into blocks of
-    n = max(1, 256 // window_len) windows and derives block k from
-    (seed, k) alone: each window is a random Hamiltonian cycle scattered
-    over the window's slots and topped up with random extra edges, so every
-    window union is strongly connected by construction and any block can be
-    generated independently.  Block k takes the draws of one
+    ``kind`` is one of three.  ``static`` repeats ``graphs[0]``, or without
+    ``graphs`` the first window that ``seed`` generates at window length 1.
+    ``periodic-list`` cycles through ``graphs``.  ``seeded-random`` groups
+    the windows of ``window_len`` steps (the B of B-strong connectivity)
+    into blocks of n = max(1, 256 // window_len) windows and derives block k
+    from (seed, k) alone: each window is a random Hamiltonian cycle
+    scattered over the window's slots and topped up with random extra
+    edges, so every window union, and the generated static graph, is
+    strongly connected by construction and any block can be generated
+    independently.  Block k takes the draws of one
     ``np.random.default_rng([seed, k])``, so the seed must be nonnegative
     and k below 2**32.
 
-    Every kind is held as boolean adjacency, one (m, m) matrix per step.
-    Explicit graphs are converted once.  Seeded-random windows are
-    generated in blocks of about 256 steps, and only the last block
-    generated is kept, so a reader that goes forward in time generates each
-    block once.  :meth:`fill_mixing` turns a block of steps into mixing
-    matrices in one call, and :meth:`mixing_at` is that call on a block of
-    one step; :meth:`graph_at` builds a single step's graph from the same
-    arrays on every call.
+    Every kind is held once, as boolean adjacency, one (m, m) matrix per
+    step: explicit graphs are converted once, and seeded-random windows are
+    generated in blocks of about 256 steps of which only the last is kept,
+    so a reader that goes forward in time generates each block once.
+    :meth:`fill_mixing` turns a block of steps into mixing matrices in one
+    call, and :meth:`mixing_at` is that call on a block of one step;
+    :meth:`graph_at` rebuilds a single step's graph from the same adjacency
+    on every call.
     """
 
     def __init__(self, kind: str, num_nodes: int, window_len: int = 1,
@@ -210,23 +206,24 @@ class DirectedGraphSequence:
         self.num_nodes = int(num_nodes)
         self.window_len = int(window_len)
         self.seed = int(seed)
-        if kind in ("static", "periodic-list"):
+        if kind == "seeded-random":
+            if graphs:
+                raise ValueError("seeded-random kind generates its own graphs")
+            self._block_windows = max(1, _BLOCK_STEPS // self.window_len)
+            self._last = (-1, None)
+            return
+        if kind == "static" and not graphs:
+            self._explicit = _random_windows(self.num_nodes, 1, self.seed, 0, 1)
+        else:
             if not graphs:
                 raise ValueError(f"kind {kind!r} requires explicit graphs")
             graphs = tuple(graphs)
-            for g in graphs:
-                if g.num_nodes != num_nodes:
-                    raise ValueError("all graphs must share the node set")
+            if any(g.num_nodes != num_nodes for g in graphs):
+                raise ValueError("all graphs must share the node set")
             if kind == "static" and len(graphs) != 1:
                 raise ValueError("static kind takes exactly one graph")
-            self.graphs = graphs
             self._explicit = np.stack([g.adjacency for g in graphs])
-        else:
-            if graphs:
-                raise ValueError("seeded-random kind generates its own graphs")
-            self.graphs = ()
-            self._block_windows = max(1, _BLOCK_STEPS // self.window_len)
-            self._last = (-1, None)
+        self._explicit.flags.writeable = False
 
     def _block(self, k: int) -> np.ndarray:
         """Adjacency of the steps of seeded-random block k."""
@@ -243,7 +240,7 @@ class DirectedGraphSequence:
         if t0 < 0:
             raise ValueError("time index must be nonnegative")
         if self.kind != "seeded-random":
-            return self._explicit[np.arange(t0, t0 + n) % len(self.graphs)]
+            return self._explicit[np.arange(t0, t0 + n) % len(self._explicit)]
         size = self._block_windows * self.window_len
         parts = []
         for k in range(t0 // size, (t0 + n - 1) // size + 1):
@@ -268,11 +265,12 @@ class DirectedGraphSequence:
         return out
 
     def graph_at(self, t: int) -> DirectedGraph:
-        """Graph active at iteration t (t >= 0)."""
-        adj = self._adjacency(t, 1)[0]
-        if self.kind == "seeded-random":
-            return _graph_from_adjacency(adj)
-        return self.graphs[t % len(self.graphs)]
+        """Graph active at iteration t (t >= 0), rebuilt from its adjacency
+        on every call."""
+        v, u = np.nonzero(self._adjacency(t, 1)[0])
+        off = u != v
+        return DirectedGraph(self.num_nodes,
+                             frozenset(zip(u[off].tolist(), v[off].tolist())))
 
     def mixing_at(self, t: int) -> MixingMatrix:
         """Mixing matrix of the graph active at iteration t: the block of
@@ -281,60 +279,21 @@ class DirectedGraphSequence:
         return MixingMatrix(self.fill_mixing(t, np.empty((1, m, m)))[0])
 
 
-def generate_graph_sequence(kind: str, num_nodes: int, window_len: int = 1,
-                            seed: int = 0, graphs=None) -> DirectedGraphSequence:
-    """Construct a :class:`DirectedGraphSequence`.
-
-    Parameters
-    ----------
-    kind : {'static', 'periodic-list', 'seeded-random'}
-        ``static`` repeats ``graphs[0]`` (a single random strongly connected
-        graph is generated from ``seed`` when no graph is given).
-        ``periodic-list`` cycles through ``graphs``.  ``seeded-random`` draws
-        a window of graphs for every ``window_len`` iterations, a block of
-        windows per generator; each window union is strongly connected by
-        construction.
-    num_nodes : int
-    window_len : int
-        Window length B over which unions must be strongly connected.
-    seed : int
-        Seed for the random kinds; a given (seed, block index) pair always
-        yields the same graphs, a block being max(1, 256 // window_len)
-        windows.
-    graphs : sequence of DirectedGraph, optional
-        Explicit graphs for the static and periodic-list kinds.
-
-    Returns
-    -------
-    DirectedGraphSequence
-    """
-    if kind == "static" and not graphs:
-        # collapse one random window into a single strongly connected graph
-        graphs = [_graph_from_adjacency(_random_windows(num_nodes, 1, seed, 0, 1)[0])]
-    return DirectedGraphSequence(kind, num_nodes, window_len, seed, graphs)
+# the name the experiments and demos build sequences by
+generate_graph_sequence = DirectedGraphSequence
 
 
 def check_b_strong_connectivity(seq: DirectedGraphSequence, horizon: int) -> bool:
-    """Check strong connectivity of every window union inside a horizon.
+    """True when every window union inside [0, horizon) is strongly connected.
 
     The window length B is ``seq.window_len``, the one the sequence's law
     is stated in.  Windows are the blocks [k*B, (k+1)*B - 1] that fit
-    entirely inside [0, horizon).  They are checked in batches of about 256
-    steps: the adjacency of each window is OR-ed over its steps, then every
-    union's reachability is computed at once.  A static sequence with B = 1
-    checks its one graph.
-
-    Parameters
-    ----------
-    seq : DirectedGraphSequence
-    horizon : int
-        Number of iterations the sequence will be used for; must be at least
-        one full window.
-
-    Returns
-    -------
-    bool
-        True when every complete window union is strongly connected.
+    entirely inside [0, horizon), which must hold at least one.  They are
+    checked in batches of about 256 steps: the adjacency of each window is
+    OR-ed over its steps, then every union's reachability is computed at
+    once.  A static sequence with B = 1 checks its one graph.  Generated
+    sequences, seeded-random or static, pass by construction, so the check
+    is for explicit graphs.
     """
     b = seq.window_len
     if horizon < b:

@@ -348,8 +348,7 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
     y = np.ones(m)
 
     n_rec = num_iters // stride + 1
-    ts = np.arange(n_rec, dtype=np.int64) * stride
-    alphas = np.array([step_size(sched, t) for t in ts.tolist()])
+    alphas = np.array([step_size(sched, t) for t in range(0, num_iters + 1, stride)])
     states = np.zeros((n_rec, m, d))
     consensus = np.zeros((n_rec, m))
     zdev = np.zeros((num_iters, m))
@@ -391,7 +390,7 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
                                   quantity=quantity)
         xs[0] = xs[n]
 
-    return Trace(ts=ts, alphas=alphas, states=states, consensus=consensus,
+    return Trace(alphas=alphas, states=states, consensus=consensus,
                  z_dev=zdev, pert_norms=pert, num_iters=num_iters, stride=stride)
 
 

@@ -21,17 +21,17 @@ __all__ = ["Trace", "write_csv"]
 class Trace:
     """Recorded history of one sampling run.
 
-    ``ts`` holds the recorded iteration indices (0, stride, 2*stride, ...),
-    ``alphas`` the schedule value at each recorded index, ``states`` the
-    (n_rec, m, d) agent samples (the ratio estimates z, which are what the
-    agents treat as their draws) and ``consensus`` the (n_rec, m) distances
-    of those estimates to the network average.  ``z_dev`` and ``pert_norms`` are unthinned
-    (num_iters, m) series: row s measures the step from iteration s to s+1,
-    namely ||z_i(s+1) - xbar(s)|| and the norm of the update each agent
-    applied on top of its mixed value.
+    Iterations 0, stride, 2*stride, ... up to num_iters are recorded, and
+    :attr:`ts` lists them.  ``alphas`` holds the schedule value at each
+    recorded index, ``states`` the (n_rec, m, d) agent samples (the ratio
+    estimates z, which are what the agents treat as their draws) and
+    ``consensus`` the (n_rec, m) distances of those estimates to the network
+    average.  ``z_dev`` and ``pert_norms`` are unthinned (num_iters, m)
+    series: row s measures the step from iteration s to s+1, namely
+    ||z_i(s+1) - xbar(s)|| and the norm of the update each agent applied on
+    top of its mixed value.
     """
 
-    ts: np.ndarray
     alphas: np.ndarray
     states: np.ndarray
     consensus: np.ndarray
@@ -41,15 +41,16 @@ class Trace:
     stride: int
 
     def __post_init__(self):
-        n_rec = len(self.ts)
-        if n_rec != self.num_iters // self.stride + 1:
-            raise ValueError("record count does not match num_iters // stride + 1")
-        if np.any(np.diff(self.ts) <= 0):
-            raise ValueError("recorded iteration indices must increase strictly")
-        if self.states.shape[0] != n_rec or self.consensus.shape[0] != n_rec:
-            raise ValueError("snapshot arrays do not match the record grid")
+        n_rec = self.num_iters // self.stride + 1
+        if not len(self.alphas) == len(self.states) == len(self.consensus) == n_rec:
+            raise ValueError("record arrays do not hold num_iters // stride + 1 rows")
         if self.z_dev.shape != self.pert_norms.shape or self.z_dev.shape[0] != self.num_iters:
             raise ValueError("per-step series must have one row per iteration")
+
+    @property
+    def ts(self) -> np.ndarray:
+        """The recorded iterations: 0, stride, 2*stride, ... up to num_iters."""
+        return np.arange(self.num_iters // self.stride + 1) * self.stride
 
     @property
     def num_agents(self) -> int:

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import declangevin
+import declangevin.graphs as graphs_module
 from declangevin import (ConfigError, Dataset, GaussianDist, Trace,
-                         build_config, generate_linreg_data, linreg_posterior,
+                         build_config, check_b_strong_connectivity,
+                         generate_linreg_data, linreg_posterior,
                          linreg_w2_series, logistic_auc_series, main,
                          make_surrogate_classification, prepare,
                          run_experiment, spectral_bounds, step_size)
@@ -128,6 +130,26 @@ class TestSchedules:
                                   alpha_start=None, alpha_end=None)
         with pytest.raises(ConfigError, match="alpha0 is required"):
             prepare(cfg)
+
+    def test_subcommand_defaults_leave_every_schedule_form_open(self):
+        # logistic's default alpha0, offset and exponent are not refused
+        # when its schedule does not read them
+        logistic = {"surrogate": "on", "n": 200}
+        sched = prepare(build_config("logistic", logistic, {
+            "schedule": "harmonic", "alpha0": 0.01})).sched
+        assert (sched.kind, sched.alpha0, sched.offset) == ("harmonic", 0.01, 1.0)
+        sched = prepare(build_config("logistic", logistic, {
+            "alpha_start": 0.01, "alpha_end": 0.001})).sched
+        assert step_size(sched, 1000) == pytest.approx(0.001, rel=1e-12)
+        assert sched.exponent == 0.45
+
+    def test_power_schedules_default_to_exponent_0_65(self):
+        assert prepare(build_config("linreg")).sched.exponent == 0.65
+        assert prepare(build_config("mixture", {"iters": 10})).sched.exponent == 0.65
+        assert prepare(build_config("run", {"schedule": "power",
+                                            "alpha0": 0.1})).sched.exponent == 0.65
+        assert prepare(build_config("logistic", {"surrogate": "on", "n": 200})
+                       ).sched.exponent == 0.45
 
     def test_noise_variance_caps_the_first_step(self):
         with pytest.raises(ConfigError, match="sigma_sq"):
@@ -243,6 +265,13 @@ class TestPrepare:
                            match="0 positive and 1 negative rows"):
             prepare(cfg)
 
+    @pytest.mark.parametrize("frac", [0.0, 1.0, float("nan")])
+    def test_split_frac_must_lie_inside_the_unit_interval(self, frac):
+        cfg = build_config("logistic", {"surrogate": "on", "n": 200,
+                                        "split_frac": frac})
+        with pytest.raises(ConfigError, match="split_frac must lie strictly"):
+            prepare(cfg)
+
     def test_unknown_model(self):
         # explicit alpha0: the automatic step size only knows gaussian
         with pytest.raises(ConfigError, match="registered"):
@@ -281,7 +310,7 @@ class TestRunExperiment:
     def w2_trace(states, stride):
         n_rec, m, _ = states.shape
         num_iters = (n_rec - 1) * stride
-        return Trace(ts=np.arange(n_rec) * stride, alphas=np.zeros(n_rec),
+        return Trace(alphas=np.zeros(n_rec),
                      states=states, consensus=np.zeros((n_rec, m)),
                      z_dev=np.zeros((num_iters, m)),
                      pert_norms=np.zeros((num_iters, m)),
@@ -363,7 +392,7 @@ class TestRunExperiment:
         # split them by class
         rng = np.random.default_rng(0)
         n_rec, m, d = 101, 4, 123
-        trace = Trace(ts=np.arange(n_rec) * 10, alphas=np.zeros(n_rec),
+        trace = Trace(alphas=np.zeros(n_rec),
                       states=rng.standard_normal((n_rec, m, d)),
                       consensus=np.zeros((n_rec, m)),
                       z_dev=np.zeros((1000, m)), pert_norms=np.zeros((1000, m)),
@@ -484,6 +513,49 @@ class TestMain:
                      str(tmp_path / "a.csv")])
         assert code == 2
         assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--schedule", "harmonic", "--alpha0", "0.1", "--sched_offset",
+          "5", "--sched_p", "0.5"],
+         "harmonic schedules do not read sched_offset or sched_p"),
+        (["run", "--alpha0", "0.1", "--sched_offset", "5"],
+         "harmonic schedules do not read sched_offset"),
+        (["run", "--sched_p", "0.5"], "harmonic schedules do not read sched_p"),
+        (["linreg", "--alpha0", "0.3"],
+         "endpoint-solved schedules do not read alpha0"),
+        (["mixture", "--sched_offset", "5"],
+         "endpoint-solved schedules do not read sched_offset"),
+        (["run", "--schedule", "power"], "alpha0 is required"),
+        (["run", "--schedule", "cosine", "--alpha0", "0.1"],
+         "unknown schedule kind 'cosine'"),
+        (["run", "--batch", "5"], "batch must be 0")])
+    def test_a_field_the_run_would_ignore_exits_before_any_draw(
+            self, argv, message, tmp_path, capsys, no_draws):
+        code = main([*argv, "--iters", "10", "--out", str(tmp_path / "i.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "i.csv").exists()
+
+    def test_run_without_monitors_writes_no_bound_columns(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "r.csv"
+        assert main(["run", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"run: wrote {out}\n"
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("# ")]
+        assert len(rows) == 1 + 1001
+        assert rows[0][-5:] == ["consensus_error_agent_3"] + [
+            f"z_dev_agent_{i}" for i in range(4)]
+        # no step has carried the network into iteration 0
+        assert rows[1][-4:] == ["nan"] * 4
+        assert "nan" not in rows[2]
+
+    def test_more_agents_than_rows_exit_with_two(self, tmp_path, capsys):
+        code = main(["linreg", "--agents", "900", "--out",
+                     str(tmp_path / "a.csv")])
+        assert code == 2
+        assert "cannot split 800 rows into 900 shards" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -622,3 +694,35 @@ class TestCommandPath:
         cfg = build_config("logistic", {"surrogate": "on", "n": 2000,
                                         "batch": 0})
         assert prepare(cfg).potential.batch_size is None
+
+
+class TestPreparedGraphs:
+    """Every sequence the CLI builds is connected by construction, and a
+    run generates each of its window blocks once."""
+
+    def test_a_run_generates_each_block_once(self, tmp_path, capsys,
+                                             monkeypatch):
+        made = []
+        generate = graphs_module._random_windows
+
+        def counting(m, b, seed, k, count):
+            made.append(k)
+            return generate(m, b, seed, k, count)
+
+        monkeypatch.setattr(graphs_module, "_random_windows", counting)
+        # 1000 steps at window length 1 are four blocks of 256 steps
+        assert main(["mixture", "--iters", "1000", "--n", "60", "--monitors",
+                     "on", "--out", str(tmp_path / "g.csv")]) == 0
+        assert made == [0, 1, 2, 3]
+        capsys.readouterr()
+
+    @settings(max_examples=40)
+    @given(kind=st.sampled_from(["seeded-random", "static"]),
+           agents=st.integers(1, 12), graph_b=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1), iters=st.integers(1, 600))
+    def test_every_prepared_sequence_is_b_strongly_connected(
+            self, kind, agents, graph_b, seed, iters):
+        setup = prepare(build_config("run", {
+            "graph_kind": kind, "agents": agents, "graph_b": graph_b,
+            "seed": seed, "iters": iters}))
+        assert check_b_strong_connectivity(setup.seq, max(iters, graph_b))

@@ -113,6 +113,12 @@ class TestMixingMatrix:
         with pytest.raises(ValueError, match="square"):
             MixingMatrix(entries=np.ones(3))
 
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 4), (2, 4, 5)])
+    def test_fill_mixing_refuses_an_out_of_another_shape(self, shape):
+        seq = generate_graph_sequence("seeded-random", 4, seed=0)
+        with pytest.raises(ValueError, match=r"out must have shape \(n, 4, 4\)"):
+            seq.fill_mixing(0, np.empty(shape))
+
     def test_entries_are_a_read_only_view(self, six_node_graph):
         entries = SIX_NODE_MIXING.copy()
         mix = MixingMatrix(entries)
@@ -126,7 +132,7 @@ class TestMixingMatrix:
 class TestGraphSequences:
     def test_static_repeats_one_graph(self, six_node_graph):
         seq = generate_graph_sequence("static", 6, graphs=[six_node_graph])
-        assert seq.graph_at(0) is seq.graph_at(57)
+        assert seq.graph_at(0) == seq.graph_at(57)
 
     def test_static_without_graph_generates_connected_one(self):
         seq = generate_graph_sequence("static", 5, seed=3)
@@ -140,9 +146,14 @@ class TestGraphSequences:
 
     def test_periodic_list_cycles(self, alternating_pairs_seq):
         seq = alternating_pairs_seq
-        assert seq.graph_at(0) is seq.graph_at(2)
-        assert seq.graph_at(1) is seq.graph_at(3)
-        assert seq.graph_at(0) is not seq.graph_at(1)
+        assert seq.graph_at(0) == seq.graph_at(2)
+        assert seq.graph_at(1) == seq.graph_at(3)
+        assert seq.graph_at(0) != seq.graph_at(1)
+
+    def test_explicit_graphs_must_share_the_node_set(self, six_node_graph):
+        with pytest.raises(ValueError, match="all graphs must share the node set"):
+            DirectedGraphSequence("periodic-list", 6,
+                                  graphs=[six_node_graph, DirectedGraph(5)])
 
     def test_periodic_list_requires_graphs(self):
         with pytest.raises(ValueError):
@@ -176,7 +187,7 @@ class TestGraphSequences:
     def test_mixing_at_follows_the_position(self, alternating_pairs_seq):
         # one graph object at two positions of a periodic list gives each
         # position its own graph's matrix
-        even, odd = alternating_pairs_seq.graphs
+        even, odd = alternating_pairs_seq.graph_at(0), alternating_pairs_seq.graph_at(1)
         seq = generate_graph_sequence("periodic-list", 4, 2,
                                       graphs=[even, odd, even])
         assert np.array_equal(seq.mixing_at(0).entries, seq.mixing_at(3).entries)
@@ -216,8 +227,9 @@ class TestBStrongConnectivity:
 
     def test_alternating_pairs_need_the_full_window(self, alternating_pairs_seq):
         assert check_b_strong_connectivity(alternating_pairs_seq, 8)
-        per_step = generate_graph_sequence("periodic-list", 4, 1,
-                                           graphs=alternating_pairs_seq.graphs)
+        per_step = generate_graph_sequence(
+            "periodic-list", 4, 1, graphs=[alternating_pairs_seq.graph_at(0),
+                                           alternating_pairs_seq.graph_at(1)])
         assert not check_b_strong_connectivity(per_step, 8)
 
     def test_horizon_shorter_than_window_rejected(self, alternating_pairs_seq):

@@ -198,6 +198,13 @@ class TestLangevinStep:
                               Probe(), None)
         np.testing.assert_array_equal(np.concatenate(seen), mixed.z)
 
+    def test_a_mixing_matrix_of_another_size_is_refused(self):
+        mix = generate_graph_sequence("seeded-random", 4, seed=0).mixing_at(0)
+        with pytest.raises(ValueError, match="mixing matrix has 4 nodes but "
+                                             "the state has 3 agents"):
+            langevin_step(init_network(3, 2), mix, StepSchedule("harmonic", 0.1),
+                          ZeroPotential(2), None)
+
     def test_divergence_raises_with_location(self):
         seq = generate_graph_sequence("seeded-random", 3, 1, seed=1)
         ns = init_network(3, 2)

@@ -29,8 +29,7 @@ def make_trace(x0, z_dev, pert_norms):
     d = x0.shape[1]
     states = np.zeros((num_iters + 1, m, d))
     states[0] = x0
-    return Trace(ts=np.arange(num_iters + 1),
-                 alphas=np.zeros(num_iters + 1),
+    return Trace(alphas=np.zeros(num_iters + 1),
                  states=states,
                  consensus=np.zeros((num_iters + 1, m)),
                  z_dev=z_dev, pert_norms=pert_norms,

@@ -245,6 +245,13 @@ class TestGradients:
         with pytest.raises(ValueError):
             grad_U_mixture(np.zeros(2), np.zeros(3), sigma_x=0.0)
 
+    def test_an_empty_linreg_batch_leaves_the_prior_term(self):
+        prior = GaussianDist(np.array([1.0, -2.0]), np.diag([2.0, 4.0]))
+        grad = grad_U_linreg(np.array([3.0, 2.0]), np.zeros((0, 2)),
+                             np.zeros(0), prior, 0.5, scale=10.0)
+        # Sigma0^-1 (z - mu0) = diag(1/2, 1/4) (2, 4)
+        np.testing.assert_array_equal(grad, [1.0, 1.0])
+
 
 class TestLibsvm:
     def test_round_trip_preserves_everything(self, tmp_path):

@@ -13,8 +13,7 @@ from declangevin import Trace, write_csv
 
 
 def build_trace(**overrides):
-    fields = dict(ts=np.array([0, 2, 4]),
-                  alphas=np.array([0.1, 0.05, 0.025]),
+    fields = dict(alphas=np.array([0.1, 0.05, 0.025]),
                   states=np.zeros((3, 2, 1)),
                   consensus=np.zeros((3, 2)),
                   z_dev=np.zeros((4, 2)),
@@ -31,12 +30,12 @@ class TestTrace:
         assert trace.dim == 1
 
     def test_record_count_must_match_the_stride_grid(self):
+        # two rows each, where iterations 0, 2 and 4 are recorded
         with pytest.raises(ValueError):
-            build_trace(ts=np.array([0, 2]), alphas=np.zeros(2))
-
-    def test_recorded_indices_must_increase(self):
+            build_trace(alphas=np.zeros(2), states=np.zeros((2, 2, 1)),
+                        consensus=np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            build_trace(ts=np.array([0, 2, 2]))
+            build_trace(alphas=np.zeros(2))
 
     def test_snapshots_must_match_the_record_grid(self):
         with pytest.raises(ValueError):
