@@ -522,11 +522,8 @@ def _run_table(trace, setup: RunSetup, report):
                                for j in range(d)]
     header += _per_agent(m, "consensus_error", "z_dev")
     ts = trace.ts
-    # step t-1 carried the network into iteration t
-    z_dev = np.full((len(ts), m), np.nan)
-    z_dev[1:] = trace.z_dev[ts[1:] - 1]
     columns = [trace.alphas, trace.states.reshape(len(ts), m * d),
-               trace.consensus, z_dev]
+               trace.consensus, trace.record_dev]
     if report is None:
         return header, _rows(ts, *columns), ""
     header += ["lemma4_lhs", "lemma4_bound"]

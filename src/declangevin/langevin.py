@@ -312,9 +312,9 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
     num_iters : int
     stride : int
         Snapshot thinning: agent samples (the ratio estimates z) and
-        consensus errors are kept at iterations 0, stride, 2*stride, ...
-        The per-step deviation and perturbation series are always kept in
-        full for the monitors.
+        consensus errors are kept at iterations 0, stride, 2*stride, ...,
+        with the deviations of the steps into them; the other per-step
+        figures are reduced per block to what the monitors read.
     x0 : ndarray, optional
         Initial (m, d) agent states, finite; zeros by default.
 
@@ -351,8 +351,9 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
     alphas = np.array([step_size(sched, t) for t in range(0, num_iters + 1, stride)])
     states = np.zeros((n_rec, m, d))
     consensus = np.zeros((n_rec, m))
-    zdev = np.zeros((num_iters, m))
-    pert = np.zeros((num_iters, m))
+    record_dev = np.full((n_rec, m), np.nan)
+    # sums[-1]: each agent's deviations summed over steps 1.. so far (see Trace)
+    worst_cum, sums, max_pert = np.empty(num_iters - 1), np.zeros((1, m)), 0.0
     states[0] = zs[0]
     # finite states may sum to inf: no warning, the norms' checks report it
     with np.errstate(over="ignore"):
@@ -368,30 +369,35 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
         seq.fill_mixing(t0, mixing[:n])
         y = _step(mixing[:n], y, xs, ws, zs, t0, alpha, potential, drawn,
                   gauss)[-1]
-        # xbar[k] is the network average at iteration t0 + k
+        # xbar[k] is the average at iteration t0 + k; dev[k], pert[k] step t0 + k
         with np.errstate(over="ignore"):
             xbar = xs[:n + 1].sum(axis=1)[:, None] / m
-        zdev[t0:t0 + n] = _row_norms(zs[1:n + 1] - xbar[:n])
-        pert[t0:t0 + n] = _row_norms(xs[1:n + 1] - ws[:n])
+            dev = _row_norms(zs[1:n + 1] - xbar[:n])
+            pert = _row_norms(xs[1:n + 1] - ws[:n])
+            sums = np.cumsum(np.vstack([sums[-1:], dev[1:] if t0 == 0 else dev]), axis=0)
         # records at the multiples of stride in (t0, t0 + n]
         k = np.arange(stride - t0 % stride, n + 1, stride)
-        states[(t0 + k) // stride] = zs[k]
-        consensus[(t0 + k) // stride] = _row_norms(zs[k] - xbar[k])
+        rec = (t0 + k) // stride
+        states[rec] = zs[k]
+        consensus[rec] = _row_norms(zs[k] - xbar[k])
+        record_dev[rec] = dev[k - 1]
         # finite states can still be far enough apart to overflow a norm
-        bad = ~np.isfinite(zdev[t0:t0 + n]) | ~np.isfinite(pert[t0:t0 + n])
-        bad[k - 1] |= ~np.isfinite(consensus[(t0 + k) // stride])
+        bad = ~np.isfinite(dev) | ~np.isfinite(pert)
+        bad[k - 1] |= ~np.isfinite(consensus[rec])
         if bad.any():
             step, agent = np.argwhere(bad)[0]
-            i = t0 + step
-            quantity = ("deviation norm" if not np.isfinite(zdev[i, agent]) else
-                        "perturbation norm" if not np.isfinite(pert[i, agent]) else
+            quantity = ("deviation norm" if not np.isfinite(dev[step, agent]) else
+                        "perturbation norm" if not np.isfinite(pert[step, agent]) else
                         "consensus error")
-            raise DivergenceError(agent=int(agent), iteration=int(i) + 1,
+            raise DivergenceError(agent=int(agent), iteration=t0 + int(step) + 1,
                                   quantity=quantity)
+        worst_cum[max(t0, 1) - 1:t0 + n - 1] = sums[1:].max(axis=1)
+        max_pert = max(max_pert, float(pert.max()))
         xs[0] = xs[n]
 
     return Trace(alphas=alphas, states=states, consensus=consensus,
-                 z_dev=zdev, pert_norms=pert, num_iters=num_iters, stride=stride)
+                 record_dev=record_dev, worst_cum_dev=worst_cum,
+                 max_pert=max_pert, num_iters=num_iters, stride=stride)
 
 
 def _worker_count(chunks: int) -> int:

@@ -133,13 +133,11 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
 class BoundReport:
     """Outcome of comparing a run against a theoretical deviation bound.
 
-    ``taus`` are the prefix lengths checked, ``lhs`` the worst-agent
-    cumulative deviation at each prefix, ``bound`` the theoretical ceiling,
-    ``max_ratio`` the largest lhs/bound encountered and ``violated`` whether
-    any prefix exceeded its ceiling.
+    ``lhs`` is the trace's ``worst_cum_dev``, ``bound`` the theoretical
+    ceiling at each prefix, ``max_ratio`` the largest lhs/bound encountered
+    and ``violated`` whether any prefix exceeded its ceiling.
     """
 
-    taus: np.ndarray
     lhs: np.ndarray
     bound: np.ndarray
     violated: bool
@@ -151,7 +149,6 @@ class BoundReport:
 
 def check_lemma4_bound(trace: Trace, delta: float | None = None,
                        lam: float | None = None,
-                       d_hat: float | None = None,
                        window_len: int = 1) -> BoundReport:
     """Check the cumulative-deviation bound on a recorded run.
 
@@ -161,7 +158,7 @@ def check_lemma4_bound(trace: Trace, delta: float | None = None,
         (8/delta) * (lam/(1-lam)) * sum_i ||x_i(0)||_1
         + (8/delta) * (D m / (1-lam)) * (1 + sqrt(tau)),
 
-    with D the largest observed perturbation norm unless given.  ``delta``
+    with D the trace's largest perturbation norm ``max_pert``.  ``delta``
     and ``lam`` default to the closed-form worst-case constants for the
     trace's network size and ``window_len``; a default ``lam`` brings its
     gap 1 - lam from :func:`spectral_bounds`, which stays positive at
@@ -182,22 +179,16 @@ def check_lemma4_bound(trace: Trace, delta: float | None = None,
         gap = 1.0 - lam
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if d_hat is None:
-        d_hat = float(trace.pert_norms.max())
-
-    # steps s = 1.. enter the sum; step 0 only feeds the initial-state term
-    cum = np.cumsum(trace.z_dev[1:], axis=0)
-    lhs = cum.max(axis=1)
+    d_hat, lhs = trace.max_pert, trace.worst_cum_dev
     taus = np.arange(1, trace.num_iters)
     x0_l1 = np.abs(trace.states[0]).sum()
     # from about 100 agents (8/delta)(lam/gap) overflows to inf, and with no
     # initial mass inf * 0 would be a NaN that no comparison flags
     first = 0.0 if x0_l1 == 0 else (8.0 / delta) * (lam / gap) * x0_l1
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        bound = first \
-            + (8.0 / delta) * (d_hat * m / gap) * (1.0 + np.sqrt(taus))
+        bound = first + (8.0 / delta) * (d_hat * m / gap) * (1.0 + np.sqrt(taus))
         ratios = lhs / bound
-    return BoundReport(taus=taus, lhs=lhs, bound=bound,
+    return BoundReport(lhs=lhs, bound=bound,
                        violated=bool(np.any(lhs > bound)),
                        max_ratio=float(ratios.max()) if len(ratios) else 0.0,
                        delta=float(delta), lam=float(lam), d_hat=float(d_hat))

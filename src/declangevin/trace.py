@@ -1,10 +1,10 @@
 """Run traces and their CSV serialization.
 
-A trace keeps thinned state snapshots plus the unthinned per-step series the
-bound monitors need.  CSV files start with '#'-prefixed key=value metadata
-lines followed by a header row and data rows; all numbers are written with
-shortest round-trip precision so identical runs serialize to identical
-bytes.
+A trace keeps thinned state snapshots plus the per-step reductions the bound
+monitors read, so it never grows as the horizon times the network size.  CSV
+files start with '#'-prefixed key=value metadata lines followed by a header
+row and data rows; all numbers are written with shortest round-trip
+precision so identical runs serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -26,26 +26,32 @@ class Trace:
     recorded index, ``states`` the (n_rec, m, d) agent samples (the ratio
     estimates z, which are what the agents treat as their draws) and
     ``consensus`` the (n_rec, m) distances of those estimates to the network
-    average.  ``z_dev`` and ``pert_norms`` are unthinned (num_iters, m)
-    series: row s measures the step from iteration s to s+1, namely
-    ||z_i(s+1) - xbar(s)|| and the norm of the update each agent applied on
-    top of its mixed value.
+    average.  ``record_dev`` holds the (n_rec, m) ratio deviations
+    ||z_i(s+1) - xbar(s)|| of the steps s into the recorded iterations, NaN
+    at iteration 0.  ``worst_cum_dev[tau-1]``, tau = 1 .. num_iters-1, is the
+    worst agent's deviation summed over steps 1 .. tau (step 0 only feeds the
+    bound's initial-state term), and ``max_pert`` the largest norm of the
+    update an agent applied on top of its mixed value, over all steps.
     """
 
     alphas: np.ndarray
     states: np.ndarray
     consensus: np.ndarray
-    z_dev: np.ndarray
-    pert_norms: np.ndarray
+    record_dev: np.ndarray
+    worst_cum_dev: np.ndarray
+    max_pert: float
     num_iters: int
     stride: int
 
     def __post_init__(self):
+        if self.stride < 1:
+            raise ValueError(f"stride must be at least 1, got {self.stride}")
         n_rec = self.num_iters // self.stride + 1
-        if not len(self.alphas) == len(self.states) == len(self.consensus) == n_rec:
+        if not (len(self.alphas) == len(self.states) == len(self.consensus)
+                == len(self.record_dev) == n_rec):
             raise ValueError("record arrays do not hold num_iters // stride + 1 rows")
-        if self.z_dev.shape != self.pert_norms.shape or self.z_dev.shape[0] != self.num_iters:
-            raise ValueError("per-step series must have one row per iteration")
+        if self.worst_cum_dev.shape != (max(self.num_iters - 1, 0),):
+            raise ValueError("worst_cum_dev needs a sum per prefix length 1 .. num_iters-1")
 
     @property
     def ts(self) -> np.ndarray:

@@ -312,9 +312,9 @@ class TestRunExperiment:
         num_iters = (n_rec - 1) * stride
         return Trace(alphas=np.zeros(n_rec),
                      states=states, consensus=np.zeros((n_rec, m)),
-                     z_dev=np.zeros((num_iters, m)),
-                     pert_norms=np.zeros((num_iters, m)),
-                     num_iters=num_iters, stride=stride)
+                     record_dev=np.zeros((n_rec, m)),
+                     worst_cum_dev=np.zeros(max(num_iters - 1, 0)),
+                     max_pert=0.0, num_iters=num_iters, stride=stride)
 
     @staticmethod
     def assert_w2_series_match(trace, posterior, rtol):
@@ -395,7 +395,8 @@ class TestRunExperiment:
         trace = Trace(alphas=np.zeros(n_rec),
                       states=rng.standard_normal((n_rec, m, d)),
                       consensus=np.zeros((n_rec, m)),
-                      z_dev=np.zeros((1000, m)), pert_norms=np.zeros((1000, m)),
+                      record_dev=np.zeros((n_rec, m)),
+                      worst_cum_dev=np.zeros(999), max_pert=0.0,
                       num_iters=1000, stride=10)
         test = Dataset((rng.random((6512, d)) < 0.1).astype(float),
                        np.where(rng.random(6512) < 0.25, 1.0, -1.0))

@@ -225,7 +225,9 @@ class TestRun:
         np.testing.assert_array_equal(
             trace.alphas, [step_size(sched, t) for t in trace.ts])
         assert trace.states.shape == (5, 3, 2)
-        assert trace.z_dev.shape == (20, 3)
+        assert trace.record_dev.shape == (5, 3)
+        assert np.isnan(trace.record_dev[0]).all()
+        assert trace.worst_cum_dev.shape == (19,)
 
     def test_x0_sets_the_first_record(self):
         seq = generate_graph_sequence("seeded-random", 4, 1, seed=3)
@@ -344,8 +346,8 @@ class TestRun:
                     None, 100, x0=x0)
         gap = np.linalg.norm(trace.states[-1] - x0.mean(axis=0), axis=1)
         assert gap.max() < 1e-4
-        # and the deviation series actually decays
-        assert trace.z_dev[-1].max() < trace.z_dev[0].max()
+        # and the deviation series actually decays: record 1 is step 0
+        assert trace.record_dev[-1].max() < trace.record_dev[1].max()
 
     def test_single_agent_is_bitwise_a_plain_chain(self):
         pot = GaussianPotential(np.array([0.4, -0.2]),
@@ -441,6 +443,25 @@ class TestRun:
         assert noise.draws == []
         assert [noise.stream(i).bit_generator.state for i in range(4)] == before
 
+    def test_memory_is_bounded_in_the_horizon(self):
+        # 101 records at either horizon; each of the two (num_iters, m)
+        # per-step series a run once kept took 8 m bytes per step, the
+        # worst agent's prefix sums take 8
+        m = 8
+
+        def peak(iters):
+            seq = generate_graph_sequence("seeded-random", m, 1, seed=0)
+            tracemalloc.start()
+            try:
+                run(seq, StepSchedule("harmonic", 0.1), ZeroPotential(2),
+                    NoiseModel(0, m), iters, stride=iters // 100)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(300)  # first-call allocations stay out of the comparison
+        assert peak(20_000) - peak(2_000) <= 16 * 18_000
+
     @pytest.mark.parametrize("m", [1, 3, 7])
     def test_zero_potential_runs_at_any_network_size(self, m):
         assert ZeroPotential(2).num_agents is None
@@ -451,8 +472,12 @@ class TestRun:
 
 
 def step_loop(seq, sched, pot, noise, num_iters, stride, x0):
-    """Reference driver: ``run``'s record keeping around a loop of
-    ``langevin_step`` calls on immutable network states."""
+    """Reference driver: a loop of ``langevin_step`` calls on immutable
+    network states that keeps every step's deviation and perturbation norms,
+    then reduces them to the trace's fields with plain numpy.
+
+    Returns (states, consensus, record_dev, worst_cum_dev, max_pert).
+    """
     m, d = x0.shape
     ns = init_network(m, d)
     ns = NetworkState(x=x0.copy(), y=ns.y, w=ns.w, z=x0.copy(), t=0)
@@ -465,8 +490,14 @@ def step_loop(seq, sched, pot, noise, num_iters, stride, x0):
         if ns.t % stride == 0:
             states.append(ns.z)
             consensus.append(consensus_error(ns))
-    return (np.array(states), np.array(consensus), np.array(zdev),
-            np.array(pert))
+    zdev = np.array(zdev)
+    record_dev = np.full((len(states), m), np.nan)
+    # the step into recorded iteration t is step t - 1
+    record_dev[1:] = zdev[stride - 1::stride]
+    # steps 1.. enter the bound's sums
+    worst_cum_dev = np.cumsum(zdev[1:], axis=0).max(axis=1)
+    return (np.array(states), np.array(consensus), record_dev, worst_cum_dev,
+            np.max(pert))
 
 
 class TestDriverEquivalence:
@@ -491,13 +522,8 @@ class TestDriverEquivalence:
 
         noise_run, noise_loop = RecordingNoise(9, m), RecordingNoise(9, m)
         trace = run(seq, sched, pot, noise_run, iters, stride, x0=x0)
-        states, consensus, zdev, pert = step_loop(seq, sched, pot, noise_loop,
-                                                  iters, stride, x0)
-
-        for got, want in ((trace.states, states),
-                          (trace.consensus, consensus),
-                          (trace.z_dev, zdev), (trace.pert_norms, pert)):
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        self.assert_trace_matches(trace, step_loop(seq, sched, pot, noise_loop,
+                                                   iters, stride, x0))
         assert len(noise_run.draws) == len(noise_loop.draws) == iters * m
         for a, b in zip(noise_run.draws, noise_loop.draws):
             assert np.array_equal(a, b)
@@ -522,20 +548,38 @@ class TestDriverEquivalence:
 
         noise_run, noise_loop = RecordingNoise(9, m), RecordingNoise(9, m)
         trace = run(seq, sched, pot, noise_run, iters, stride, x0=x0_run)
-        states, consensus, zdev, pert = step_loop(seq, sched, pot, noise_loop,
-                                                  iters, stride, x0)
 
         np.testing.assert_array_equal(trace.ts, np.arange(0, iters + 1, stride))
         assert trace.alphas.tolist() == [step_size(sched, t)
                                          for t in range(0, iters + 1, stride)]
-        for got, want in ((trace.states, states),
-                          (trace.consensus, consensus),
-                          (trace.z_dev, zdev), (trace.pert_norms, pert)):
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        self.assert_trace_matches(trace, step_loop(seq, sched, pot, noise_loop,
+                                                   iters, stride, x0))
         assert len(noise_run.draws) == len(noise_loop.draws) == iters * m
         for a, b in zip(noise_run.draws, noise_loop.draws):
             assert np.array_equal(a, b)
+
+    def test_a_one_step_run_matches_one_step(self):
+        m = 3
+        ds = generate_mixture_data(31, 0.0, 1.0, np.sqrt(2.0), seed=9)
+        pot = MixturePotential(ds, partition(ds, m, "random", 9), batch_size=4)
+        seq = generate_graph_sequence("seeded-random", m, 2, seed=9)
+        sched = StepSchedule("harmonic", alpha0=0.05)
+        x0 = np.random.default_rng(9).standard_normal((m, 2))
+        trace = run(seq, sched, pot, NoiseModel(9, m), 1, x0=x0)
+        ref = step_loop(seq, sched, pot, NoiseModel(9, m), 1, 1, x0)
+        self.assert_trace_matches(trace, ref)
+        assert trace.worst_cum_dev.shape == (0,)
+
+    @staticmethod
+    def assert_trace_matches(trace, ref):
+        states, consensus, record_dev, worst_cum_dev, max_pert = ref
+        for got, want in ((trace.states, states),
+                          (trace.consensus, consensus),
+                          (trace.record_dev, record_dev),
+                          (trace.worst_cum_dev, worst_cum_dev),
+                          (trace.max_pert, max_pert)):
+            assert np.shape(got) == np.shape(want)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_minibatch_indices_and_gaussians_use_separate_streams(self):
         # agent i's indices come from stream [seed, i, 1], its noise from

@@ -23,16 +23,17 @@ def random_spd(rng, d):
     return r @ r.T + 0.1 * np.eye(d)
 
 
-def make_trace(x0, z_dev, pert_norms):
-    """Minimal consistent trace around given per-step series, stride 1."""
-    num_iters, m = z_dev.shape
-    d = x0.shape[1]
+def make_trace(x0, worst_cum_dev, max_pert):
+    """Minimal consistent trace around given monitor inputs, stride 1."""
+    m, d = x0.shape
+    num_iters = len(worst_cum_dev) + 1
     states = np.zeros((num_iters + 1, m, d))
     states[0] = x0
     return Trace(alphas=np.zeros(num_iters + 1),
                  states=states,
                  consensus=np.zeros((num_iters + 1, m)),
-                 z_dev=z_dev, pert_norms=pert_norms,
+                 record_dev=np.zeros((num_iters + 1, m)),
+                 worst_cum_dev=worst_cum_dev, max_pert=max_pert,
                  num_iters=num_iters, stride=1)
 
 
@@ -290,40 +291,26 @@ class TestCumulativeBound:
     def test_tame_run_respects_the_default_bound(self):
         rng = np.random.default_rng(4)
         x0 = rng.standard_normal((3, 2))
-        z_dev = np.full((40, 3), 0.01)
-        pert = np.full((40, 3), 0.05)
-        report = check_lemma4_bound(make_trace(x0, z_dev, pert))
+        trace = make_trace(x0, np.cumsum(np.full(39, 0.01)), 0.05)
+        report = check_lemma4_bound(trace)
         assert not report.violated
         assert 0.0 < report.max_ratio < 1.0
-        np.testing.assert_array_equal(report.taus, np.arange(1, 40))
+        assert report.lhs is trace.worst_cum_dev
         assert report.lhs.shape == report.bound.shape == (39,)
         assert np.all(np.diff(report.bound) > 0)
 
-    def test_cumulative_sum_skips_the_initial_step(self):
-        x0 = np.zeros((2, 1))
-        z_dev = np.zeros((5, 2))
-        z_dev[0] = 100.0
-        z_dev[1:] = 0.25
-        pert = np.full((5, 2), 1.0)
-        report = check_lemma4_bound(make_trace(x0, z_dev, pert))
-        # row 0 never enters: worst prefix sums are 0.25, 0.5, ...
-        np.testing.assert_allclose(report.lhs, 0.25 * np.arange(1, 5),
-                                   atol=1e-12)
-
     def test_explicit_constants_are_echoed_and_enforced(self):
         x0 = np.zeros((2, 1))
-        z_dev = np.full((30, 2), 0.1)
-        pert = np.zeros((30, 2))
-        report = check_lemma4_bound(make_trace(x0, z_dev, pert),
-                                    delta=8.0, lam=0.0, d_hat=1e-6)
+        report = check_lemma4_bound(
+            make_trace(x0, np.cumsum(np.full(29, 0.1)), 1e-6),
+            delta=8.0, lam=0.0)
         assert report.violated
         assert report.max_ratio > 1.0
         assert (report.delta, report.lam, report.d_hat) == (8.0, 0.0, 1e-6)
 
     def test_default_constants_come_from_the_network_size(self):
         x0 = np.zeros((3, 1))
-        trace = make_trace(x0, np.full((25, 3), 0.01),
-                           np.full((25, 3), 0.7))
+        trace = make_trace(x0, np.cumsum(np.full(24, 0.01)), 0.7)
         report = check_lemma4_bound(trace, window_len=2)
         sb = spectral_bounds(3, 2)
         assert report.delta == sb.delta_lower
@@ -331,8 +318,8 @@ class TestCumulativeBound:
         assert report.d_hat == 0.7
 
     def test_default_constants_work_where_lambda_rounds_to_one(self):
-        trace = make_trace(np.ones((16, 1)), np.full((20, 16), 0.01),
-                           np.full((20, 16), 0.1))
+        trace = make_trace(np.ones((16, 1)), np.cumsum(np.full(19, 0.01)),
+                           0.1)
         report = check_lemma4_bound(trace)
         assert report.lam == 1.0
         assert np.all(np.isfinite(report.bound)) and np.all(report.bound > 0)
@@ -357,16 +344,15 @@ class TestCumulativeBound:
     def test_bound_at_a_hundred_agents_can_still_be_violated(self):
         # no initial mass and no perturbation make the bound exactly zero,
         # so any deviation at all exceeds it
-        trace = make_trace(np.zeros((100, 1)), np.full((20, 100), 0.01),
-                           np.zeros((20, 100)))
+        trace = make_trace(np.zeros((100, 1)), np.cumsum(np.full(19, 0.01)),
+                           0.0)
         report = check_lemma4_bound(trace)
         np.testing.assert_array_equal(report.bound, 0.0)
         assert report.violated
         assert report.max_ratio == np.inf
 
     def test_constant_validation(self):
-        trace = make_trace(np.zeros((2, 1)), np.zeros((5, 2)),
-                           np.zeros((5, 2)))
+        trace = make_trace(np.zeros((2, 1)), np.zeros(4), 0.0)
         with pytest.raises(ValueError):
             check_lemma4_bound(trace, delta=0.0, lam=0.5)
         with pytest.raises(ValueError):

@@ -16,8 +16,9 @@ def build_trace(**overrides):
     fields = dict(alphas=np.array([0.1, 0.05, 0.025]),
                   states=np.zeros((3, 2, 1)),
                   consensus=np.zeros((3, 2)),
-                  z_dev=np.zeros((4, 2)),
-                  pert_norms=np.zeros((4, 2)),
+                  record_dev=np.zeros((3, 2)),
+                  worst_cum_dev=np.zeros(3),
+                  max_pert=0.0,
                   num_iters=4, stride=2)
     fields.update(overrides)
     return Trace(**fields)
@@ -36,16 +37,23 @@ class TestTrace:
                         consensus=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             build_trace(alphas=np.zeros(2))
+        with pytest.raises(ValueError):
+            build_trace(record_dev=np.zeros((2, 2)))
 
     def test_snapshots_must_match_the_record_grid(self):
         with pytest.raises(ValueError):
             build_trace(states=np.zeros((2, 2, 1)))
 
     def test_per_step_series_must_cover_every_iteration(self):
+        # one worst-agent prefix sum per prefix length 1 .. num_iters-1
         with pytest.raises(ValueError):
-            build_trace(z_dev=np.zeros((3, 2)))
+            build_trace(worst_cum_dev=np.zeros(4))
         with pytest.raises(ValueError):
-            build_trace(pert_norms=np.zeros((4, 3)))
+            build_trace(worst_cum_dev=np.zeros((3, 2)))
+
+    def test_a_zero_stride_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="stride"):
+            build_trace(stride=0)
 
 
 class TestWriteCsv:
