@@ -30,7 +30,7 @@ from .langevin import NoiseModel, StepSchedule, run, step_size
 from .metrics import (COV_RIDGE, check_lemma4_bound, roc_auc,
                       w2_gaussian_bures, w2_gaussian_paper)
 from .models import (Dataset, GaussianDist, GaussianPotential, LinRegPotential,
-                     LogisticPotential, MixturePotential, Shard,
+                     LogisticPotential, MixturePotential,
                      generate_linreg_data, generate_mixture_data,
                      linreg_posterior, load_libsvm,
                      make_surrogate_classification, partition)
@@ -88,7 +88,6 @@ class ExperimentConfig:
     split_seed: int | None = None
     split_frac: float = 0.8
     eval_every: int = 10
-    model: str = "gaussian"
     model_dim: int = 2
     model_kappa: float = 1.0
 
@@ -207,8 +206,7 @@ def _build_schedule(cfg: ExperimentConfig) -> StepSchedule:
             return StepSchedule.power_from_endpoints(
                 cfg.alpha_start, cfg.alpha_end, exponent, cfg.iters)
         alpha0 = cfg.alpha0
-        if alpha0 is None and cfg.schedule == "harmonic" and \
-                cfg.experiment == "run" and cfg.model == "gaussian":
+        if alpha0 is None and cfg.schedule == "harmonic" and cfg.experiment == "run":
             # largest step the known per-agent curvature admits
             alpha0 = cfg.agents / (4.0 * cfg.model_kappa)
         if alpha0 is None:
@@ -249,7 +247,7 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
     if cfg.batch < 0:
         raise ConfigError("batch must be 0 (full shard) or positive")
     if cfg.experiment == "run" and cfg.batch:
-        raise ConfigError("run's models hold no data to subsample; batch must be 0")
+        raise ConfigError("run's Gaussian target holds no data to subsample; batch must be 0")
     if cfg.sigma_sq < 0:
         raise ConfigError("sigma_sq must be nonnegative")
     # model and data fields, written as "not x > 0" so that NaN fails; the
@@ -353,10 +351,8 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
             raise ConfigError(
                 f"the test split holds {n_pos} positive and {test.n - n_pos} "
                 f"negative rows; its ROC-AUC needs both classes")
-        # the training shards as rows of the full dataset, which the
-        # potential gathers once
-        shards = [Shard(s.agent, order[:n_train][s.indices])
-                  for s in _shard(n_train, cfg)]
+        # the training shards as rows of the full dataset
+        shards = [order[:n_train][s] for s in _shard(n_train, cfg)]
         potential = LogisticPotential(ds, shards, batch)
         extras["test"] = test
         metadata.update(n=ds.n, dims=ds.dim, dataset=cfg.dataset,
@@ -364,12 +360,11 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
                         split_frac=cfg.split_frac, eval_every=cfg.eval_every,
                         n_train=n_train, shard_sizes=_sizes(shards))
     else:
-        if cfg.model != "gaussian":
-            raise ConfigError(f"unknown model {cfg.model!r}; registered: gaussian")
         potential = GaussianPotential(np.zeros(cfg.model_dim),
                                       np.eye(cfg.model_dim) / cfg.model_kappa,
                                       cfg.agents)
-        metadata.update(model=cfg.model, model_dim=cfg.model_dim,
+        # names the target run samples; no option chooses it
+        metadata.update(model="gaussian", model_dim=cfg.model_dim,
                         model_kappa=cfg.model_kappa)
 
     metadata["monitors"] = cfg.monitors
@@ -385,7 +380,7 @@ def _shard(ds: Dataset | int, cfg: ExperimentConfig):
 
 
 def _sizes(shards) -> str:
-    return "/".join(str(len(s.indices)) for s in shards)
+    return "/".join(str(len(s)) for s in shards)
 
 
 def _logistic_data(cfg: ExperimentConfig) -> Dataset:
@@ -471,7 +466,7 @@ def _monitor_metadata(trace, setup: RunSetup):
                           lemma4_max_ratio=report.max_ratio,
                           lemma4_delta=report.delta,
                           lemma4_lambda=report.lam,
-                          lemma4_d_hat=report.d_hat)
+                          lemma4_d_hat=trace.max_pert)
     return report
 
 
@@ -530,7 +525,7 @@ def _run_table(trace, setup: RunSetup, report):
     # the report's prefix tau = t-1 >= 1 sits at its index tau-1
     tau = ts[ts >= 2] - 1
     lemma4 = np.full((len(ts), 2), np.nan)
-    lemma4[ts >= 2] = np.column_stack([report.lhs[tau - 1], report.bound[tau - 1]])
+    lemma4[ts >= 2] = np.column_stack([trace.worst_cum_dev[tau - 1], report.bound[tau - 1]])
     columns.append(lemma4)
     return header, _rows(ts, *columns), (
         f"deviation bound {'VIOLATED' if report.violated else 'held'} "
@@ -553,7 +548,7 @@ _EXPERIMENTS = {
                 _mixture_table),
     "logistic": ("L1-regularized logistic regression scored by test ROC-AUC",
                  _logistic_table),
-    "run": ("generic run of a registered model with optional bound monitors",
+    "run": ("generic run of a Gaussian target with optional bound monitors",
             _run_table),
 }
 

@@ -13,6 +13,7 @@ column-stochastic mixing matrix, which holds entries alone.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -196,16 +197,16 @@ class DirectedGraphSequence:
                  seed: int = 0, graphs=None):
         if kind not in GRAPH_KINDS:
             raise ValueError(f"unknown graph sequence kind {kind!r}; expected one of {GRAPH_KINDS}")
-        if num_nodes < 1:
-            raise ValueError("num_nodes must be at least 1")
-        if window_len < 1:
-            raise ValueError("window_len must be at least 1")
-        if seed < 0:
-            raise ValueError(f"graph seed must be nonnegative, got {seed}")
         self.kind = kind
-        self.num_nodes = int(num_nodes)
-        self.window_len = int(window_len)
-        self.seed = int(seed)
+        self.num_nodes = operator.index(num_nodes)
+        self.window_len = operator.index(window_len)
+        self.seed = operator.index(seed)
+        if self.num_nodes < 1:
+            raise ValueError("num_nodes must be at least 1")
+        if self.window_len < 1:
+            raise ValueError("window_len must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"graph seed must be nonnegative, got {seed}")
         if kind == "seeded-random":
             if graphs:
                 raise ValueError("seeded-random kind generates its own graphs")
@@ -343,7 +344,7 @@ def spectral_bounds(num_nodes: int, window_len: int) -> SpectralBounds:
     -------
     SpectralBounds
     """
-    if num_nodes < 1 or window_len < 1:
+    if operator.index(num_nodes) < 1 or operator.index(window_len) < 1:
         raise ValueError("num_nodes and window_len must be at least 1")
     mb = num_nodes * window_len
     delta = float(num_nodes) ** (-mb)

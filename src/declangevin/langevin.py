@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -121,14 +122,13 @@ class NoiseModel:
     """
 
     def __init__(self, seed: int, num_agents: int):
-        if seed < 0:
+        self.seed, self.num_agents = operator.index(seed), operator.index(num_agents)
+        if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if num_agents < 1:
+        if self.num_agents < 1:
             raise ValueError("num_agents must be at least 1")
-        self.seed = int(seed)
-        self.num_agents = int(num_agents)
-        self._rngs = [np.random.default_rng([self.seed, i]) for i in range(num_agents)]
-        self._streams = [np.random.default_rng([self.seed, i, 1]) for i in range(num_agents)]
+        self._rngs = [np.random.default_rng([self.seed, i]) for i in range(self.num_agents)]
+        self._streams = [np.random.default_rng([self.seed, i, 1]) for i in range(self.num_agents)]
 
     def stream(self, agent: int) -> np.random.Generator:
         return self._streams[agent]
@@ -470,7 +470,8 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     ValueError
         If :class:`GaussianPotential` refuses the target, or a size is wrong.
     """
-    checkpoints = list(checkpoints)
+    # a float checkpoint would key no step and leave its snapshot zero
+    checkpoints = [operator.index(c) for c in checkpoints]
     if not checkpoints or any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be one or more strictly increasing "
                          "iteration counts")

@@ -133,18 +133,16 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
 class BoundReport:
     """Outcome of comparing a run against a theoretical deviation bound.
 
-    ``lhs`` is the trace's ``worst_cum_dev``, ``bound`` the theoretical
-    ceiling at each prefix, ``max_ratio`` the largest lhs/bound encountered
-    and ``violated`` whether any prefix exceeded its ceiling.
+    ``bound`` is the theoretical ceiling at each prefix of the trace's
+    ``worst_cum_dev``, ``max_ratio`` the largest deviation/bound ratio
+    encountered and ``violated`` whether any prefix exceeded its ceiling.
     """
 
-    lhs: np.ndarray
     bound: np.ndarray
     violated: bool
     max_ratio: float
     delta: float
     lam: float
-    d_hat: float
 
 
 def check_lemma4_bound(trace: Trace, delta: float | None = None,
@@ -179,19 +177,21 @@ def check_lemma4_bound(trace: Trace, delta: float | None = None,
         gap = 1.0 - lam
     if delta <= 0:
         raise ValueError("delta must be positive")
-    d_hat, lhs = trace.max_pert, trace.worst_cum_dev
-    taus = np.arange(1, trace.num_iters)
+    lhs = trace.worst_cum_dev
     x0_l1 = np.abs(trace.states[0]).sum()
     # from about 100 agents (8/delta)(lam/gap) overflows to inf, and with no
     # initial mass inf * 0 would be a NaN that no comparison flags
     first = 0.0 if x0_l1 == 0 else (8.0 / delta) * (lam / gap) * x0_l1
+    # in place over tau = 1 .. T-1: the bound and one ratio are its only (T,) arrays
+    bound = np.arange(1.0, trace.num_iters)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        bound = first + (8.0 / delta) * (d_hat * m / gap) * (1.0 + np.sqrt(taus))
-        ratios = lhs / bound
-    return BoundReport(lhs=lhs, bound=bound,
-                       violated=bool(np.any(lhs > bound)),
-                       max_ratio=float(ratios.max()) if len(ratios) else 0.0,
-                       delta=float(delta), lam=float(lam), d_hat=float(d_hat))
+        np.sqrt(bound, out=bound)
+        bound += 1.0
+        bound *= (8.0 / delta) * (trace.max_pert * m / gap)
+        bound += first
+        max_ratio = float((lhs / bound).max()) if len(bound) else 0.0
+    return BoundReport(bound=bound, violated=bool(np.any(lhs > bound)),
+                       max_ratio=max_ratio, delta=float(delta), lam=float(lam))
 
 
 def rate_fit(w2_series: np.ndarray, ts: np.ndarray) -> float:

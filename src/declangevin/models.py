@@ -10,6 +10,7 @@ shard's full-data gradient.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,6 @@ from .langevin import Potential, PotentialProps
 
 __all__ = [
     "Dataset",
-    "Shard",
     "GaussianDist",
     "ParseError",
     "generate_linreg_data",
@@ -77,17 +77,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-
-@dataclass(frozen=True)
-class Shard:
-    """One agent's slice of a dataset, by row indices."""
-
-    agent: int
-    indices: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -371,14 +360,14 @@ def make_surrogate_classification(n: int, dim: int, seed: int,
 def partition(ds: Dataset | int, num_shards: int, mode: str = "random",
               seed: int = 0) -> list:
     """Split a dataset, or a number of rows, into near-equal shards, one
-    per agent.
+    per agent: int64 arrays of row indices, entry i agent i's.
 
     ``random`` permutes the rows with the given seed before splitting into
     contiguous blocks; ``contiguous`` keeps the original order.  Shard sizes
     differ by at most one row.  The shards depend on the row count alone.
     """
     n = ds if isinstance(ds, (int, np.integer)) else ds.n
-    if not 1 <= num_shards <= n:
+    if not 1 <= operator.index(num_shards) <= n:
         raise ValueError(f"cannot split {n} rows into {num_shards} shards")
     if mode == "random":
         order = np.random.default_rng(seed).permutation(n)
@@ -386,13 +375,12 @@ def partition(ds: Dataset | int, num_shards: int, mode: str = "random",
         order = np.arange(n)
     else:
         raise ValueError(f"unknown partition mode {mode!r}")
-    return [Shard(agent=i, indices=chunk)
-            for i, chunk in enumerate(np.array_split(order, num_shards))]
+    return np.array_split(order, num_shards)
 
 
 class _ShardedPotential(Potential):
     """Common minibatch plumbing for data-sharded potentials, one agent per
-    shard.
+    shard: ``shards[i]`` holds agent i's dataset rows, as from :func:`partition`.
 
     Each agent resamples ``batch_size`` rows of its shard with replacement
     every step, from its own :meth:`NoiseModel.stream`; :meth:`draw` takes
@@ -416,21 +404,19 @@ class _ShardedPotential(Potential):
             raise ValueError("batch_size must be at least 1")
         self.batch_size = batch_size
         self.num_agents = len(shards)
-        self._sizes = [len(s.indices) for s in shards]
+        self._sizes = [len(s) for s in shards]
         rows = np.zeros((len(shards), max(self._sizes)), dtype=np.int64)
-        for i, s in enumerate(shards):
-            if s.agent != i:
-                raise ValueError(f"shard {i} belongs to agent {s.agent}, not agent {i}")
-            if len(s.indices) and not 0 <= s.indices.min() <= s.indices.max() < ds.n:
+        for i, (s, n) in enumerate(zip(shards, self._sizes)):
+            rows[i, :n] = s
+            if n and not 0 <= rows[i, :n].min() <= rows[i, :n].max() < ds.n:
                 raise ValueError(f"shard {i} holds a row outside [0, {ds.n})")
-            rows[i, :self._sizes[i]] = s.indices
         if batch_size is not None:
             self._features, self._targets = ds.features, ds.targets
             # agent i's local row j is dataset row _table[j + _offsets[i]]
             self._table = rows.ravel()
             self._offsets = np.arange(0, rows.size, rows.shape[1])[:, None]
             self._scale = (np.array(self._sizes) / batch_size)[:, None]
-            self.shard_targets = [ds.targets[s.indices] for s in shards]
+            self.shard_targets = [ds.targets[r[:n]] for r, n in zip(rows, self._sizes)]
             return
         pad = np.arange(rows.shape[1]) >= np.array(self._sizes)[:, None]
         # one gather each, so no shard is ever held twice
@@ -545,12 +531,14 @@ class GaussianPotential(Potential):
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         if mean.ndim != 1:
             raise ValueError("the target must be a single Gaussian, not a stack")
+        self.num_agents = operator.index(num_agents)
+        if self.num_agents < 1:
+            raise ValueError("num_agents must be at least 1")
         self.precision, eigs = _check_covariance(mean, cov, invert=True)
         self.mean = mean
-        self.num_agents = int(num_agents)
         self.props = PotentialProps(dim=mean.shape[0],
-                                    mu=float(eigs.min()) / num_agents,
-                                    lipschitz=float(eigs.max()) / num_agents)
+                                    mu=float(eigs.min()) / self.num_agents,
+                                    lipschitz=float(eigs.max()) / self.num_agents)
 
     def grad(self, agent, z, rng):
         return self.grad_drawn(z, None)

@@ -223,13 +223,13 @@ def reference_agent_grads(pot, ds, shards, z, noise):
     m = len(shards)
     rows = []
     for i, shard in enumerate(shards):
-        feats = ds.features[shard.indices]
-        targs = ds.targets[shard.indices]
+        feats = ds.features[shard]
+        targs = ds.targets[shard]
         scale = 1.0
         if pot.batch_size is not None:
             idx = noise.stream(i).integers(0, len(targs), size=pot.batch_size)
             feats, targs = feats[idx], targs[idx]
-            scale = len(shard.indices) / pot.batch_size
+            scale = len(shard) / pot.batch_size
         if isinstance(pot, LinRegPotential):
             prior = GaussianDist(pot.prior.mean, pot.prior.cov * m)
             rows.append(grad_U_linreg(z[i], feats, targs, prior, pot.sigma,

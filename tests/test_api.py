@@ -31,7 +31,7 @@ PACKAGE_NAMES = {
     "DivergenceError", "ExperimentConfig", "GaussianDist", "GaussianPotential",
     "LinRegPotential", "LogisticPotential", "MixingMatrix", "MixturePotential",
     "NetworkState", "NoiseModel", "ParseError", "Potential", "PotentialProps",
-    "Shard", "StepSchedule", "Trace", "ZeroPotential", "average_state",
+    "StepSchedule", "Trace", "ZeroPotential", "average_state",
     "build_config", "build_mixing_matrix", "check_b_strong_connectivity",
     "check_lemma4_bound", "consensus_error", "empirical_gaussian",
     "generate_graph_sequence", "generate_linreg_data", "generate_mixture_data",
@@ -48,7 +48,7 @@ def test_each_name_is_listed_once_by_the_module_that_defines_it():
     package = importlib.import_module("declangevin")
     modules = [importlib.import_module(name) for name in MODULES[1:]]
     listed = [name for module in modules for name in module.__all__]
-    assert len(listed) == len(set(listed)) == 55
+    assert len(listed) == len(set(listed)) == 54
     # the package adds no name of its own to the modules' lists
     assert package.__all__ == listed
     assert set(package.__all__) == PACKAGE_NAMES

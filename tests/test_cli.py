@@ -272,11 +272,6 @@ class TestPrepare:
         with pytest.raises(ConfigError, match="split_frac must lie strictly"):
             prepare(cfg)
 
-    def test_unknown_model(self):
-        # explicit alpha0: the automatic step size only knows gaussian
-        with pytest.raises(ConfigError, match="registered"):
-            prepare(build_config("run", {"model": "banana", "alpha0": 0.1}))
-
 
 class TestRunExperiment:
     def test_smoke_run_is_deterministic(self):

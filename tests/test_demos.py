@@ -1,20 +1,38 @@
 """The demos run as scripts, end to end."""
 
+import functools
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import declangevin
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-def test_logistic_demo_prints_a_row_per_batch_size():
+@functools.cache
+def run_demo(name):
+    """One run of a demo script, with every RuntimeWarning (an overflow, an
+    invalid value) raised as an error."""
     src = str(Path(declangevin.__file__).parents[1])
-    done = subprocess.run([sys.executable, str(DEMOS / "logistic.py")],
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(DEMOS / name)],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs_cleanly(name):
+    done = run_demo(name)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
+
+
+def test_logistic_demo_prints_a_row_per_batch_size():
+    done = run_demo("logistic.py")
     assert done.returncode == 0, done.stderr
     rows = {line.split()[0]: line.split()[1:]
             for line in done.stdout.splitlines() if line.strip()}

@@ -218,6 +218,18 @@ class TestGraphSequences:
         with pytest.raises(ValueError):
             DirectedGraphSequence("seeded-random", 4, window_len=0)
 
+    @pytest.mark.parametrize("kwargs", [dict(num_nodes=3.0), dict(window_len=1.5),
+                                        dict(seed=1.7)])
+    def test_non_integer_sizes_and_seeds_are_refused(self, kwargs):
+        # truncating them made every seed in [1, 2) share one stream
+        args = dict(num_nodes=3, window_len=1, seed=1) | kwargs
+        with pytest.raises(TypeError):
+            DirectedGraphSequence("seeded-random", **args)
+        seq = DirectedGraphSequence("seeded-random", np.int64(3), np.int32(2),
+                                    seed=np.uint8(1))
+        assert (seq.num_nodes, seq.window_len, seq.seed) == (3, 2, 1)
+        assert type(seq.seed) is int
+
 
 class TestBStrongConnectivity:
     def test_seeded_random_windows_connected_by_construction(self):
@@ -426,6 +438,10 @@ class TestSpectralBounds:
             spectral_bounds(0, 1)
         with pytest.raises(ValueError):
             spectral_bounds(2, 0)
+        # a fractional network size has no bounds; 2.5 used to get some
+        for sizes in ((2.5, 1), (2, 1.0)):
+            with pytest.raises(TypeError):
+                spectral_bounds(*sizes)
         # delta = m**(-m*B) underflows to 0
         with pytest.raises(ValueError, match="m=200, B=1"):
             spectral_bounds(200, 1)

@@ -161,6 +161,14 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(0, 0)
 
+    @pytest.mark.parametrize("seed, m", [(1.7, 2), (1.0, 2), (1, 2.0), (1, 2.5)])
+    def test_non_integer_seed_or_size_is_refused(self, seed, m):
+        # int() made NoiseModel(1.7, 2) share seed 1's streams
+        with pytest.raises(TypeError):
+            NoiseModel(seed, m)
+        noise = NoiseModel(np.int64(1), np.int32(2))
+        assert (noise.seed, noise.num_agents) == (1, 2)
+
 
 class TestLangevinStep:
     def test_noiseless_step_applies_drift_to_mixed_state(self):
@@ -602,11 +610,11 @@ class TestDriverEquivalence:
         alpha = step_size(sched, 1)
         for i in range(m):
             idx = np.random.default_rng([seed, i, 1]).integers(
-                0, len(shards[i].indices), size=batch)
-            rows = shards[i].indices[idx]
+                0, len(shards[i]), size=batch)
+            rows = shards[i][idx]
             g = grad_U_linreg(stepped.z[i], ds.features[rows], ds.targets[rows],
                               GaussianDist(prior.mean, m * prior.cov), 1.0,
-                              len(shards[i].indices) / batch)
+                              len(shards[i]) / batch)
             want = stepped.w[i] - alpha * g + np.sqrt(2.0 * alpha) \
                 * np.random.default_rng([seed, i]).standard_normal(d)
             np.testing.assert_allclose(stepped.x[i], want, rtol=0.0,
@@ -674,6 +682,19 @@ class TestGaussianEnsemble:
             run_gaussian_ensemble(seq, sched, mean, cov, 2, 10, 4, 0, [5, 5, 10])
         with pytest.raises(ValueError, match="one or more"):
             run_gaussian_ensemble(seq, sched, mean, cov, 2, 10, 4, 0, [])
+
+    @pytest.mark.parametrize("first", [5.5, 5.0])
+    def test_non_integer_checkpoints_are_refused(self, first):
+        # 5.5 keyed no step and left its snapshot row silently zero
+        seq = generate_graph_sequence("seeded-random", 3, 1, seed=0)
+        sched = StepSchedule("harmonic", 1.0)
+        with pytest.raises(TypeError):
+            run_gaussian_ensemble(seq, sched, np.ones(2), np.eye(2), 3, 10, 2,
+                                  0, [first, 10])
+        # integer arrays, as np.geomspace(...).astype(int) builds them, pass
+        snaps = run_gaussian_ensemble(seq, sched, np.ones(2), np.eye(2), 3, 10,
+                                      2, 0, np.array([5, 10]))
+        assert np.all(snaps != 0.0)
 
     def test_snapshot_shape_and_determinism(self):
         seq = generate_graph_sequence("seeded-random", 3, 1, seed=1)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -295,8 +296,7 @@ class TestCumulativeBound:
         report = check_lemma4_bound(trace)
         assert not report.violated
         assert 0.0 < report.max_ratio < 1.0
-        assert report.lhs is trace.worst_cum_dev
-        assert report.lhs.shape == report.bound.shape == (39,)
+        assert report.bound.shape == trace.worst_cum_dev.shape == (39,)
         assert np.all(np.diff(report.bound) > 0)
 
     def test_explicit_constants_are_echoed_and_enforced(self):
@@ -306,7 +306,7 @@ class TestCumulativeBound:
             delta=8.0, lam=0.0)
         assert report.violated
         assert report.max_ratio > 1.0
-        assert (report.delta, report.lam, report.d_hat) == (8.0, 0.0, 1e-6)
+        assert (report.delta, report.lam) == (8.0, 0.0)
 
     def test_default_constants_come_from_the_network_size(self):
         x0 = np.zeros((3, 1))
@@ -315,7 +315,11 @@ class TestCumulativeBound:
         sb = spectral_bounds(3, 2)
         assert report.delta == sb.delta_lower
         assert report.lam == sb.lambda_upper
-        assert report.d_hat == 0.7
+        # D = max_pert = 0.7 at m = 3: the bound grows by 8 D m / (delta gap)
+        # per unit of 1 + sqrt(tau), from a zero initial-state term
+        np.testing.assert_allclose(
+            report.bound, (8.0 / sb.delta_lower) * (0.7 * 3 / sb.gap)
+            * (1.0 + np.sqrt(np.arange(1, 25))), rtol=1e-12)
 
     def test_default_constants_work_where_lambda_rounds_to_one(self):
         trace = make_trace(np.ones((16, 1)), np.cumsum(np.full(19, 0.01)),
@@ -350,6 +354,24 @@ class TestCumulativeBound:
         np.testing.assert_array_equal(report.bound, 0.0)
         assert report.violated
         assert report.max_ratio == np.inf
+
+    def test_check_holds_two_series_of_the_horizon_at_most(self):
+        # the bound it returns and one ratio series: 16 B per step
+        rng = np.random.default_rng(5)
+        num_iters, x0 = 200_000, rng.standard_normal((4, 2))
+        states = np.stack([x0, np.zeros((4, 2))])
+        trace = Trace(alphas=np.zeros(2), states=states,
+                      consensus=np.zeros((2, 4)), record_dev=np.zeros((2, 4)),
+                      worst_cum_dev=np.cumsum(rng.random(num_iters - 1)),
+                      max_pert=0.3, num_iters=num_iters, stride=num_iters)
+        tracemalloc.start()
+        try:
+            report = check_lemma4_bound(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * num_iters
+        assert report.bound.shape == (num_iters - 1,) and not report.violated
 
     def test_constant_validation(self):
         trace = make_trace(np.zeros((2, 1)), np.zeros(4), 0.0)

@@ -11,7 +11,7 @@ from scipy.special import expit
 
 from declangevin import (Dataset, GaussianDist, GaussianPotential,
                          LinRegPotential, LogisticPotential, MixturePotential,
-                         NoiseModel, ParseError, Shard, ZeroPotential,
+                         NoiseModel, ParseError, ZeroPotential,
                          generate_linreg_data, generate_mixture_data,
                          grad_U_linreg, grad_U_logistic, grad_U_mixture,
                          linreg_posterior, load_libsvm,
@@ -337,33 +337,35 @@ class TestPartition:
         for mode in ("random", "contiguous"):
             by_rows = partition(ds, 4, mode, seed=3)
             by_count = partition(23, 4, mode, seed=3)
-            assert [s.agent for s in by_rows] == [s.agent for s in by_count]
+            assert len(by_rows) == len(by_count) == 4
             for a, b in zip(by_rows, by_count):
-                np.testing.assert_array_equal(a.indices, b.indices)
+                np.testing.assert_array_equal(a, b)
         with pytest.raises(ValueError):
             partition(3, 4)
 
     def test_shards_cover_the_rows_exactly_once(self):
         ds = make_surrogate_classification(23, 4, seed=0)
         shards = partition(ds, 4, "random", seed=1)
-        all_idx = np.concatenate([s.indices for s in shards])
+        all_idx = np.concatenate(shards)
         assert sorted(all_idx.tolist()) == list(range(23))
-        sizes = [len(s.indices) for s in shards]
+        sizes = [len(s) for s in shards]
         assert max(sizes) - min(sizes) <= 1
-        assert [s.agent for s in shards] == [0, 1, 2, 3]
+        assert len(shards) == 4
+        assert all(s.dtype == np.int64 for s in shards)
 
     def test_random_mode_is_seeded(self):
         ds = make_surrogate_classification(20, 3, seed=0)
         a = partition(ds, 3, "random", seed=2)
         b = partition(ds, 3, "random", seed=2)
         for s, t in zip(a, b):
-            np.testing.assert_array_equal(s.indices, t.indices)
+            np.testing.assert_array_equal(s, t)
 
     def test_contiguous_mode_keeps_order(self):
         ds = make_surrogate_classification(10, 3, seed=0)
         shards = partition(ds, 2, "contiguous")
-        np.testing.assert_array_equal(shards[0].indices, np.arange(5))
-        np.testing.assert_array_equal(shards[1].indices, np.arange(5, 10))
+        np.testing.assert_array_equal(shards[0], np.arange(5))
+        np.testing.assert_array_equal(shards[1], np.arange(5, 10))
+        assert all(s.dtype == np.int64 for s in shards)
 
     def test_validation(self):
         ds = make_surrogate_classification(5, 3, seed=0)
@@ -371,6 +373,9 @@ class TestPartition:
             partition(ds, 6)
         with pytest.raises(ValueError):
             partition(ds, 2, mode="striped")
+        # 2.5 shards used to give two
+        with pytest.raises(TypeError):
+            partition(ds, 2.5)
 
 
 class TestPotentials:
@@ -429,7 +434,7 @@ class TestPotentials:
         assert idx.shape == (3, 2, 2)
         for i, shard in enumerate(shards):
             own = np.random.default_rng([7, i, 1]).integers(
-                0, len(shard.indices), size=(3, 2))
+                0, len(shard), size=(3, 2))
             np.testing.assert_array_equal(idx[:, i], own)
         a = pot.grad_drawn(z, idx[0])
         b = pot.grad_drawn(z, pot.draw(NoiseModel(7, 2), 1)[0])
@@ -441,6 +446,15 @@ class TestPotentials:
         prior = GaussianDist(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError):
             LinRegPotential(ds, shards, prior, 1.0, batch_size=0)
+
+    @pytest.mark.parametrize("m, error", [(0, ValueError), (-2, ValueError),
+                                          (2.5, TypeError), (2.0, TypeError)])
+    def test_gaussian_potential_refuses_a_bad_agent_count(self, m, error):
+        # 0 divided by zero, -2 gave negative constants, 2.5 stored 2 but
+        # divided the constants by 2.5
+        with pytest.raises(error):
+            GaussianPotential(np.zeros(2), np.eye(2), m)
+        assert GaussianPotential(np.zeros(2), np.eye(2), np.int64(2)).num_agents == 2
 
     def test_gaussian_potential_declares_per_agent_constants(self):
         cov = np.diag([1.0, 4.0])
@@ -477,19 +491,11 @@ class TestPotentials:
 
 
 class TestShardStorage:
-    @pytest.mark.parametrize("batch", [None, 2])
-    def test_shards_out_of_agent_order_are_refused(self, batch):
-        ds = generate_linreg_data(10, 2, 1.0, np.zeros(2), 0)
-        shards = partition(ds, 2)
-        prior = GaussianDist(np.zeros(2), np.eye(2))
-        with pytest.raises(ValueError, match="shard 0 belongs to agent 1"):
-            LinRegPotential(ds, shards[::-1], prior, 1.0, batch_size=batch)
-
     @pytest.mark.parametrize("row", [-1, 10])
     @pytest.mark.parametrize("batch", [None, 2])
     def test_rows_outside_the_dataset_are_refused(self, row, batch):
         ds = generate_linreg_data(10, 2, 1.0, np.zeros(2), 0)
-        shards = [Shard(0, [0, 1, 2]), Shard(1, [3, row])]
+        shards = [[0, 1, 2], [3, row]]
         with pytest.raises(ValueError, match=r"shard 1 holds a row outside \[0, 10\)"):
             MixturePotential(ds, shards, batch_size=batch)
 
@@ -513,8 +519,7 @@ def ragged_potential(kind, sizes, dim, batch, seed):
     rng = np.random.default_rng(seed)
     m, n = len(sizes), sum(sizes)
     order = rng.permutation(n)
-    shards = [Shard(agent=i, indices=idx) for i, idx in
-              enumerate(np.split(order, np.cumsum(sizes)[:-1]))]
+    shards = np.split(order, np.cumsum(sizes)[:-1])
     if kind == "linreg":
         ds = generate_linreg_data(n, dim, 0.5, rng.standard_normal(dim), seed)
         prior = GaussianDist(rng.standard_normal(dim), (1.0 + rng.random()) * np.eye(dim))
