@@ -3,7 +3,8 @@
 Configuration is a flat set of key=value fields.  Defaults depend on the
 subcommand (the minibatch, for one: linreg 1, logistic 32, mixture and run
 0, the full shard), a JSON config file (one flat object) overrides them,
-and any field can be overridden again by a flag of the same name.
+and a flag of the same name overrides both.  Each subcommand accepts only
+the fields it reads, as flags and as config keys; it refuses the rest.
 
 Every subcommand runs the same path: prepare, sample, check the deviation
 bound if monitors are on, write the experiment's table as one CSV and
@@ -26,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .graphs import generate_graph_sequence, spectral_bounds
-from .langevin import NoiseModel, StepSchedule, run, step_size
+from .langevin import NoiseModel, StepSchedule, run
 from .metrics import (COV_RIDGE, check_lemma4_bound, roc_auc,
                       w2_gaussian_bures, w2_gaussian_paper)
 from .models import (Dataset, GaussianDist, GaussianPotential, LinRegPotential,
@@ -73,7 +74,6 @@ class ExperimentConfig:
     alpha_start: float | None = None
     alpha_end: float | None = None
     batch: int = 0
-    sigma_sq: float = 0.0
     n: int = 800
     dims: int = 2
     data_sigma: float = 1.0
@@ -112,12 +112,13 @@ _DEFAULTS = {
                      alpha0=0.008, sched_offset=12.0, sched_p=0.45, batch=32),
     "run": dict(iters=1000, schedule="harmonic"),
 }
-# Fields of each experiment that must be positive, and counts that must be
-# at least 1; prepare checks them before anything is drawn.
-_POSITIVE = {"run": ("model_kappa",), "linreg": ("data_sigma",),
-             "mixture": ("sigma_x_sq", "prior_var1", "prior_var2")}
-_AT_LEAST_ONE = {"run": ("model_dim",), "linreg": ("n",), "mixture": ("n",),
-                 "logistic": ("dims",)}
+# Fields that must be positive, and counts that must be at least 1; prepare
+# checks them before anything is drawn.  A field its subcommand does not
+# read holds its valid default.
+_POSITIVE = ("data_sigma", "sigma_x_sq", "prior_var1", "prior_var2",
+             "model_kappa")
+_AT_LEAST_ONE = ("agents", "iters", "stride", "n", "dims", "eval_every",
+                 "model_dim")
 
 # test scores held at once while the AUC series is computed: about 40
 # states' scores on a 6512-row test set
@@ -127,8 +128,8 @@ _AUC_CHUNK_BYTES = 2 << 20
 def build_config(experiment: str, *override_maps) -> ExperimentConfig:
     """Resolve a configuration from experiment defaults plus overrides.
 
-    Later maps win; None values are ignored.  Unknown keys and wrongly
-    typed values raise :class:`ConfigError`.
+    Later maps win; None values are ignored.  Unknown keys, keys the
+    experiment does not read and mistyped values raise :class:`ConfigError`.
     """
     if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
@@ -141,6 +142,8 @@ def build_config(experiment: str, *override_maps) -> ExperimentConfig:
                 raise ConfigError("the experiment is set by the subcommand")
             if key not in merged:
                 raise ConfigError(f"unknown config key {key!r}")
+            if key not in _READS[experiment]:
+                raise ConfigError(f"{experiment} does not read config key {key!r}")
             if value is None:
                 continue
             want = _FIELD_TYPES[key]
@@ -237,7 +240,7 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         value = getattr(cfg, f.name)
         if isinstance(value, str) and ("\r" in value or "\n" in value):
             raise ConfigError(f"{f.name} holds a line break")
-    for name in ("agents", "iters", "stride", "eval_every"):
+    for name in _AT_LEAST_ONE:
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be at least 1")
     if cfg.monitors not in ("on", "off"):
@@ -246,25 +249,13 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         raise ConfigError("seed must be nonnegative")
     if cfg.batch < 0:
         raise ConfigError("batch must be 0 (full shard) or positive")
-    if cfg.experiment == "run" and cfg.batch:
-        raise ConfigError("run's Gaussian target holds no data to subsample; batch must be 0")
-    if cfg.sigma_sq < 0:
-        raise ConfigError("sigma_sq must be nonnegative")
     # model and data fields, written as "not x > 0" so that NaN fails; the
     # automatic step size of run divides by model_kappa
-    for name in _POSITIVE.get(cfg.experiment, ()):
+    for name in _POSITIVE:
         if not getattr(cfg, name) > 0:
             raise ConfigError(f"{name} must be positive")
-    for name in _AT_LEAST_ONE.get(cfg.experiment, ()):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be at least 1")
 
     sched = _build_schedule(cfg)
-    if cfg.sigma_sq > 0 and np.sqrt(step_size(sched, 1)) > 1.0 / cfg.sigma_sq:
-        raise ConfigError(
-            f"schedule violates sqrt(alpha) <= 1/sigma_sq at the first step "
-            f"(sqrt(alpha(1))={np.sqrt(step_size(sched, 1)):.4g}, 1/sigma_sq={1.0 / cfg.sigma_sq:.4g})")
-
     if cfg.graph_kind == "periodic-list":
         raise ConfigError("periodic-list sequences carry explicit graphs; build them in code")
     graph_seed = cfg.seed if cfg.graph_seed is None else cfg.graph_seed
@@ -299,9 +290,12 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         "graph_kind": cfg.graph_kind,
         "graph_b": cfg.graph_b,
         "graph_seed": graph_seed,
-        "batch": cfg.batch,
-        "sigma_sq": cfg.sigma_sq,
     }
+    if cfg.experiment == "run":
+        # names the target run samples; no option chooses it
+        metadata["model"] = "gaussian"
+    metadata.update((name, getattr(cfg, name))
+                    for name in _EXPERIMENTS[cfg.experiment][1])
     extras: dict = {}
 
     if cfg.experiment == "linreg":
@@ -316,18 +310,14 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         init_rng = np.random.default_rng([cfg.seed, cfg.agents])
         extras["x0"] = prior.mean + init_rng.standard_normal(
             (cfg.agents, cfg.dims)) @ np.linalg.cholesky(prior.cov).T
-        metadata.update(n=cfg.n, dims=cfg.dims, data_sigma=cfg.data_sigma,
-                        true_w=cfg.true_w,
-                        shard_sizes=_sizes(shards))
+        metadata["shard_sizes"] = _sizes(shards)
     elif cfg.experiment == "mixture":
         sigma_x = float(np.sqrt(cfg.sigma_x_sq))
         ds = generate_mixture_data(cfg.n, cfg.theta1, cfg.theta2, sigma_x, cfg.seed)
         shards = _shard(ds, cfg)
         potential = MixturePotential(ds, shards, sigma_x,
                                      (cfg.prior_var1, cfg.prior_var2), batch)
-        metadata.update(n=cfg.n, theta1=cfg.theta1, theta2=cfg.theta2,
-                        sigma_x_sq=cfg.sigma_x_sq, prior_var1=cfg.prior_var1,
-                        prior_var2=cfg.prior_var2, shard_sizes=_sizes(shards))
+        metadata["shard_sizes"] = _sizes(shards)
     elif cfg.experiment == "logistic":
         # the AUC series scores recorded multiples of eval_every and the
         # final iteration if it is recorded
@@ -355,17 +345,13 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         shards = [order[:n_train][s] for s in _shard(n_train, cfg)]
         potential = LogisticPotential(ds, shards, batch)
         extras["test"] = test
-        metadata.update(n=ds.n, dims=ds.dim, dataset=cfg.dataset,
-                        surrogate=cfg.surrogate, split_seed=split_seed,
-                        split_frac=cfg.split_frac, eval_every=cfg.eval_every,
+        # the derived values replace the configured ones in place
+        metadata.update(n=ds.n, dims=ds.dim, split_seed=split_seed,
                         n_train=n_train, shard_sizes=_sizes(shards))
     else:
         potential = GaussianPotential(np.zeros(cfg.model_dim),
                                       np.eye(cfg.model_dim) / cfg.model_kappa,
                                       cfg.agents)
-        # names the target run samples; no option chooses it
-        metadata.update(model="gaussian", model_dim=cfg.model_dim,
-                        model_kappa=cfg.model_kappa)
 
     metadata["monitors"] = cfg.monitors
     return RunSetup(cfg=cfg, seq=seq, sched=sched, noise=noise,
@@ -506,8 +492,8 @@ def _logistic_table(trace, setup: RunSetup, report):
     eval_ts, aucs = logistic_auc_series(trace, setup.extras["test"],
                                         setup.cfg.eval_every)
     header = ["t", "alpha"] + _per_agent(trace.num_agents, "auc") + ["auc_mean"]
-    alphas = [step_size(setup.sched, t) for t in eval_ts.tolist()]
-    rows = _rows(eval_ts, alphas, aucs, aucs.mean(axis=1))
+    rows = _rows(eval_ts, trace.alphas[eval_ts // trace.stride], aucs,
+                 aucs.mean(axis=1))
     return header, rows, f"final mean test AUC {np.mean(aucs[-1]):.4f}"
 
 
@@ -539,18 +525,26 @@ def _rows(ts, *columns):
     return ([t] + row.tolist() for t, row in zip(ts.tolist(), table))
 
 
-# subcommand -> (help text, table); a table maps (trace, setup, bound report
-# or None) to the CSV header, its rows and the summary after "wrote <out>"
+# subcommand -> (help text, the fields it reads besides the shared ones,
+# table).  Its flags, its config keys and its CSV header's echo are these
+# fields; a table maps (trace, setup, bound report or None) to the CSV
+# header, its rows and the summary after "wrote <out>".
 _EXPERIMENTS = {
     "linreg": ("Bayesian linear regression against its conjugate posterior",
-               _linreg_table),
+               ("batch", "n", "dims", "data_sigma", "true_w"), _linreg_table),
     "mixture": ("bimodal Gaussian-mixture posterior over two location offsets",
-                _mixture_table),
+                ("batch", "n", "theta1", "theta2", "sigma_x_sq", "prior_var1",
+                 "prior_var2"), _mixture_table),
     "logistic": ("L1-regularized logistic regression scored by test ROC-AUC",
-                 _logistic_table),
+                 ("batch", "n", "dims", "dataset", "surrogate", "split_seed",
+                  "split_frac", "eval_every"), _logistic_table),
     "run": ("generic run of a Gaussian target with optional bound monitors",
-            _run_table),
+            ("model_dim", "model_kappa"), _run_table),
 }
+# the fields every subcommand reads, and all that each one reads
+_SHARED = tuple(name for name in _FIELD_TYPES if name != "experiment" and
+                all(name not in own for _, own, _ in _EXPERIMENTS.values()))
+_READS = {name: _SHARED + own for name, (_, own, _) in _EXPERIMENTS.items()}
 
 
 def _command(cfg: ExperimentConfig) -> int:
@@ -559,7 +553,7 @@ def _command(cfg: ExperimentConfig) -> int:
     setup = prepare(cfg)
     trace = run_experiment(cfg, setup)
     # the report goes straight to the table, which alone holds it
-    header, rows, summary = _EXPERIMENTS[cfg.experiment][1](
+    header, rows, summary = _EXPERIMENTS[cfg.experiment][2](
         trace, setup, _monitor_metadata(trace, setup) if cfg.monitors == "on" else None)
     out = cfg.out or f"{cfg.experiment}.csv"
     write_csv(out, setup.metadata, header, rows)
@@ -567,30 +561,29 @@ def _command(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _add_flags(parser: argparse.ArgumentParser) -> None:
+def _add_flags(parser: argparse.ArgumentParser, names) -> None:
     parser.add_argument("--config", metavar="PATH", help="flat JSON config file")
-    for f in fields(ExperimentConfig):
-        if f.name == "experiment":
-            continue
-        parser.add_argument(f"--{f.name}", type=_FIELD_TYPES[f.name],
-                            default=None, metavar=f.name.upper())
+    for name in names:
+        parser.add_argument(f"--{name}", type=_FIELD_TYPES[name],
+                            default=None, metavar=name.upper())
 
 
 def main(argv=None) -> int:
+    # no abbreviations: a prefix of one field's flag must not set another
     parser = argparse.ArgumentParser(
-        prog="declangevin",
+        prog="declangevin", allow_abbrev=False,
         description="decentralized Langevin sampling experiments over "
                     "directed time-varying graphs")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _EXPERIMENTS.items():
-        _add_flags(sub.add_parser(name, help=help_text))
-    args = parser.parse_args(argv)
+    for name, (help_text, _, _) in _EXPERIMENTS.items():
+        _add_flags(sub.add_parser(name, help=help_text, allow_abbrev=False),
+                   _READS[name])
+    cli_overrides = vars(parser.parse_args(argv))
+    experiment, config = cli_overrides.pop("command"), cli_overrides.pop("config")
 
     try:
-        file_overrides = load_config_file(args.config) if args.config else {}
-        cli_overrides = {f.name: getattr(args, f.name)
-                         for f in fields(ExperimentConfig) if f.name != "experiment"}
-        return _command(build_config(args.command, file_overrides, cli_overrides))
+        file_overrides = load_config_file(config) if config else {}
+        return _command(build_config(experiment, file_overrides, cli_overrides))
     except (ValueError, FloatingPointError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -24,6 +25,19 @@ from declangevin import cli as cli_module
 from declangevin.cli import _FIELD_TYPES, ExperimentConfig, load_config_file
 
 from conftest import reference_auc_series, reference_w2_series, save_libsvm
+
+# the fields each subcommand reads: the shared ones, then its own
+SHARED = ("seed agents iters out stride monitors graph_kind graph_b "
+          "graph_seed schedule alpha0 sched_offset sched_p alpha_start "
+          "alpha_end").split()
+OWN = {
+    "linreg": "batch n dims data_sigma true_w",
+    "mixture": "batch n theta1 theta2 sigma_x_sq prior_var1 prior_var2",
+    "logistic": "batch n dims dataset surrogate split_seed split_frac "
+                "eval_every",
+    "run": "model_dim model_kappa",
+}
+READS = {name: SHARED + own.split() for name, own in OWN.items()}
 
 
 @pytest.fixture
@@ -55,6 +69,9 @@ class TestBuildConfig:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             build_config("linreg", {"itres": 50})
+        # the update's noise has no variance to set
+        with pytest.raises(ConfigError, match="unknown config key 'sigma_sq'"):
+            build_config("run", {"sigma_sq": 0.0})
 
     def test_experiment_key_is_reserved(self):
         with pytest.raises(ConfigError, match="subcommand"):
@@ -77,7 +94,19 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="expects int"):
             build_config("run", {"iters": 5.5})
         with pytest.raises(ConfigError, match="expects float"):
-            build_config("run", {"sigma_sq": "much"})
+            build_config("run", {"model_kappa": "much"})
+
+    @pytest.mark.parametrize("experiment, key", [
+        ("linreg", "theta1"), ("mixture", "dims"), ("logistic", "model_dim"),
+        ("run", "batch")])
+    def test_a_key_the_experiment_does_not_read(self, experiment, key):
+        with pytest.raises(ConfigError, match=f"{experiment} does not read "
+                                              f"config key '{key}'"):
+            build_config(experiment, {key: 1})
+
+    def test_every_default_is_a_field_its_subcommand_reads(self):
+        for experiment, defaults in cli_module._DEFAULTS.items():
+            assert set(defaults) <= set(READS[experiment]), experiment
 
 
 class TestLoadConfigFile:
@@ -151,18 +180,18 @@ class TestSchedules:
         assert prepare(build_config("logistic", {"surrogate": "on", "n": 200})
                        ).sched.exponent == 0.45
 
-    def test_noise_variance_caps_the_first_step(self):
-        with pytest.raises(ConfigError, match="sigma_sq"):
-            prepare(build_config("run", {"sigma_sq": 10.0, "alpha0": 1.0}))
-
 
 class TestPrepare:
     def test_basic_validation(self):
-        for bad in [{"agents": 0}, {"iters": 0}, {"stride": 0},
-                    {"monitors": "maybe"}, {"seed": -1}, {"batch": -1},
-                    {"sigma_sq": -1.0}, {"eval_every": 0}]:
+        # each value is accepted by its subcommand and refused by prepare
+        for experiment, bad in [
+                ("run", {"agents": 0}), ("run", {"iters": 0}),
+                ("run", {"stride": 0}), ("run", {"monitors": "maybe"}),
+                ("run", {"seed": -1}), ("linreg", {"batch": -1}),
+                ("logistic", {"eval_every": 0})]:
+            cfg = build_config(experiment, bad)
             with pytest.raises(ConfigError):
-                prepare(build_config("run", bad))
+                prepare(cfg)
 
     def test_periodic_list_needs_explicit_graphs(self):
         with pytest.raises(ConfigError, match="in code"):
@@ -467,8 +496,60 @@ class TestMain:
         capsys.readouterr()
 
     def test_config_errors_exit_with_two(self, capsys):
-        assert main(["run", "--batch", "-1"]) == 2
-        assert "batch" in capsys.readouterr().err
+        assert main(["run", "--agents", "0"]) == 2
+        assert "agents must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", sorted(READS))
+    def test_a_flag_only_another_subcommand_reads_exits_through_argparse(
+            self, experiment, tmp_path, capsys, no_draws):
+        # run --batch among them: run's Gaussian target holds no data
+        out = tmp_path / "f.csv"
+        others = {key for keys in OWN.values() for key in keys.split()}
+        for key in sorted(others - set(READS[experiment])):
+            with pytest.raises(SystemExit) as exc:
+                main([experiment, f"--{key}", "1", "--out", str(out)])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--model_d", "3"], ["linreg", "--iter", "5"],
+        ["mixture", "--sigma_sq", "1"]])
+    def test_a_prefix_or_a_retired_flag_exits_through_argparse(
+            self, argv, tmp_path, capsys, no_draws):
+        out = tmp_path / "p.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, key", [
+        ("linreg", "theta1"), ("mixture", "eval_every"),
+        ("logistic", "model_kappa"), ("run", "dims")])
+    def test_a_config_key_the_subcommand_does_not_read_exits_with_two(
+            self, experiment, key, tmp_path, capsys, no_draws):
+        config, out = tmp_path / "c.json", tmp_path / "k.csv"
+        config.write_text(json.dumps({key: 5}))
+        code = main([experiment, "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert (f"{experiment} does not read config key '{key}'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", sorted(READS))
+    def test_help_lists_exactly_the_fields_the_subcommand_reads(
+            self, experiment):
+        src = str(Path(declangevin.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "declangevin", experiment, "--help"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        listed = re.findall(r"^  --(\w+)", done.stdout, flags=re.MULTILINE)
+        assert listed == ["config", *READS[experiment]]
+        assert len(listed) - 1 == {"linreg": 20, "mixture": 22,
+                                   "logistic": 23, "run": 17}[experiment]
 
     def test_monitors_reject_an_underflowing_delta_before_sampling(
             self, tmp_path, capsys, monkeypatch):
@@ -524,8 +605,7 @@ class TestMain:
          "endpoint-solved schedules do not read sched_offset"),
         (["run", "--schedule", "power"], "alpha0 is required"),
         (["run", "--schedule", "cosine", "--alpha0", "0.1"],
-         "unknown schedule kind 'cosine'"),
-        (["run", "--batch", "5"], "batch must be 0")])
+         "unknown schedule kind 'cosine'")])
     def test_a_field_the_run_would_ignore_exits_before_any_draw(
             self, argv, message, tmp_path, capsys, no_draws):
         code = main([*argv, "--iters", "10", "--out", str(tmp_path / "i.csv")])
@@ -674,6 +754,22 @@ class TestCommandPath:
         for key in ("violated", "max_ratio", "delta", "lambda", "d_hat"):
             assert f"lemma4_{key}" in meta
         assert capsys.readouterr().out.startswith(f"{command}: wrote {out}")
+
+    @pytest.mark.parametrize("experiment", sorted(SMOKE))
+    def test_the_header_echoes_its_own_fields_and_no_others(
+            self, experiment, tmp_path, capsys):
+        out = tmp_path / f"{experiment}.csv"
+        assert main([experiment, *self.SMOKE[experiment], "--out",
+                     str(out)]) == 0
+        capsys.readouterr()
+        data = out.read_text()
+        meta = {line[2:].split("=", 1)[0] for line in data.splitlines()
+                if line.startswith("# ")}
+        own = set(OWN[experiment].split())
+        others = {key for keys in OWN.values() for key in keys.split()}
+        assert own <= meta
+        assert not (others - own) & meta
+        assert "sigma_sq" not in data
 
     def test_batch_defaults_per_subcommand(self):
         assert [build_config(name).batch for name in
