@@ -371,6 +371,13 @@ def _sizes(shards) -> str:
 
 def _logistic_data(cfg: ExperimentConfig) -> Dataset:
     if os.path.exists(cfg.dataset):
+        # surrogate fields set away from their defaults are refused, not dropped
+        defaults = build_config(cfg.experiment)
+        unread = [f"{name}={getattr(cfg, name)}" for name in ("surrogate", "n")
+                  if getattr(cfg, name) != getattr(defaults, name)]
+        if unread:
+            raise ConfigError(f"dataset file {cfg.dataset!r} exists, so "
+                              f"{' and '.join(unread)} would not be read")
         return load_libsvm(cfg.dataset, num_features=cfg.dims)
     if cfg.surrogate == "on":
         return make_surrogate_classification(cfg.n, cfg.dims, cfg.seed)
@@ -424,10 +431,10 @@ def logistic_auc_series(trace, test: Dataset, eval_every: int):
 
     The final iteration is evaluated too when it was recorded, that is when
     the stride divides the iteration count.  The picked agent states are
-    scored against the test set in chunks of rows, one matrix product and
-    one ``roc_auc`` call each, so that at most about 2 MiB of scores are
-    held at once.  Returns (eval_ts, aucs) with aucs of shape
-    (n_evals, agents).
+    scored against the test set, its features cast to float64 once, in
+    chunks of rows, one matrix product and one ``roc_auc`` call each, so
+    that at most about 2 MiB of scores are held at once.  Returns (eval_ts,
+    aucs) with aucs of shape (n_evals, agents).
     """
     if eval_every < 1:
         raise ValueError("eval_every must be at least 1")
@@ -436,11 +443,11 @@ def logistic_auc_series(trace, test: Dataset, eval_every: int):
                                        | (ts == trace.num_iters)))
     states = trace.states[picks].reshape(-1, trace.dim)
     aucs = np.empty(len(states))
+    feats_t = test.features.astype(float, copy=False).T
     width = max(1, _AUC_CHUNK_BYTES // (8 * test.n))
     for start in range(0, len(states), width):
         rows = states[start:start + width]
-        aucs[start:start + width] = roc_auc(rows @ test.features.T,
-                                            test.targets)
+        aucs[start:start + width] = roc_auc(rows @ feats_t, test.targets)
     return ts[picks], aucs.reshape(len(picks), trace.num_agents)
 
 

@@ -45,9 +45,11 @@ class ParseError(ValueError):
 class Dataset:
     """Feature matrix plus per-row targets.
 
-    ``features`` is (n, d); ``targets`` is length n and holds labels in
-    {-1, +1} for classification, real responses for regression, or the raw
-    sample values for the mixture model (mirrored into a single feature
+    ``features`` is (n, d): float64, or ``uint8`` 0/1 indicators that are
+    cast to float64 only where a batch or a score is computed; any other
+    dtype is converted to float64.  ``targets`` is length n and holds labels
+    in {-1, +1} for classification, real responses for regression, or the
+    raw sample values for the mixture model (mirrored into a single feature
     column so both access patterns work).  Both are held as read-only
     views, so no write through the dataset reaches a potential that gathers
     from it; the arrays passed in stay writable.
@@ -57,13 +59,19 @@ class Dataset:
     targets: np.ndarray
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
+        feats = np.asarray(self.features)
+        if feats.dtype != np.uint8:
+            feats = np.asarray(feats, dtype=float)
+        elif feats.max(initial=0) > 1:
+            raise ValueError("uint8 features must be 0/1 indicators")
         targs = np.asarray(self.targets, dtype=float)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-d array")
         if targs.shape != (feats.shape[0],):
             raise ValueError("targets length must match the number of rows")
-        if not (np.isfinite(feats).all() and np.isfinite(targs).all()):
+        # bytes are finite by type: no (n, d) bool temporary for them
+        if not ((feats.dtype == np.uint8 or np.isfinite(feats).all())
+                and np.isfinite(targs).all()):
             raise ValueError("dataset contains non-finite values")
         feats, targs = feats.view(), targs.view()
         feats.flags.writeable = targs.flags.writeable = False
@@ -154,7 +162,8 @@ def linreg_posterior(ds: Dataset, prior: GaussianDist, sigma: float) -> Gaussian
         raise ValueError("sigma must be positive")
     if prior.mean.ndim != 1:
         raise ValueError("prior must be a single Gaussian, not a stack")
-    feats, targs = ds.features, ds.targets
+    # a uint8 Gram product X^T X would wrap around
+    feats, targs = ds.features.astype(float, copy=False), ds.targets
     prior_prec = np.linalg.inv(prior.cov)
     prec = prior_prec + feats.T @ feats / sigma ** 2
     cov = np.linalg.inv(prec)
@@ -287,7 +296,8 @@ def load_libsvm(path, num_features: int | None = None) -> Dataset:
     Feature indices are 1-based.  Labels may be {-1, +1} or {0, 1}; the
     latter are mapped to {-1, +1}.  ``num_features`` fixes the feature
     dimension; rows indexing past it are rejected.  Without it the maximum
-    index seen sets the dimension.
+    index seen sets the dimension.  Features are ``uint8`` when every value
+    is 0 or 1, and float64 otherwise.
 
     Raises
     ------
@@ -332,7 +342,8 @@ def load_libsvm(path, num_features: int | None = None) -> Dataset:
     if not rows:
         raise ParseError("file holds no samples")
     dim = num_features if num_features is not None else max_idx
-    feats = np.zeros((len(rows), dim))
+    binary = all(val in (0.0, 1.0) for row in rows for _, val in row)
+    feats = np.zeros((len(rows), dim), dtype=np.uint8 if binary else float)
     for i, row in enumerate(rows):
         for idx, val in row:
             feats[i, idx - 1] = val
@@ -343,15 +354,21 @@ def make_surrogate_classification(n: int, dim: int, seed: int,
                                   density: float = 14.0 / 123.0) -> Dataset:
     """Synthetic binary-feature classification data of a given shape.
 
-    Features are Bernoulli(density) indicators and labels are drawn from a
-    logistic model with a hidden weight vector, so the task is learnable but
-    not separable.  Stands in for a real file when none is on disk.
+    Features are ``uint8`` Bernoulli(density) indicators and labels are
+    drawn from a logistic model with a hidden weight vector, so the task is
+    learnable but not separable.  Stands in for a real file when none is on
+    disk.
     """
     rng = np.random.default_rng(seed)
-    feats = rng.random((n, dim))
-    np.less(feats, density, out=feats, casting="unsafe")
+    # row chunks of up to 1 MiB of floats, 64 rows a multiple so that the
+    # chunks' products group rows as one product over all rows: same bits
+    step = 64 * max(1, 2048 // dim)
+    feats = np.empty((n, dim), dtype=np.uint8)
+    chunks = [feats[start:start + step] for start in range(0, n, step)]
+    for chunk in chunks:
+        np.less(rng.random(chunk.shape), density, out=chunk)
     hidden = rng.standard_normal(dim)
-    logits = feats @ hidden
+    logits = np.concatenate([chunk @ hidden for chunk in chunks])
     logits -= np.median(logits)
     targs = np.where(rng.random(n) < _sigmoid(logits), 1.0, -1.0)
     return Dataset(features=feats, targets=targs)
@@ -390,13 +407,13 @@ class _ShardedPotential(Potential):
     A minibatch potential copies no data: it keeps the dataset's read-only
     arrays and a table of each shard's dataset rows, and every step gathers
     its (m, batch_size, d) features and (m, batch_size) targets from the
-    dataset through that table.  Full shards are read whole every step, so
-    they are gathered once and stored stacked, (m, n_max, d) features and
-    (m, n_max) targets, and every agent's gradient comes from one array
-    expression.  Shorter shards are padded with zero feature rows and
-    target 1.0, a valid label: a zero row adds exactly nothing to the
-    regression and logistic sums, and a 0/1 mask, kept only when shard
-    sizes differ, zeroes the padding out of the mixture's.
+    dataset through that table, as float64.  Full shards are read whole
+    every step, so they are gathered once and stored stacked, (m, n_max, d)
+    float64 features and (m, n_max) targets, and every agent's gradient
+    comes from one array expression.  Shorter shards are padded with zero
+    feature rows and target 1.0, a valid label: a zero row adds exactly
+    nothing to the regression and logistic sums, and a 0/1 mask, kept only
+    when shard sizes differ, zeroes the padding out of the mixture's.
     """
 
     def __init__(self, ds: Dataset, shards, batch_size):
@@ -420,7 +437,7 @@ class _ShardedPotential(Potential):
             return
         pad = np.arange(rows.shape[1]) >= np.array(self._sizes)[:, None]
         # one gather each, so no shard is ever held twice
-        self._features = ds.features[rows]
+        self._features = ds.features[rows].astype(float, copy=False)
         self._features[pad] = 0.0
         self._targets = ds.targets[rows]
         self._targets[pad] = 1.0
@@ -445,7 +462,8 @@ class _ShardedPotential(Potential):
         if idx is None:
             return self._features, self._targets, 1.0
         rows = self._table.take(idx + self._offsets)
-        return self._features.take(rows, axis=0), self._targets.take(rows), self._scale
+        return (self._features.take(rows, axis=0).astype(float, copy=False),
+                self._targets.take(rows), self._scale)
 
 
 class LinRegPotential(_ShardedPotential):

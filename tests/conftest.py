@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from declangevin import (DirectedGraph, GaussianDist, LinRegPotential,
-                         LogisticPotential, MixturePotential, NoiseModel,
-                         Potential, empirical_gaussian,
+from declangevin import (Dataset, DirectedGraph, GaussianDist,
+                         LinRegPotential, LogisticPotential, MixturePotential,
+                         NoiseModel, Potential, empirical_gaussian,
                          generate_graph_sequence, grad_U_linreg,
                          grad_U_logistic, grad_U_mixture, roc_auc, step_size,
                          w2_gaussian_bures, w2_gaussian_paper)
@@ -112,6 +112,22 @@ def save_libsvm(ds, path):
                 val = row[j]
                 toks.append(f"{j + 1}:{int(val) if val == int(val) else repr(float(val))}")
             fh.write(" ".join(toks) + "\n")
+
+
+def reference_surrogate(n, dim, seed, density=14.0 / 123.0):
+    """``make_surrogate_classification`` as the package built it before it
+    held features as bytes: one (n, dim) float draw thresholded in place,
+    and the logits from one product over all rows."""
+    rng = np.random.default_rng(seed)
+    feats = rng.random((n, dim))
+    np.less(feats, density, out=feats, casting="unsafe")
+    hidden = rng.standard_normal(dim)
+    logits = feats @ hidden
+    logits -= np.median(logits)
+    with np.errstate(over="ignore"):
+        probs = 1.0 / (1.0 + np.exp(-logits))
+    targs = np.where(rng.random(n) < probs, 1.0, -1.0)
+    return Dataset(features=feats, targets=targs)
 
 
 def reference_mixing(g):

@@ -248,6 +248,23 @@ class TestPrepare:
         sizes = [int(s) for s in setup.metadata["shard_sizes"].split("/")]
         assert sum(sizes) == 16 and max(sizes) - min(sizes) <= 1
 
+    @pytest.mark.parametrize("flags, unread", [
+        (["--surrogate", "on"], "surrogate=on"),
+        (["--n", "50"], "n=50"),
+        (["--surrogate", "on", "--n", "50"], "surrogate=on and n=50")])
+    def test_logistic_surrogate_fields_are_refused_when_the_file_exists(
+            self, flags, unread, tmp_path, capsys):
+        path = tmp_path / "small.libsvm"
+        save_libsvm(make_surrogate_classification(200, 6, seed=1), path)
+        out = tmp_path / "l.csv"
+        code = main(["logistic", "--dataset", str(path), "--dims", "6",
+                     "--iters", "10", *flags, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"dataset file {str(path)!r} exists, so {unread} would not " \
+            "be read" in err
+        assert not out.exists()
+
     def test_logistic_missing_file_mentions_the_surrogate(self):
         with pytest.raises(ConfigError, match="--surrogate on"):
             prepare(build_config("logistic", {"dataset": "no/such/file"}))
@@ -273,6 +290,21 @@ class TestPrepare:
             tracemalloc.stop()
         assert peak < 1.5 * cfg.n * cfg.dims * 8
         assert setup.potential.batch_size == 32
+
+    def test_default_surrogate_prepare_holds_no_float_copy_of_the_features(
+            self, tmp_path):
+        # the 0/1 features stay bytes: the dataset, the test split and the
+        # surrogate's chunks stay under half of one float copy
+        cfg = build_config("logistic", {"surrogate": "on",
+                                        "dataset": str(tmp_path / "absent")})
+        tracemalloc.start()
+        try:
+            setup = prepare(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert setup.extras["test"].features.dtype == np.uint8
+        assert peak < 0.5 * cfg.n * cfg.dims * 8
 
     def test_logistic_needs_an_evaluation_point(self):
         # records at 0, 7 and 14: none a multiple of 10, and t=20 unrecorded

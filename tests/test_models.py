@@ -18,7 +18,8 @@ from declangevin import (Dataset, GaussianDist, GaussianPotential,
                          make_surrogate_classification, partition)
 from declangevin.models import _sigmoid
 
-from conftest import central_fd, reference_agent_grads, save_libsvm
+from conftest import (central_fd, reference_agent_grads, reference_surrogate,
+                      save_libsvm)
 
 
 def linreg_neg_log_post(z, feats, targs, prior, sigma):
@@ -68,6 +69,19 @@ class TestDataset:
         assert feats.flags.writeable and targs.flags.writeable
         feats[0, 0] = 2.0
         assert ds.features[0, 0] == 2.0
+
+    def test_uint8_features_are_kept_as_read_only_indicators(self):
+        feats = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+        ds = Dataset(features=feats, targets=np.zeros(2))
+        assert ds.features.dtype == np.uint8
+        with pytest.raises(ValueError):
+            ds.features[0, 0] = 1
+        assert feats.flags.writeable
+        # a float 0/1 array is not converted to bytes
+        assert Dataset(feats.astype(float), np.zeros(2)).features.dtype == float
+        with pytest.raises(ValueError, match="0/1 indicators"):
+            Dataset(features=np.array([[0, 2]], dtype=np.uint8),
+                    targets=np.zeros(1))
 
 
 class TestGaussianDist:
@@ -163,6 +177,16 @@ class TestLinRegPosterior:
             linreg_posterior(ds, stack, 1.0)
         with pytest.raises(ValueError, match="single"):
             LinRegPotential(ds, partition(ds, 2), stack, 1.0)
+
+    def test_uint8_features_give_the_float_twins_posterior_bitwise(self):
+        # 600 half-dense rows put Gram entries near 300, past a byte's range
+        ds = make_surrogate_classification(600, 4, seed=8, density=0.5)
+        twin = Dataset(ds.features.astype(float), ds.targets)
+        assert (twin.features.T @ twin.features).max() > 255
+        prior = GaussianDist(np.ones(4), 2.0 * np.eye(4))
+        got, want = linreg_posterior(ds, prior, 0.7), linreg_posterior(twin, prior, 0.7)
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.cov.tobytes() == want.cov.tobytes()
 
 
 class TestGradients:
@@ -311,6 +335,19 @@ class TestLibsvm:
         with pytest.raises(ParseError, match="no samples"):
             load_libsvm(path)
 
+    @pytest.mark.parametrize("text, dtype", [
+        ("+1 1:1 3:0\n-1 2:1\n", np.uint8),
+        ("+1 1:1.0 2:0.0\n", np.uint8),
+        ("+1 1:1 2:0.5\n-1 2:1\n", np.float64),
+        ("+1 1:2\n", np.float64),
+        ("+1 1:-1\n", np.float64)])
+    def test_features_are_bytes_exactly_when_every_value_is_zero_or_one(
+            self, text, dtype, tmp_path):
+        path = tmp_path / "values.txt"
+        path.write_text(text)
+        ds = load_libsvm(path)
+        assert ds.features.dtype == dtype
+
 
 class TestSurrogateData:
     def test_deterministic_shape_and_coding(self):
@@ -329,6 +366,17 @@ class TestSurrogateData:
         ds = make_surrogate_classification(300, 20, seed=7, density=0.3)
         draws = np.random.default_rng(7).random((300, 20))
         np.testing.assert_array_equal(ds.features, (draws < 0.3).astype(float))
+
+    @pytest.mark.parametrize("n, dim", [(32561, 123), (3500, 123),
+                                        (60001, 7), (700, 2000)])
+    def test_chunked_draws_equal_one_float_reference(self, n, dim):
+        # more than 3 MiB of floats: at least 3 row chunks of up to 1 MiB
+        assert n * dim * 8 > 3 << 20
+        ds = make_surrogate_classification(n, dim, seed=11)
+        want = reference_surrogate(n, dim, seed=11)
+        assert ds.features.dtype == np.uint8
+        np.testing.assert_array_equal(ds.features, want.features)
+        assert ds.targets.tobytes() == want.targets.tobytes()
 
 
 class TestPartition:
@@ -501,16 +549,40 @@ class TestShardStorage:
 
     def test_a_minibatch_potential_copies_no_features(self):
         # the potential keeps the dataset's arrays and a row table; the
-        # stacked (m, n_max, d) copy of the shards is for full shards only
+        # stacked (m, n_max, d) copy of the shards is for full shards only.
+        # Any copy of the features, bytes or floats, takes at least a byte
+        # an entry, so the bound is half of that, in either dtype.
         ds = make_surrogate_classification(20000, 100, seed=5)
         shards = partition(ds, 4, "random", 5)
-        tracemalloc.start()
-        try:
-            LogisticPotential(ds, shards, batch_size=32)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.1 * ds.features.nbytes
+        for data in (ds, Dataset(ds.features.astype(float), ds.targets)):
+            tracemalloc.start()
+            try:
+                LogisticPotential(data, shards, batch_size=32)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.5 * data.features.size
+
+    @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+           dim=st.integers(1, 6),
+           batch=st.sampled_from([None, 1, 3, 32]),
+           seed=st.integers(0, 2 ** 16))
+    def test_uint8_and_float_twins_give_bitwise_equal_gradients(
+            self, sizes, dim, batch, seed):
+        rng = np.random.default_rng(seed)
+        m, n = len(sizes), sum(sizes)
+        shards = np.split(rng.permutation(n), np.cumsum(sizes)[:-1])
+        ds = make_surrogate_classification(n, dim, seed, density=0.5)
+        twin = Dataset(ds.features.astype(float), ds.targets)
+        prior = GaussianDist(rng.standard_normal(dim), np.eye(dim))
+        z = rng.standard_normal((m, dim))
+        for build in (lambda d: LogisticPotential(d, shards, batch),
+                      lambda d: LinRegPotential(d, shards, prior, 0.5, batch)):
+            pot, pot_twin = build(ds), build(twin)
+            idx = pot.draw(NoiseModel(seed, m), 1)[0]
+            got, want = pot.grad_drawn(z, idx), pot_twin.grad_drawn(z, idx)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
 
 def ragged_potential(kind, sizes, dim, batch, seed):
