@@ -9,8 +9,8 @@ is visible, along with the conserved total weight.
 
 import numpy as np
 
-from declangevin import (NetworkState, consensus_error,
-                         generate_graph_sequence, init_network, pushsum_mix)
+from declangevin import (NetworkState, StepSchedule, ZeroPotential,
+                         generate_graph_sequence, init_network, langevin_step)
 
 
 def main():
@@ -25,12 +25,12 @@ def main():
     print(f"{m} agents, windowed random digraphs, target average {target}")
     print(f"{'t':>4} {'max |z - avg|':>14} {'max |x - avg|':>14} "
           f"{'total weight':>13}")
+    # a step with no gradient and no noise is a bare push-sum round: x = w
+    sched, flat = StepSchedule("harmonic", 1.0), ZeroPotential(d)
     for t in range(iters):
-        mixed = pushsum_mix(ns, seq.mixing_at(t))
-        ns = NetworkState(x=mixed.w, y=mixed.y, w=mixed.w, z=mixed.z,
-                          t=mixed.t)
+        ns = langevin_step(ns, seq.mixing_at(t), sched, flat, None)
         if t % 20 == 19 or t == 0:
-            z_gap = consensus_error(ns).max()
+            z_gap = np.linalg.norm(ns.z - ns.x.mean(axis=0), axis=1).max()
             x_gap = np.linalg.norm(ns.x - target, axis=1).max()
             print(f"{t + 1:>4} {z_gap:>14.2e} {x_gap:>14.2e} "
                   f"{ns.y.sum():>13.6f}")

@@ -9,16 +9,15 @@ stochastic or undirected communication assumption.  Every module's
 
 from __future__ import annotations
 
-from . import cli, graphs, langevin, metrics, models, pushsum, trace
+from . import cli, graphs, langevin, metrics, models, trace
 from .cli import *
 from .graphs import *
 from .langevin import *
 from .metrics import *
 from .models import *
-from .pushsum import *
 from .trace import *
 
 __version__ = "0.1.0"
 
-__all__ = [name for module in (cli, graphs, langevin, metrics, models, pushsum, trace)
+__all__ = [name for module in (cli, graphs, langevin, metrics, models, trace)
            for name in module.__all__]

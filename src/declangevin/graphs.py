@@ -23,7 +23,6 @@ __all__ = [
     "DirectedGraph",
     "DirectedGraphSequence",
     "MixingMatrix",
-    "build_mixing_matrix",
     "check_b_strong_connectivity",
     "generate_graph_sequence",
     "spectral_bounds",
@@ -127,12 +126,6 @@ def _random_windows(m: int, b: int, seed: int, k: int, count: int) -> np.ndarray
     return adj
 
 
-def _mixing_entries(adj: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Mixing entries of a (..., m, m) adjacency: (j, i) is 1/d_i where
-    adj[..., j, i] is set, with d_i the number set in column i."""
-    return np.multiply(adj, 1.0 / adj.sum(axis=-2)[..., None, :], out=out)
-
-
 def _check_columns(entries: np.ndarray) -> None:
     # written so that NaN sums fail too
     if not np.abs(entries.sum(axis=-2) - 1.0).max() <= 1e-12:
@@ -159,12 +152,6 @@ class MixingMatrix:
         _check_columns(entries)
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-
-
-def build_mixing_matrix(g: DirectedGraph) -> MixingMatrix:
-    """The :class:`MixingMatrix` of a directed graph: entry (j, i) is
-    nonzero exactly when i = j or (i, j) is an edge."""
-    return MixingMatrix(_mixing_entries(g.adjacency))
 
 
 class DirectedGraphSequence:
@@ -261,7 +248,9 @@ class DirectedGraphSequence:
         if out.ndim != 3 or out.shape[1:] != (m, m):
             raise ValueError(f"out must have shape (n, {m}, {m})")
         if len(out):
-            _mixing_entries(self._adjacency(t0, len(out)), out=out)
+            adj = self._adjacency(t0, len(out))
+            # (k, j, i) is 1/d_i where adj[k, j, i] is set, d_i the count in column i
+            np.multiply(adj, 1.0 / adj.sum(axis=-2)[:, None, :], out=out)
             _check_columns(out)
         return out
 

@@ -1,7 +1,11 @@
 """Decentralized Langevin iteration on top of push-sum mixing.
 
-One iteration mixes the network state, evaluates each agent's stochastic
-gradient at its de-biased ratio estimate z_i, and writes
+Each agent carries a value vector x, a scalar weight y, the mixed numerator
+w and the ratio estimate z.  One iteration is a push-sum round with the
+column-stochastic mixing matrix A, w = A x, y <- A y and z = w / y, which
+keeps the total weight at the number of agents and whose ratio corrects the
+directional bias of the raw averages; each agent then evaluates its
+stochastic gradient at z_i and writes
 
     x_i  <-  w_i - alpha(t+1) * grad_i(z_i) + sqrt(2 alpha(t+1)) * r_i
 
@@ -24,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DirectedGraphSequence, MixingMatrix
-from .pushsum import NetworkState, _weights
 from .trace import Trace
 
 __all__ = [
+    "NetworkState",
+    "init_network",
     "StepSchedule",
     "NoiseModel",
     "PotentialProps",
@@ -43,6 +48,9 @@ __all__ = [
 
 SCHEDULE_KINDS = ("harmonic", "power")
 
+# below this weight the ratio w/y is numerically meaningless
+Y_FLOOR = 1e-300
+
 # Most runs one chunk of run_gaussian_ensemble carries.  Chunks run in
 # parallel threads, each on its own noise stream, so this constant, unlike
 # the thread count, is part of what fixes the ensemble's results.
@@ -51,6 +59,50 @@ _CHUNK_RUNS = 4096
 # fill_mixing call and hold at a time, and whose noise run draws at once;
 # the ensemble's chunks all finish one block of steps before the next begins.
 _MIXING_BLOCK = 256
+
+
+@dataclass(frozen=True)
+class NetworkState:
+    """Stacked state of all agents at one iteration.
+
+    Rows index agents: ``x`` and ``w`` are (m, d), ``y`` is (m,), ``z`` is
+    (m, d) and ``t`` counts completed iterations, so agent i's state is
+    row i of each array.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    z: np.ndarray
+    t: int
+
+    def __post_init__(self):
+        m, d = self.x.shape
+        if self.y.shape != (m,) or self.w.shape != (m, d) or self.z.shape != (m, d):
+            raise ValueError("inconsistent state array shapes")
+        if self.t < 0:
+            raise ValueError("iteration counter must be nonnegative")
+
+    @property
+    def num_agents(self) -> int:
+        return self.x.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.x.shape[1]
+
+
+def init_network(num_agents: int, dim: int) -> NetworkState:
+    """Fresh network state: all vectors zero, unit weights, t = 0."""
+    if num_agents < 1 or dim < 1:
+        raise ValueError("num_agents and dim must be at least 1")
+    return NetworkState(
+        x=np.zeros((num_agents, dim)),
+        y=np.ones(num_agents),
+        w=np.zeros((num_agents, dim)),
+        z=np.zeros((num_agents, dim)),
+        t=0,
+    )
 
 
 @dataclass(frozen=True)
@@ -222,6 +274,24 @@ def _draws(sched: StepSchedule, potential: Potential,
     return alphas, potential.draw(noise, steps), gauss
 
 
+def _weights(entries: np.ndarray, y: np.ndarray, t0: int) -> tuple:
+    """(ys, error): row k of ys is y(t0+k+1) = A_{t0+k} y(t0+k), from y = y(t0)
+    and the (n, m, m) block ``entries``; the weights do not depend on the
+    values, so one recursion serves every run over the same graphs.  If a
+    weight falls below the floor, ys stops before that step and error is the
+    FloatingPointError naming it; otherwise error is None."""
+    ys = np.empty((len(entries), len(y)))
+    for a, row in zip(entries, ys):
+        y = np.matmul(a, y, out=row)
+    low = (ys < Y_FLOOR).any(axis=1)
+    if not low.any():
+        return ys, None
+    k = int(np.argmax(low))
+    bad = int(np.argmin(ys[k]))
+    return ys[:k], FloatingPointError(
+        f"push-sum weight underflow at agent {bad} (y={ys[k, bad]:.3e}, t={t0 + k})")
+
+
 def _step(mixing: np.ndarray, y: np.ndarray, xs: np.ndarray, ws: np.ndarray,
           zs: np.ndarray, t0: int, alphas, potential: Potential, drawn,
           gauss) -> np.ndarray:
@@ -259,11 +329,14 @@ def langevin_step(ns: NetworkState, mix: MixingMatrix, sched: StepSchedule,
     gradient at z_i and, unless ``noise`` is None, an injected Gaussian
     scaled by sqrt(2 alpha(t+1)).  Runs the same kernel as :func:`run`, on
     a block of one step and fresh buffers, so ``ns`` is left untouched.
+    With :class:`ZeroPotential` and no noise it is a bare push-sum round:
+    x = w = A x, y <- A y and z = w / y.
 
     Returns the state at t+1.  Raises :class:`DivergenceError` when any
-    agent's new x contains non-finite entries, and ``ValueError`` when the
-    mixing matrix's size does not match the state or the potential, or a
-    minibatch potential lacks noise.
+    agent's new x contains non-finite entries, ``FloatingPointError`` when
+    a push-sum weight falls below a representable floor, and ``ValueError``
+    when the mixing matrix's size does not match the state or the potential,
+    or a minibatch potential lacks noise.
     """
     m = ns.num_agents
     if len(mix.entries) != m:

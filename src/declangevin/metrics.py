@@ -175,7 +175,7 @@ def check_lemma4_bound(trace: Trace, delta: float | None = None,
         raise ValueError("lam must lie in [0, 1)")
     else:
         gap = 1.0 - lam
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     lhs = trace.worst_cum_dev
     x0_l1 = np.abs(trace.states[0]).sum()
@@ -199,7 +199,7 @@ def rate_fit(w2_series: np.ndarray, ts: np.ndarray) -> float:
 
     Fits log(w2) against log(1 + t) by least squares on the trailing half
     of the points and returns the slope.  Needs at least 20 points, all
-    positive.
+    positive and finite.
     """
     w2 = np.asarray(w2_series, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -207,8 +207,8 @@ def rate_fit(w2_series: np.ndarray, ts: np.ndarray) -> float:
         raise ValueError("series and times must be matching 1-d arrays")
     if len(w2) < 20:
         raise ValueError("need at least 20 points for a rate fit")
-    if np.any(w2 <= 0):
-        raise ValueError("distance series must be strictly positive")
+    if not (np.isfinite(w2).all() and (w2 > 0).all()):
+        raise ValueError("distance series must be strictly positive and finite")
     half = len(w2) // 2
     slope, _ = np.polyfit(np.log1p(ts[half:]), np.log(w2[half:]), 1)
     return float(slope)

@@ -10,7 +10,9 @@ shard's full-data gradient.
 
 from __future__ import annotations
 
+import math
 import operator
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,17 +298,18 @@ def load_libsvm(path, num_features: int | None = None) -> Dataset:
     Feature indices are 1-based.  Labels may be {-1, +1} or {0, 1}; the
     latter are mapped to {-1, +1}.  ``num_features`` fixes the feature
     dimension; rows indexing past it are rejected.  Without it the maximum
-    index seen sets the dimension.  Features are ``uint8`` when every value
-    is 0 or 1, and float64 otherwise.
+    index seen sets the dimension.  An index repeated in a row keeps its
+    last value.  Features are ``uint8`` when every value is 0 or 1, and
+    float64 otherwise.
 
     Raises
     ------
     ParseError
-        On malformed tokens, bad labels or out-of-range indices, naming the
-        line.
+        On malformed tokens, bad labels, out-of-range indices or non-finite
+        values, naming the line.
     """
-    labels = []
-    rows = []
+    # flat buffers, 24 bytes per stored value, filled into the matrix at once
+    labels, rows, cols, vals = array("d"), array("q"), array("q"), array("d")
     max_idx = 0
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -317,13 +320,10 @@ def load_libsvm(path, num_features: int | None = None) -> Dataset:
                 label = float(parts[0])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad label {parts[0]!r}") from None
-            if label in (-1.0, 1.0):
-                pass
-            elif label == 0.0:
+            if label == 0.0:
                 label = -1.0
-            else:
+            elif label not in (-1.0, 1.0):
                 raise ParseError(f"line {lineno}: label {label} is not binary")
-            feats = []
             for tok in parts[1:]:
                 try:
                     idx_s, val_s = tok.split(":", 1)
@@ -335,19 +335,30 @@ def load_libsvm(path, num_features: int | None = None) -> Dataset:
                 if num_features is not None and idx > num_features:
                     raise ParseError(
                         f"line {lineno}: feature index {idx} exceeds declared {num_features}")
+                if not math.isfinite(val):
+                    raise ParseError(f"line {lineno}: feature value {val_s!r} is not finite")
                 max_idx = max(max_idx, idx)
-                feats.append((idx, val))
+                rows.append(len(labels))
+                cols.append(idx - 1)
+                vals.append(val)
             labels.append(label)
-            rows.append(feats)
-    if not rows:
+    if not labels:
         raise ParseError("file holds no samples")
     dim = num_features if num_features is not None else max_idx
-    binary = all(val in (0.0, 1.0) for row in rows for _, val in row)
-    feats = np.zeros((len(rows), dim), dtype=np.uint8 if binary else float)
-    for i, row in enumerate(rows):
-        for idx, val in row:
-            feats[i, idx - 1] = val
-    return Dataset(features=feats, targets=np.asarray(labels))
+    vals = np.frombuffer(vals)
+    binary = bool(((vals == 0.0) | (vals == 1.0)).all())
+    feats = np.zeros((len(labels), dim), dtype=np.uint8 if binary else float)
+    # row-major positions, written over the row buffer; ascending unless a
+    # row repeats or reorders its indices
+    at = np.frombuffer(rows, dtype=np.int64)
+    at *= dim
+    at += np.frombuffer(cols, dtype=np.int64)
+    if not (at[1:] > at[:-1]).all():
+        # the first of each position in reverse order is the row's last value
+        at, last = np.unique(at[::-1], return_index=True)
+        vals = vals[::-1][last]
+    feats.reshape(-1)[at] = vals
+    return Dataset(features=feats, targets=np.frombuffer(labels))
 
 
 def make_surrogate_classification(n: int, dim: int, seed: int,

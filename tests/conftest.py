@@ -145,6 +145,11 @@ def reference_mixing(g):
     return entries
 
 
+def mixing_of(g):
+    """The mixing matrix of one graph: a static sequence's at step 0."""
+    return generate_graph_sequence("static", g.num_nodes, graphs=[g]).mixing_at(0)
+
+
 def reference_strongly_connected(num_nodes, edges):
     """Strong connectivity by one forward sweep per node over an edge set."""
     succ = [[] for _ in range(num_nodes)]

@@ -17,18 +17,18 @@ import pytest
 from declangevin import (DirectedGraph, GaussianDist, GaussianPotential,
                          LinRegPotential, NetworkState, StepSchedule,
                          ZeroPotential, average_state, build_config,
-                         build_mixing_matrix, check_lemma4_bound,
+                         check_lemma4_bound,
                          empirical_gaussian, generate_graph_sequence,
                          generate_linreg_data, generate_mixture_data,
                          grad_U_linreg, grad_U_logistic, grad_U_mixture,
                          init_network, langevin_step, linreg_w2_series,
                          logistic_auc_series, main, partition, prepare,
-                         pushsum_mix, rate_fit, run, run_experiment,
+                         rate_fit, run, run_experiment,
                          run_gaussian_ensemble, step_size, w2_gaussian_bures)
 from declangevin.langevin import NoiseModel
 
 from conftest import (SIX_NODE_MIXING, RecordingNoise, RecordingPotential,
-                      central_fd, reference_ula)
+                      central_fd, mixing_of, reference_ula)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,7 +60,7 @@ def logistic_run():
 
 def test_mixing_matrices_are_exact_and_column_stochastic(six_node_graph):
     start = time.perf_counter()
-    np.testing.assert_array_equal(build_mixing_matrix(six_node_graph).entries,
+    np.testing.assert_array_equal(mixing_of(six_node_graph).entries,
                                   SIX_NODE_MIXING)
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -68,7 +68,7 @@ def test_mixing_matrices_are_exact_and_column_stochastic(six_node_graph):
         m = int(rng.integers(2, 9))
         edges = frozenset((i, j) for i in range(m) for j in range(m)
                           if i != j and rng.random() < 0.3)
-        sums = build_mixing_matrix(DirectedGraph(m, edges)).entries.sum(axis=0)
+        sums = mixing_of(DirectedGraph(m, edges)).entries.sum(axis=0)
         worst = max(worst, np.abs(sums - 1.0).max())
     elapsed = time.perf_counter() - start
     print(f"worst column-sum error over 1000 graphs: {worst:.2e} "
@@ -83,12 +83,12 @@ def test_push_sum_conserves_total_weight_over_long_horizons():
     ns = init_network(6, 3)
     ns = NetworkState(x=rng.standard_normal((6, 3)), y=ns.y, w=ns.w, z=ns.z,
                       t=0)
+    # no gradient and no noise: each step is a bare push-sum round
+    sched, flat = StepSchedule("harmonic", 1.0), ZeroPotential(3)
     start = time.perf_counter()
     drift = 0.0
     for t in range(10000):
-        mixed = pushsum_mix(ns, seq.mixing_at(t))
-        ns = NetworkState(x=mixed.w, y=mixed.y, w=mixed.w, z=mixed.z,
-                          t=mixed.t)
+        ns = langevin_step(ns, seq.mixing_at(t), sched, flat, None)
         drift = max(drift, abs(ns.y.sum() - 6.0))
     elapsed = time.perf_counter() - start
     print(f"worst total-weight drift over 10000 steps: {drift:.2e} "

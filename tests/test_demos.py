@@ -40,3 +40,14 @@ def test_logistic_demo_prints_a_row_per_batch_size():
         # one mean test AUC per checkpoint
         aucs = [float(v) for v in rows[batch]]
         assert len(aucs) == 3 and all(0.5 < a <= 1.0 for a in aucs)
+
+
+def test_consensus_demo_ends_at_the_average_with_the_weight_conserved():
+    done = run_demo("consensus.py")
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()
+            if line.split() and line.split()[0].isdigit()]
+    t, z_gap, _, total = rows[-1]
+    assert t == "120"
+    assert float(z_gap) < 1e-12
+    assert total == "8.000000"

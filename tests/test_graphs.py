@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import declangevin.graphs as graphs_module
 from declangevin import (DirectedGraph, DirectedGraphSequence, MixingMatrix,
-                         StepSchedule, ZeroPotential, build_mixing_matrix,
+                         StepSchedule, ZeroPotential,
                          check_b_strong_connectivity, generate_graph_sequence,
                          run, spectral_bounds)
 
-from conftest import (SIX_NODE_EDGES, SIX_NODE_MIXING, reference_b_connected,
-                      reference_block, reference_mixing,
+from conftest import (SIX_NODE_EDGES, SIX_NODE_MIXING, mixing_of,
+                      reference_b_connected, reference_block, reference_mixing,
                       reference_strongly_connected, reference_window)
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -66,13 +66,13 @@ class TestDirectedGraph:
 
 class TestMixingMatrix:
     def test_six_node_matrix_is_exact(self, six_node_graph):
-        mix = build_mixing_matrix(six_node_graph)
+        mix = mixing_of(six_node_graph)
         assert np.array_equal(mix.entries, SIX_NODE_MIXING)
 
     def test_sparsity_pattern_follows_edges(self):
         rng = np.random.default_rng(11)
         g = random_graph(rng, 7)
-        entries = build_mixing_matrix(g).entries
+        entries = mixing_of(g).entries
         for i in range(7):
             for j in range(7):
                 should = i == j or (i, j) in g.edges
@@ -81,7 +81,7 @@ class TestMixingMatrix:
     def test_nonzero_entries_split_mass_evenly(self):
         rng = np.random.default_rng(12)
         g = random_graph(rng, 6)
-        entries = build_mixing_matrix(g).entries
+        entries = mixing_of(g).entries
         for i in range(6):
             col = entries[:, i]
             np.testing.assert_array_equal(col[col != 0.0],
@@ -91,7 +91,7 @@ class TestMixingMatrix:
         rng = np.random.default_rng(13)
         for _ in range(300):
             g = random_graph(rng, int(rng.integers(1, 9)))
-            sums = build_mixing_matrix(g).entries.sum(axis=0)
+            sums = mixing_of(g).entries.sum(axis=0)
             assert np.abs(sums - 1.0).max() <= 1e-12
 
     def test_rejects_nonstochastic_entries(self):
@@ -126,7 +126,7 @@ class TestMixingMatrix:
             mix.entries[0, 0] = 1.0
         assert entries.flags.writeable
         with pytest.raises(ValueError):
-            build_mixing_matrix(six_node_graph).entries[0, 0] = 1.0
+            mixing_of(six_node_graph).entries[0, 0] = 1.0
 
 
 class TestGraphSequences:
@@ -182,7 +182,7 @@ class TestGraphSequences:
         mix = seq.mixing_at(5)
         assert np.array_equal(mix.entries, reference_mixing(seq.graph_at(5)))
         assert np.array_equal(mix.entries,
-                              build_mixing_matrix(seq.graph_at(5)).entries)
+                              mixing_of(seq.graph_at(5)).entries)
 
     def test_mixing_at_follows_the_position(self, alternating_pairs_seq):
         # one graph object at two positions of a periodic list gives each
@@ -192,7 +192,7 @@ class TestGraphSequences:
                                       graphs=[even, odd, even])
         assert np.array_equal(seq.mixing_at(0).entries, seq.mixing_at(3).entries)
         assert np.array_equal(seq.mixing_at(2).entries,
-                              build_mixing_matrix(even).entries)
+                              mixing_of(even).entries)
         static = generate_graph_sequence("static", 4, seed=1)
         assert np.array_equal(static.mixing_at(0).entries,
                               static.mixing_at(7).entries)
@@ -201,7 +201,7 @@ class TestGraphSequences:
             mix = seq.mixing_at(t)
             assert np.array_equal(mix.entries, reference_mixing(seq.graph_at(t)))
             assert np.array_equal(mix.entries,
-                                  build_mixing_matrix(seq.graph_at(t)).entries)
+                                  mixing_of(seq.graph_at(t)).entries)
 
     def test_negative_time_rejected(self):
         seq = generate_graph_sequence("seeded-random", 4, 1, seed=0)

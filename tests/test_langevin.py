@@ -18,7 +18,7 @@ from declangevin import (DirectedGraph, DivergenceError, GaussianDist, GaussianP
                          LinRegPotential, LogisticPotential, MixturePotential,
                          NetworkState, NoiseModel, Potential, PotentialProps,
                          StepSchedule, ZeroPotential, average_state,
-                         consensus_error, generate_graph_sequence,
+                         generate_graph_sequence,
                          generate_linreg_data, generate_mixture_data,
                          grad_U_linreg, init_network, langevin_step,
                          make_surrogate_classification, partition, run,
@@ -489,7 +489,8 @@ def step_loop(seq, sched, pot, noise, num_iters, stride, x0):
     m, d = x0.shape
     ns = init_network(m, d)
     ns = NetworkState(x=x0.copy(), y=ns.y, w=ns.w, z=x0.copy(), t=0)
-    states, consensus, zdev, pert = [ns.z], [consensus_error(ns)], [], []
+    states, zdev, pert = [ns.z], [], []
+    consensus = [np.linalg.norm(ns.z - ns.x.mean(axis=0), axis=1)]
     for t in range(num_iters):
         xbar = average_state(ns)
         ns = langevin_step(ns, seq.mixing_at(t), sched, pot, noise)
@@ -497,7 +498,7 @@ def step_loop(seq, sched, pot, noise, num_iters, stride, x0):
         pert.append(np.linalg.norm(ns.x - ns.w, axis=1))
         if ns.t % stride == 0:
             states.append(ns.z)
-            consensus.append(consensus_error(ns))
+            consensus.append(np.linalg.norm(ns.z - ns.x.mean(axis=0), axis=1))
     zdev = np.array(zdev)
     record_dev = np.full((len(states), m), np.nan)
     # the step into recorded iteration t is step t - 1

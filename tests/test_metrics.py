@@ -380,6 +380,12 @@ class TestCumulativeBound:
         with pytest.raises(ValueError):
             check_lemma4_bound(trace, delta=0.5, lam=1.0)
 
+    @pytest.mark.parametrize("lam", [None, 0.5])
+    def test_nan_delta_is_refused(self, lam):
+        trace = make_trace(np.ones((2, 1)), np.cumsum(np.full(9, 0.01)), 0.1)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            check_lemma4_bound(trace, delta=float("nan"), lam=lam)
+
 
 class TestRateFit:
     def test_recovers_an_exact_power_law(self):
@@ -401,4 +407,15 @@ class TestRateFit:
             rate_fit(np.zeros(30), np.arange(30))
         with pytest.raises(ValueError):
             rate_fit(np.ones(30), np.arange(29))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_are_refused(self, bad):
+        # a NaN slope would pass any "slope > bound" check unnoticed
+        ts = np.arange(40)
+        w2 = 3.0 * (1.0 + ts) ** -0.7
+        for at in (5, 30):
+            series = w2.copy()
+            series[at] = bad
+            with pytest.raises(ValueError, match="finite"):
+                rate_fit(series, ts)
 

@@ -335,6 +335,37 @@ class TestLibsvm:
         with pytest.raises(ParseError, match="no samples"):
             load_libsvm(path)
 
+    def test_a_repeated_index_keeps_its_last_value(self, tmp_path):
+        path = tmp_path / "repeat.txt"
+        path.write_text("+1 3:1 1:0.5 3:2\n-1 2:1 2:0\n+1 1:1 2:1\n")
+        ds = load_libsvm(path)
+        np.testing.assert_array_equal(
+            ds.features, [[0.5, 0.0, 2.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_a_non_finite_value_names_its_line(self, value, tmp_path):
+        path = tmp_path / "nonfinite.txt"
+        path.write_text(f"+1 1:1\n\n-1 2:{value}\n")
+        with pytest.raises(ParseError, match="line 3: feature value"):
+            load_libsvm(path)
+
+    def test_memory_per_stored_value_is_bounded(self, tmp_path):
+        # flat row, column and value buffers: 24 B per stored value, and
+        # the positions are computed over the row buffer
+        ds = make_surrogate_classification(3000, 123, seed=2)
+        path = tmp_path / "wide.txt"
+        save_libsvm(ds, path)
+        load_libsvm(path, num_features=123)  # first-call allocations
+        tracemalloc.start()
+        try:
+            back = load_libsvm(path, num_features=123)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.features, ds.features)
+        nnz = np.count_nonzero(ds.features)
+        assert peak - back.features.nbytes - back.targets.nbytes <= 40 * nnz
+
     @pytest.mark.parametrize("text, dtype", [
         ("+1 1:1 3:0\n-1 2:1\n", np.uint8),
         ("+1 1:1.0 2:0.0\n", np.uint8),

@@ -1,10 +1,15 @@
-"""Push-sum mixing: matrix form, mass conservation, ratio consensus."""
+"""Push-sum mixing: matrix form, mass conservation, ratio consensus.
+
+A bare push-sum round is a step with a flat potential and no noise, so it
+leaves x = w.
+"""
 
 import numpy as np
 import pytest
 
-from declangevin import (NetworkState, build_mixing_matrix, consensus_error,
-                         generate_graph_sequence, init_network, pushsum_mix)
+from declangevin import (NetworkState, StepSchedule, ZeroPotential,
+                         generate_graph_sequence, init_network, langevin_step,
+                         run)
 
 
 def random_state(rng, m, d):
@@ -12,6 +17,12 @@ def random_state(rng, m, d):
     return NetworkState(x=rng.standard_normal((m, d)),
                         y=rng.uniform(0.2, 2.0, size=m),
                         w=ns.w, z=ns.z, t=0)
+
+
+def pushsum_mix(ns, mix):
+    """One push-sum round on ``ns``."""
+    return langevin_step(ns, mix, StepSchedule("harmonic", 1.0),
+                         ZeroPotential(ns.dim), None)
 
 
 def neighbour_sum_mix(g, x, y):
@@ -55,7 +66,7 @@ class TestNetworkState:
             "seeded-random", 4, 1, seed=0).mixing_at(0))
         for i in range(4):
             assert np.array_equal(mixed.z[i], mixed.w[i] / mixed.y[i])
-        assert np.array_equal(mixed.x[2], ns.x[2])
+            assert np.array_equal(mixed.x[i], mixed.w[i])
         with pytest.raises(IndexError):
             ns.x[4]
 
@@ -74,9 +85,9 @@ class TestPushsumMix:
             np.testing.assert_allclose(mixed.z,
                                        mixed.w / mixed.y[:, None],
                                        atol=0.0, rtol=1e-15)
-            # close the loop without any perturbation
-            ns = NetworkState(x=mixed.w, y=mixed.y, w=mixed.w, z=mixed.z,
-                              t=ns.t + 1)
+            assert np.array_equal(mixed.x, mixed.w)
+            assert mixed.t == ns.t + 1
+            ns = mixed
 
     def test_matches_the_neighbour_sum_reference(self):
         rng = np.random.default_rng(3)
@@ -88,14 +99,6 @@ class TestPushsumMix:
                 w, y = neighbour_sum_mix(seq.graph_at(t), ns.x, ns.y)
                 np.testing.assert_allclose(mixed.w, w, atol=1e-14, rtol=1e-14)
                 np.testing.assert_allclose(mixed.y, y, atol=1e-14, rtol=1e-14)
-
-    def test_x_and_t_left_untouched(self):
-        rng = np.random.default_rng(2)
-        seq = generate_graph_sequence("seeded-random", 4, 1, seed=2)
-        ns = random_state(rng, 4, 2)
-        mixed = pushsum_mix(ns, seq.mixing_at(0))
-        assert mixed.x is ns.x
-        assert mixed.t == ns.t
 
     def test_total_weight_is_conserved(self):
         seq = generate_graph_sequence("seeded-random", 5, 2, seed=3)
@@ -118,8 +121,7 @@ class TestPushsumMix:
             np.testing.assert_allclose(mixed.z, np.tile(c, (6, 1)),
                                        atol=1e-13, rtol=0.0)
             assert mixed.y.std() > 0.0 or t == 0
-            ns = NetworkState(x=mixed.w, y=mixed.y, w=mixed.w, z=mixed.z,
-                              t=t + 1)
+            ns = mixed
 
     def test_graph_size_mismatch_rejected(self):
         ns = init_network(4, 2)
@@ -131,26 +133,35 @@ class TestPushsumMix:
         ns = init_network(2, 1)
         ns = NetworkState(x=ns.x, y=np.array([1e-305, 1e-305]), w=ns.w,
                           z=ns.z, t=0)
-        mix = build_mixing_matrix(
-            generate_graph_sequence("static", 2, seed=1).graph_at(0))
+        mix = generate_graph_sequence("static", 2, seed=1).mixing_at(0)
         with pytest.raises(FloatingPointError, match="underflow"):
             pushsum_mix(ns, mix)
 
 
 class TestConsensusError:
+    """The consensus error a run records: ||z_i - xbar||_2 per agent."""
+
     def test_zero_when_ratios_sit_at_the_average(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((5, 2))
-        xbar = x.mean(axis=0)
-        ns = NetworkState(x=x, y=np.ones(5), w=x.copy(),
-                          z=np.tile(xbar, (5, 1)), t=1)
-        np.testing.assert_allclose(consensus_error(ns), 0.0,
-                                   atol=1e-15, rtol=0.0)
+        seq = generate_graph_sequence("seeded-random", 5, 1, seed=4)
+        x0 = np.tile([0.5, -1.5], (5, 1))
+        trace = run(seq, StepSchedule("harmonic", 0.1), ZeroPotential(2),
+                    None, 10, x0=x0)
+        np.testing.assert_allclose(trace.consensus, 0.0, atol=1e-15, rtol=0.0)
 
     def test_measures_ratio_estimates_not_raw_states(self):
-        x = np.array([[0.0, 0.0], [2.0, 2.0]])
-        z = np.array([[1.0, 1.0], [1.0, 4.0]])
-        ns = NetworkState(x=x, y=np.ones(2), w=x.copy(), z=z, t=1)
-        # xbar = (1, 1): agent 0 coincides, agent 1 is 3 away in one axis
-        np.testing.assert_allclose(consensus_error(ns), [0.0, 3.0],
-                                   atol=1e-15, rtol=0.0)
+        # x = w mixes to uneven mass shares, the ratios to the average;
+        # a flat potential without noise keeps the average of x at x0's
+        m, iters = 6, 200
+        seq = generate_graph_sequence("seeded-random", m, 2, seed=4)
+        x0 = np.random.default_rng(4).standard_normal((m, 2))
+        xbar = x0.mean(axis=0)
+        trace = run(seq, StepSchedule("harmonic", 0.1), ZeroPotential(2),
+                    None, iters, x0=x0)
+        np.testing.assert_allclose(
+            trace.consensus, np.linalg.norm(trace.states - xbar, axis=2),
+            atol=1e-12, rtol=0.0)
+        ns = NetworkState(x=x0, y=np.ones(m), w=x0, z=x0, t=0)
+        for t in range(iters):
+            ns = pushsum_mix(ns, seq.mixing_at(t))
+        assert trace.consensus[-1].max() < 1e-9
+        assert np.linalg.norm(ns.x - xbar, axis=1).max() > 1e-3
