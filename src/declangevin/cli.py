@@ -271,8 +271,6 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         except ValueError as exc:
             raise ConfigError("--monitors on needs the closed-form mixing "
                               f"bounds, but {exc}") from None
-    # no connectivity pass: every sequence built here is B-strongly
-    # connected by construction
 
     noise = NoiseModel(cfg.seed, cfg.agents)
     batch = cfg.batch or None

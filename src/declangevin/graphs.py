@@ -4,10 +4,11 @@ Agents exchange values over a directed graph that may change at every
 iteration.  Every node always counts itself among its own out-neighbors, so
 the out-degree used for mass splitting is the number of out-edges plus one.
 A sequence of graphs is B-strongly-connected when the union of the edge sets
-over each window [kB, (k+1)B - 1] is strongly connected; individual graphs in
-the window may be arbitrarily sparse.  A sequence holds its graphs once, as
-per-step adjacency, and a graph reaches the sampler only through its
-column-stochastic mixing matrix, which holds entries alone.
+over each window [kB, (k+1)B - 1] is strongly connected, which the samplers
+require; individual graphs in the window may be arbitrarily sparse.  A
+sequence holds its graphs once, as per-step adjacency, and a graph reaches
+the sampler only through its column-stochastic mixing matrix, which holds
+entries alone.
 """
 
 from __future__ import annotations
@@ -23,15 +24,13 @@ __all__ = [
     "DirectedGraph",
     "DirectedGraphSequence",
     "MixingMatrix",
-    "check_b_strong_connectivity",
     "generate_graph_sequence",
     "spectral_bounds",
 ]
 
 GRAPH_KINDS = ("static", "periodic-list", "seeded-random")
 
-# Steps per block of generated windows, which is also about how many steps
-# the connectivity check unites at once.  Part of the seeded-random law: the
+# Steps per block of generated windows.  Part of the seeded-random law: the
 # max(1, 256 // B) windows of block k all draw from one generator seeded
 # [seed, k], so changing it changes every window.
 _BLOCK_STEPS = 256
@@ -76,24 +75,6 @@ class DirectedGraph:
             adj[v, u] = True
         adj.flags.writeable = False
         return adj
-
-
-def _strongly_connected(adj: np.ndarray) -> np.ndarray:
-    """Per leading index of the (k, m, m) adjacency adj, diagonal set: True
-    when every node reaches every other.
-
-    Squares the reachability matrices, which then cover paths twice as
-    long, until they cover m - 1 steps or are all full.  Each product is a
-    float32 BLAS call; clipped to 0/1 after each, every entry is a count of
-    at most m, exact in float32.
-    """
-    reach = adj.astype(np.float32)
-    for _ in range((adj.shape[-1] - 2).bit_length()):
-        if reach.all():
-            break
-        reach = np.matmul(reach, reach)
-        np.minimum(reach, 1.0, out=reach)
-    return reach.all(axis=(-2, -1))
 
 
 def _random_windows(m: int, b: int, seed: int, k: int, count: int) -> np.ndarray:
@@ -268,34 +249,39 @@ class DirectedGraphSequence:
         m = self.num_nodes
         return MixingMatrix(self.fill_mixing(t, np.empty((1, m, m)))[0])
 
+    def check_b_connected(self) -> None:
+        """Raise a ValueError, naming the first step of the first cut window
+        and a node pair with no path, if a window's union is not strongly
+        connected.
+
+        Seeded-random windows are connected by construction.  Window k of
+        P explicit graphs starts at graph kB mod P, so only the first
+        P / gcd(P, B) windows differ, one when B >= P: checking those is
+        exact for every horizon.
+        """
+        if self.kind == "seeded-random":
+            return
+        adj, b = self._explicit, self.window_len
+        p = len(adj)
+        starts = np.arange(1 if b >= p else p // math.gcd(p, b)) * b % p
+        # window k's union ORs one run of the list repeated; reach[k, v, u]
+        # is 1 when u reaches v, squared until it covers paths of m - 1 steps
+        # (clipped to 1 after each float32 product, every count is exact)
+        reach = np.logical_or.reduceat(np.concatenate([adj, adj]), np.column_stack(
+            [starts, starts + min(b, p)]).ravel(), axis=0)[::2].astype(np.float32)
+        for _ in range((self.num_nodes - 2).bit_length()):
+            reach = np.minimum(reach @ reach, 1.0)
+        cut = ~reach.all(axis=(-2, -1))
+        if cut.any():
+            k = int(np.argmax(cut))
+            v, u = np.argwhere(reach[k] == 0)[0]
+            raise ValueError(f"graph sequence is not {b}-strongly connected: the "
+                             f"window from step {k * b} has no path from node "
+                             f"{u} to node {v}")
+
 
 # the name the experiments and demos build sequences by
 generate_graph_sequence = DirectedGraphSequence
-
-
-def check_b_strong_connectivity(seq: DirectedGraphSequence, horizon: int) -> bool:
-    """True when every window union inside [0, horizon) is strongly connected.
-
-    The window length B is ``seq.window_len``, the one the sequence's law
-    is stated in.  Windows are the blocks [k*B, (k+1)*B - 1] that fit
-    entirely inside [0, horizon), which must hold at least one.  They are
-    checked in batches of about 256 steps: the adjacency of each window is
-    OR-ed over its steps, then every union's reachability is computed at
-    once.  A static sequence with B = 1 checks its one graph.  Generated
-    sequences, seeded-random or static, pass by construction, so the check
-    is for explicit graphs.
-    """
-    b = seq.window_len
-    if horizon < b:
-        raise ValueError(f"horizon {horizon} is shorter than one window of {b}")
-    m = seq.num_nodes
-    windows, batch = horizon // b, max(1, _BLOCK_STEPS // b)
-    for k0 in range(0, windows, batch):
-        k = min(batch, windows - k0)
-        union = seq._adjacency(k0 * b, k * b).reshape(k, b, m, m).any(axis=1)
-        if not _strongly_connected(union).all():
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -301,17 +301,19 @@ def _step(mixing: np.ndarray, y: np.ndarray, xs: np.ndarray, ws: np.ndarray,
     zs[k+1] and writes ws[k] - alphas[k] g(zs[k+1]) + gauss[k] into xs[k+1],
     with the entries from :func:`_draws` and ``y`` the weights at t0.
     Returns the weights after each step.  The steps stop before a weight
-    underflow, so a divergence before it raises first.
+    underflow, so a divergence before it raises first.  An overflow or NaN,
+    in the gradients too, warns nowhere: the DivergenceError names it.
     """
     ys, underflow = _weights(mixing, y, t0)
-    for a, x, w, z, out, yk, alpha, dk, g in zip(
-            mixing, xs, ws, zs[1:], xs[1:], ys[:, :, None], alphas, drawn, gauss):
-        np.matmul(a, x, out=w)
-        np.divide(w, yk, out=z)
-        np.multiply(potential.grad_drawn(z, dk), alpha, out=out)
-        np.subtract(w, out, out=out)
-        if g is not None:
-            out += g
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, x, w, z, out, yk, alpha, dk, g in zip(
+                mixing, xs, ws, zs[1:], xs[1:], ys[:, :, None], alphas, drawn, gauss):
+            np.matmul(a, x, out=w)
+            np.divide(w, yk, out=z)
+            np.multiply(potential.grad_drawn(z, dk), alpha, out=out)
+            np.subtract(w, out, out=out)
+            if g is not None:
+                out += g
     # (step, agent) pairs in order: the first is the earliest, lowest agent
     bad = np.argwhere(~np.isfinite(xs[1:len(ys) + 1]).all(axis=2))
     if len(bad):
@@ -330,7 +332,8 @@ def langevin_step(ns: NetworkState, mix: MixingMatrix, sched: StepSchedule,
     scaled by sqrt(2 alpha(t+1)).  Runs the same kernel as :func:`run`, on
     a block of one step and fresh buffers, so ``ns`` is left untouched.
     With :class:`ZeroPotential` and no noise it is a bare push-sum round:
-    x = w = A x, y <- A y and z = w / y.
+    x = w = A x, y <- A y and z = w / y.  One matrix says nothing of
+    B-strong connectivity, so unlike :func:`run` it checks none.
 
     Returns the state at t+1.  Raises :class:`DivergenceError` when any
     agent's new x contains non-finite entries, ``FloatingPointError`` when
@@ -374,7 +377,8 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
     ----------
     seq : DirectedGraphSequence
         Communication topology per iteration; its node count fixes the
-        network size.
+        network size.  One with a window that is not strongly connected
+        is refused before anything is drawn (``seq.check_b_connected()``).
     sched : StepSchedule
     potential : Potential
         Its ``num_agents``, unless None, must equal the node count.
@@ -404,6 +408,7 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
     if noise is not None and noise.num_agents != m:
         raise ValueError("graph sequence and noise model disagree on the agent count")
     _check_agents(potential, m)
+    seq.check_b_connected()
 
     # one block of steps at a time: step k reads xs[k] and writes ws[k],
     # zs[k+1] and xs[k+1]; xs[0] carries x over from the previous block
@@ -541,7 +546,8 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     FloatingPointError
         If a push-sum weight underflows before any such checkpoint.
     ValueError
-        If :class:`GaussianPotential` refuses the target, or a size is wrong.
+        If :class:`GaussianPotential` refuses the target, a size is wrong,
+        or ``seq`` has a window that is not strongly connected.
     """
     # a float checkpoint would key no step and leave its snapshot zero
     checkpoints = [operator.index(c) for c in checkpoints]
@@ -555,6 +561,7 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
                          f"num_agents is {num_agents}")
     if num_runs < 1:
         raise ValueError("num_runs must be at least 1")
+    seq.check_b_connected()
     # imported here: models imports this module
     from .models import GaussianPotential
 

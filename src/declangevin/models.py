@@ -129,9 +129,8 @@ def _check_covariance(mean, cov, invert=False):
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     """Logistic sigmoid 1 / (1 + exp(-v)); exp overflows to inf for v below
-    about -709, which gives exactly 0."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-v))
+    about -709, which gives exactly 0.  The caller ignores that overflow."""
+    return 1.0 / (1.0 + np.exp(-v))
 
 
 def generate_linreg_data(n: int, dim: int, sigma: float, true_w: np.ndarray,
@@ -244,9 +243,10 @@ def grad_U_mixture(theta: np.ndarray, batch: np.ndarray, sigma_x: float = np.sqr
     """
     if sigma_x <= 0:
         raise ValueError("sigma_x must be positive")
-    return _grad_mixture(np.asarray(theta, dtype=float),
-                         np.asarray(batch, dtype=float), sigma_x ** 2,
-                         np.asarray(prior_vars, dtype=float), scale, mask)
+    with np.errstate(over="ignore"):
+        return _grad_mixture(np.asarray(theta, dtype=float),
+                             np.asarray(batch, dtype=float), sigma_x ** 2,
+                             np.asarray(prior_vars, dtype=float), scale, mask)
 
 
 def _grad_mixture(theta, x, s2, prior_vars, scale, mask):
@@ -278,7 +278,8 @@ def grad_U_logistic(w: np.ndarray, batch_features: np.ndarray, batch_targets: np
     w = np.asarray(w, dtype=float)
     y = np.asarray(batch_targets, dtype=float)
     _check_labels(y)
-    return _grad_logistic(w, batch_features, y, scale)
+    with np.errstate(over="ignore"):
+        return _grad_logistic(w, batch_features, y, scale)
 
 
 def _check_labels(y: np.ndarray) -> None:
@@ -381,7 +382,8 @@ def make_surrogate_classification(n: int, dim: int, seed: int,
     hidden = rng.standard_normal(dim)
     logits = np.concatenate([chunk @ hidden for chunk in chunks])
     logits -= np.median(logits)
-    targs = np.where(rng.random(n) < _sigmoid(logits), 1.0, -1.0)
+    with np.errstate(over="ignore"):
+        targs = np.where(rng.random(n) < _sigmoid(logits), 1.0, -1.0)
     return Dataset(features=feats, targets=targs)
 
 

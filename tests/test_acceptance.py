@@ -8,6 +8,7 @@ Measured values are printed so a failing threshold can be read off the
 log together with the number that missed it.
 """
 
+import hashlib
 import time
 from pathlib import Path
 
@@ -332,3 +333,47 @@ def test_equal_configs_write_byte_identical_results(tmp_path, capsys):
         assert out1.read_bytes() == out2.read_bytes()
     capsys.readouterr()
     print("repeated linreg and monitored runs wrote identical bytes")
+
+
+# The output contract across commits: the SHA-256 of each CSV, as written
+# with this numpy and BLAS (the bits follow the BLAS kernel).  A change
+# that moves a digest on purpose updates it here and says why.
+CONTRACT_NUMPY = "2.4.6"
+CONTRACT_BLAS = "scipy-openblas 0.3.31.188.0"
+CONTRACT_DIGESTS = {
+    "linreg": "a846cb365af9a29b0c149d375e46c78975dc2686660898b6238a36ff6865d0b9",
+    "mixture --iters 2000":
+        "5f06d4a4acf14f25b2c9a5482382c600b72150cb791c156d0a6faf00ecaf4186",
+    "mixture --iters 2000 --monitors on":
+        "041807904f602699695af5028f75009af5635d79835dfa4d3635ebbcb601b302",
+    "logistic --surrogate on --iters 100":
+        "425ed538e791041fe5c52b087db88a4c2faf48800159db07e0b8f83d3b4b64f0",
+    "run": "1821ba0fa1eb38fc6831b870658ba0e620b28894f0f743a82ebc8ac9220725a6",
+    "run --monitors on":
+        "51cdd377b9ef51f6ac63075af95a61b9c016d2dbb94758e40ef0f588985e3530",
+    "linreg --agents 32 --graph_b 4":
+        "570b98c5a1fe313b129f25cb0999ea8702f559c5e4e0f9420e44ebd8a6891449",
+}
+
+
+def blas_config():
+    """numpy's BLAS library and version, as its build reports them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
+
+
+def test_every_experiment_writes_its_recorded_bytes(tmp_path, monkeypatch,
+                                                    capsys):
+    # in an empty directory, so that no dataset file replaces the surrogate
+    monkeypatch.chdir(tmp_path)
+    moved = []
+    for flags, digest in CONTRACT_DIGESTS.items():
+        assert main(flags.split() + ["--out", "out.csv"]) == 0
+        if hashlib.sha256(Path("out.csv").read_bytes()).hexdigest() != digest:
+            moved.append(flags)
+    capsys.readouterr()
+    assert not moved, (
+        f"{moved} wrote other bytes than recorded, here with numpy "
+        f"{np.__version__} and {blas_config()}; the digests were recorded "
+        f"with numpy {CONTRACT_NUMPY} and {CONTRACT_BLAS}")
+    print(f"{len(CONTRACT_DIGESTS)} experiments wrote their recorded bytes")

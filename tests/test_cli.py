@@ -16,15 +16,15 @@ from hypothesis import given, settings, strategies as st
 import declangevin
 import declangevin.graphs as graphs_module
 from declangevin import (ConfigError, Dataset, GaussianDist, Trace,
-                         build_config, check_b_strong_connectivity,
-                         generate_linreg_data, linreg_posterior,
+                         build_config, generate_linreg_data, linreg_posterior,
                          linreg_w2_series, logistic_auc_series, main,
                          make_surrogate_classification, prepare,
                          run_experiment, spectral_bounds, step_size)
 from declangevin import cli as cli_module
 from declangevin.cli import _FIELD_TYPES, ExperimentConfig, load_config_file
 
-from conftest import reference_auc_series, reference_w2_series, save_libsvm
+from conftest import (reference_auc_series, reference_b_connected,
+                      reference_w2_series, save_libsvm)
 
 # the fields each subcommand reads: the shared ones, then its own
 SHARED = ("seed agents iters out stride monitors graph_kind graph_b "
@@ -849,4 +849,4 @@ class TestPreparedGraphs:
         setup = prepare(build_config("run", {
             "graph_kind": kind, "agents": agents, "graph_b": graph_b,
             "seed": seed, "iters": iters}))
-        assert check_b_strong_connectivity(setup.seq, max(iters, graph_b))
+        assert reference_b_connected(setup.seq, max(iters, graph_b), graph_b)

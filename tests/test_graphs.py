@@ -1,5 +1,6 @@
 """Directed graphs, mixing matrices, sequences and connectivity checks."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import declangevin.graphs as graphs_module
 from declangevin import (DirectedGraph, DirectedGraphSequence, MixingMatrix,
-                         StepSchedule, ZeroPotential,
-                         check_b_strong_connectivity, generate_graph_sequence,
+                         StepSchedule, ZeroPotential, generate_graph_sequence,
                          run, spectral_bounds)
 
 from conftest import (SIX_NODE_EDGES, SIX_NODE_MIXING, mixing_of,
@@ -27,10 +27,20 @@ def random_graph(rng, num_nodes):
     return DirectedGraph(num_nodes, frozenset(edges))
 
 
+def accepted(seq):
+    """Whether ``run`` accepts seq; the only refusal it may give is the
+    connectivity check's."""
+    try:
+        run(seq, StepSchedule("harmonic", 0.1), ZeroPotential(1), None, 1)
+    except ValueError as exc:
+        assert "strongly connected" in str(exc)
+        return False
+    return True
+
+
 def strongly_connected(g):
-    """The connectivity check on the static sequence of g, window 1."""
-    return check_b_strong_connectivity(
-        generate_graph_sequence("static", g.num_nodes, graphs=[g]), 1)
+    """Whether ``run`` accepts the static sequence of g, window 1."""
+    return accepted(generate_graph_sequence("static", g.num_nodes, graphs=[g]))
 
 
 class TestDirectedGraph:
@@ -136,7 +146,7 @@ class TestGraphSequences:
 
     def test_static_without_graph_generates_connected_one(self):
         seq = generate_graph_sequence("static", 5, seed=3)
-        assert check_b_strong_connectivity(seq, 1)
+        assert accepted(seq)
         assert strongly_connected(seq.graph_at(0))
 
     def test_static_rejects_multiple_graphs(self, six_node_graph):
@@ -235,18 +245,33 @@ class TestBStrongConnectivity:
     def test_seeded_random_windows_connected_by_construction(self):
         for seed in range(5):
             seq = generate_graph_sequence("seeded-random", 6, 3, seed=seed)
-            assert check_b_strong_connectivity(seq, 60)
+            assert reference_b_connected(seq, 60, 3)
+            assert accepted(seq)
 
     def test_alternating_pairs_need_the_full_window(self, alternating_pairs_seq):
-        assert check_b_strong_connectivity(alternating_pairs_seq, 8)
+        assert accepted(alternating_pairs_seq)
         per_step = generate_graph_sequence(
             "periodic-list", 4, 1, graphs=[alternating_pairs_seq.graph_at(0),
                                            alternating_pairs_seq.graph_at(1)])
-        assert not check_b_strong_connectivity(per_step, 8)
+        with pytest.raises(ValueError, match="not 1-strongly connected: the "
+                           "window from step 0 has no path from node 2 to node 0"):
+            per_step.check_b_connected()
+        assert not accepted(per_step)
 
-    def test_horizon_shorter_than_window_rejected(self, alternating_pairs_seq):
-        with pytest.raises(ValueError, match="shorter than one window"):
-            check_b_strong_connectivity(alternating_pairs_seq, 1)
+    def test_the_first_cut_window_is_named(self):
+        # window k of 3 graphs at B = 2 starts at graph 2k mod 3, so the
+        # windows hold graphs (0, 1), (2, 0), (1, 2), then the same again.
+        # Only graph 1, the ring, links node 2: window 1 is the first cut
+        ring = DirectedGraph(3, {(0, 1), (1, 2), (2, 0)})
+        pair = DirectedGraph(3, {(0, 1), (1, 0)})
+        seq = generate_graph_sequence("periodic-list", 3, 2,
+                                      graphs=[pair, ring, pair])
+        with pytest.raises(ValueError, match="window from step 2 has no path "
+                           "from node 2 to node 0"):
+            seq.check_b_connected()
+        # a window at least as long as the list unites all of it
+        assert accepted(generate_graph_sequence("periodic-list", 3, 3,
+                                                graphs=[pair, ring, pair]))
 
 
 class TestArrayGraphLayer:
@@ -267,9 +292,8 @@ class TestArrayGraphLayer:
         assert np.abs(entries.sum(axis=1) - 1.0).max() <= 1e-12
         assert reference_strongly_connected(
             m, frozenset().union(*(g.edges for g in window)))
-        horizon = (w % 50 + 1) * b
-        assert check_b_strong_connectivity(seq, horizon)
-        assert reference_b_connected(seq, horizon, b)
+        assert reference_b_connected(seq, (w % 50 + 1) * b, b)
+        assert accepted(seq)
 
     @settings(max_examples=40)
     @given(m=st.integers(1, 40), rows=st.integers(0, 256),
@@ -289,6 +313,7 @@ class TestArrayGraphLayer:
     @settings(max_examples=100)
     @given(data=st.data())
     def test_check_agrees_with_the_reference_on_explicit_sequences(self, data):
+        # the list repeats its windows after lcm(P, B) steps
         m = data.draw(st.integers(1, 6))
         node = st.integers(0, m - 1)
         graphs = data.draw(st.lists(
@@ -297,10 +322,9 @@ class TestArrayGraphLayer:
                     (u, v) for u, v in pairs if u != v))),
             min_size=1, max_size=5))
         b = data.draw(st.integers(1, 4))
-        horizon = data.draw(st.integers(b, 30))
         seq = generate_graph_sequence("periodic-list", m, b, graphs=graphs)
-        assert (check_b_strong_connectivity(seq, horizon)
-                == reference_b_connected(seq, horizon, b))
+        assert accepted(seq) == reference_b_connected(
+            seq, math.lcm(len(graphs), b), b)
         for g in graphs:
             assert strongly_connected(g) == reference_strongly_connected(
                 m, g.edges)
@@ -320,13 +344,19 @@ class TestArrayGraphLayer:
 class TestWindowStore:
     def test_memory_stays_flat_over_a_long_horizon(self):
         # 20 000 steps at m=8 are 1.28 MB of adjacency; only the last block
-        # of 256 steps, 16 kB, is kept.  A first check outside the traced
+        # of 256 steps, 16 kB, is kept.  A first read outside the traced
         # pass leaves out what numpy allocates once, on its first draws
         seq = generate_graph_sequence("seeded-random", 8, 4, seed=0)
-        assert check_b_strong_connectivity(seq, 300)
+        out = np.empty((256, 8, 8))
+
+        def read_forward(horizon):
+            for t0 in range(0, horizon, 256):
+                seq.fill_mixing(t0, out)
+
+        read_forward(300)
         tracemalloc.start()
         try:
-            assert check_b_strong_connectivity(seq, 20000)
+            read_forward(20000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -345,9 +375,10 @@ class TestWindowStore:
             return generate(m, b, seed, k, count)
 
         monkeypatch.setattr(graphs_module, "_random_windows", counting)
-        # 1000 steps of windows of 2 are four blocks of 256 steps
+        # 1000 steps of windows of 2 are four blocks of 256 steps; run's
+        # check generates none of them
         seq = generate_graph_sequence("seeded-random", 4, 2, seed=3)
-        assert check_b_strong_connectivity(seq, 1000)
+        run(seq, StepSchedule("harmonic", 0.1), ZeroPotential(2), None, 1000)
         assert made == [0, 1, 2, 3]
         made.clear()
         run(seq, StepSchedule("harmonic", 0.1), ZeroPotential(2), None, 1000)

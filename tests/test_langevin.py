@@ -1,5 +1,6 @@
 """Schedules, noise streams, the network update and the ensemble runner."""
 
+import math
 import signal
 import sys
 import threading
@@ -10,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from declangevin import langevin as langevin_module
@@ -24,7 +25,21 @@ from declangevin import (DirectedGraph, DivergenceError, GaussianDist, GaussianP
                          make_surrogate_classification, partition, run,
                          run_gaussian_ensemble, step_size)
 
-from conftest import RecordingNoise, RecordingPotential, reference_ula
+from conftest import (RecordingNoise, RecordingPotential,
+                      reference_b_connected, reference_mixing, reference_ula)
+
+
+def lone_edge_then_back():
+    """Two nodes: the edge 0 -> 1 for 1099 steps, then 1 -> 0 once, in one
+    window of 1100 steps.
+
+    The window's union is strongly connected, so the samplers accept it.
+    Over its first 1099 steps node 0 only sends: it keeps half its weight
+    each step and receives nothing.
+    """
+    return generate_graph_sequence(
+        "periodic-list", 2, 1100,
+        graphs=[DirectedGraph(2, {(0, 1)})] * 1099 + [DirectedGraph(2, {(1, 0)})])
 
 
 class ExplodingPotential(Potential):
@@ -298,8 +313,7 @@ class TestRun:
         # its ratio estimate grows until, at iteration 518, the squared
         # norms of its deviation and consensus error overflow while every
         # state is still finite
-        seq = generate_graph_sequence("static", 2, 1,
-                                      graphs=[DirectedGraph(2, {(0, 1)})])
+        seq = lone_edge_then_back()
         with np.errstate(over="ignore"):
             with pytest.raises(DivergenceError) as info:
                 run(seq, StepSchedule("harmonic", alpha0=0.1),
@@ -310,8 +324,7 @@ class TestRun:
         # the same run as above, with every warning an error: the norm's
         # overflow warns nowhere, and the error names the deviation, not
         # the (finite) state
-        seq = generate_graph_sequence("static", 2, 1,
-                                      graphs=[DirectedGraph(2, {(0, 1)})])
+        seq = lone_edge_then_back()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as info:
@@ -450,6 +463,84 @@ class TestRun:
                           noise)
         assert noise.draws == []
         assert [noise.stream(i).bit_generator.state for i in range(4)] == before
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_a_cut_explicit_sequence_is_refused_before_any_draw(self, data):
+        # the list's windows repeat after lcm(P, B) steps, so the reference
+        # over that horizon is the verdict for every horizon
+        m = data.draw(st.integers(1, 5))
+        node = st.integers(0, m - 1)
+        graphs = data.draw(st.lists(
+            st.frozensets(st.tuples(node, node), max_size=2 * m).map(
+                lambda pairs: DirectedGraph(m, frozenset(
+                    (u, v) for u, v in pairs if u != v))),
+            min_size=1, max_size=6))
+        b = data.draw(st.integers(1, 8))
+        seq = generate_graph_sequence("periodic-list", m, b, graphs=graphs)
+        ds = generate_linreg_data(4 * m, 2, 1.0, np.array([1.0, -1.0]), seed=8)
+        pot = LinRegPotential(ds, partition(ds, m), GaussianDist(
+            np.zeros(2), np.eye(2)), 1.0, batch_size=1)
+        noise = RecordingNoise(8, m)
+        before = [noise.stream(i).bit_generator.state for i in range(m)]
+        drawn = []
+
+        def hook(t):
+            drawn.append(t)
+            return np.zeros((2, m, 1))
+
+        sched = StepSchedule("harmonic", 0.1)
+        samplers = (lambda: run(seq, sched, pot, noise, 3),
+                    lambda: run_gaussian_ensemble(
+                        seq, sched, np.zeros(1), np.eye(1), m, 3, 2, 0, [3],
+                        noise_draw=hook))
+        if reference_b_connected(seq, math.lcm(len(graphs), b), b):
+            for sample in samplers:
+                sample()
+            assert drawn == [0, 1, 2]
+            return
+        for sample in samplers:
+            with pytest.raises(ValueError, match=f"not {b}-strongly connected: "
+                               r"the window from step \d+ has no path"):
+                sample()
+        assert noise.draws == [] and drawn == []
+        assert [noise.stream(i).bit_generator.state for i in range(m)] == before
+        # a refused sequence still gives every step's matrix
+        for t, g in enumerate(graphs):
+            np.testing.assert_array_equal(seq.mixing_at(t).entries,
+                                          reference_mixing(g))
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("edges, pair", [
+        ({(0, 1), (1, 0)}, "from node 2 to node 0"),  # node 2 is isolated
+        ({(0, 1)}, "from node 1 to node 0")])  # node 0 never receives
+    def test_a_disconnected_static_graph_is_refused(self, edges, pair, action):
+        seq = generate_graph_sequence("static", 3,
+                                      graphs=[DirectedGraph(3, edges)])
+        sched, noise = StepSchedule("harmonic", 0.1), RecordingNoise(0, 3)
+        cut = f"not 1-strongly connected: the window from step 0 has no path {pair}"
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(ValueError, match=cut):
+                run(seq, sched, GaussianPotential(np.zeros(1), np.eye(1), 3),
+                    noise, 2000, x0=[[5.0], [0.0], [-5.0]])
+            with pytest.raises(ValueError, match=cut):
+                run_gaussian_ensemble(seq, sched, np.zeros(1), np.eye(1), 3,
+                                      2000, 4, 0, [2000])
+        assert noise.draws == []
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_an_overflow_in_the_kernel_raises_under_every_filter(self, action):
+        # node 0's weight halves every step, and its ratio estimate, from
+        # 1e100, overflows in the division at iteration 47; no
+        # RuntimeWarning escapes the kernel first, whatever the filter
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(DivergenceError) as info:
+                run(lone_edge_then_back(), StepSchedule("harmonic", 0.1),
+                    GaussianPotential(np.zeros(1), np.eye(1), 2),
+                    NoiseModel(0, 2), 100, x0=[[1e100], [0.0]])
+        assert str(info.value) == "non-finite state at agent 0, iteration 47"
 
     def test_memory_is_bounded_in_the_horizon(self):
         # 101 records at either horizon; each of the two (num_iters, m)
@@ -999,13 +1090,8 @@ class TestBlockBookkeeping:
     # of the fourth 256-step block
     UNDERFLOW = r"push-sum weight underflow at agent 0 \(y=7\.466e-301, t=996\)"
 
-    @staticmethod
-    def one_edge():
-        return generate_graph_sequence("static", 2,
-                                       graphs=[DirectedGraph(2, {(0, 1)})])
-
     def step_loop(self, pot, num_iters):
-        seq, ns = self.one_edge(), init_network(2, 1)
+        seq, ns = lone_edge_then_back(), init_network(2, 1)
         for t in range(num_iters):
             ns = langevin_step(ns, seq.mixing_at(t), StepSchedule("harmonic", 0.1),
                                pot, None)
@@ -1013,12 +1099,12 @@ class TestBlockBookkeeping:
     def test_an_underflow_in_the_middle_of_a_block_names_its_step(self):
         sched = StepSchedule("harmonic", 0.1)
         with pytest.raises(FloatingPointError, match=self.UNDERFLOW):
-            run(self.one_edge(), sched, ZeroPotential(1), None, 1200)
+            run(lone_edge_then_back(), sched, ZeroPotential(1), None, 1200)
         with pytest.raises(FloatingPointError, match=self.UNDERFLOW):
             self.step_loop(ZeroPotential(1), 1200)
         with pytest.raises(FloatingPointError, match=self.UNDERFLOW), \
                 np.errstate(over="ignore", invalid="ignore"):
-            run_gaussian_ensemble(self.one_edge(), sched, np.zeros(1),
+            run_gaussian_ensemble(lone_edge_then_back(), sched, np.zeros(1),
                                   np.eye(1), 2, 1200, 3, 0, [1200])
 
     @pytest.mark.parametrize("diverge_at, error", [
@@ -1027,7 +1113,7 @@ class TestBlockBookkeeping:
             self, diverge_at, error):
         sched = StepSchedule("harmonic", 0.1)
         with pytest.raises(error) as info, np.errstate(invalid="ignore"):
-            run(self.one_edge(), sched, DivergingAt(1, diverge_at), None, 1200)
+            run(lone_edge_then_back(), sched, DivergingAt(1, diverge_at), None, 1200)
         with pytest.raises(error) as loop_info:
             self.step_loop(DivergingAt(1, diverge_at), 1200)
         assert str(info.value) == str(loop_info.value)
@@ -1039,7 +1125,7 @@ class TestBlockBookkeeping:
 
         with pytest.raises(error) as ens_info, \
                 np.errstate(over="ignore", invalid="ignore"):
-            run_gaussian_ensemble(self.one_edge(), sched, np.zeros(1),
+            run_gaussian_ensemble(lone_edge_then_back(), sched, np.zeros(1),
                                   np.eye(1), 2, 1200, 3, 0,
                                   [diverge_at + 1, 1200], noise_draw=noise)
         if error is DivergenceError:
