@@ -6,9 +6,9 @@ the out-degree used for mass splitting is the number of out-edges plus one.
 A sequence of graphs is B-strongly-connected when the union of the edge sets
 over each window [kB, (k+1)B - 1] is strongly connected, which the samplers
 require; individual graphs in the window may be arbitrarily sparse.  A
-sequence holds its graphs once, as per-step adjacency, and a graph reaches
-the sampler only through its column-stochastic mixing matrix, which holds
-entries alone.
+sequence holds its graphs once, as per-step adjacency or, generated ones,
+as edge lists, and a graph reaches the sampler only through its
+column-stochastic mixing matrix, which holds entries alone.
 """
 
 from __future__ import annotations
@@ -77,33 +77,45 @@ class DirectedGraph:
         return adj
 
 
-def _random_windows(m: int, b: int, seed: int, k: int, count: int) -> np.ndarray:
-    """(count * b, m, m) adjacency of the count seeded-random windows of block k.
+def _random_windows(m: int, b: int, seed: int, k: int, count: int) -> tuple:
+    """Edge lists (starts, cells) of the count seeded-random windows of block k.
 
-    The block draws from one ``np.random.default_rng([seed, k])``: a random
-    Hamiltonian cycle per window, each of its edges placed in a random slot
-    of the window, then for every slot a random number of extra random
-    edges, of which self-loops change nothing.  Each of the four kinds of
-    draw is one call for the whole block.  The seed is nonnegative, which
-    the sequence checks once.
+    The edges of the block's step s are cells[starts[s]:starts[s + 1]],
+    each the flat index v * m + u of the adjacency entry [v, u] of an edge
+    from u to v; self-loops are implicit.  The block draws from one
+    ``np.random.default_rng([seed, k])``: a random Hamiltonian cycle per
+    window, each of its edges placed in a random slot of the window, then
+    for every slot a random number of extra random edges, of which
+    self-loops change nothing.  Each of the four kinds of draw is one call
+    for the whole block.  The seed is nonnegative, which the sequence
+    checks once.
     """
     if k >= 1 << 32:
         # past it k takes two 32-bit words of entropy, and [seed, k]
         # collides with the blocks of other seeds
         raise ValueError(f"block index {k} is past 2**32 - 1, "
                          "the last block a graph seed covers")
-    adj = np.zeros((count * b, m, m), dtype=bool)
     nodes = np.arange(m)
-    adj[:, nodes, nodes] = True
-    if m > 1:
-        rng = np.random.default_rng([seed, k])
-        perms = rng.permuted(np.tile(nodes, (count, 1)), axis=1)
-        slots = rng.integers(0, b, size=(count, m))
-        extra = rng.integers(0, m + 1, size=count * b)
-        pairs = rng.integers(0, m, size=(extra.sum(), 2))
-        succ = np.roll(nodes, -1)
-        adj[b * np.arange(count)[:, None] + slots, perms[:, succ], perms] = True
-        adj[np.repeat(np.arange(count * b), extra), pairs[:, 1], pairs[:, 0]] = True
+    rng = np.random.default_rng([seed, k])
+    perms = rng.permuted(np.tile(nodes, (count, 1)), axis=1)
+    slots = rng.integers(0, b, size=(count, m))
+    extra = rng.integers(0, m + 1, size=count * b)
+    pairs = rng.integers(0, m, size=(extra.sum(), 2))
+    steps = np.concatenate([(b * np.arange(count)[:, None] + slots).ravel(),
+                            np.repeat(np.arange(count * b), extra)])
+    cells = np.concatenate([(perms[:, np.roll(nodes, -1)] * m + perms).ravel(),
+                            pairs[:, 1] * m + pairs[:, 0]])
+    order = np.argsort(steps, kind="stable")
+    return np.searchsorted(steps[order], np.arange(count * b + 1)), cells[order]
+
+
+def _scatter(adj: np.ndarray, windows: tuple, lo: int) -> np.ndarray:
+    """Set in ``adj``, (n, m, m) booleans, the self-loops and the edges of
+    steps lo..lo+n-1 of the edge lists ``windows``; returns adj."""
+    (starts, cells), (n, m) = windows, adj.shape[:2]
+    adj[:, np.arange(m), np.arange(m)] = True
+    step = np.repeat(np.arange(n), np.diff(starts[lo:lo + n + 1]))
+    adj.reshape(n, m * m)[step, cells[starts[lo]:starts[lo + n]]] = True
     return adj
 
 
@@ -151,10 +163,11 @@ class DirectedGraphSequence:
     ``np.random.default_rng([seed, k])``, so the seed must be nonnegative
     and k below 2**32.
 
-    Every kind is held once, as boolean adjacency, one (m, m) matrix per
-    step: explicit graphs are converted once, and seeded-random windows are
-    generated in blocks of about 256 steps of which only the last is kept,
-    so a reader that goes forward in time generates each block once.
+    Explicit graphs are held once, as boolean adjacency, one (m, m) matrix
+    per step.  Seeded-random windows are generated in blocks of about 256
+    steps, held as edge lists, about 2.5 m edges a step, of which only the
+    last block is kept, so a reader that goes forward in time generates
+    each block once; only the steps read are made dense.
     :meth:`fill_mixing` turns a block of steps into mixing matrices in one
     call, and :meth:`mixing_at` is that call on a block of one step;
     :meth:`graph_at` rebuilds a single step's graph from the same adjacency
@@ -181,8 +194,10 @@ class DirectedGraphSequence:
             self._block_windows = max(1, _BLOCK_STEPS // self.window_len)
             self._last = (-1, None)
             return
+        m = self.num_nodes
         if kind == "static" and not graphs:
-            self._explicit = _random_windows(self.num_nodes, 1, self.seed, 0, 1)
+            self._explicit = _scatter(np.zeros((1, m, m), dtype=bool),
+                                      _random_windows(m, 1, self.seed, 0, 1), 0)
         else:
             if not graphs:
                 raise ValueError(f"kind {kind!r} requires explicit graphs")
@@ -194,28 +209,28 @@ class DirectedGraphSequence:
             self._explicit = np.stack([g.adjacency for g in graphs])
         self._explicit.flags.writeable = False
 
-    def _block(self, k: int) -> np.ndarray:
-        """Adjacency of the steps of seeded-random block k."""
-        last = self._last
-        if last[0] != k:
-            block = _random_windows(self.num_nodes, self.window_len, self.seed,
-                                    k, self._block_windows)
-            block.flags.writeable = False
-            self._last = last = (k, block)
-        return last[1]
+    def _block(self, k: int) -> tuple:
+        """Edge lists of the steps of seeded-random block k."""
+        if self._last[0] != k:
+            # block k - 1 goes before block k is made, not after
+            self._last = (-1, None)
+            self._last = (k, _random_windows(self.num_nodes, self.window_len,
+                                             self.seed, k, self._block_windows))
+        return self._last[1]
 
     def _adjacency(self, t0: int, n: int) -> np.ndarray:
-        """(n, m, m) adjacency of steps t0..t0+n-1, read-only."""
+        """(n, m, m) adjacency of steps t0..t0+n-1; seeded-random steps are
+        made dense here, from their block's edge lists."""
         if t0 < 0:
             raise ValueError("time index must be nonnegative")
         if self.kind != "seeded-random":
             return self._explicit[np.arange(t0, t0 + n) % len(self._explicit)]
-        size = self._block_windows * self.window_len
-        parts = []
+        m, size = self.num_nodes, self._block_windows * self.window_len
+        adj = np.zeros((n, m, m), dtype=bool)
         for k in range(t0 // size, (t0 + n - 1) // size + 1):
-            lo = max(t0 - k * size, 0)
-            parts.append(self._block(k)[lo:t0 + n - k * size])
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            lo, hi = max(t0, k * size), min(t0 + n, (k + 1) * size)
+            _scatter(adj[lo - t0:hi - t0], self._block(k), lo - k * size)
+        return adj
 
     def fill_mixing(self, t0: int, out: np.ndarray) -> np.ndarray:
         """Write the mixing entries of step t0 + k into ``out[k]``, for every k.

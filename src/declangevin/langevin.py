@@ -55,10 +55,22 @@ Y_FLOOR = 1e-300
 # parallel threads, each on its own noise stream, so this constant, unlike
 # the thread count, is part of what fixes the ensemble's results.
 _CHUNK_RUNS = 4096
-# Steps whose mixing matrices run and run_gaussian_ensemble fill with one
-# fill_mixing call and hold at a time, and whose noise run draws at once;
+# The most steps a block of run and run_gaussian_ensemble holds, a cap that
+# _block_steps lowers for large states and networks.  A block's mixing
+# matrices come from one fill_mixing call and run draws its noise at once;
 # the ensemble's chunks all finish one block of steps before the next begins.
 _MIXING_BLOCK = 256
+# about the most bytes a block holds of run's four (steps, m, d) state and
+# noise buffers, and of (steps, m, m) mixing matrices
+_STATE_BYTES, _MIXING_BYTES = 2 << 20, 8 << 20
+
+
+def _block_steps(m: int, d: int) -> int:
+    """Steps per block at m agents in d dimensions: at most _MIXING_BLOCK
+    and within both byte budgets, but at least one.  Block length is not
+    part of the results."""
+    return max(1, min(_MIXING_BLOCK, _STATE_BYTES // (32 * m * d),
+                      _MIXING_BYTES // (8 * m * m)))
 
 
 @dataclass(frozen=True)
@@ -383,9 +395,10 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
     potential : Potential
         Its ``num_agents``, unless None, must equal the node count.
     noise : NoiseModel or None
-        Owns the per-agent streams, drawn once per block of 256 steps; None
-        runs the deterministic iteration (mixing plus drift only), which a
-        minibatch potential rejects before the first step.
+        Owns the per-agent streams, drawn once per block of at most 256
+        steps, fewer at large m or d; None runs the deterministic iteration
+        (mixing plus drift only), which a minibatch potential rejects
+        before the first step.
     num_iters : int
     stride : int
         Snapshot thinning: agent samples (the ratio estimates z) and
@@ -412,7 +425,7 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
 
     # one block of steps at a time: step k reads xs[k] and writes ws[k],
     # zs[k+1] and xs[k+1]; xs[0] carries x over from the previous block
-    block = min(_MIXING_BLOCK, num_iters)
+    block = min(_block_steps(m, d), num_iters)
     xs = np.zeros((block + 1, m, d))
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
@@ -441,8 +454,8 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
                               iteration=0, quantity="consensus error")
 
     mixing = np.empty((block, m, m))
-    for t0 in range(0, num_iters, _MIXING_BLOCK):
-        n = min(_MIXING_BLOCK, num_iters - t0)
+    for t0 in range(0, num_iters, block):
+        n = min(block, num_iters - t0)
         alpha, drawn, gauss = _draws(sched, potential, noise, t0, n, d)
         seq.fill_mixing(t0, mixing[:n])
         y = _step(mixing[:n], y, xs, ws, zs, t0, alpha, potential, drawn,
@@ -503,9 +516,11 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     size, and the chunks run in a thread pool with one thread per usable
     core at most; the runs share nothing but the mixing matrices and the
     push-sum weights, so the chunks never communicate.  The chunks advance
-    together in blocks of 256 steps: the calling thread fills one block of
-    mixing matrices and runs the weight recursion through it once, then
-    every chunk runs through it, so memory does not grow with the horizon.
+    together in blocks of at most 256 steps, fewer at large m or d, so that
+    a block holds about 8 MiB of matrices at most: the calling thread fills
+    one block of mixing matrices and runs the weight recursion through it
+    once, then every chunk runs through it, so memory does not grow with
+    the horizon.
     When a chunk raises, or the caller is interrupted, every chunk stops at
     its next step.  Within a chunk the state is agent-major, (m, d, runs):
     row i holds agent i's values in every run of the chunk, so each step
@@ -589,28 +604,30 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
             rows = (m, d * (r1 - r0))
             w, z = np.empty_like(x), np.empty_like(x)
             normals = np.empty((r1 - r0, m, d))
-            for t, y in enumerate(ys[:, :, None, None], start=t0):
-                if stop.is_set():
-                    break
-                np.matmul(block[t - t0], x.reshape(rows), out=w.reshape(rows))
-                np.divide(w, y, out=z)
-                alpha = step_size(sched, t + 1)
-                if noise_draw is None:
-                    drawn = rngs[c].standard_normal(out=normals)
-                else:
-                    drawn = noise_draw(t)[r0:r1]
-                # x = sqrt(2 alpha) xi + w - (alpha / m) P (z - mean)
-                z -= target_mean[:, None]
-                np.matmul(precision, z, out=x)
-                x *= -alpha / m
-                x += w
-                np.multiply(drawn.transpose(1, 2, 0), np.sqrt(2.0 * alpha), out=z)
-                x += z
-                if t + 1 in want:
-                    finite = np.isfinite(x).all(axis=(1, 2))
-                    if not finite.all():
-                        return t + 1, int(np.argmin(finite))
-                    snaps[want[t + 1], r0:r1] = x.mean(axis=0).T
+            # an overflow or NaN warns nowhere: the checkpoint check names it
+            with np.errstate(over="ignore", invalid="ignore"):
+                for t, y in enumerate(ys[:, :, None, None], start=t0):
+                    if stop.is_set():
+                        break
+                    np.matmul(block[t - t0], x.reshape(rows), out=w.reshape(rows))
+                    np.divide(w, y, out=z)
+                    alpha = step_size(sched, t + 1)
+                    if noise_draw is None:
+                        drawn = rngs[c].standard_normal(out=normals)
+                    else:
+                        drawn = noise_draw(t)[r0:r1]
+                    # x = sqrt(2 alpha) xi + w - (alpha / m) P (z - mean)
+                    z -= target_mean[:, None]
+                    np.matmul(precision, z, out=x)
+                    x *= -alpha / m
+                    x += w
+                    np.multiply(drawn.transpose(1, 2, 0), np.sqrt(2.0 * alpha), out=z)
+                    x += z
+                    if t + 1 in want:
+                        finite = np.isfinite(x).all(axis=(1, 2))
+                        if not finite.all():
+                            return t + 1, int(np.argmin(finite))
+                        snaps[want[t + 1], r0:r1] = x.mean(axis=0).T
             return None
         except BaseException:
             stop.set()
@@ -618,11 +635,11 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
 
     # one block of mixing matrices, filled here and not in the workers (the
     # sequence's window memo is not thread-safe) before the chunks run it
-    mixing = np.empty((min(_MIXING_BLOCK, horizon), m, m))
+    mixing = np.empty((min(_block_steps(m, d), horizon), m, m))
     y = np.ones(m)
     with ThreadPoolExecutor(_worker_count(len(bounds))) as pool:
         try:
-            for t0 in range(0, horizon, _MIXING_BLOCK):
+            for t0 in range(0, horizon, len(mixing)):
                 block = seq.fill_mixing(t0, mixing[:horizon - t0])
                 ys, underflow = _weights(block, y, t0)
                 # each task runs in a copy of the caller's context, which

@@ -353,6 +353,12 @@ CONTRACT_DIGESTS = {
         "51cdd377b9ef51f6ac63075af95a61b9c016d2dbb94758e40ef0f588985e3530",
     "linreg --agents 32 --graph_b 4":
         "570b98c5a1fe313b129f25cb0999ea8702f559c5e4e0f9420e44ebd8a6891449",
+    # blocks of fewer than 256 steps, cut by the state budget (d = 123) and
+    # by the mixing budget (m = 128); recorded with blocks of 256
+    "logistic --surrogate on --iters 300":
+        "b78dfa6bbed0c015f33df03a4f1b22e62a6abe9dee50cc091f341e0251f65f06",
+    "run --agents 128 --iters 300":
+        "cf0555d5b719f393c3ecd9e22eb88b13ac222a4e3756166487621fa490e8e364",
 }
 
 

@@ -465,6 +465,31 @@ class TestRunExperiment:
         assert aucs.shape == (100, 4)
         assert peak < 10e6
 
+    def test_logistic_auc_series_holds_no_float_copy_of_a_byte_split(self):
+        # the 6512 x 123 uint8 test split is cast in row tiles, straight
+        # into each chunk's scores: a float copy of it alone is 6.4 MB
+        rng = np.random.default_rng(0)
+        n_rec, m, d = 101, 4, 123
+        trace = Trace(alphas=np.zeros(n_rec),
+                      states=rng.standard_normal((n_rec, m, d)),
+                      consensus=np.zeros((n_rec, m)),
+                      record_dev=np.zeros((n_rec, m)),
+                      worst_cum_dev=np.zeros(999), max_pert=0.0,
+                      num_iters=1000, stride=10)
+        test = Dataset((rng.random((6512, d)) < 0.1).astype(np.uint8),
+                       np.where(rng.random(6512) < 0.25, 1.0, -1.0))
+        tracemalloc.start()
+        try:
+            eval_ts, aucs = logistic_auc_series(trace, test, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert aucs.shape == (100, 4)
+        assert peak < 6512 * d * 8
+        want_ts, want = reference_auc_series(trace, test, 10)
+        np.testing.assert_array_equal(eval_ts, want_ts)
+        assert aucs.tobytes() == want.tobytes()
+
 
 class TestMain:
     LINREG_FLAGS = ["linreg", "--n", "60", "--agents", "4", "--iters", "40",

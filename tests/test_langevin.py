@@ -561,6 +561,24 @@ class TestRun:
         peak(300)  # first-call allocations stay out of the comparison
         assert peak(20_000) - peak(2_000) <= 16 * 18_000
 
+    def test_memory_follows_the_block_budgets_at_large_m(self):
+        # at m=256 a block of 256 steps would hold 134 MB of mixing matrices;
+        # a block sized by the budgets holds them, and about as much again
+        # goes to temporaries and the graph block being generated, besides
+        # the trace's records of z, consensus errors and deviations
+        m, d, iters = 256, 2, 512
+        seq = generate_graph_sequence("seeded-random", m, 1, seed=0)
+        tracemalloc.start()
+        try:
+            run(seq, StepSchedule("harmonic", 0.1),
+                GaussianPotential(np.zeros(d), np.eye(d), m), NoiseModel(0, m),
+                iters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budgets = langevin_module._MIXING_BYTES + langevin_module._STATE_BYTES
+        assert peak < 2 * budgets + (iters + 1) * m * (d + 2) * 8
+
     @pytest.mark.parametrize("m", [1, 3, 7])
     def test_zero_potential_runs_at_any_network_size(self, m):
         assert ZeroPotential(2).num_agents is None
@@ -774,6 +792,24 @@ class TestGaussianEnsemble:
             run_gaussian_ensemble(seq, sched, mean, cov, 2, 10, 4, 0, [5, 5, 10])
         with pytest.raises(ValueError, match="one or more"):
             run_gaussian_ensemble(seq, sched, mean, cov, 2, 10, 4, 0, [])
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_an_infinite_draw_raises_a_divergence_under_every_filter(
+            self, action):
+        # inf noise at t=5 makes inf - inf in the kernel; no RuntimeWarning
+        # escapes a chunk before the checkpoint check names the divergence
+        seq = generate_graph_sequence("seeded-random", 2, 1, seed=0)
+
+        def hook(t):
+            return np.full((3, 2, 1), np.inf if t == 5 else 0.0)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(DivergenceError) as info:
+                run_gaussian_ensemble(seq, StepSchedule("harmonic", 0.1),
+                                      np.zeros(1), np.eye(1), 2, 20, 3, 0,
+                                      [20], noise_draw=hook)
+        assert str(info.value) == "non-finite state at agent 0, iteration 20"
 
     @pytest.mark.parametrize("first", [5.5, 5.0])
     def test_non_integer_checkpoints_are_refused(self, first):
@@ -1164,6 +1200,30 @@ class TestBlockBookkeeping:
         run(seq, StepSchedule("harmonic", 0.1), ZeroPotential(2),
             NoiseModel(0, 3), 600)
         assert calls == [(0, 256), (256, 256), (512, 88)]
+
+    def test_a_wide_state_shortens_the_run_blocks(self, monkeypatch):
+        # at m=4, d=123 a state buffer of 256 steps takes 1 MB: the state
+        # budget cuts the blocks, which still tile the run in order
+        calls, weights = [], langevin_module._weights
+
+        def counted(entries, y, t0):
+            calls.append((t0, len(entries)))
+            return weights(entries, y, t0)
+
+        monkeypatch.setattr(langevin_module, "_weights", counted)
+        seq = generate_graph_sequence("seeded-random", 4, 1, seed=4)
+        run(seq, StepSchedule("harmonic", 0.1), ZeroPotential(123),
+            NoiseModel(0, 4), 600)
+        starts, sizes = zip(*calls)
+        assert max(sizes) < 256
+        assert list(starts) == [0, *np.cumsum(sizes[:-1])]
+        assert sum(sizes) == 600
+
+    @pytest.mark.parametrize("m, d, steps", [
+        (4, 2, 256), (4, 123, 133), (128, 2, 64), (512, 2, 4), (1024, 2, 1),
+        (4096, 2, 1)])
+    def test_block_steps_follow_the_cap_and_both_budgets(self, m, d, steps):
+        assert langevin_module._block_steps(m, d) == steps
 
     def test_single_agent_under_a_power_schedule_is_bitwise_a_plain_chain(self):
         # the run's step sizes must be the scalar step_size, bit for bit:
