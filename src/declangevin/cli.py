@@ -126,6 +126,9 @@ _AUC_CHUNK_BYTES = 2 << 20
 # test rows cast to float64 at once for those scores; 2 MiB tiles would
 # lift logistic's peak by 1.6 MB
 _AUC_TILE_BYTES = 256 << 10
+# float64 held at once by a table's CSV rows or its mixture occupancy count,
+# so that neither copies a whole table of records
+_TABLE_CHUNK_BYTES = 64 << 10
 
 
 def build_config(experiment: str, *override_maps) -> ExperimentConfig:
@@ -486,15 +489,19 @@ def _linreg_table(trace, setup: RunSetup, report):
 
 
 def _mixture_table(trace, setup: RunSetup, report):
-    # free the unused report and count the occupancy before building the
-    # table, so that neither is alive at the occupancy's peak memory
+    # the unused report is freed; the occupancy of each mode's ball is
+    # counted a chunk of records at a time
     del report
     cfg, post = setup.cfg, trace.states[len(trace.ts) // 5:]
-    near_a = np.linalg.norm(post - np.array([cfg.theta1, cfg.theta2]), axis=2) < 0.5
-    flipped = np.array([cfg.theta1 + cfg.theta2, -cfg.theta2])
-    near_b = np.linalg.norm(post - flipped, axis=2) < 0.5
+    modes = np.array([[cfg.theta1, cfg.theta2], [cfg.theta1 + cfg.theta2, -cfg.theta2]])
+    near = np.zeros(2, dtype=int)
+    width = max(1, _TABLE_CHUNK_BYTES // post[0].nbytes)
+    for lo in range(0, len(post), width):
+        near += [np.count_nonzero(np.linalg.norm(post[lo:lo + width] - mode, axis=2) < 0.5)
+                 for mode in modes]
+    near_a, near_b = near / post[..., 0].size
     summary = (f"post-burn-in occupancy near the two modes "
-               f"{near_a.mean():.2f} / {near_b.mean():.2f}")
+               f"{near_a:.2f} / {near_b:.2f}")
     header = ["t", "alpha"] + _per_agent(trace.num_agents, "theta1", "theta2",
                                          "consensus_error")
     rows = _rows(trace.ts, trace.alphas, trace.states[:, :, 0],
@@ -522,10 +529,13 @@ def _run_table(trace, setup: RunSetup, report):
     if report is None:
         return header, _rows(ts, *columns), ""
     header += ["lemma4_lhs", "lemma4_bound"]
-    # the report's prefix tau = t-1 >= 1 sits at its index tau-1
-    tau = ts[ts >= 2] - 1
+    # the report's prefix tau = t-1 >= 1 sits at its index tau-1 = t-2: the
+    # records from the first at t >= 2 on read every stride-th prefix
+    first = int(np.searchsorted(ts, 2))
+    prefixes = slice(first * trace.stride - 2, None, trace.stride)
     lemma4 = np.full((len(ts), 2), np.nan)
-    lemma4[ts >= 2] = np.column_stack([trace.worst_cum_dev[tau - 1], report.bound[tau - 1]])
+    lemma4[first:, 0] = trace.worst_cum_dev[prefixes]
+    lemma4[first:, 1] = report.bound[prefixes]
     columns.append(lemma4)
     return header, _rows(ts, *columns), (
         f"deviation bound {'VIOLATED' if report.violated else 'held'} "
@@ -534,9 +544,14 @@ def _run_table(trace, setup: RunSetup, report):
 
 def _rows(ts, *columns):
     """CSV rows, one per iteration t in ``ts``: t, then every column's
-    values at t, as plain ints and floats, produced one at a time."""
-    table = np.column_stack(columns)
-    return ([t] + row.tolist() for t, row in zip(ts.tolist(), table))
+    values at t, as plain ints and floats, produced one at a time.  The
+    columns are stacked in chunks of about 64 KiB of rows, so no copy of
+    the whole table is held."""
+    width = max(1, _TABLE_CHUNK_BYTES // (8 * sum(c[:1].size for c in columns)))
+    for lo in range(0, len(ts), width):
+        yield from ([t] + row.tolist() for t, row in zip(
+            ts[lo:lo + width].tolist(),
+            np.column_stack([c[lo:lo + width] for c in columns])))
 
 
 # subcommand -> (help text, the fields it reads besides the shared ones,

@@ -372,10 +372,11 @@ def average_state(ns: NetworkState) -> np.ndarray:
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm along the last axis; the arithmetic of
-    np.linalg.norm(v, axis=-1) without its dispatch.  A norm too large for
-    a float is inf, without a warning: the caller checks for it."""
+    np.linalg.norm(v, axis=-1) without its dispatch.  ``v`` is squared in
+    place, so it must be a temporary or a dead buffer.  A norm too large
+    for a float is inf, without a warning: the caller checks for it."""
     with np.errstate(over="ignore"):
-        return np.sqrt((v * v).sum(axis=-1))
+        return np.sqrt(np.multiply(v, v, out=v).sum(axis=-1))
 
 
 def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
@@ -460,21 +461,25 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
         seq.fill_mixing(t0, mixing[:n])
         y = _step(mixing[:n], y, xs, ws, zs, t0, alpha, potential, drawn,
                   gauss)[-1]
-        # xbar[k] is the average at iteration t0 + k; dev[k], pert[k] step t0 + k
+        del drawn, gauss  # so that two blocks' draws are never held at once
+        # records rec at the multiples t0 + k of stride in (t0, t0 + n],
+        # reached by steps t0 + kd
+        k = slice(stride - t0 % stride, n + 1, stride)
+        kd = slice(k.start - 1, n, stride)
+        rec = slice((t0 + k.start) // stride, (t0 + n) // stride + 1)
+        # xbar[k] is the average at iteration t0 + k; dev[k], pert[k] step
+        # t0 + k, formed in ws, dead past _step, and zs, past the records
         with np.errstate(over="ignore"):
             xbar = xs[:n + 1].sum(axis=1)[:, None] / m
-            dev = _row_norms(zs[1:n + 1] - xbar[:n])
-            pert = _row_norms(xs[1:n + 1] - ws[:n])
+            pert = _row_norms(np.subtract(xs[1:n + 1], ws[:n], out=ws[:n]))
+            states[rec] = zs[k]
+            consensus[rec] = _row_norms(np.subtract(zs[k], xbar[k], out=ws[kd]))
+            dev = _row_norms(np.subtract(zs[1:n + 1], xbar[:n], out=zs[1:n + 1]))
             sums = np.cumsum(np.vstack([sums[-1:], dev[1:] if t0 == 0 else dev]), axis=0)
-        # records at the multiples of stride in (t0, t0 + n]
-        k = np.arange(stride - t0 % stride, n + 1, stride)
-        rec = (t0 + k) // stride
-        states[rec] = zs[k]
-        consensus[rec] = _row_norms(zs[k] - xbar[k])
-        record_dev[rec] = dev[k - 1]
+        record_dev[rec] = dev[kd]
         # finite states can still be far enough apart to overflow a norm
         bad = ~np.isfinite(dev) | ~np.isfinite(pert)
-        bad[k - 1] |= ~np.isfinite(consensus[rec])
+        bad[kd] |= ~np.isfinite(consensus[rec])
         if bad.any():
             step, agent = np.argwhere(bad)[0]
             quantity = ("deviation norm" if not np.isfinite(dev[step, agent]) else

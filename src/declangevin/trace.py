@@ -4,7 +4,9 @@ A trace keeps thinned state snapshots plus the per-step reductions the bound
 monitors read, so it never grows as the horizon times the network size.  CSV
 files start with '#'-prefixed key=value metadata lines followed by a header
 row and data rows; all numbers are written with shortest round-trip
-precision so identical runs serialize to identical bytes.
+precision so identical runs serialize to identical bytes.  Rows stream in:
+the CLI stacks a table's columns about 64 KiB of rows at a time, so writing
+a trace's table holds no second copy of it.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class Trace:
     @property
     def ts(self) -> np.ndarray:
         """The recorded iterations: 0, stride, 2*stride, ... up to num_iters."""
-        return np.arange(self.num_iters // self.stride + 1) * self.stride
+        return np.arange(0, self.num_iters + 1, self.stride)
 
     @property
     def num_agents(self) -> int:
@@ -93,7 +95,8 @@ def write_csv(path, metadata: dict, header, rows) -> None:
         Column names.
     rows : iterable of sequences
         Row values, consumed one row at a time, so a generator streams
-        them; floats are written with repr so they parse back exactly.
+        them, for one the CLI's, which stacks them in byte-sized chunks of
+        rows; floats are written with repr so they parse back exactly.
         Rows of plain ``int``/``float`` are joined from their reprs, the
         bytes ``csv.writer`` would write for them; other rows go through
         the writer value by value.
@@ -105,10 +108,12 @@ def write_csv(path, metadata: dict, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         for line in lines:
             fh.write(f"# {line}\r\n")
-        writer = csv.writer(fh)
-        writer.writerow(list(header))
+        # a used csv.writer keeps a 128 KiB buffer: only rows that need one make it
+        csv.writer(fh).writerow(list(header))
+        writer = None
         for row in rows:
             if set(map(type, row)) <= {int, float}:
                 fh.write(",".join(map(repr, row)) + "\r\n")
             else:
+                writer = writer or csv.writer(fh)
                 writer.writerow([_format(v) for v in row])

@@ -359,6 +359,11 @@ CONTRACT_DIGESTS = {
         "b78dfa6bbed0c015f33df03a4f1b22e62a6abe9dee50cc091f341e0251f65f06",
     "run --agents 128 --iters 300":
         "cf0555d5b719f393c3ecd9e22eb88b13ac222a4e3756166487621fa490e8e364",
+    # 1,667 rows of 19 float columns: several row chunks and a ragged tail,
+    # with the NaN z_dev and lemma4 cells of iteration 0; recorded when the
+    # table was stacked whole
+    "run --monitors on --iters 5000 --stride 3":
+        "c2825638ca7eb1fb5db3f05e00b87321655306c71a1f76ce63b674eeeb05e1e4",
 }
 
 

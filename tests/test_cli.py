@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ from declangevin import (ConfigError, Dataset, GaussianDist, Trace,
                          build_config, generate_linreg_data, linreg_posterior,
                          linreg_w2_series, logistic_auc_series, main,
                          make_surrogate_classification, prepare,
-                         run_experiment, spectral_bounds, step_size)
+                         run_experiment, spectral_bounds, step_size,
+                         write_csv)
 from declangevin import cli as cli_module
 from declangevin.cli import _FIELD_TYPES, ExperimentConfig, load_config_file
 
@@ -489,6 +491,104 @@ class TestRunExperiment:
         want_ts, want = reference_auc_series(trace, test, 10)
         np.testing.assert_array_equal(eval_ts, want_ts)
         assert aucs.tobytes() == want.tobytes()
+
+
+class TestRows:
+    """Table rows are stacked a byte-sized chunk of records at a time."""
+
+    # the columns of a default mixture table (alpha, theta1, theta2,
+    # consensus error at m = 4, the thetas as strided views) and of a
+    # single column
+    LAYOUTS = {"mixture": (1, 4, 4, 4), "one column": (1,)}
+
+    @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+    @pytest.mark.parametrize("where", ["1", "chunk-1", "chunk", "chunk+1",
+                                      "3 chunks+tail"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_chunks_write_the_bytes_of_the_whole_table(self, layout, where,
+                                                       seed, tmp_path):
+        chunk = cli_module._TABLE_CHUNK_BYTES // (8 * sum(layout))
+        n = {"1": 1, "chunk-1": chunk - 1, "chunk": chunk,
+             "chunk+1": chunk + 1, "3 chunks+tail": 3 * chunk + 17}[where]
+        rng = np.random.default_rng(seed)
+        cells = rng.standard_normal((n, sum(layout))) * 10.0 ** rng.integers(
+            -300, 300, (n, sum(layout)))
+        # special values in about one cell in eight
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+        mask = rng.random(cells.shape) < 0.125
+        cells[mask] = rng.choice(special, mask.sum())
+        # 2-D columns as strided views, like the mixture's states[:, :, j]
+        bounds = np.cumsum((0,) + layout)
+        columns = [cells[:, lo] if hi - lo == 1 else cells[:, lo:hi]
+                   for lo, hi in zip(bounds[:-1], bounds[1:])]
+        ts = np.arange(0, 3 * n, 3)
+        header = ["t"] + [f"c{j}" for j in range(sum(layout))]
+        whole = np.column_stack(columns)
+        write_csv(tmp_path / "whole.csv", {}, header,
+                  ([t] + row.tolist() for t, row in zip(ts.tolist(), whole)))
+        write_csv(tmp_path / "chunked.csv", {}, header,
+                  cli_module._rows(ts, *columns))
+        assert (tmp_path / "chunked.csv").read_bytes() == \
+            (tmp_path / "whole.csv").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_rec=st.integers(2, 80), chunk=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_the_occupancy_counts_every_record_once(self, n_rec, chunk, seed):
+        # chunks of a few records, so that a record lost or counted twice
+        # at a boundary moves the two-decimal summary
+        m = 3
+        rng = np.random.default_rng(seed)
+        cfg = build_config("mixture")
+        modes = np.array([[cfg.theta1, cfg.theta2],
+                          [cfg.theta1 + cfg.theta2, -cfg.theta2],
+                          [5.0, 5.0]])
+        states = modes[rng.integers(0, 3, (n_rec, m))] + \
+            rng.uniform(-0.3, 0.3, (n_rec, m, 2))
+        trace = Trace(alphas=np.zeros(n_rec), states=states,
+                      consensus=np.zeros((n_rec, m)),
+                      record_dev=np.zeros((n_rec, m)),
+                      worst_cum_dev=np.zeros(n_rec - 2), max_pert=0.0,
+                      num_iters=n_rec - 1, stride=1)
+        post = states[n_rec // 5:]
+        want = [np.mean(np.linalg.norm(post - mode, axis=2) < 0.5)
+                for mode in modes[:2]]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli_module, "_TABLE_CHUNK_BYTES", chunk * m * 2 * 8)
+            _, _, summary = cli_module._mixture_table(
+                trace, types.SimpleNamespace(cfg=cfg), None)
+        assert summary == (f"post-burn-in occupancy near the two modes "
+                           f"{want[0]:.2f} / {want[1]:.2f}")
+
+    def test_a_long_mixture_run_peaks_near_its_trace_bytes(self, tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+        # the whole table stacked at once, and the occupancy's norms over
+        # every post-burn-in record, took 2.1 times the trace's bytes
+        traces = []
+
+        def keep(cfg, setup=None):
+            traces.append(run_experiment(cfg, setup))
+            return traces[-1]
+
+        monkeypatch.setattr(cli_module, "run_experiment", keep)
+        flags = ["mixture", "--monitors", "on", "--out", str(tmp_path / "o.csv")]
+        # a short run first, so that no first-call allocation is counted
+        assert main(flags + ["--iters", "10"]) == 0
+        traces.clear()
+        tracemalloc.start()
+        try:
+            assert main(flags + ["--iters", "20000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        trace, = traces
+        trace_bytes = sum(a.nbytes for a in (
+            trace.alphas, trace.states, trace.consensus, trace.record_dev,
+            trace.worst_cum_dev))
+        assert trace_bytes > 2.8e6
+        assert peak < 1.25 * trace_bytes
 
 
 class TestMain:

@@ -117,6 +117,28 @@ class TestWriteCsv:
         writer.writerows(rows)
         assert path.read_bytes() == expected.getvalue().encode()
 
+    def test_number_rows_stream_past_no_csv_writer_buffer(self, tmp_path):
+        # a csv.writer keeps a 128 KiB buffer once it has written a row;
+        # the header's writer is gone by the time the rows stream
+        def rows():
+            tracemalloc.reset_peak()
+            yield from ([t, t / 7.0] for t in range(1000))
+
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "n.csv", {}, ["t", "v"], rows())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+    def test_other_rows_between_number_rows_go_through_the_writer(
+            self, tmp_path):
+        rows = [[0, 0.5], ["a,b", np.float64(1.5)], [1, 2.5], [True, 'q"']]
+        write_csv(tmp_path / "mixed.csv", {}, ["x", "y"], rows)
+        assert (tmp_path / "mixed.csv").read_bytes() == (
+            b'x,y\r\n0,0.5\r\n"a,b",1.5\r\n1,2.5\r\ntrue,"q"""\r\n')
+
     def test_rows_stream_from_a_generator(self, tmp_path):
         def rows():
             for t in range(100_000):
