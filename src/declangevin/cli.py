@@ -35,7 +35,7 @@ from .models import (Dataset, GaussianDist, GaussianPotential, LinRegPotential,
                      generate_linreg_data, generate_mixture_data,
                      linreg_posterior, load_libsvm,
                      make_surrogate_classification, partition)
-from .trace import write_csv
+from .trace import _CHUNK_BYTES, write_csv
 
 __all__ = [
     "ConfigError",
@@ -126,9 +126,6 @@ _AUC_CHUNK_BYTES = 2 << 20
 # test rows cast to float64 at once for those scores; 2 MiB tiles would
 # lift logistic's peak by 1.6 MB
 _AUC_TILE_BYTES = 256 << 10
-# float64 held at once by a table's CSV rows or its mixture occupancy count,
-# so that neither copies a whole table of records
-_TABLE_CHUNK_BYTES = 64 << 10
 
 
 def build_config(experiment: str, *override_maps) -> ExperimentConfig:
@@ -407,26 +404,30 @@ def linreg_w2_series(trace, posterior: GaussianDist):
     At every recorded iteration t each agent's samples in (t/2, t] are fit
     with a Gaussian once the window holds dim + 1 points; earlier entries
     are NaN.  The fits are :func:`empirical_gaussian`'s, from prefix sums of
-    x - mu and its outer products, centred on the posterior mean mu so that
-    they do not cancel.  Returns (paper, bures), each (n_records, agents).
+    x - mu and its outer products formed in place, centred on the posterior
+    mean mu so that they do not cancel; the windows are fit 64 KiB of
+    records at a time.  Returns (paper, bures), each (n_records, agents).
     """
-    x = np.pad(trace.states - posterior.mean, [(1, 0), (0, 0), (0, 0)])
-    first = np.cumsum(x, axis=0)
-    second = np.cumsum(x[..., :, None] * x[..., None, :], axis=0)
+    n_rec, m, d = trace.states.shape
+    first = np.pad(trace.states - posterior.mean, [(1, 0), (0, 0), (0, 0)])
+    second = first[..., :, None] * first[..., None, :]
+    np.cumsum(first, axis=0, out=first)
+    np.cumsum(second, axis=0, out=second)
+    # record k's window sums are the prefix differences (lo[k], k + 1]
     lo = np.searchsorted(trace.ts, trace.ts / 2, side="right")
-    hi = np.arange(1, len(lo) + 1)
-    full = hi - lo > trace.dim
-    lo, hi = lo[full], hi[full]
-    n = (hi - lo)[:, None, None, None]
-    s1 = first[hi] - first[lo]
-    cov = (second[hi] - second[lo] - s1[..., :, None] * s1[..., None, :] / n) / (n - 1)
-    cov += COV_RIDGE * np.eye(trace.dim)
-    mean = posterior.mean + s1 / n[..., 0]
-    del x, first, second, s1  # free the sums before the fits are checked
-    fit = GaussianDist(mean, cov)
-    w2 = np.full((2,) + trace.consensus.shape, np.nan)
-    # the posterior first, so that its square root is taken once
-    w2[:, full] = w2_gaussian_paper(fit, posterior), w2_gaussian_bures(posterior, fit)
+    full = np.flatnonzero(np.arange(1, n_rec + 1) - lo > d)
+    w2 = np.full((2, n_rec, m), np.nan)
+    width = max(1, _CHUNK_BYTES // second[0].nbytes)
+    for start in range(0, len(full), width):
+        k = full[start:start + width]
+        a, b = lo[k], k + 1
+        n = (b - a)[:, None, None, None]
+        s1 = first[b] - first[a]
+        cov = (second[b] - second[a] - s1[..., :, None] * s1[..., None, :] / n) / (n - 1)
+        cov += COV_RIDGE * np.eye(d)
+        fit = GaussianDist(posterior.mean + s1 / n[..., 0], cov)
+        # the posterior first, so that its square root is taken once
+        w2[:, k] = w2_gaussian_paper(fit, posterior), w2_gaussian_bures(posterior, fit)
     return tuple(w2)
 
 
@@ -454,9 +455,10 @@ def logistic_auc_series(trace, test: Dataset, eval_every: int):
     for start in range(0, len(states), width):
         rows = states[start:start + width]
         out = scores[:len(rows)]
+        # the cast goes straight to the product, so no tile outlives it
         for lo in range(0, test.n, tile):
-            feats = test.features[lo:lo + tile].astype(float, copy=False)
-            np.matmul(rows, feats.T, out=out[:, lo:lo + tile])
+            np.matmul(rows, test.features[lo:lo + tile].astype(float, copy=False).T,
+                      out=out[:, lo:lo + tile])
         aucs[start:start + width] = roc_auc(out, test.targets)
     return ts[picks], aucs.reshape(len(picks), trace.num_agents)
 
@@ -482,10 +484,10 @@ def _linreg_table(trace, setup: RunSetup, report):
     paper, bures = linreg_w2_series(trace, setup.extras["posterior"])
     header = ["t", "alpha", "w2_paper", "w2_bures"] + \
         _per_agent(trace.num_agents, "consensus_error")
-    rows = _rows(trace.ts, trace.alphas, paper.mean(axis=1),
-                 bures.mean(axis=1), trace.consensus)
-    return header, rows, (f"final mean W2 {np.mean(paper[-1]):.4f} (paper "
-                          f"form), {np.mean(bures[-1]):.4f} (exact)")
+    table = (trace.ts, trace.alphas, paper.mean(axis=1), bures.mean(axis=1),
+             trace.consensus)
+    return header, table, (f"final mean W2 {np.mean(paper[-1]):.4f} (paper "
+                           f"form), {np.mean(bures[-1]):.4f} (exact)")
 
 
 def _mixture_table(trace, setup: RunSetup, report):
@@ -495,7 +497,7 @@ def _mixture_table(trace, setup: RunSetup, report):
     cfg, post = setup.cfg, trace.states[len(trace.ts) // 5:]
     modes = np.array([[cfg.theta1, cfg.theta2], [cfg.theta1 + cfg.theta2, -cfg.theta2]])
     near = np.zeros(2, dtype=int)
-    width = max(1, _TABLE_CHUNK_BYTES // post[0].nbytes)
+    width = max(1, _CHUNK_BYTES // post[0].nbytes)
     for lo in range(0, len(post), width):
         near += [np.count_nonzero(np.linalg.norm(post[lo:lo + width] - mode, axis=2) < 0.5)
                  for mode in modes]
@@ -504,18 +506,17 @@ def _mixture_table(trace, setup: RunSetup, report):
                f"{near_a:.2f} / {near_b:.2f}")
     header = ["t", "alpha"] + _per_agent(trace.num_agents, "theta1", "theta2",
                                          "consensus_error")
-    rows = _rows(trace.ts, trace.alphas, trace.states[:, :, 0],
-                 trace.states[:, :, 1], trace.consensus)
-    return header, rows, summary
+    return header, (trace.ts, trace.alphas, trace.states[:, :, 0],
+                    trace.states[:, :, 1], trace.consensus), summary
 
 
 def _logistic_table(trace, setup: RunSetup, report):
     eval_ts, aucs = logistic_auc_series(trace, setup.extras["test"],
                                         setup.cfg.eval_every)
     header = ["t", "alpha"] + _per_agent(trace.num_agents, "auc") + ["auc_mean"]
-    rows = _rows(eval_ts, trace.alphas[eval_ts // trace.stride], aucs,
-                 aucs.mean(axis=1))
-    return header, rows, f"final mean test AUC {np.mean(aucs[-1]):.4f}"
+    table = (eval_ts, trace.alphas[eval_ts // trace.stride], aucs,
+             aucs.mean(axis=1))
+    return header, table, f"final mean test AUC {np.mean(aucs[-1]):.4f}"
 
 
 def _run_table(trace, setup: RunSetup, report):
@@ -524,10 +525,10 @@ def _run_table(trace, setup: RunSetup, report):
                                for j in range(d)]
     header += _per_agent(m, "consensus_error", "z_dev")
     ts = trace.ts
-    columns = [trace.alphas, trace.states.reshape(len(ts), m * d),
-               trace.consensus, trace.record_dev]
+    table = [ts, trace.alphas, trace.states.reshape(len(ts), m * d),
+             trace.consensus, trace.record_dev]
     if report is None:
-        return header, _rows(ts, *columns), ""
+        return header, table, ""
     header += ["lemma4_lhs", "lemma4_bound"]
     # the report's prefix tau = t-1 >= 1 sits at its index tau-1 = t-2: the
     # records from the first at t >= 2 on read every stride-th prefix
@@ -536,28 +537,16 @@ def _run_table(trace, setup: RunSetup, report):
     lemma4 = np.full((len(ts), 2), np.nan)
     lemma4[first:, 0] = trace.worst_cum_dev[prefixes]
     lemma4[first:, 1] = report.bound[prefixes]
-    columns.append(lemma4)
-    return header, _rows(ts, *columns), (
+    table.append(lemma4)
+    return header, table, (
         f"deviation bound {'VIOLATED' if report.violated else 'held'} "
         f"(max ratio {report.max_ratio:.2e})")
-
-
-def _rows(ts, *columns):
-    """CSV rows, one per iteration t in ``ts``: t, then every column's
-    values at t, as plain ints and floats, produced one at a time.  The
-    columns are stacked in chunks of about 64 KiB of rows, so no copy of
-    the whole table is held."""
-    width = max(1, _TABLE_CHUNK_BYTES // (8 * sum(c[:1].size for c in columns)))
-    for lo in range(0, len(ts), width):
-        yield from ([t] + row.tolist() for t, row in zip(
-            ts[lo:lo + width].tolist(),
-            np.column_stack([c[lo:lo + width] for c in columns])))
 
 
 # subcommand -> (help text, the fields it reads besides the shared ones,
 # table).  Its flags, its config keys and its CSV header's echo are these
 # fields; a table maps (trace, setup, bound report or None) to the CSV
-# header, its rows and the summary after "wrote <out>".
+# header, its columns (ts first) and the summary after "wrote <out>".
 _EXPERIMENTS = {
     "linreg": ("Bayesian linear regression against its conjugate posterior",
                ("batch", "n", "dims", "data_sigma", "true_w"), _linreg_table),
@@ -579,13 +568,16 @@ _READS = {name: _SHARED + own for name, (_, own, _) in _EXPERIMENTS.items()}
 def _command(cfg: ExperimentConfig) -> int:
     """Run one subcommand: prepare, sample, check the bound if monitors are
     on, write the experiment's table and print one line."""
+    # refused before any draw; opened only once the table is ready
+    out = cfg.out or f"{cfg.experiment}.csv"
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"--out {out!r} is a directory or lies in a missing one")
     setup = prepare(cfg)
     trace = run_experiment(cfg, setup)
     # the report goes straight to the table, which alone holds it
-    header, rows, summary = _EXPERIMENTS[cfg.experiment][2](
+    header, table, summary = _EXPERIMENTS[cfg.experiment][2](
         trace, setup, _monitor_metadata(trace, setup) if cfg.monitors == "on" else None)
-    out = cfg.out or f"{cfg.experiment}.csv"
-    write_csv(out, setup.metadata, header, rows)
+    write_csv(out, setup.metadata, header, *table)
     print(f"{cfg.experiment}: wrote {out}" + (f"; {summary}" if summary else ""))
     return 0
 

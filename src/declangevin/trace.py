@@ -4,19 +4,23 @@ A trace keeps thinned state snapshots plus the per-step reductions the bound
 monitors read, so it never grows as the horizon times the network size.  CSV
 files start with '#'-prefixed key=value metadata lines followed by a header
 row and data rows; all numbers are written with shortest round-trip
-precision so identical runs serialize to identical bytes.  Rows stream in:
-the CLI stacks a table's columns about 64 KiB of rows at a time, so writing
-a trace's table holds no second copy of it.
+precision so identical runs serialize to identical bytes.  A table is its
+iterations and numeric columns, which :func:`write_csv` stacks about 64 KiB
+of rows at a time, so writing a trace's table holds no second copy of it.
 """
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["Trace", "write_csv"]
+
+# float64 of a table held at once: a chunk of rows while it is written, of
+# records while the CLI counts the mixture's occupancy or fits W2 windows
+_CHUNK_BYTES = 64 << 10
 
 
 @dataclass
@@ -70,50 +74,41 @@ class Trace:
 
 
 def _format(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    value = value.item() if isinstance(value, np.generic) else value
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def write_csv(path, metadata: dict, header, rows) -> None:
-    """Write a metadata-plus-table CSV file.
+def write_csv(path, metadata: dict, header, ts, *columns) -> None:
+    """Write '# key=value' metadata lines, in insertion order, then a table.
 
-    Parameters
-    ----------
-    path : str or Path
-        Output file, overwritten if present.
-    metadata : dict
-        Written first as '# key=value' comment lines, in insertion order.
-        A key or value that holds a line break raises ValueError before the
-        file is opened.  No timestamps belong here: the same inputs must
-        produce the same bytes.
-    header : sequence of str
-        Column names.
-    rows : iterable of sequences
-        Row values, consumed one row at a time, so a generator streams
-        them, for one the CLI's, which stacks them in byte-sized chunks of
-        rows; floats are written with repr so they parse back exactly.
-        Rows of plain ``int``/``float`` are joined from their reprs, the
-        bytes ``csv.writer`` would write for them; other rows go through
-        the writer value by value.
+    ``header`` names the columns: ``ts``, (n,) integers, then each of
+    ``columns``, (n,) or (n, k) integers or floats.  They are stacked 64 KiB
+    of rows at a time and every value is written with repr, so floats parse
+    back exactly and equal inputs give equal bytes.  A line break in the
+    metadata, a column name that would need quoting, a column of another
+    type and a table of another shape are refused before the file is opened.
     """
     lines = [f"{key}={_format(value)}" for key, value in metadata.items()]
     for key, line in zip(metadata, lines):
         if "\r" in line or "\n" in line:
             raise ValueError(f"metadata entry {key!r} holds a line break")
+    for name in header:
+        if set(name) & set(',"\r\n'):
+            raise ValueError(f"column name {name!r} would need quoting")
+    if ts.dtype.kind not in "iu" or any(c.dtype.kind not in "iuf" for c in columns):
+        raise TypeError("a table holds integer iterations and integer or float columns")
+    width = sum(math.prod(c.shape[1:]) for c in columns)
+    if len(header) != 1 + width or any(c.ndim > 2 or len(c) != len(ts) for c in columns):
+        raise ValueError(f"{len(header)} names for ts {ts.shape} and columns "
+                         f"{[c.shape for c in columns]}")
+    columns = columns or (np.empty((len(ts), 0)),)  # a table of ts alone
+    step, sep = max(1, _CHUNK_BYTES // (8 * max(width, 1))), "," if width else ""
     with open(path, "w", newline="") as fh:
-        for line in lines:
-            fh.write(f"# {line}\r\n")
-        # a used csv.writer keeps a 128 KiB buffer: only rows that need one make it
-        csv.writer(fh).writerow(list(header))
-        writer = None
-        for row in rows:
-            if set(map(type, row)) <= {int, float}:
-                fh.write(",".join(map(repr, row)) + "\r\n")
-            else:
-                writer = writer or csv.writer(fh)
-                writer.writerow([_format(v) for v in row])
+        fh.writelines(f"# {line}\r\n" for line in lines)
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(ts), step):
+            # one generator per chunk, so that no row keeps the last chunk
+            # alive while the next one is stacked
+            fh.writelines(f"{t}{sep}{','.join(map(repr, row.tolist()))}\r\n"
+                          for t, row in zip(ts[lo:lo + step].tolist(), np.column_stack(
+                              [c[lo:lo + step] for c in columns])))

@@ -21,9 +21,10 @@ from declangevin import (ConfigError, Dataset, GaussianDist, Trace,
                          linreg_w2_series, logistic_auc_series, main,
                          make_surrogate_classification, prepare,
                          run_experiment, spectral_bounds, step_size,
-                         write_csv)
+                         w2_gaussian_bures, w2_gaussian_paper)
 from declangevin import cli as cli_module
 from declangevin.cli import _FIELD_TYPES, ExperimentConfig, load_config_file
+from declangevin.metrics import COV_RIDGE
 
 from conftest import (reference_auc_series, reference_b_connected,
                       reference_w2_series, save_libsvm)
@@ -410,6 +411,55 @@ class TestRunExperiment:
         self.assert_w2_series_match(self.w2_trace(states, 1), posterior,
                                     1e-10)
 
+    @staticmethod
+    def one_shot_w2_series(trace, posterior):
+        """The series from prefix sums over every record and fits of every
+        full window at once."""
+        x = np.pad(trace.states - posterior.mean, [(1, 0), (0, 0), (0, 0)])
+        first = np.cumsum(x, axis=0)
+        second = np.cumsum(x[..., :, None] * x[..., None, :], axis=0)
+        lo = np.searchsorted(trace.ts, trace.ts / 2, side="right")
+        hi = np.arange(1, len(lo) + 1)
+        full = hi - lo > trace.dim
+        lo, hi = lo[full], hi[full]
+        n = (hi - lo)[:, None, None, None]
+        s1 = first[hi] - first[lo]
+        cov = (second[hi] - second[lo]
+               - s1[..., :, None] * s1[..., None, :] / n) / (n - 1)
+        cov += COV_RIDGE * np.eye(trace.dim)
+        fit = GaussianDist(posterior.mean + s1 / n[..., 0], cov)
+        w2 = np.full((2,) + trace.consensus.shape, np.nan)
+        w2[:, full] = (w2_gaussian_paper(fit, posterior),
+                       w2_gaussian_bures(posterior, fit))
+        return w2
+
+    def test_linreg_w2_series_holds_about_two_traces_beside_its_trace(self):
+        # a 20,000-step linreg trace, synthetic so that nothing is sampled;
+        # whole-array sums and fits held 5.3 times the trace's bytes
+        rng = np.random.default_rng(3)
+        n_rec, m, d = 20_001, 4, 2
+        posterior = GaussianDist(np.array([1.0, -1.0]),
+                                 np.array([[1.0, 0.3], [0.3, 0.5]]))
+        trace = Trace(alphas=rng.random(n_rec),
+                      states=posterior.mean + rng.standard_normal((n_rec, m, d)),
+                      consensus=rng.random((n_rec, m)),
+                      record_dev=rng.random((n_rec, m)),
+                      worst_cum_dev=rng.random(n_rec - 2), max_pert=0.0,
+                      num_iters=n_rec - 1, stride=1)
+        trace_bytes = sum(a.nbytes for a in (
+            trace.alphas, trace.states, trace.consensus, trace.record_dev,
+            trace.worst_cum_dev))
+        linreg_w2_series(trace, posterior)  # no first-call allocation counted
+        tracemalloc.start()
+        try:
+            got = linreg_w2_series(trace, posterior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * trace_bytes
+        assert np.stack(got).tobytes() == \
+            self.one_shot_w2_series(trace, posterior).tobytes()
+
     def test_logistic_auc_series_picks_evaluation_points(self):
         cfg = build_config("logistic", {"dataset": "no/such/file",
                                         "surrogate": "on", "n": 200,
@@ -494,42 +544,7 @@ class TestRunExperiment:
 
 
 class TestRows:
-    """Table rows are stacked a byte-sized chunk of records at a time."""
-
-    # the columns of a default mixture table (alpha, theta1, theta2,
-    # consensus error at m = 4, the thetas as strided views) and of a
-    # single column
-    LAYOUTS = {"mixture": (1, 4, 4, 4), "one column": (1,)}
-
-    @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
-    @pytest.mark.parametrize("where", ["1", "chunk-1", "chunk", "chunk+1",
-                                      "3 chunks+tail"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_chunks_write_the_bytes_of_the_whole_table(self, layout, where,
-                                                       seed, tmp_path):
-        chunk = cli_module._TABLE_CHUNK_BYTES // (8 * sum(layout))
-        n = {"1": 1, "chunk-1": chunk - 1, "chunk": chunk,
-             "chunk+1": chunk + 1, "3 chunks+tail": 3 * chunk + 17}[where]
-        rng = np.random.default_rng(seed)
-        cells = rng.standard_normal((n, sum(layout))) * 10.0 ** rng.integers(
-            -300, 300, (n, sum(layout)))
-        # special values in about one cell in eight
-        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
-        mask = rng.random(cells.shape) < 0.125
-        cells[mask] = rng.choice(special, mask.sum())
-        # 2-D columns as strided views, like the mixture's states[:, :, j]
-        bounds = np.cumsum((0,) + layout)
-        columns = [cells[:, lo] if hi - lo == 1 else cells[:, lo:hi]
-                   for lo, hi in zip(bounds[:-1], bounds[1:])]
-        ts = np.arange(0, 3 * n, 3)
-        header = ["t"] + [f"c{j}" for j in range(sum(layout))]
-        whole = np.column_stack(columns)
-        write_csv(tmp_path / "whole.csv", {}, header,
-                  ([t] + row.tolist() for t, row in zip(ts.tolist(), whole)))
-        write_csv(tmp_path / "chunked.csv", {}, header,
-                  cli_module._rows(ts, *columns))
-        assert (tmp_path / "chunked.csv").read_bytes() == \
-            (tmp_path / "whole.csv").read_bytes()
+    """The output stage holds a byte-sized chunk of records at a time."""
 
     @settings(max_examples=40, deadline=None)
     @given(n_rec=st.integers(2, 80), chunk=st.integers(1, 12),
@@ -554,7 +569,7 @@ class TestRows:
         want = [np.mean(np.linalg.norm(post - mode, axis=2) < 0.5)
                 for mode in modes[:2]]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli_module, "_TABLE_CHUNK_BYTES", chunk * m * 2 * 8)
+            mp.setattr(cli_module, "_CHUNK_BYTES", chunk * m * 2 * 8)
             _, _, summary = cli_module._mixture_table(
                 trace, types.SimpleNamespace(cfg=cfg), None)
         assert summary == (f"post-burn-in occupancy near the two modes "
@@ -791,6 +806,14 @@ class TestMain:
         assert "cannot split 800 rows into 900 shards" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists()
 
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_an_unusable_out_exits_with_two_before_any_draw(
+            self, where, tmp_path, capsys, no_draws):
+        out = tmp_path if where == "directory" else tmp_path / "no" / "x.csv"
+        assert main(["mixture", "--out", str(out)]) == 2
+        assert repr(str(out)) in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv, message", [
         (["run", "--model_kappa", "0"], "model_kappa must be positive"),
         (["run", "--model_kappa", "-1"], "model_kappa must be positive"),
@@ -868,13 +891,16 @@ class TestMain:
         assert done.stdout.strip() == "[]"
 
     def test_divergence_exits_with_one(self, tmp_path, capsys):
-        # the state overflows before the finiteness check trips
+        # the state overflows before the finiteness check trips; the file
+        # is opened only once a table is ready, so an old one is kept
+        out = tmp_path / "d.csv"
+        out.write_bytes(b"an earlier result\r\n")
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["linreg", "--n", "60", "--alpha_start", "1000",
-                         "--alpha_end", "500", "--out",
-                         str(tmp_path / "d.csv")])
+                         "--alpha_end", "500", "--out", str(out)])
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier result\r\n"
 
 
 class TestCommandPath:
