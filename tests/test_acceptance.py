@@ -364,6 +364,12 @@ CONTRACT_DIGESTS = {
     # table was stacked whole
     "run --monitors on --iters 5000 --stride 3":
         "c2825638ca7eb1fb5db3f05e00b87321655306c71a1f76ce63b674eeeb05e1e4",
+    # the generated static graph, read as an explicit sequence, with its
+    # bound monitors and at a window longer than its list of one graph
+    "run --graph_kind static --agents 6 --monitors on":
+        "d9802e89f17474f70b55152ca7d4b8ec8b816f66afbff42c52a79a20b23b80d6",
+    "run --graph_kind static --graph_b 3":
+        "d892ea9f9d0cf9d6ba817fff39e165644a381d022c82d11eead6d00bb3f80665",
 }
 
 
