@@ -6,9 +6,9 @@ the out-degree used for mass splitting is the number of out-edges plus one.
 A sequence of graphs is B-strongly-connected when the union of the edge sets
 over each window [kB, (k+1)B - 1] is strongly connected, which the samplers
 require; individual graphs in the window may be arbitrarily sparse.  A
-sequence holds its graphs once, as per-step adjacency or, generated ones,
-as edge lists, and a graph reaches the sampler only through its
-column-stochastic mixing matrix, which holds entries alone.
+sequence holds its graphs once, as per-step edge lists, and a graph reaches
+the sampler only through its column-stochastic mixing matrix, which holds
+entries alone.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -66,29 +65,19 @@ class DirectedGraph:
             raise ValueError(f"explicit self-loop ({u}, {u}) is not allowed")
         object.__setattr__(self, "edges", frozenset(map(tuple, pairs.tolist())))
 
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """(m, m) booleans, [v, u] True when u sends to v or u == v."""
-        adj = np.eye(self.num_nodes, dtype=bool)
-        if self.edges:
-            u, v = np.array(list(self.edges)).T
-            adj[v, u] = True
-        adj.flags.writeable = False
-        return adj
-
 
 def _random_windows(m: int, b: int, seed: int, k: int, count: int) -> tuple:
     """Edge lists (starts, cells) of the count seeded-random windows of block k.
 
     The edges of the block's step s are cells[starts[s]:starts[s + 1]],
-    each the flat index v * m + u of the adjacency entry [v, u] of an edge
-    from u to v; self-loops are implicit.  The block draws from one
-    ``np.random.default_rng([seed, k])``: a random Hamiltonian cycle per
-    window, each of its edges placed in a random slot of the window, then
-    for every slot a random number of extra random edges, of which
-    self-loops change nothing.  Each of the four kinds of draw is one call
-    for the whole block.  The seed is nonnegative, which the sequence
-    checks once.
+    distinct and in increasing order, each the flat index v * m + u of the
+    mixing entry [v, u] of an edge from u to v; self-loops are implicit.
+    The block draws from one ``np.random.default_rng([seed, k])``: a random
+    Hamiltonian cycle per window, each of its edges placed in a random slot
+    of the window, then for every slot a random number of extra random
+    edges, of which self-loops and repeats are dropped.  Each of the four
+    kinds of draw is one call for the whole block.  The seed is
+    nonnegative, which the sequence checks once.
     """
     if k >= 1 << 32:
         # past it k takes two 32-bit words of entropy, and [seed, k]
@@ -101,22 +90,28 @@ def _random_windows(m: int, b: int, seed: int, k: int, count: int) -> tuple:
     slots = rng.integers(0, b, size=(count, m))
     extra = rng.integers(0, m + 1, size=count * b)
     pairs = rng.integers(0, m, size=(extra.sum(), 2))
-    steps = np.concatenate([(b * np.arange(count)[:, None] + slots).ravel(),
-                            np.repeat(np.arange(count * b), extra)])
-    cells = np.concatenate([(perms[:, np.roll(nodes, -1)] * m + perms).ravel(),
-                            pairs[:, 1] * m + pairs[:, 0]])
-    order = np.argsort(steps, kind="stable")
-    return np.searchsorted(steps[order], np.arange(count * b + 1)), cells[order]
+    # every edge u -> v of step s but the self-loops as one key
+    # s * m*m + v * m + u, sorted by step, then by cell, and kept once
+    mm, succ = m * m, perms[:, (nodes + 1) % m]
+    key = np.concatenate([
+        ((b * np.arange(count)[:, None] + slots) * mm + succ * m + perms)[succ != perms],
+        (np.repeat(np.arange(count * b) * mm, extra) + pairs[:, 1] * m + pairs[:, 0])[
+            pairs[:, 0] != pairs[:, 1]]])
+    key.sort()
+    key = key[np.diff(key, prepend=-1) != 0]
+    starts = np.searchsorted(key, np.arange(count * b + 1) * mm)
+    key -= np.repeat(np.arange(count * b) * mm, np.diff(starts))
+    return starts, key
 
 
-def _scatter(adj: np.ndarray, windows: tuple, lo: int) -> np.ndarray:
-    """Set in ``adj``, (n, m, m) booleans, the self-loops and the edges of
-    steps lo..lo+n-1 of the edge lists ``windows``; returns adj."""
-    (starts, cells), (n, m) = windows, adj.shape[:2]
-    adj[:, np.arange(m), np.arange(m)] = True
-    step = np.repeat(np.arange(n), np.diff(starts[lo:lo + n + 1]))
-    adj.reshape(n, m * m)[step, cells[starts[lo]:starts[lo + n]]] = True
-    return adj
+def _gather(lists: tuple, rows: np.ndarray) -> tuple:
+    """(i, cells) of the edges of step rows[i] of the edge lists ``lists``,
+    for every i, in the order of ``rows``."""
+    starts, cells = lists
+    counts = starts[rows + 1] - starts[rows]
+    i = np.repeat(np.arange(len(rows)), counts)
+    # an edge's place in the result, moved to its place in its row
+    return i, cells[np.arange(len(i)) + (starts[rows] - np.cumsum(counts) + counts)[i]]
 
 
 def _check_columns(entries: np.ndarray) -> None:
@@ -163,15 +158,16 @@ class DirectedGraphSequence:
     ``np.random.default_rng([seed, k])``, so the seed must be nonnegative
     and k below 2**32.
 
-    Explicit graphs are held once, as boolean adjacency, one (m, m) matrix
-    per step.  Seeded-random windows are generated in blocks of about 256
-    steps, held as edge lists, about 2.5 m edges a step, of which only the
-    last block is kept, so a reader that goes forward in time generates
-    each block once; only the steps read are made dense.
-    :meth:`fill_mixing` turns a block of steps into mixing matrices in one
-    call, and :meth:`mixing_at` is that call on a block of one step;
-    :meth:`graph_at` rebuilds a single step's graph from the same adjacency
-    on every call.
+    Every kind holds its graphs once, as per-step edge lists ``(starts,
+    cells)``: step s's edges u -> v are the cells v * m + u in
+    cells[starts[s]:starts[s + 1]].  Explicit graphs are one list of P
+    steps.  Seeded-random windows, about 2.5 m edges a step, are generated
+    in blocks of about 256 steps, of which only the last is kept, so a
+    reader that goes forward in time generates each block once.  :meth:`fill_mixing` turns
+    a block of steps into mixing matrices in one call, writing only their
+    diagonals and edges, and :meth:`mixing_at` is that call on a block of
+    one step; :meth:`graph_at` rebuilds a single step's graph from the same
+    edge lists on every call.
     """
 
     def __init__(self, kind: str, num_nodes: int, window_len: int = 1,
@@ -196,18 +192,18 @@ class DirectedGraphSequence:
             return
         m = self.num_nodes
         if kind == "static" and not graphs:
-            self._explicit = _scatter(np.zeros((1, m, m), dtype=bool),
-                                      _random_windows(m, 1, self.seed, 0, 1), 0)
-        else:
-            if not graphs:
-                raise ValueError(f"kind {kind!r} requires explicit graphs")
-            graphs = tuple(graphs)
-            if any(g.num_nodes != num_nodes for g in graphs):
-                raise ValueError("all graphs must share the node set")
-            if kind == "static" and len(graphs) != 1:
-                raise ValueError("static kind takes exactly one graph")
-            self._explicit = np.stack([g.adjacency for g in graphs])
-        self._explicit.flags.writeable = False
+            self._lists = _random_windows(m, 1, self.seed, 0, 1)
+            return
+        if not graphs:
+            raise ValueError(f"kind {kind!r} requires explicit graphs")
+        graphs = tuple(graphs)
+        if any(g.num_nodes != num_nodes for g in graphs):
+            raise ValueError("all graphs must share the node set")
+        if kind == "static" and len(graphs) != 1:
+            raise ValueError("static kind takes exactly one graph")
+        cells = [np.array(sorted(g.edges), dtype=np.int64).reshape(-1, 2) @ [1, m]
+                 for g in graphs]
+        self._lists = (np.cumsum([0] + [len(c) for c in cells]), np.concatenate(cells))
 
     def _block(self, k: int) -> tuple:
         """Edge lists of the steps of seeded-random block k."""
@@ -218,19 +214,20 @@ class DirectedGraphSequence:
                                              self.seed, k, self._block_windows))
         return self._last[1]
 
-    def _adjacency(self, t0: int, n: int) -> np.ndarray:
-        """(n, m, m) adjacency of steps t0..t0+n-1; seeded-random steps are
-        made dense here, from their block's edge lists."""
+    def _edges(self, t0: int, n: int) -> tuple:
+        """(step, cells) of the edges of steps t0..t0+n-1, each edge's step
+        counted from t0; explicit lists repeat, seeded-random steps come
+        block by block."""
         if t0 < 0:
             raise ValueError("time index must be nonnegative")
         if self.kind != "seeded-random":
-            return self._explicit[np.arange(t0, t0 + n) % len(self._explicit)]
-        m, size = self.num_nodes, self._block_windows * self.window_len
-        adj = np.zeros((n, m, m), dtype=bool)
+            return _gather(self._lists, np.arange(t0, t0 + n) % (len(self._lists[0]) - 1))
+        size, parts = self._block_windows * self.window_len, []
         for k in range(t0 // size, (t0 + n - 1) // size + 1):
-            lo, hi = max(t0, k * size), min(t0 + n, (k + 1) * size)
-            _scatter(adj[lo - t0:hi - t0], self._block(k), lo - k * size)
-        return adj
+            lo = max(t0, k * size)
+            i, c = _gather(self._block(k), np.arange(lo, min(t0 + n, (k + 1) * size)) - k * size)
+            parts.append((i + (lo - t0), c))
+        return tuple(map(np.concatenate, zip(*parts)))
 
     def fill_mixing(self, t0: int, out: np.ndarray) -> np.ndarray:
         """Write the mixing entries of step t0 + k into ``out[k]``, for every k.
@@ -243,20 +240,25 @@ class DirectedGraphSequence:
         m = self.num_nodes
         if out.ndim != 3 or out.shape[1:] != (m, m):
             raise ValueError(f"out must have shape (n, {m}, {m})")
-        if len(out):
-            adj = self._adjacency(t0, len(out))
-            # (k, j, i) is 1/d_i where adj[k, j, i] is set, d_i the count in column i
-            np.multiply(adj, 1.0 / adj.sum(axis=-2)[:, None, :], out=out)
+        n = len(out)
+        if n:
+            step, cells = self._edges(t0, n)
+            v, u = np.divmod(cells, m)
+            # node u of step k keeps 1/d_u and sends 1/d_u along each
+            # out-edge, d_u being 1 + its out-edges at that step
+            src = step * m + u
+            shares = 1.0 / (np.bincount(src, minlength=n * m) + 1.0)
+            out[...] = 0.0
+            out[:, np.arange(m), np.arange(m)] = shares.reshape(n, m)
+            out[step, v, u] = shares[src]
             _check_columns(out)
         return out
 
     def graph_at(self, t: int) -> DirectedGraph:
-        """Graph active at iteration t (t >= 0), rebuilt from its adjacency
-        on every call."""
-        v, u = np.nonzero(self._adjacency(t, 1)[0])
-        off = u != v
-        return DirectedGraph(self.num_nodes,
-                             frozenset(zip(u[off].tolist(), v[off].tolist())))
+        """Graph active at iteration t (t >= 0), rebuilt from its step's
+        edge lists on every call."""
+        v, u = np.divmod(self._edges(t, 1)[1], self.num_nodes)
+        return DirectedGraph(self.num_nodes, frozenset(zip(u.tolist(), v.tolist())))
 
     def mixing_at(self, t: int) -> MixingMatrix:
         """Mixing matrix of the graph active at iteration t: the block of
@@ -276,15 +278,18 @@ class DirectedGraphSequence:
         """
         if self.kind == "seeded-random":
             return
-        adj, b = self._explicit, self.window_len
-        p = len(adj)
-        starts = np.arange(1 if b >= p else p // math.gcd(p, b)) * b % p
-        # window k's union ORs one run of the list repeated; reach[k, v, u]
-        # is 1 when u reaches v, squared until it covers paths of m - 1 steps
-        # (clipped to 1 after each float32 product, every count is exact)
-        reach = np.logical_or.reduceat(np.concatenate([adj, adj]), np.column_stack(
-            [starts, starts + min(b, p)]).ravel(), axis=0)[::2].astype(np.float32)
-        for _ in range((self.num_nodes - 2).bit_length()):
+        m, b, p = self.num_nodes, self.window_len, len(self._lists[0]) - 1
+        # window k is steps kB.., so the windows that differ, cut to their
+        # first P steps, are steps 0.. in turn
+        count = 1 if b >= p else p // math.gcd(p, b)
+        step, cells = self._edges(0, count * min(b, p))
+        # reach[k, v, u] is 1 when u reaches v in window k's union, squared
+        # until it covers paths of m - 1 steps (clipped to 1 after each
+        # float32 product, every count is exact)
+        reach = np.zeros((count, m, m), dtype=np.float32)
+        reach.reshape(-1)[step // b * (m * m) + cells] = 1.0
+        reach[:, np.arange(m), np.arange(m)] = 1.0
+        for _ in range((m - 2).bit_length()):
             reach = np.minimum(reach @ reach, 1.0)
         cut = ~reach.all(axis=(-2, -1))
         if cut.any():

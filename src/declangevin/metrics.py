@@ -16,7 +16,7 @@ import numpy as np
 
 from .graphs import spectral_bounds
 from .models import GaussianDist
-from .trace import Trace
+from .trace import _CHUNK_BYTES, Trace
 
 __all__ = [
     "w2_gaussian_paper",
@@ -182,14 +182,17 @@ def check_lemma4_bound(trace: Trace, delta: float | None = None,
     # from about 100 agents (8/delta)(lam/gap) overflows to inf, and with no
     # initial mass inf * 0 would be a NaN that no comparison flags
     first = 0.0 if x0_l1 == 0 else (8.0 / delta) * (lam / gap) * x0_l1
-    # in place over tau = 1 .. T-1: the bound and one ratio are its only (T,) arrays
-    bound = np.arange(1.0, trace.num_iters)
+    # in place over tau = 1 .. T-1, and the ratios a chunk at a time, so the
+    # bound is the one (T,) float array; a NaN chunk maximum carries through
+    bound, width = np.arange(1.0, trace.num_iters), _CHUNK_BYTES // 8
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         np.sqrt(bound, out=bound)
         bound += 1.0
         bound *= (8.0 / delta) * (trace.max_pert * m / gap)
         bound += first
-        max_ratio = float((lhs / bound).max()) if len(bound) else 0.0
+        ratios = [(lhs[i:i + width] / bound[i:i + width]).max()
+                  for i in range(0, len(bound), width)]
+        max_ratio = float(np.max(ratios)) if ratios else 0.0
     return BoundReport(bound=bound, violated=bool(np.any(lhs > bound)),
                        max_ratio=max_ratio, delta=float(delta), lam=float(lam))
 

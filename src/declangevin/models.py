@@ -446,7 +446,6 @@ class _ShardedPotential(Potential):
             self._table = rows.ravel()
             self._offsets = np.arange(0, rows.size, rows.shape[1])[:, None]
             self._scale = (np.array(self._sizes) / batch_size)[:, None]
-            self.shard_targets = [ds.targets[r[:n]] for r, n in zip(rows, self._sizes)]
             return
         pad = np.arange(rows.shape[1]) >= np.array(self._sizes)[:, None]
         # one gather each, so no shard is ever held twice
@@ -455,7 +454,15 @@ class _ShardedPotential(Potential):
         self._targets = ds.targets[rows]
         self._targets[pad] = 1.0
         self._mask = (~pad).astype(float) if pad.any() else None
-        self.shard_targets = [y[:n] for y, n in zip(self._targets, self._sizes)]
+
+    @property
+    def shard_targets(self) -> list:
+        """Each agent's shard targets, made on every access: views of the
+        stacked full shards, or gathered from the dataset for minibatches."""
+        if self.batch_size is None:
+            return [y[:n] for y, n in zip(self._targets, self._sizes)]
+        rows = self._table.reshape(self.num_agents, -1)
+        return [self._targets[r[:n]] for r, n in zip(rows, self._sizes)]
 
     def draw(self, noise, steps):
         """(steps, m, batch_size) row indices, agent i's from one draw on

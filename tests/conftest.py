@@ -130,15 +130,21 @@ def reference_surrogate(n, dim, seed, density=14.0 / 123.0):
     return Dataset(features=feats, targets=targs)
 
 
+def out_degrees(g):
+    """Each node's out-degree d_i, counted edge by edge: itself plus every
+    node it sends to."""
+    degrees = np.ones(g.num_nodes, dtype=np.int64)
+    for u, _ in g.edges:
+        degrees[u] += 1
+    return degrees
+
+
 def reference_mixing(g):
     """Mixing entries of a graph, one edge at a time: column i holds 1/d_i
     at i and at every node i sends to."""
     m = g.num_nodes
-    degrees = np.ones(m, dtype=np.int64)
-    for u, _ in g.edges:
-        degrees[u] += 1
     entries = np.zeros((m, m))
-    shares = 1.0 / degrees
+    shares = 1.0 / out_degrees(g)
     entries[np.arange(m), np.arange(m)] = shares
     for u, v in g.edges:
         entries[v, u] = shares[u]

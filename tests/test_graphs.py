@@ -12,7 +12,7 @@ from declangevin import (DirectedGraph, DirectedGraphSequence, MixingMatrix,
                          StepSchedule, ZeroPotential, generate_graph_sequence,
                          run, spectral_bounds)
 
-from conftest import (SIX_NODE_EDGES, SIX_NODE_MIXING, mixing_of,
+from conftest import (SIX_NODE_EDGES, SIX_NODE_MIXING, mixing_of, out_degrees,
                       reference_b_connected, reference_block, reference_mixing,
                       reference_strongly_connected, reference_window)
 
@@ -57,7 +57,7 @@ class TestDirectedGraph:
             DirectedGraph(3, {(1, 1)})
 
     def test_out_degrees_count_self_loop(self, six_node_graph):
-        degrees = six_node_graph.adjacency.sum(axis=0)
+        degrees = out_degrees(six_node_graph)
         assert degrees.tolist() == [2, 1, 2, 1, 1, 2]
         assert degrees[0] == 2
         assert degrees[4] == 1
@@ -95,7 +95,7 @@ class TestMixingMatrix:
         for i in range(6):
             col = entries[:, i]
             np.testing.assert_array_equal(col[col != 0.0],
-                                          1.0 / g.adjacency.sum(axis=0)[i])
+                                          1.0 / out_degrees(g)[i])
 
     def test_column_sums_one_over_random_graphs(self):
         rng = np.random.default_rng(13)
@@ -110,11 +110,12 @@ class TestMixingMatrix:
 
     def test_fill_mixing_checks_every_block(self, six_node_graph):
         seq = generate_graph_sequence("static", 6, graphs=[six_node_graph])
-        # a stack in which no node keeps any of its own mass
-        seq._explicit = np.zeros_like(seq._explicit)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="sum to 1"):
-                seq.fill_mixing(0, np.empty((3, 6, 6)))
+        # a list that holds one edge twice: its sender counts it twice in
+        # its degree, but the entry is written once
+        starts, cells = seq._lists
+        seq._lists = (starts + [0, 1], np.append(cells, cells[0]))
+        with pytest.raises(ValueError, match="sum to 1"):
+            seq.fill_mixing(0, np.empty((3, 6, 6)))
 
     def test_rejects_shape_mismatch(self):
         # columns that sum to 1, but no square matrix
@@ -275,7 +276,7 @@ class TestBStrongConnectivity:
 
 
 class TestArrayGraphLayer:
-    """The adjacency arrays against edge-by-edge references."""
+    """The edge lists against edge-by-edge references."""
 
     @settings(max_examples=60)
     @given(m=st.integers(1, 12), b=st.integers(1, 4), seed=seeds,
@@ -329,16 +330,47 @@ class TestArrayGraphLayer:
             assert strongly_connected(g) == reference_strongly_connected(
                 m, g.edges)
 
-    @settings(max_examples=25)
-    @given(kind=st.sampled_from(["seeded-random", "static"]),
+    @settings(max_examples=40)
+    @given(kind=st.sampled_from(["seeded-random", "static", "periodic-list"]),
            m=st.integers(1, 12), b=st.integers(1, 4), seed=seeds,
            t0=st.integers(0, 800), n=st.integers(1, 600))
     def test_fill_mixing_equals_stacked_views(self, kind, m, b, seed, t0, n):
-        # n up to 600 steps crosses windows and blocks of about 256 steps
-        seq = generate_graph_sequence(kind, m, b, seed=seed)
+        # n up to 600 steps crosses windows and blocks of about 256 steps,
+        # and the period of a list of 1 to 5 graphs many times over
+        rng = np.random.default_rng(seed)
+        graphs = ([random_graph(rng, m) for _ in range(seed % 5 + 1)]
+                  if kind == "periodic-list" else None)
+        seq = generate_graph_sequence(kind, m, b, seed=seed, graphs=graphs)
+        block = seq.fill_mixing(t0, np.empty((n, m, m)))
         np.testing.assert_array_equal(
-            seq.fill_mixing(t0, np.empty((n, m, m))),
-            np.stack([seq.mixing_at(t).entries for t in range(t0, t0 + n)]))
+            block, np.stack([seq.mixing_at(t).entries for t in range(t0, t0 + n)]))
+        if graphs:
+            np.testing.assert_array_equal(block[0], reference_mixing(
+                graphs[t0 % len(graphs)]))
+        # rows of a wider array, which no reshape to (n, m * m) can view:
+        # no entry may land in a copy
+        wide = np.full((n, m, m + 1), np.nan)
+        seq.fill_mixing(t0, wide[:, :, :m])
+        np.testing.assert_array_equal(wide[:, :, :m], block)
+        assert np.isnan(wide[:, :, m]).all()
+
+    @settings(max_examples=60)
+    @given(m=st.integers(1, 12), b=st.integers(1, 4), seed=seeds,
+           k=st.integers(0, 2 ** 32 - 1))
+    def test_block_steps_hold_distinct_edges_in_step_order(self, m, b, seed, k):
+        # d_u is counted from the lists, so a repeat or a self-loop would
+        # weigh in twice
+        count = 256 // b
+        starts, cells = graphs_module._random_windows(m, b, seed, k, count)
+        assert len(starts) == count * b + 1
+        assert starts[0] == 0 and starts[-1] == len(cells)
+        assert (np.diff(starts) >= 0).all()
+        v, u = np.divmod(cells, m)
+        assert ((0 <= v) & (v < m) & (u != v)).all()
+        for s, g in enumerate(reference_block(m, b, seed, k, count)):
+            step = cells[starts[s]:starts[s + 1]]
+            assert (np.diff(step) > 0).all()
+            assert set(step.tolist()) == {v * m + u for u, v in g.edges}
 
 
 class TestWindowStore:

@@ -17,6 +17,7 @@ from declangevin import (GaussianDist, GaussianPotential, NoiseModel,
                          empirical_gaussian, generate_graph_sequence,
                          rate_fit, roc_auc, run, spectral_bounds,
                          w2_gaussian_bures, w2_gaussian_paper)
+from declangevin.trace import _CHUNK_BYTES
 
 
 def random_spd(rng, d):
@@ -356,7 +357,8 @@ class TestCumulativeBound:
         assert report.max_ratio == np.inf
 
     def test_check_holds_two_series_of_the_horizon_at_most(self):
-        # the bound it returns and one ratio series: 16 B per step
+        # the bound it returns, a bool per step for the verdict and one
+        # chunk of ratios: 9 B per step
         rng = np.random.default_rng(5)
         num_iters, x0 = 200_000, rng.standard_normal((4, 2))
         states = np.stack([x0, np.zeros((4, 2))])
@@ -370,8 +372,23 @@ class TestCumulativeBound:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 18 * num_iters
+        assert peak <= 9 * num_iters + 4 * _CHUNK_BYTES
         assert report.bound.shape == (num_iters - 1,) and not report.violated
+
+    @pytest.mark.parametrize("steps", [1, 2, 8191, 8192, 8193, 3 * 8192 + 5])
+    @pytest.mark.parametrize("nan_at", [None, 0, -1])
+    def test_max_ratio_is_the_largest_ratio_over_every_chunk(self, steps, nan_at):
+        # the ratios are taken _CHUNK_BYTES of floats at a time; the largest
+        # sits in the last chunk, and a NaN anywhere makes it NaN
+        rng = np.random.default_rng(steps)
+        lhs = np.cumsum(rng.random(steps))
+        if nan_at is not None:
+            lhs[nan_at] = np.nan
+        report = check_lemma4_bound(make_trace(np.ones((3, 1)), lhs, 0.2),
+                                    delta=0.5, lam=0.5)
+        # assert_equal takes NaN for equal to NaN
+        np.testing.assert_equal(report.max_ratio, (lhs / report.bound).max())
+        assert np.isnan(report.max_ratio) == (nan_at is not None)
 
     def test_constant_validation(self):
         trace = make_trace(np.zeros((2, 1)), np.zeros(4), 0.0)

@@ -602,6 +602,18 @@ class TestShardStorage:
                 tracemalloc.stop()
             assert peak < 0.5 * data.features.size
 
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_shard_targets_are_made_on_access(self, batch):
+        # a minibatch potential keeps no copy of its shards' targets; full
+        # shards hand out views of their stacked targets
+        ds = generate_mixture_data(11, 0.0, 1.0, np.sqrt(2.0), 3)
+        shards = [[4, 0, 9], [1], [2, 3, 5, 6, 7, 8, 10]]
+        pot = MixturePotential(ds, shards, batch_size=batch)
+        assert "shard_targets" not in vars(pot)
+        for got, rows in zip(pot.shard_targets, shards):
+            np.testing.assert_array_equal(got, ds.targets[rows])
+            assert np.shares_memory(got, pot._targets) == (batch is None)
+
     @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
            dim=st.integers(1, 6),
            batch=st.sampled_from([None, 1, 3, 32]),

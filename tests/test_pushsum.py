@@ -11,6 +11,8 @@ from declangevin import (NetworkState, StepSchedule, ZeroPotential,
                          generate_graph_sequence, init_network, langevin_step,
                          run)
 
+from conftest import out_degrees
+
 
 def random_state(rng, m, d):
     ns = init_network(m, d)
@@ -28,7 +30,7 @@ def pushsum_mix(ns, mix):
 def neighbour_sum_mix(g, x, y):
     """Reference round in receiver-sum form: each node keeps one share of its
     own mass and every edge (u, v) carries one share of u's mass to v."""
-    degs = g.adjacency.sum(axis=0)
+    degs = out_degrees(g)
     share_x, share_y = x / degs[:, None], y / degs
     w, y_new = share_x.copy(), share_y.copy()
     for u, v in g.edges:
