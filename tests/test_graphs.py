@@ -375,9 +375,10 @@ class TestArrayGraphLayer:
 
 class TestWindowStore:
     def test_memory_stays_flat_over_a_long_horizon(self):
-        # 20 000 steps at m=8 are 1.28 MB of adjacency; only the last block
-        # of 256 steps, 16 kB, is kept.  A first read outside the traced
-        # pass leaves out what numpy allocates once, on its first draws
+        # 20 000 steps at m=8 are 1.28 MB as dense adjacency; only the last
+        # block of 256 steps, about 13 kB of edge lists, is kept.  A first
+        # read outside the traced pass leaves out what numpy allocates
+        # once, on its first draws
         seq = generate_graph_sequence("seeded-random", 8, 4, seed=0)
         out = np.empty((256, 8, 8))
 
