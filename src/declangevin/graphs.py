@@ -52,9 +52,12 @@ class DirectedGraph:
     edges: frozenset = frozenset()
 
     def __post_init__(self):
+        object.__setattr__(self, "num_nodes", operator.index(self.num_nodes))
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be at least 1")
-        pairs = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
+        # an int64 cast would truncate 1.7, parse '1' and regroup triples
+        pairs = np.array([(operator.index(u), operator.index(v)) for u, v in self.edges],
+                         dtype=np.int64).reshape(-1, 2)
         outside = ((pairs < 0) | (pairs >= self.num_nodes)).any(axis=1)
         if outside.any():
             u, v = pairs[outside][0]
@@ -84,23 +87,38 @@ def _random_windows(m: int, b: int, seed: int, k: int, count: int) -> tuple:
         # collides with the blocks of other seeds
         raise ValueError(f"block index {k} is past 2**32 - 1, "
                          "the last block a graph seed covers")
-    nodes = np.arange(m)
-    rng = np.random.default_rng([seed, k])
-    perms = rng.permuted(np.tile(nodes, (count, 1)), axis=1)
-    slots = rng.integers(0, b, size=(count, m))
+    # every edge u -> v of step s is one key s * m*m + v * m + u, formed in
+    # place, each draw dropped after its last use, and self-loops keyed -1;
+    # the keys are then sorted by step, then by cell, and kept once
+    mm, rng = m * m, np.random.default_rng([seed, k])
+    perms = rng.permuted(np.tile(np.arange(m), (count, 1)), axis=1)
+    cyc = rng.integers(0, b, size=(count, m))  # each cycle edge's slot
+    cyc += b * np.arange(count)[:, None]
+    cyc *= mm
+    cyc += perms
+    perms *= m
+    cyc[:, :-1] += perms[:, 1:]  # the edge perms[w, j] -> perms[w, j + 1]
+    cyc[:, -1] += perms[:, 0]
+    del perms
+    if m == 1:  # a one-node cycle is a self-loop
+        cyc[:] = -1
     extra = rng.integers(0, m + 1, size=count * b)
+    key = np.concatenate([cyc.ravel(), np.empty(extra.sum(), dtype=np.int64)])
+    del cyc
     pairs = rng.integers(0, m, size=(extra.sum(), 2))
-    # every edge u -> v of step s but the self-loops as one key
-    # s * m*m + v * m + u, sorted by step, then by cell, and kept once
-    mm, succ = m * m, perms[:, (nodes + 1) % m]
-    key = np.concatenate([
-        ((b * np.arange(count)[:, None] + slots) * mm + succ * m + perms)[succ != perms],
-        (np.repeat(np.arange(count * b) * mm, extra) + pairs[:, 1] * m + pairs[:, 0])[
-            pairs[:, 0] != pairs[:, 1]]])
+    ext = key[count * m:]
+    np.multiply(pairs[:, 1], m, out=ext)
+    ext += pairs[:, 0]
+    ext += np.repeat(np.arange(count * b) * mm, extra)
+    ext[pairs[:, 0] == pairs[:, 1]] = -1
+    del pairs, ext
     key.sort()
-    key = key[np.diff(key, prepend=-1) != 0]
+    keep = np.empty(len(key), dtype=bool)
+    keep[:1] = key[:1] >= 0  # the -1s sort first
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    key = key[keep]
     starts = np.searchsorted(key, np.arange(count * b + 1) * mm)
-    key -= np.repeat(np.arange(count * b) * mm, np.diff(starts))
+    key %= mm
     return starts, key
 
 

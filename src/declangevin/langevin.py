@@ -530,8 +530,8 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     its next step.  Within a chunk the state is agent-major, (m, d, runs):
     row i holds agent i's values in every run of the chunk, so each step
     mixes them with one matrix product and one division by the weights, as
-    a single run does, and the update is one batched product with the
-    target's precision matrix.
+    a single run does, and the gradient is one batched product with the
+    per-agent curvature H = P/m of the potential's affine form H z - b.
 
     Parameters
     ----------
@@ -565,6 +565,8 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
         non-finite value finite again, so no divergence goes unreported.
     FloatingPointError
         If a push-sum weight underflows before any such checkpoint.
+    TypeError
+        If ``num_iters`` or a checkpoint is not an integer.
     ValueError
         If :class:`GaussianPotential` refuses the target, a size is wrong,
         or ``seq`` has a window that is not strongly connected.
@@ -574,7 +576,7 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     if not checkpoints or any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be one or more strictly increasing "
                          "iteration counts")
-    if checkpoints[0] < 1 or checkpoints[-1] > num_iters:
+    if checkpoints[0] < 1 or checkpoints[-1] > operator.index(num_iters):
         raise ValueError("checkpoints must lie in [1, num_iters]")
     if num_agents != seq.num_nodes:
         raise ValueError(f"graph sequence has {seq.num_nodes} nodes but "
@@ -585,10 +587,8 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     # imported here: models imports this module
     from .models import GaussianPotential
 
-    target = GaussianPotential(target_mean, target_cov, num_agents)
-    target_mean, precision = target.mean, target.precision
-
-    m, d = num_agents, target_mean.shape[0]
+    h, b = GaussianPotential(target_mean, target_cov, num_agents)._affine
+    m, d = num_agents, len(b)
     horizon = max(checkpoints)
     snaps = np.zeros((len(checkpoints), num_runs, d))
     want = {c: k for k, c in enumerate(checkpoints)}
@@ -621,10 +621,10 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
                         drawn = rngs[c].standard_normal(out=normals)
                     else:
                         drawn = noise_draw(t)[r0:r1]
-                    # x = sqrt(2 alpha) xi + w - (alpha / m) P (z - mean)
-                    z -= target_mean[:, None]
-                    np.matmul(precision, z, out=x)
-                    x *= -alpha / m
+                    # x = sqrt(2 alpha) xi + w - alpha (H z - b)
+                    np.matmul(h, z, out=x)
+                    x -= b[:, None]
+                    x *= -alpha
                     x += w
                     np.multiply(drawn.transpose(1, 2, 0), np.sqrt(2.0 * alpha), out=z)
                     x += z

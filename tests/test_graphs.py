@@ -52,6 +52,20 @@ class TestDirectedGraph:
         with pytest.raises(ValueError, match="out of range"):
             DirectedGraph(3, {(0, 3)})
 
+    @pytest.mark.parametrize("num_nodes, edges, error", [
+        (3, {(0, 1.7), (1, 2), (2, 0)}, TypeError), (3, {(0, 1.0)}, TypeError),
+        (3, {(0, "1")}, TypeError), (3.0, {(0, 1)}, TypeError),
+        (3, {(0, 1, 2), (1, 0, 2)}, ValueError), (3, {(0,), (1,)}, ValueError)])
+    def test_rejects_edges_that_are_not_integer_pairs(self, num_nodes, edges, error):
+        # an int64 cast read (0, 1.7) and (0, '1') as the edge (0, 1), and
+        # regrouped two triples into three edges
+        with pytest.raises(error):
+            DirectedGraph(num_nodes, frozenset(edges))
+        g = DirectedGraph(np.int64(3), frozenset({(np.int32(0), np.uint8(1)),
+                                                  (np.uint64(1), 2)}))
+        assert type(g.num_nodes) is int and g.edges == {(0, 1), (1, 2)}
+        assert DirectedGraph(3).edges == frozenset()
+
     def test_rejects_explicit_self_loops(self):
         with pytest.raises(ValueError, match="self-loop"):
             DirectedGraph(3, {(1, 1)})
@@ -398,6 +412,18 @@ class TestWindowStore:
         fresh = generate_graph_sequence("seeded-random", 8, 4, seed=0)
         np.testing.assert_array_equal(seq.fill_mixing(0, np.empty((300, 8, 8))),
                                       fresh.fill_mixing(0, np.empty((300, 8, 8))))
+
+    def test_a_block_peaks_near_its_edge_lists(self):
+        # at m=1024 a block's draws and keys, all held at once, peaked at
+        # 5.7 times its 3.2 MB of edge lists
+        graphs_module._random_windows(1024, 1, 0, 0, 256)
+        tracemalloc.start()
+        try:
+            starts, cells = graphs_module._random_windows(1024, 1, 0, 1, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (starts.nbytes + cells.nbytes)
 
     def test_check_then_run_generate_each_block_once_in_order(self, monkeypatch):
         made = []

@@ -792,6 +792,9 @@ class TestGaussianEnsemble:
             run_gaussian_ensemble(seq, sched, mean, cov, 2, 10, 4, 0, [5, 5, 10])
         with pytest.raises(ValueError, match="one or more"):
             run_gaussian_ensemble(seq, sched, mean, cov, 2, 10, 4, 0, [])
+        # a float horizon returned snapshots
+        with pytest.raises(TypeError):
+            run_gaussian_ensemble(seq, sched, mean, cov, 2, 10.5, 4, 0, [5])
 
     @pytest.mark.parametrize("action", ["default", "error"])
     def test_an_infinite_draw_raises_a_divergence_under_every_filter(
