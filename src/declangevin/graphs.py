@@ -87,34 +87,26 @@ def _random_windows(m: int, b: int, seed: int, k: int, count: int) -> tuple:
         # collides with the blocks of other seeds
         raise ValueError(f"block index {k} is past 2**32 - 1, "
                          "the last block a graph seed covers")
-    # every edge u -> v of step s is one key s * m*m + v * m + u, formed in
-    # place, each draw dropped after its last use, and self-loops keyed -1;
-    # the keys are then sorted by step, then by cell, and kept once
+    # every edge u -> v of step s but the self-loops as one key
+    # s * m*m + v * m + u, formed in place with each draw dropped after its
+    # last use, then sorted by step, then by cell, and kept once
     mm, rng = m * m, np.random.default_rng([seed, k])
     perms = rng.permuted(np.tile(np.arange(m), (count, 1)), axis=1)
-    cyc = rng.integers(0, b, size=(count, m))  # each cycle edge's slot
-    cyc += b * np.arange(count)[:, None]
-    cyc *= mm
+    cyc = (rng.integers(0, b, size=(count, m)) + b * np.arange(count)[:, None]) * mm
     cyc += perms
     perms *= m
-    cyc[:, :-1] += perms[:, 1:]  # the edge perms[w, j] -> perms[w, j + 1]
-    cyc[:, -1] += perms[:, 0]
+    cyc += np.roll(perms, -1, axis=1)  # the edge perms[w, j] -> perms[w, j + 1]
     del perms
-    if m == 1:  # a one-node cycle is a self-loop
-        cyc[:] = -1
     extra = rng.integers(0, m + 1, size=count * b)
-    key = np.concatenate([cyc.ravel(), np.empty(extra.sum(), dtype=np.int64)])
-    del cyc
     pairs = rng.integers(0, m, size=(extra.sum(), 2))
-    ext = key[count * m:]
-    np.multiply(pairs[:, 1], m, out=ext)
-    ext += pairs[:, 0]
-    ext += np.repeat(np.arange(count * b) * mm, extra)
-    ext[pairs[:, 0] == pairs[:, 1]] = -1
-    del pairs, ext
+    ext = np.repeat(np.arange(count * b) * mm, extra) + pairs[:, 1] * m + pairs[:, 0]
+    ext = ext[pairs[:, 0] != pairs[:, 1]]
+    del pairs
+    # a one-node cycle is a self-loop
+    key = np.concatenate([cyc.ravel()[:cyc.size * (m > 1)], ext])
+    del cyc, ext
     key.sort()
-    keep = np.empty(len(key), dtype=bool)
-    keep[:1] = key[:1] >= 0  # the -1s sort first
+    keep = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=keep[1:])
     key = key[keep]
     starts = np.searchsorted(key, np.arange(count * b + 1) * mm)

@@ -530,8 +530,8 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     its next step.  Within a chunk the state is agent-major, (m, d, runs):
     row i holds agent i's values in every run of the chunk, so each step
     mixes them with one matrix product and one division by the weights, as
-    a single run does, and the gradient is one batched product with the
-    per-agent curvature H = P/m of the potential's affine form H z - b.
+    a single run does, and the gradient is the affine form H z - b of
+    :class:`GaussianPotential`, one batched product with H = P/m.
 
     Parameters
     ----------
@@ -585,9 +585,9 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
         raise ValueError("num_runs must be at least 1")
     seq.check_b_connected()
     # imported here: models imports this module
-    from .models import GaussianPotential
+    from .models import _gaussian_affine
 
-    h, b = GaussianPotential(target_mean, target_cov, num_agents)._affine
+    h, b, _ = _gaussian_affine(target_mean, target_cov, num_agents)
     m, d = num_agents, len(b)
     horizon = max(checkpoints)
     snaps = np.zeros((len(checkpoints), num_runs, d))

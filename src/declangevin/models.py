@@ -202,12 +202,6 @@ def _grad_linreg(z, feats, targs, prior_mean, prior_prec, sigma, scale):
     return scale * _transpose_times(feats, resid) / sigma ** 2 + prior_term
 
 
-def _affine_grad(h: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """H z - b over leading axes, h (..., d, d), b and z (..., d); summed
-    elementwise, not by BLAS, so a row's bits do not depend on the stack."""
-    return (h * z[..., None, :]).sum(axis=-1) - b
-
-
 def _transpose_times(feats: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """X^T c over leading axes: feats (..., b, d), coef (..., b) -> (..., d)."""
     return (np.swapaxes(feats, -1, -2) @ coef[..., None])[..., 0]
@@ -427,12 +421,12 @@ class _ShardedPotential(Potential):
     arrays and a table of each shard's dataset rows, and every step gathers
     its (m, batch_size, d) features and (m, batch_size) targets from the
     dataset through that table, as float64.  Full shards are read whole
-    every step, so they are gathered once and stacked, (m, n_max, d) float64
-    features (linreg folds them into its affine form) and (m, n_max)
-    targets, and all gradients are one array expression.  Shorter shards are
-    padded with zero feature rows and target 1.0, a valid label: a zero row
-    adds nothing to the regression and logistic sums, and a 0/1 mask, kept
-    only when sizes differ, zeroes the padding out of the mixture's.
+    every step, so they are gathered once and stored stacked, (m, n_max, d)
+    float64 features and (m, n_max) targets, and every agent's gradient
+    comes from one array expression.  Shorter shards are padded with zero
+    feature rows and target 1.0, a valid label: a zero row adds exactly
+    nothing to the regression and logistic sums, and a 0/1 mask, kept only
+    when shard sizes differ, zeroes the padding out of the mixture's.
     """
 
     def __init__(self, ds: Dataset, shards, batch_size):
@@ -497,9 +491,7 @@ class LinRegPotential(_ShardedPotential):
 
     Each agent's term carries 1/m of the shared prior, so the per-agent
     potentials sum to likelihood + one prior and the network targets the
-    same posterior :func:`linreg_posterior` computes.  Full shards are
-    folded once into agent i's affine gradient H_i z - b_i, with H_i =
-    X_i^T X_i / sigma^2 + Lambda0/m and b_i = X_i^T y_i / sigma^2 + (Lambda0/m) mu0.
+    same posterior :func:`linreg_posterior` computes.
     """
 
     def __init__(self, ds: Dataset, shards, prior: GaussianDist, sigma: float,
@@ -514,15 +506,8 @@ class LinRegPotential(_ShardedPotential):
         # 1/m prior weight == m-times-wider prior covariance in the gradient
         self._agent_prec = np.linalg.inv(prior.cov * len(shards))
         self.props = PotentialProps(dim=ds.dim)
-        if batch_size is None:
-            x, s2, prec = self._features, self.sigma ** 2, self._agent_prec
-            self._affine = (np.swapaxes(x, -1, -2) @ x / s2 + prec,
-                            _transpose_times(x, self._targets) / s2 + prec @ prior.mean)
-            del self._features
 
     def grad_drawn(self, z, idx):
-        if idx is None:
-            return _affine_grad(*self._affine, z)
         feats, targs, scale = self._batches(idx)
         return _grad_linreg(z, feats, targs, self.prior.mean, self._agent_prec,
                             self.sigma, scale)
@@ -570,6 +555,22 @@ class LogisticPotential(_ShardedPotential):
         return _grad_logistic(z, *self._batches(idx))
 
 
+def _gaussian_affine(mean, cov, num_agents) -> tuple:
+    """Check N(mean, cov) as a target split evenly across num_agents, and
+    return (H, b, eigs): each agent's gradient H z - b, with H = P/m and
+    b = H mean for the target precision P, and the eigenvalues of P."""
+    mean = np.asarray(mean, dtype=float)
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    if mean.ndim != 1:
+        raise ValueError("the target must be a single Gaussian, not a stack")
+    num_agents = operator.index(num_agents)
+    if num_agents < 1:
+        raise ValueError("num_agents must be at least 1")
+    precision, eigs = _check_covariance(mean, cov, invert=True)
+    h = precision / num_agents
+    return h, h @ mean, eigs
+
+
 class GaussianPotential(Potential):
     """Quadratic target split evenly across agents.
 
@@ -577,21 +578,13 @@ class GaussianPotential(Potential):
     :class:`GaussianDist` checks it; each agent holds 1/m of the potential,
     so its gradient is the affine map H z - b with H = P/m, P the target
     precision, and b = H mean, and the declared per-agent constants are the
-    target curvature extremes divided by m.  Only (H, b) is kept.
+    target curvature extremes divided by m.  Only H and b are kept.
     """
 
     def __init__(self, mean: np.ndarray, cov: np.ndarray, num_agents: int):
-        mean = np.asarray(mean, dtype=float)
-        cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        if mean.ndim != 1:
-            raise ValueError("the target must be a single Gaussian, not a stack")
+        self._h, self._b, eigs = _gaussian_affine(mean, cov, num_agents)
         self.num_agents = operator.index(num_agents)
-        if self.num_agents < 1:
-            raise ValueError("num_agents must be at least 1")
-        precision, eigs = _check_covariance(mean, cov, invert=True)
-        h = precision / self.num_agents
-        self._affine = (h, h @ mean)
-        self.props = PotentialProps(dim=mean.shape[0],
+        self.props = PotentialProps(dim=len(self._b),
                                     mu=float(eigs.min()) / self.num_agents,
                                     lipschitz=float(eigs.max()) / self.num_agents)
 
@@ -599,4 +592,8 @@ class GaussianPotential(Potential):
         return self.grad_drawn(z, None)
 
     def grad_drawn(self, z, drawn):
-        return _affine_grad(*self._affine, z)
+        # H z - b as an elementwise product summed over the last axis: it
+        # broadcasts over leading axes (a single z included) and computes
+        # every row alike whatever their number, so grad and grad_drawn
+        # agree bitwise
+        return (self._h * z[..., None, :]).sum(axis=-1) - self._b

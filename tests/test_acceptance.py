@@ -372,6 +372,10 @@ CONTRACT_DIGESTS = {
         "ec4ebd4a37e82bddc5bf23229c2a5fb5229bbf22e4d4e3a462e8f4a9408ef209",
     "run --graph_kind static --graph_b 3":
         "d892ea9f9d0cf9d6ba817fff39e165644a381d022c82d11eead6d00bb3f80665",
+    # full shards, read whole every step, where every other linreg digest
+    # draws minibatches
+    "linreg --batch 0":
+        "7aecf99c2eda9c2e2d67837f91565fa6bb3c0e329a83cc396ae3f515d7e0a9b9",
 }
 
 

@@ -602,22 +602,6 @@ class TestShardStorage:
                 tracemalloc.stop()
             assert peak < 0.5 * data.features.size
 
-    def test_a_full_shard_linreg_potential_keeps_only_its_affine_form(self):
-        # H_i and b_i are (m, d, d) and (m, d), a small fraction of the
-        # stacked (m, n_max, d) float copy of the shards, which goes once
-        # they are formed
-        ds = generate_linreg_data(20000, 64, 1.0, np.zeros(64), seed=5)
-        shards = partition(ds, 4, "random", 5)
-        prior = GaussianDist(np.zeros(64), np.eye(64))
-        tracemalloc.start()
-        try:
-            pot = LinRegPotential(ds, shards, prior, 1.0, batch_size=None)
-            kept = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert kept < 0.1 * ds.features.nbytes
-        assert pot.grad_drawn(np.zeros((4, 64)), None).shape == (4, 64)
-
     @pytest.mark.parametrize("batch", [None, 3])
     def test_shard_targets_are_made_on_access(self, batch):
         # a minibatch potential keeps no copy of its shards' targets; full
