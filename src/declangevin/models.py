@@ -231,39 +231,47 @@ def grad_U_mixture(theta: np.ndarray, batch: np.ndarray, sigma_x: float = np.sqr
     """Gradient of the negative log posterior of the location mixture.
 
     ``theta`` stacks (theta1, theta2); ``batch`` holds raw sample values.
-    Component responsibilities are evaluated through the log-density
-    difference with a saturating sigmoid, so far-out samples cannot
-    overflow.  Independent zero-mean Gaussian priors with variances
-    ``prior_vars`` close the posterior.
+    Component 2's responsibility, the sigmoid of the log-density
+    difference v, is (1 + tanh(v / 2)) / 2: tanh takes no exp and saturates
+    at -1 and 1, so far-out samples cannot overflow.  Independent zero-mean
+    Gaussian priors with variances ``prior_vars`` close the posterior.
 
     Broadcasts over leading axes: theta (..., 2) and batch (..., b) give
     one gradient per leading index, with ``scale`` broadcasting against
-    (..., 2).  ``mask`` (..., b) holds 1 for samples and 0 for padding,
-    which then contributes nothing.
+    (..., 2).  ``mask``, of the batch's shape, holds 1 for samples and 0
+    for padding, which then contributes nothing.
     """
     if sigma_x <= 0:
         raise ValueError("sigma_x must be positive")
-    with np.errstate(over="ignore"):
-        return _grad_mixture(np.asarray(theta, dtype=float),
-                             np.asarray(batch, dtype=float), sigma_x ** 2,
-                             np.asarray(prior_vars, dtype=float), scale, mask)
+    return _grad_mixture(np.asarray(theta, dtype=float), *_mixture_terms(
+        np.asarray(batch, dtype=float), scale, sigma_x ** 2,
+        1.0 / np.asarray(prior_vars, dtype=float), 1.0 if mask is None else mask))
 
 
-def _grad_mixture(theta, x, s2, prior_vars, scale, mask):
-    """:func:`grad_U_mixture` on float arrays, given s2 = sigma_x**2 and
-    the prior variances as an array."""
-    a, b = theta[..., :1], theta[..., 1:]
-    d1 = x - a
-    d2 = d1 - b
-    # log N(x; a+b) - log N(x; a), feeding the responsibility of component 2
-    r2 = _sigmoid((d1 ** 2 - d2 ** 2) / (2.0 * s2))
-    # the two per-sample terms side by side, (..., 2, b), summed at once
-    terms = np.empty(r2.shape[:-1] + (2,) + r2.shape[-1:])
-    np.subtract(d1, r2 * b, out=terms[..., 0, :])
-    np.multiply(r2, d2, out=terms[..., 1, :])
-    if mask is not None:
-        terms *= mask[..., None, :]
-    return -scale * terms.sum(axis=-1) / s2 + theta / prior_vars
+def _mixture_terms(x, scale, s2, prior_prec, w=1.0) -> tuple:
+    """The parts of :func:`_grad_mixture` that theta leaves fixed, for
+    samples x (..., b) weighted 1, or 0 where ``w`` marks padding."""
+    rows = np.empty(x.shape[:-1] + (2,) + x.shape[-1:])
+    rows[..., 0, :], rows[..., 1, :] = w, w * x
+    sums = rows.sum(axis=-1)  # (n, sum x)
+    gamma = scale / (2.0 * s2)
+    return (np.array([[1.0, 0.0, 0.0, 1.0], [0.5, 0.5 / s2, 1.0, 1.0]]), rows, sums[..., :1],
+            gamma, prior_prec + gamma * sums * (2.0, 0.0),
+            gamma * sums[..., 1:] * (2.0, 1.0))
+
+
+def _grad_mixture(theta, coef, rows, n, gamma, curv, offset):
+    """:func:`grad_U_mixture` at theta = (a, b), given the samples'
+    :func:`_mixture_terms`: theta * curv - offset + gamma (q b, q (a + b) -
+    sum t x), where q = n + sum t and sample x's responsibility is (1 + t) / 2,
+    t = tanh(b (x - a - b/2) / (2 s2))."""
+    p = theta @ coef  # (a + b/2, b / (2 s2), b, a + b)
+    t = rows[..., 1, :] - p[..., :1]  # padding has x = 0 and weight 0
+    np.tanh(np.multiply(t, p[..., 1:2], out=t), out=t)
+    sums = np.vecdot(t[..., None, :], rows)  # (sum t, sum t x)
+    g = (sums[..., :1] + n) * p[..., 2:]
+    g[..., 1:] -= sums[..., 1:]
+    return gamma * g + theta * curv - offset
 
 
 def grad_U_logistic(w: np.ndarray, batch_features: np.ndarray, batch_targets: np.ndarray,
@@ -425,11 +433,11 @@ class _ShardedPotential(Potential):
     float64 features and (m, n_max) targets, and every agent's gradient
     comes from one array expression.  Shorter shards are padded with zero
     feature rows and target 1.0, a valid label: a zero row adds exactly
-    nothing to the regression and logistic sums, and a 0/1 mask, kept only
-    when shard sizes differ, zeroes the padding out of the mixture's.
+    nothing to the regression and logistic sums, and the mixture weighs
+    its padding 0.  Without ``features``, the features held are zero-width.
     """
 
-    def __init__(self, ds: Dataset, shards, batch_size):
+    def __init__(self, ds: Dataset, shards, batch_size, features=True):
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         self.batch_size = batch_size
@@ -440,8 +448,9 @@ class _ShardedPotential(Potential):
             rows[i, :n] = s
             if n and not 0 <= rows[i, :n].min() <= rows[i, :n].max() < ds.n:
                 raise ValueError(f"shard {i} holds a row outside [0, {ds.n})")
+        feats = ds.features if features else np.empty((ds.n, 0))
         if batch_size is not None:
-            self._features, self._targets = ds.features, ds.targets
+            self._features, self._targets = feats, ds.targets
             # agent i's local row j is dataset row _table[j + _offsets[i]]
             self._table = rows.ravel()
             self._offsets = np.arange(0, rows.size, rows.shape[1])[:, None]
@@ -449,11 +458,10 @@ class _ShardedPotential(Potential):
             return
         pad = np.arange(rows.shape[1]) >= np.array(self._sizes)[:, None]
         # one gather each, so no shard is ever held twice
-        self._features = ds.features[rows].astype(float, copy=False)
+        self._features = feats[rows].astype(float, copy=False)
         self._features[pad] = 0.0
         self._targets = ds.targets[rows]
         self._targets[pad] = 1.0
-        self._mask = (~pad).astype(float) if pad.any() else None
 
     @property
     def shard_targets(self) -> list:
@@ -522,20 +530,22 @@ class MixturePotential(_ShardedPotential):
 
     def __init__(self, ds: Dataset, shards, sigma_x: float = np.sqrt(2.0),
                  prior_vars: tuple = (10.0, 1.0), batch_size: int | None = 1):
-        super().__init__(ds, shards, batch_size)
+        super().__init__(ds, shards, batch_size, features=False)
         self.sigma_x = float(sigma_x)
         self.prior_vars = (float(prior_vars[0]), float(prior_vars[1]))
         if self.sigma_x <= 0:
             raise ValueError("sigma_x must be positive")
-        self._s2 = self.sigma_x ** 2
-        self._agent_prior_vars = np.array(self.prior_vars) * len(shards)
+        self._agent_prec = 1.0 / (np.array(self.prior_vars) * len(shards))
         self.props = PotentialProps(dim=2)
+        if batch_size is None:
+            real = np.arange(self._targets.shape[1]) < np.array(self._sizes)[:, None]
+            self._terms = _mixture_terms(self._targets, 1.0, self.sigma_x ** 2,
+                                         self._agent_prec, real)
+            self._targets = self._terms[1][:, 1]  # held once, as the rows' w x
 
     def grad_drawn(self, z, idx):
-        _, targs, scale = self._batches(idx)
-        mask = self._mask if idx is None else None
-        return _grad_mixture(z, targs, self._s2, self._agent_prior_vars,
-                             scale, mask)
+        return _grad_mixture(z, *(self._terms if idx is None else _mixture_terms(
+            *self._batches(idx)[1:], self.sigma_x ** 2, self._agent_prec)))
 
 
 class LogisticPotential(_ShardedPotential):

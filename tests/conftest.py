@@ -237,6 +237,24 @@ def reference_ula(grad, sched, seed, num_iters, dim):
     return out
 
 
+def reference_grad_mixture(theta, x, sigma_x, prior_vars, scale=1.0):
+    """The mixture gradient as the package computed it before it took the
+    responsibilities through tanh and per-shard sums: component 2's
+    responsibility is 1 / (1 + exp(-v)) of the log-density difference v,
+    and both per-sample terms are summed side by side."""
+    theta, x = np.asarray(theta, dtype=float), np.asarray(x, dtype=float)
+    s2 = sigma_x ** 2
+    a, b = theta[..., :1], theta[..., 1:]
+    d1 = x - a
+    d2 = d1 - b
+    with np.errstate(over="ignore"):
+        r2 = 1.0 / (1.0 + np.exp(-(d1 ** 2 - d2 ** 2) / (2.0 * s2)))
+    terms = np.empty(r2.shape[:-1] + (2,) + r2.shape[-1:])
+    np.subtract(d1, r2 * b, out=terms[..., 0, :])
+    np.multiply(r2, d2, out=terms[..., 1, :])
+    return -scale * terms.sum(axis=-1) / s2 + theta / np.asarray(prior_vars)
+
+
 def reference_agent_grads(pot, ds, shards, z, noise):
     """Every agent's gradient at its row of z, one agent at a time.
 

@@ -18,8 +18,8 @@ from declangevin import (Dataset, GaussianDist, GaussianPotential,
                          make_surrogate_classification, partition)
 from declangevin.models import _sigmoid
 
-from conftest import (central_fd, reference_agent_grads, reference_surrogate,
-                      save_libsvm)
+from conftest import (central_fd, reference_agent_grads, reference_grad_mixture,
+                      reference_surrogate, save_libsvm)
 
 
 def linreg_neg_log_post(z, feats, targs, prior, sigma):
@@ -691,3 +691,46 @@ class TestGradAll:
         for i in range(m):
             assert batched.stream(i).bit_generator.state \
                 == looped.stream(i).bit_generator.state
+
+
+class TestMixtureKernel:
+    @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+           batch=st.sampled_from([None, 1, 3]),
+           seed=st.integers(0, 2 ** 16),
+           spread=st.sampled_from([0.1, 1.0, 10.0, 300.0]),
+           far=st.booleans())
+    def test_tanh_sums_match_the_two_term_reference(self, sizes, batch, seed,
+                                                    spread, far):
+        # ragged full shards take the padded path, minibatches the scale,
+        # and far-out samples saturate tanh where exp(-v) overflows
+        rng = np.random.default_rng(seed)
+        m, n = len(sizes), sum(sizes)
+        x = generate_mixture_data(n, 0.0, 1.0, np.sqrt(2.0), seed).targets.copy()
+        if far:
+            out = rng.random(n) < 0.5
+            x[out] = rng.choice([-1e6, 1e6], size=out.sum())
+        ds = Dataset(x[:, None], x)
+        shards = np.split(rng.permutation(n), np.cumsum(sizes)[:-1])
+        pot = MixturePotential(ds, shards, np.sqrt(2.0), (10.0, 1.0), batch)
+        z = spread * rng.standard_normal((m, 2))
+        idx = pot.draw(NoiseModel(seed, m), 1)[0]
+        batches = shards if batch is None else [s[i] for s, i in zip(shards, idx)]
+        scale = np.array([[1.0 if batch is None else len(s) / batch]
+                          for s in shards])
+        width = max(map(len, batches))
+        padded, mask = np.ones((m, width)), np.zeros((m, width))
+        for i, rows in enumerate(batches):
+            padded[i, :len(rows)], mask[i, :len(rows)] = x[rows], 1.0
+        prior_vars = (10.0 * m, 1.0 * m)
+        ref = np.stack([reference_grad_mixture(z[i], x[rows], np.sqrt(2.0),
+                                               prior_vars, scale[i])
+                        for i, rows in enumerate(batches)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = {"potential": pot.grad_drawn(z, idx),
+                   "public": grad_U_mixture(z, padded, np.sqrt(2.0), prior_vars,
+                                            scale, mask)}
+        for path, rows in got.items():
+            np.testing.assert_allclose(rows, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max(),
+                                       err_msg=path)
