@@ -28,7 +28,7 @@ import numpy as np
 
 from .graphs import generate_graph_sequence, spectral_bounds
 from .langevin import NoiseModel, StepSchedule, run
-from .metrics import (COV_RIDGE, check_lemma4_bound, roc_auc,
+from .metrics import (COV_RIDGE, _classes, _sorted_auc, check_lemma4_bound,
                       w2_gaussian_bures, w2_gaussian_paper)
 from .models import (Dataset, GaussianDist, GaussianPotential, LinRegPotential,
                      LogisticPotential, MixturePotential,
@@ -120,8 +120,8 @@ _POSITIVE = ("data_sigma", "sigma_x_sq", "prior_var1", "prior_var2",
 _AT_LEAST_ONE = ("agents", "iters", "stride", "n", "dims", "eval_every",
                  "model_dim")
 
-# test scores held at once while the AUC series is computed: about 40
-# states' scores on a 6512-row test set
+# the AUC series' chunk buffer, the only copy of the test scores it holds,
+# split by class: about 40 states' scores on a 6512-row test set
 _AUC_CHUNK_BYTES = 2 << 20
 # test rows cast to float64 at once for those scores; 2 MiB tiles would
 # lift logistic's peak by 1.6 MB
@@ -436,31 +436,41 @@ def logistic_auc_series(trace, test: Dataset, eval_every: int):
 
     The final iteration is evaluated too when it was recorded, that is when
     the stride divides the iteration count.  The picked agent states are
-    scored against the test set in chunks of rows, one ``roc_auc`` call
-    each, so that at most about 2 MiB of scores are held at once.  Each
-    chunk casts the test features to float64 in tiles of rows, straight
-    into its scores, so no float copy of the whole split is held.  Returns
-    (eval_ts, aucs) with aucs of shape (n_evals, agents).
+    scored in chunks into one buffer of about 2 MiB, the only copy of the
+    scores: each tile of test rows is cast to float64, multiplied into a
+    small buffer and scattered into the chunk's columns, positives first,
+    and the two class blocks are sorted in place and counted as ``roc_auc``
+    counts them.  Returns (eval_ts, aucs) with aucs of shape (n_evals,
+    agents).
     """
     if eval_every < 1:
         raise ValueError("eval_every must be at least 1")
     ts = trace.ts
     picks = np.flatnonzero((ts > 0) & ((ts % eval_every == 0)
                                        | (ts == trace.num_iters)))
-    states = trace.states[picks].reshape(-1, trace.dim)
-    aucs = np.empty(len(states))
+    pos, neg = _classes(test.targets)
+    # each test row's column in the chunk buffer: the inverse permutation
+    col = np.concatenate([pos, neg]).argsort()
+    m, states = trace.num_agents, trace.states.reshape(-1, trace.dim)
+    flat = (picks[:, None] * m + np.arange(m)).ravel()
+    aucs = np.empty(len(flat))
     width = max(1, _AUC_CHUNK_BYTES // (8 * test.n))
-    scores = np.empty((min(width, len(states)), test.n))
+    scores = np.empty((min(width, len(flat)), test.n))
     tile = max(1, _AUC_TILE_BYTES // (8 * test.dim))
-    for start in range(0, len(states), width):
-        rows = states[start:start + width]
+    prod = np.empty((len(scores), min(tile, test.n)))
+    for start in range(0, len(flat), width):
+        rows = states[flat[start:start + width]]
         out = scores[:len(rows)]
-        # the cast goes straight to the product, so no tile outlives it
         for lo in range(0, test.n, tile):
-            np.matmul(rows, test.features[lo:lo + tile].astype(float, copy=False).T,
-                      out=out[:, lo:lo + tile])
-        aucs[start:start + width] = roc_auc(out, test.targets)
-    return ts[picks], aucs.reshape(len(picks), trace.num_agents)
+            hi = min(lo + tile, test.n)
+            # the cast goes straight to the product, so no tile outlives it
+            out[:, col[lo:hi]] = np.matmul(
+                rows, test.features[lo:hi].astype(float, copy=False).T,
+                out=prod[:len(rows), :hi - lo])
+        out[:, :len(pos)].sort(axis=1)
+        out[:, len(pos):].sort(axis=1)
+        aucs[start:start + width] = _sorted_auc(out[:, :len(pos)], out[:, len(pos):])
+    return ts[picks], aucs.reshape(len(picks), m)
 
 
 def _monitor_metadata(trace, setup: RunSetup):

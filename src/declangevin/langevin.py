@@ -22,7 +22,6 @@ import math
 import operator
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +170,14 @@ def step_size(sched: StepSchedule, t: int) -> float:
     """Evaluate the schedule at iteration t >= 0."""
     if t < 0:
         raise ValueError("iteration index must be nonnegative")
-    return sched.alpha0 / (sched.offset + t) ** sched.exponent
+    return _alphas(sched, (t,))[0]
+
+
+def _alphas(sched: StepSchedule, ts) -> list:
+    """The schedule at each of the iterations ``ts``, in Python floats:
+    numpy's power differs in the last bit at some non-integer exponents."""
+    a0, off, p = sched.alpha0, sched.offset, sched.exponent
+    return [a0 / (off + t) ** p for t in ts]
 
 
 class NoiseModel:
@@ -278,7 +284,7 @@ def _draws(sched: StepSchedule, potential: Potential,
            noise: NoiseModel | None, t0: int, steps: int, dim: int):
     """Step sizes alpha(t+1), the potential's draws and the injections
     sqrt(2 alpha(t+1)) r_i (None without noise) of steps t0 .. t0+steps-1."""
-    alphas = [step_size(sched, t + 1) for t in range(t0, t0 + steps)]
+    alphas = _alphas(sched, range(t0 + 1, t0 + steps + 1))
     gauss = [None] * steps
     if noise is not None:
         gauss = noise.gaussian_block(steps, dim)
@@ -293,8 +299,9 @@ def _weights(entries: np.ndarray, y: np.ndarray, t0: int) -> tuple:
     weight falls below the floor, ys stops before that step and error is the
     FloatingPointError naming it; otherwise error is None."""
     ys = np.empty((len(entries), len(y)))
+    # np.dot dispatches faster than np.matmul at these sizes, with equal bits
     for a, row in zip(entries, ys):
-        y = np.matmul(a, y, out=row)
+        y = np.dot(a, y, out=row)
     low = (ys < Y_FLOOR).any(axis=1)
     if not low.any():
         return ys, None
@@ -320,7 +327,7 @@ def _step(mixing: np.ndarray, y: np.ndarray, xs: np.ndarray, ws: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for a, x, w, z, out, yk, alpha, dk, g in zip(
                 mixing, xs, ws, zs[1:], xs[1:], ys[:, :, None], alphas, drawn, gauss):
-            np.matmul(a, x, out=w)
+            np.dot(a, x, out=w)
             np.divide(w, yk, out=z)
             np.multiply(potential.grad_drawn(z, dk), alpha, out=out)
             np.subtract(w, out, out=out)
@@ -440,7 +447,7 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
     y = np.ones(m)
 
     n_rec = num_iters // stride + 1
-    alphas = np.array([step_size(sched, t) for t in range(0, num_iters + 1, stride)])
+    alphas = np.array(_alphas(sched, range(0, num_iters + 1, stride)))
     states = np.zeros((n_rec, m, d))
     consensus = np.zeros((n_rec, m))
     record_dev = np.full((n_rec, m), np.nan)
@@ -584,7 +591,10 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     if num_runs < 1:
         raise ValueError("num_runs must be at least 1")
     seq.check_b_connected()
-    # imported here: models imports this module
+    # imported here: models imports this module, and only the ensemble
+    # needs a thread pool
+    from concurrent.futures import ThreadPoolExecutor
+
     from .models import _gaussian_affine
 
     h, b, _ = _gaussian_affine(target_mean, target_cov, num_agents)

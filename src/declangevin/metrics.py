@@ -106,17 +106,32 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
     labels = np.asarray(labels, dtype=float)
     if labels.ndim != 1 or scores.shape[-1:] != labels.shape:
         raise ValueError("scores must end in an axis of one score per label")
+    pos, neg = _classes(labels)
+    rows = scores.reshape(-1, len(labels))
+    pos_sorted = np.take(rows, pos, axis=1)
+    neg_sorted = np.take(rows, neg, axis=1)
+    pos_sorted.sort(axis=1)
+    neg_sorted.sort(axis=1)
+    auc = _sorted_auc(pos_sorted, neg_sorted)
+    return float(auc[0]) if scores.ndim == 1 else auc.reshape(scores.shape[:-1])
+
+
+def _classes(labels: np.ndarray) -> tuple:
+    """Indices of the positive and of the negative labels; refuses a single
+    class and labels other than -1 and +1."""
     pos = np.flatnonzero(labels == 1.0)
     neg = np.flatnonzero(labels == -1.0)
     if not (len(pos) and len(neg)):
         raise ValueError("need both classes to compute ROC-AUC")
     if len(pos) + len(neg) != len(labels):
         raise ValueError("labels must be -1 or +1")
-    rows = scores.reshape(-1, len(labels))
-    pos_sorted = np.take(rows, pos, axis=1)
-    neg_sorted = np.take(rows, neg, axis=1)
-    pos_sorted.sort(axis=1)
-    neg_sorted.sort(axis=1)
+    return pos, neg
+
+
+def _sorted_auc(pos_sorted: np.ndarray, neg_sorted: np.ndarray) -> np.ndarray:
+    """Exact AUC of each row of a scoring split by class, the positives'
+    and the negatives' scores each sorted ascending along the rows.  NaN
+    sorts last, so a row whose last entry in either block is NaN gives NaN."""
     u = []
     for p, q in zip(pos_sorted, neg_sorted):
         below = np.searchsorted(q, p, "left")
@@ -124,9 +139,9 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
         tie = q[np.minimum(below, len(q) - 1)] == p
         u.append(2 * below.sum()
                  + (np.searchsorted(q, p[tie], "right") - below[tie]).sum())
-    auc = np.array(u) / 2 / (len(pos) * len(neg))
-    auc[np.isnan(rows).any(axis=1)] = np.nan
-    return float(auc[0]) if scores.ndim == 1 else auc.reshape(scores.shape[:-1])
+    auc = np.array(u) / 2 / (pos_sorted.shape[1] * neg_sorted.shape[1])
+    auc[np.isnan(pos_sorted[:, -1]) | np.isnan(neg_sorted[:, -1])] = np.nan
+    return auc
 
 
 @dataclass(frozen=True)

@@ -296,9 +296,13 @@ def _check_labels(y: np.ndarray) -> None:
 
 
 def _grad_logistic(w, feats, y, scale):
-    """:func:`grad_U_logistic` on float arrays with checked labels."""
-    coef = y * _sigmoid(-y * (feats @ w[..., None])[..., 0])
-    return -scale * _transpose_times(feats, coef) + np.sign(w)
+    """:func:`grad_U_logistic` on float arrays with checked labels.  With
+    u = y w^T x, y sigmoid(-u) is y / (1 + exp(u)) bit for bit: negation is
+    exact, and y = +-1 only flips the sign of 1 / (1 + exp(u))."""
+    coef = np.multiply(y, (feats @ w[..., None])[..., 0])
+    np.exp(coef, out=coef)
+    coef += 1.0
+    return -scale * _transpose_times(feats, np.divide(y, coef, out=coef)) + np.sign(w)
 
 
 def load_libsvm(path, num_features: int | None = None) -> Dataset:
@@ -542,10 +546,21 @@ class MixturePotential(_ShardedPotential):
             self._terms = _mixture_terms(self._targets, 1.0, self.sigma_x ** 2,
                                          self._agent_prec, real)
             self._targets = self._terms[1][:, 1]  # held once, as the rows' w x
+        else:
+            # a batch of zeros gives the terms that no batch moves: a batch's
+            # sum x enters the curvature times 0, a zero for finite samples
+            self._terms = _mixture_terms(np.zeros((len(shards), batch_size)),
+                                         self._scale, self.sigma_x ** 2,
+                                         self._agent_prec)
 
     def grad_drawn(self, z, idx):
-        return _grad_mixture(z, *(self._terms if idx is None else _mixture_terms(
-            *self._batches(idx)[1:], self.sigma_x ** 2, self._agent_prec)))
+        if idx is None:
+            return _grad_mixture(z, *self._terms)
+        coef, rows, n, gamma, curv, _ = self._terms
+        rows = rows.copy()
+        rows[:, 1] = self._targets.take(self._table.take(idx + self._offsets))
+        return _grad_mixture(z, coef, rows, n, gamma, curv,
+                             gamma * rows[:, 1:].sum(axis=-1) * (2.0, 1.0))
 
 
 class LogisticPotential(_ShardedPotential):

@@ -542,6 +542,88 @@ class TestRunExperiment:
         np.testing.assert_array_equal(eval_ts, want_ts)
         assert aucs.tobytes() == want.tobytes()
 
+    @staticmethod
+    def random_trace(rng, n_rec, m, d, stride):
+        """A trace of standard normal states; only its states and times
+        matter to the AUC series."""
+        return Trace(alphas=np.zeros(n_rec),
+                     states=rng.standard_normal((n_rec, m, d)),
+                     consensus=np.zeros((n_rec, m)),
+                     record_dev=np.zeros((n_rec, m)),
+                     worst_cum_dev=np.zeros(stride * (n_rec - 1) - 1),
+                     max_pert=0.0, num_iters=stride * (n_rec - 1),
+                     stride=stride)
+
+    def test_logistic_auc_series_holds_one_score_buffer(self):
+        # the 40-state chunk's 2.08 MB of scores is the only copy: split by
+        # class beside it, as roc_auc splits them, the stage peaked at 4.9 MB
+        rng = np.random.default_rng(0)
+        d = 123
+        trace = self.random_trace(rng, 101, 4, d, 10)
+        test = Dataset((rng.random((6512, d)) < 0.1).astype(np.uint8),
+                       np.where(rng.random(6512) < 0.25, 1.0, -1.0))
+        tracemalloc.start()
+        try:
+            eval_ts, aucs = logistic_auc_series(trace, test, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert aucs.shape == (100, 4)
+        assert peak < 3.0e6
+
+    def test_a_small_split_holds_no_tile_buffer_beyond_its_rows(self):
+        # 400 states on a 50-row split: a product buffer as wide as a full
+        # tile, 5461 rows at d = 6, would take 17.5 MB for 0.16 MB of scores
+        rng = np.random.default_rng(3)
+        trace = self.random_trace(rng, 101, 4, 6, 10)
+        test = Dataset((rng.random((50, 6)) < 0.5).astype(np.uint8),
+                       np.where(np.arange(50) % 2, 1.0, -1.0))
+        tracemalloc.start()
+        try:
+            eval_ts, aucs = logistic_auc_series(trace, test, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert aucs.shape == (100, 4)
+        assert peak < 1e6
+
+    def test_logistic_auc_series_counts_ties_across_classes(self,
+                                                            monkeypatch):
+        # 3 byte features give at most 8 distinct scores per state, so
+        # nearly every score ties with scores of the other class; the labels
+        # interleave, and the chunks of 5 states and the tiles of 7 rows
+        # end ragged
+        rng = np.random.default_rng(1)
+        base = (rng.random((8, 3)) < 0.5).astype(np.uint8)
+        feats = base[rng.integers(0, 8, size=97)]
+        labels = np.where(np.arange(97) % 3 == 1, 1.0, -1.0)
+        test = Dataset(feats, labels)
+        trace = self.random_trace(rng, 7, 3, 3, 2)
+        monkeypatch.setattr(cli_module, "_AUC_CHUNK_BYTES", 5 * 8 * test.n)
+        monkeypatch.setattr(cli_module, "_AUC_TILE_BYTES", 7 * 8 * test.dim)
+        eval_ts, aucs = logistic_auc_series(trace, test, 4)
+        want_ts, want = reference_auc_series(trace, test, 4)
+        np.testing.assert_array_equal(eval_ts, [4, 8, 12])
+        np.testing.assert_array_equal(eval_ts, want_ts)
+        assert aucs.tobytes() == want.tobytes()
+        scores = feats.astype(float) @ trace.states[2, 0]
+        assert np.isin(scores[labels == 1.0], scores[labels == -1.0]).all()
+
+    def test_a_nan_state_scores_nan_for_its_agent_and_evaluation_only(
+            self, monkeypatch):
+        rng = np.random.default_rng(2)
+        trace = self.random_trace(rng, 11, 3, 6, 1)
+        trace.states[4, 1, 2] = np.nan
+        test = Dataset((rng.random((50, 6)) < 0.5).astype(np.uint8),
+                       np.where(rng.random(50) < 0.4, 1.0, -1.0))
+        # chunks of 4 states, so the NaN shares its chunk with finite ones
+        monkeypatch.setattr(cli_module, "_AUC_CHUNK_BYTES", 4 * 8 * test.n)
+        eval_ts, aucs = logistic_auc_series(trace, test, 2)
+        np.testing.assert_array_equal(eval_ts, [2, 4, 6, 8, 10])
+        assert np.argwhere(np.isnan(aucs)).tolist() == [[1, 1]]
+        want_ts, want = reference_auc_series(trace, test, 2)
+        assert aucs.tobytes() == want.tobytes()
+
 
 class TestRows:
     """The output stage holds a byte-sized chunk of records at a time."""
@@ -885,6 +967,17 @@ class TestMain:
             [sys.executable, "-c", "import sys, declangevin.cli; print(sorted("
              "{'scipy', 'hypothesis', 'pytest'} & {n.split('.')[0] for n in "
              "sys.modules}))"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_importing_the_cli_loads_no_thread_pool(self):
+        # only run_gaussian_ensemble uses one, and it imports it itself
+        src = str(Path(declangevin.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, declangevin.cli; print(sorted("
+             "{'concurrent.futures', 'logging'} & set(sys.modules)))"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
             text=True, timeout=120)
         assert done.returncode == 0, done.stderr
