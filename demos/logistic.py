@@ -30,8 +30,7 @@ def main():
         cfg = build_config("logistic", data, {"batch": batch})
         setup = prepare(cfg)
         trace = run_experiment(cfg, setup)
-        eval_ts, aucs = logistic_auc_series(trace, setup.extras["test"],
-                                            cfg.eval_every)
+        eval_ts, aucs = logistic_auc_series(trace, setup.extras["test"])
         means = aucs.mean(axis=1)
         row = " ".join(f"{means[eval_ts == t][0]:<8.4f}"
                        for t in CHECKPOINTS)

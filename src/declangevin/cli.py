@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import typing
@@ -100,24 +99,23 @@ def _coercion_type(hint) -> type:
 _FIELD_TYPES = {name: _coercion_type(hint)
                 for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 
+# Each subcommand's defaults where they differ from ExperimentConfig's.
 # batch 0 means the full shard; the mixture gradient uses each node's whole
 # sample set, the regression experiments subsample
 _DEFAULTS = {
-    "linreg": dict(iters=200, n=800, dims=2, data_sigma=1.0, true_w="1.0,-1.0",
-                   schedule="power", alpha_start=0.008, alpha_end=0.0005,
-                   batch=1),
-    "mixture": dict(iters=10000, n=800, schedule="power", alpha_start=0.01,
-                    alpha_end=0.0001),
-    "logistic": dict(iters=1000, n=32561, dims=123, schedule="power",
-                     alpha0=0.008, sched_offset=12.0, sched_p=0.45, batch=32),
-    "run": dict(iters=1000, schedule="harmonic"),
+    "linreg": dict(iters=200, alpha_start=0.008, alpha_end=0.0005, batch=1),
+    "mixture": dict(iters=10000, alpha_start=0.01, alpha_end=0.0001),
+    "logistic": dict(n=32561, dims=123, alpha0=0.008, sched_offset=12.0,
+                     sched_p=0.45, batch=32),
+    "run": dict(schedule="harmonic"),
 }
 # Fields that must be positive, and counts that must be at least 1; prepare
 # checks them before anything is drawn.  A field its subcommand does not
 # read holds its valid default.
 _POSITIVE = ("data_sigma", "sigma_x_sq", "prior_var1", "prior_var2",
              "model_kappa")
-_AT_LEAST_ONE = ("agents", "iters", "stride", "n", "dims", "eval_every",
+# eval_every is checked before the stride that logistic derives from it
+_AT_LEAST_ONE = ("agents", "iters", "eval_every", "stride", "n", "dims",
                  "model_dim")
 
 # the AUC series' chunk buffer, the only copy of the test scores it holds,
@@ -156,6 +154,9 @@ def build_config(experiment: str, *override_maps) -> ExperimentConfig:
                 merged[key] = want(value)
             except (TypeError, ValueError):
                 raise ConfigError(f"config key {key!r} expects {want.__name__}, got {value!r}") from None
+    if experiment == "logistic":
+        # logistic records exactly the iterations it scores
+        merged["stride"] = merged["eval_every"]
     return ExperimentConfig(**merged)
 
 
@@ -246,6 +247,9 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
     for name in _AT_LEAST_ONE:
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be at least 1")
+    if cfg.experiment == "logistic" and cfg.eval_every > cfg.iters:
+        raise ConfigError(f"eval_every={cfg.eval_every} exceeds iters="
+                          f"{cfg.iters}, so no iteration would be scored")
     if cfg.monitors not in ("on", "off"):
         raise ConfigError("monitors must be 'on' or 'off'")
     if cfg.seed < 0:
@@ -320,14 +324,6 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
                                      (cfg.prior_var1, cfg.prior_var2), batch)
         metadata["shard_sizes"] = _sizes(shards)
     elif cfg.experiment == "logistic":
-        # the AUC series scores recorded multiples of eval_every and the
-        # final iteration if it is recorded
-        if cfg.iters % cfg.stride and math.lcm(cfg.stride, cfg.eval_every) > cfg.iters:
-            raise ConfigError(
-                f"iters={cfg.iters}, stride={cfg.stride} and eval_every="
-                f"{cfg.eval_every} leave no evaluation point: no recorded "
-                f"iteration is a multiple of eval_every, and the last one "
-                f"is not recorded")
         ds = _logistic_data(cfg)
         split_seed = cfg.seed if cfg.split_seed is None else cfg.split_seed
         if not 0.0 < cfg.split_frac < 1.0:
@@ -431,35 +427,27 @@ def linreg_w2_series(trace, posterior: GaussianDist):
     return tuple(w2)
 
 
-def logistic_auc_series(trace, test: Dataset, eval_every: int):
-    """Per-agent test ROC-AUC at recorded multiples of ``eval_every``.
+def logistic_auc_series(trace, test: Dataset):
+    """Per-agent test ROC-AUC at every recorded iteration after 0.
 
-    The final iteration is evaluated too when it was recorded, that is when
-    the stride divides the iteration count.  The picked agent states are
-    scored in chunks into one buffer of about 2 MiB, the only copy of the
-    scores: each tile of test rows is cast to float64, multiplied into a
-    small buffer and scattered into the chunk's columns, positives first,
-    and the two class blocks are sorted in place and counted as ``roc_auc``
-    counts them.  Returns (eval_ts, aucs) with aucs of shape (n_evals,
-    agents).
+    The agent states are scored in chunks into one buffer of about 2 MiB,
+    the only copy of the scores: each tile of test rows is cast to float64,
+    multiplied into a small buffer and scattered into the chunk's columns,
+    positives first, and the two class blocks are sorted in place and
+    counted as ``roc_auc`` counts them.  Returns (eval_ts, aucs) with aucs
+    of shape (n_records - 1, agents).
     """
-    if eval_every < 1:
-        raise ValueError("eval_every must be at least 1")
-    ts = trace.ts
-    picks = np.flatnonzero((ts > 0) & ((ts % eval_every == 0)
-                                       | (ts == trace.num_iters)))
     pos, neg = _classes(test.targets)
     # each test row's column in the chunk buffer: the inverse permutation
     col = np.concatenate([pos, neg]).argsort()
-    m, states = trace.num_agents, trace.states.reshape(-1, trace.dim)
-    flat = (picks[:, None] * m + np.arange(m)).ravel()
-    aucs = np.empty(len(flat))
+    m, states = trace.num_agents, trace.states[1:].reshape(-1, trace.dim)
+    aucs = np.empty(len(states))
     width = max(1, _AUC_CHUNK_BYTES // (8 * test.n))
-    scores = np.empty((min(width, len(flat)), test.n))
+    scores = np.empty((min(width, len(states)), test.n))
     tile = max(1, _AUC_TILE_BYTES // (8 * test.dim))
     prod = np.empty((len(scores), min(tile, test.n)))
-    for start in range(0, len(flat), width):
-        rows = states[flat[start:start + width]]
+    for start in range(0, len(states), width):
+        rows = states[start:start + width]
         out = scores[:len(rows)]
         for lo in range(0, test.n, tile):
             hi = min(lo + tile, test.n)
@@ -470,7 +458,7 @@ def logistic_auc_series(trace, test: Dataset, eval_every: int):
         out[:, :len(pos)].sort(axis=1)
         out[:, len(pos):].sort(axis=1)
         aucs[start:start + width] = _sorted_auc(out[:, :len(pos)], out[:, len(pos):])
-    return ts[picks], aucs.reshape(len(picks), m)
+    return trace.ts[1:], aucs.reshape(-1, m)
 
 
 def _monitor_metadata(trace, setup: RunSetup):
@@ -521,11 +509,9 @@ def _mixture_table(trace, setup: RunSetup, report):
 
 
 def _logistic_table(trace, setup: RunSetup, report):
-    eval_ts, aucs = logistic_auc_series(trace, setup.extras["test"],
-                                        setup.cfg.eval_every)
+    eval_ts, aucs = logistic_auc_series(trace, setup.extras["test"])
     header = ["t", "alpha"] + _per_agent(trace.num_agents, "auc") + ["auc_mean"]
-    table = (eval_ts, trace.alphas[eval_ts // trace.stride], aucs,
-             aucs.mean(axis=1))
+    table = (eval_ts, trace.alphas[1:], aucs, aucs.mean(axis=1))
     return header, table, f"final mean test AUC {np.mean(aucs[-1]):.4f}"
 
 
@@ -559,20 +545,23 @@ def _run_table(trace, setup: RunSetup, report):
 # header, its columns (ts first) and the summary after "wrote <out>".
 _EXPERIMENTS = {
     "linreg": ("Bayesian linear regression against its conjugate posterior",
-               ("batch", "n", "dims", "data_sigma", "true_w"), _linreg_table),
+               ("stride", "batch", "n", "dims", "data_sigma", "true_w"),
+               _linreg_table),
     "mixture": ("bimodal Gaussian-mixture posterior over two location offsets",
-                ("batch", "n", "theta1", "theta2", "sigma_x_sq", "prior_var1",
-                 "prior_var2"), _mixture_table),
+                ("stride", "batch", "n", "theta1", "theta2", "sigma_x_sq",
+                 "prior_var1", "prior_var2"), _mixture_table),
     "logistic": ("L1-regularized logistic regression scored by test ROC-AUC",
                  ("batch", "n", "dims", "dataset", "surrogate", "split_seed",
                   "split_frac", "eval_every"), _logistic_table),
     "run": ("generic run of a Gaussian target with optional bound monitors",
-            ("model_dim", "model_kappa"), _run_table),
+            ("stride", "model_dim", "model_kappa"), _run_table),
 }
-# the fields every subcommand reads, and all that each one reads
+# the fields every subcommand reads, and all that each one reads, in
+# ExperimentConfig's order
 _SHARED = tuple(name for name in _FIELD_TYPES if name != "experiment" and
                 all(name not in own for _, own, _ in _EXPERIMENTS.values()))
-_READS = {name: _SHARED + own for name, (_, own, _) in _EXPERIMENTS.items()}
+_READS = {name: tuple(f for f in _FIELD_TYPES if f in _SHARED or f in own)
+          for name, (_, own, _) in _EXPERIMENTS.items()}
 
 
 def _command(cfg: ExperimentConfig) -> int:

@@ -51,8 +51,7 @@ class Dataset:
     cast to float64 only where a batch or a score is computed; any other
     dtype is converted to float64.  ``targets`` is length n and holds labels
     in {-1, +1} for classification, real responses for regression, or the
-    raw sample values for the mixture model (mirrored into a single feature
-    column so both access patterns work).  Both are held as read-only
+    raw sample values for the mixture model.  Both are held as read-only
     views, so no write through the dataset reaches a potential that gathers
     from it; the arrays passed in stay writable.
     """
@@ -213,7 +212,7 @@ def generate_mixture_data(n: int, theta1: float, theta2: float, sigma_x: float,
 
     Each draw is N(theta1, sigma_x^2) or N(theta1 + theta2, sigma_x^2) with
     equal probability; ``sigma_x`` is the component standard deviation.  The
-    raw samples land in ``targets`` with a mirroring (n, 1) feature column.
+    raw samples land in ``targets``; the feature table is (n, 0).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -222,7 +221,7 @@ def generate_mixture_data(n: int, theta1: float, theta2: float, sigma_x: float,
     rng = np.random.default_rng(seed)
     comp = rng.integers(0, 2, size=n)
     samples = theta1 + comp * theta2 + sigma_x * rng.standard_normal(n)
-    return Dataset(features=samples[:, None], targets=samples)
+    return Dataset(features=np.empty((n, 0)), targets=samples)
 
 
 def grad_U_mixture(theta: np.ndarray, batch: np.ndarray, sigma_x: float = np.sqrt(2.0),
@@ -438,10 +437,10 @@ class _ShardedPotential(Potential):
     comes from one array expression.  Shorter shards are padded with zero
     feature rows and target 1.0, a valid label: a zero row adds exactly
     nothing to the regression and logistic sums, and the mixture weighs
-    its padding 0.  Without ``features``, the features held are zero-width.
+    its padding 0.
     """
 
-    def __init__(self, ds: Dataset, shards, batch_size, features=True):
+    def __init__(self, ds: Dataset, shards, batch_size):
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         self.batch_size = batch_size
@@ -452,9 +451,8 @@ class _ShardedPotential(Potential):
             rows[i, :n] = s
             if n and not 0 <= rows[i, :n].min() <= rows[i, :n].max() < ds.n:
                 raise ValueError(f"shard {i} holds a row outside [0, {ds.n})")
-        feats = ds.features if features else np.empty((ds.n, 0))
         if batch_size is not None:
-            self._features, self._targets = feats, ds.targets
+            self._features, self._targets = ds.features, ds.targets
             # agent i's local row j is dataset row _table[j + _offsets[i]]
             self._table = rows.ravel()
             self._offsets = np.arange(0, rows.size, rows.shape[1])[:, None]
@@ -462,7 +460,7 @@ class _ShardedPotential(Potential):
             return
         pad = np.arange(rows.shape[1]) >= np.array(self._sizes)[:, None]
         # one gather each, so no shard is ever held twice
-        self._features = feats[rows].astype(float, copy=False)
+        self._features = ds.features[rows].astype(float, copy=False)
         self._features[pad] = 0.0
         self._targets = ds.targets[rows]
         self._targets[pad] = 1.0
@@ -534,7 +532,7 @@ class MixturePotential(_ShardedPotential):
 
     def __init__(self, ds: Dataset, shards, sigma_x: float = np.sqrt(2.0),
                  prior_vars: tuple = (10.0, 1.0), batch_size: int | None = 1):
-        super().__init__(ds, shards, batch_size, features=False)
+        super().__init__(ds, shards, batch_size)
         self.sigma_x = float(sigma_x)
         self.prior_vars = (float(prior_vars[0]), float(prior_vars[1]))
         if self.sigma_x <= 0:

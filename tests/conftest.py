@@ -183,18 +183,16 @@ def reference_b_connected(seq, horizon, window_len):
         for k in range(horizon // window_len))
 
 
-def reference_auc_series(trace, test, eval_every):
-    """Per-agent test ROC-AUC, one state and one 1-d ``roc_auc`` call at a
-    time, as the package computed the series before it scored states in
-    chunks."""
-    picks = [k for k, t in enumerate(trace.ts)
-             if t > 0 and (t % eval_every == 0 or t == trace.num_iters)]
-    aucs = np.zeros((len(picks), trace.num_agents))
-    for row, k in enumerate(picks):
+def reference_auc_series(trace, test):
+    """Per-agent test ROC-AUC at every record after the first, one state and
+    one 1-d ``roc_auc`` call at a time, as the package computed the series
+    before it scored states in chunks."""
+    aucs = np.zeros((len(trace.ts) - 1, trace.num_agents))
+    for k in range(1, len(trace.ts)):
         for i in range(trace.num_agents):
             scores = test.features @ trace.states[k, i]
-            aucs[row, i] = roc_auc(scores, test.targets)
-    return trace.ts[picks], aucs
+            aucs[k - 1, i] = roc_auc(scores, test.targets)
+    return trace.ts[1:], aucs
 
 
 def reference_w2_series(trace, posterior):

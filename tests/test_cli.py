@@ -29,18 +29,20 @@ from declangevin.metrics import COV_RIDGE
 from conftest import (reference_auc_series, reference_b_connected,
                       reference_w2_series, save_libsvm)
 
-# the fields each subcommand reads: the shared ones, then its own
-SHARED = ("seed agents iters out stride monitors graph_kind graph_b "
-          "graph_seed schedule alpha0 sched_offset sched_p alpha_start "
-          "alpha_end").split()
+# the fields each subcommand reads: the shared ones and its own, in the
+# order ExperimentConfig declares them; logistic derives its stride
+SHARED = ("seed agents iters out monitors graph_kind graph_b graph_seed "
+          "schedule alpha0 sched_offset sched_p alpha_start alpha_end").split()
 OWN = {
-    "linreg": "batch n dims data_sigma true_w",
-    "mixture": "batch n theta1 theta2 sigma_x_sq prior_var1 prior_var2",
+    "linreg": "stride batch n dims data_sigma true_w",
+    "mixture": "stride batch n theta1 theta2 sigma_x_sq prior_var1 prior_var2",
     "logistic": "batch n dims dataset surrogate split_seed split_frac "
                 "eval_every",
-    "run": "model_dim model_kappa",
+    "run": "stride model_dim model_kappa",
 }
-READS = {name: SHARED + own.split() for name, own in OWN.items()}
+READS = {name: [f.name for f in dataclasses.fields(ExperimentConfig)
+                if f.name in SHARED or f.name in own.split()]
+         for name, own in OWN.items()}
 
 
 @pytest.fixture
@@ -108,8 +110,17 @@ class TestBuildConfig:
             build_config(experiment, {key: 1})
 
     def test_every_default_is_a_field_its_subcommand_reads(self):
+        # and differs from ExperimentConfig's, so each default is stated once
+        base = ExperimentConfig()
         for experiment, defaults in cli_module._DEFAULTS.items():
             assert set(defaults) <= set(READS[experiment]), experiment
+            for key, value in defaults.items():
+                assert value != getattr(base, key), (experiment, key)
+
+    def test_logistic_records_the_iterations_it_scores(self):
+        cfg = build_config("logistic")
+        assert cfg.stride == cfg.eval_every == 10
+        assert build_config("logistic", {"eval_every": 7}).stride == 7
 
 
 class TestLoadConfigFile:
@@ -310,16 +321,14 @@ class TestPrepare:
         assert peak < 0.5 * cfg.n * cfg.dims * 8
 
     def test_logistic_needs_an_evaluation_point(self):
-        # records at 0, 7 and 14: none a multiple of 10, and t=20 unrecorded
         cfg = build_config("logistic", {"surrogate": "on", "n": 200,
-                                        "iters": 20, "stride": 7,
-                                        "eval_every": 10})
-        with pytest.raises(ConfigError, match="iters=20, stride=7 and "
-                                              "eval_every=10"):
+                                        "iters": 20, "eval_every": 30})
+        with pytest.raises(ConfigError, match="eval_every=30 exceeds "
+                                              "iters=20"):
             prepare(cfg)
-        # a recorded last iteration or a recorded multiple is enough
-        for ok in [{"iters": 21}, {"iters": 70}, {"eval_every": 14}]:
-            prepare(dataclasses.replace(cfg, **ok))
+        # one multiple of eval_every is enough
+        prepare(build_config("logistic", {"surrogate": "on", "n": 200,
+                                          "iters": 20, "eval_every": 20}))
 
     def test_logistic_test_split_needs_both_classes(self):
         # six rows split 5/1 leave one negative row to test on
@@ -338,6 +347,14 @@ class TestPrepare:
 
 
 class TestRunExperiment:
+    def test_a_logistic_trace_holds_only_the_records_it_scores(self):
+        cfg = build_config("logistic", {"surrogate": "on", "n": 200,
+                                        "dims": 10, "agents": 3, "iters": 45,
+                                        "eval_every": 10})
+        trace = run_experiment(cfg)
+        assert trace.states.shape == (cfg.iters // cfg.eval_every + 1, 3, 10)
+        np.testing.assert_array_equal(trace.ts, [0, 10, 20, 30, 40])
+
     def test_smoke_run_is_deterministic(self):
         cfg = build_config("run", {"agents": 3, "iters": 50, "stride": 5})
         a = run_experiment(cfg)
@@ -464,12 +481,10 @@ class TestRunExperiment:
         cfg = build_config("logistic", {"dataset": "no/such/file",
                                         "surrogate": "on", "n": 200,
                                         "dims": 10, "agents": 3, "iters": 20,
-                                        "stride": 5, "eval_every": 10,
-                                        "batch": 8})
+                                        "eval_every": 10, "batch": 8})
         setup = prepare(cfg)
         trace = run_experiment(cfg, setup)
-        eval_ts, aucs = logistic_auc_series(trace, setup.extras["test"],
-                                            cfg.eval_every)
+        eval_ts, aucs = logistic_auc_series(trace, setup.extras["test"])
         np.testing.assert_array_equal(eval_ts, [10, 20])
         assert aucs.shape == (2, 3)
         assert np.all((0.0 <= aucs) & (aucs <= 1.0))
@@ -478,21 +493,18 @@ class TestRunExperiment:
                                                              monkeypatch):
         cfg = build_config("logistic", {"surrogate": "on", "n": 600,
                                         "dims": 12, "agents": 3, "iters": 40,
-                                        "stride": 3, "eval_every": 4,
-                                        "batch": 8})
+                                        "eval_every": 12, "batch": 8})
         setup = prepare(cfg)
         trace = run_experiment(cfg, setup)
         test = setup.extras["test"]
         # chunks of 5 states: 3 evaluations (t=12, 24, 36) times 3 agents
         # leave a ragged last chunk of 4
         monkeypatch.setattr(cli_module, "_AUC_CHUNK_BYTES", 5 * 8 * test.n)
-        eval_ts, aucs = logistic_auc_series(trace, test, cfg.eval_every)
-        want_ts, want = reference_auc_series(trace, test, cfg.eval_every)
+        eval_ts, aucs = logistic_auc_series(trace, test)
+        want_ts, want = reference_auc_series(trace, test)
         np.testing.assert_array_equal(eval_ts, [12, 24, 36])
         np.testing.assert_array_equal(eval_ts, want_ts)
         assert aucs.tobytes() == want.tobytes()
-        with pytest.raises(ValueError, match="eval_every"):
-            logistic_auc_series(trace, test, 0)
 
     def test_logistic_auc_series_scores_in_bounded_memory(self):
         # 100 evaluations of 4 agents on a 6512-row test set: all 400
@@ -510,7 +522,7 @@ class TestRunExperiment:
                        np.where(rng.random(6512) < 0.25, 1.0, -1.0))
         tracemalloc.start()
         try:
-            eval_ts, aucs = logistic_auc_series(trace, test, 10)
+            eval_ts, aucs = logistic_auc_series(trace, test)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -532,13 +544,13 @@ class TestRunExperiment:
                        np.where(rng.random(6512) < 0.25, 1.0, -1.0))
         tracemalloc.start()
         try:
-            eval_ts, aucs = logistic_auc_series(trace, test, 10)
+            eval_ts, aucs = logistic_auc_series(trace, test)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert aucs.shape == (100, 4)
         assert peak < 6512 * d * 8
-        want_ts, want = reference_auc_series(trace, test, 10)
+        want_ts, want = reference_auc_series(trace, test)
         np.testing.assert_array_equal(eval_ts, want_ts)
         assert aucs.tobytes() == want.tobytes()
 
@@ -564,7 +576,7 @@ class TestRunExperiment:
                        np.where(rng.random(6512) < 0.25, 1.0, -1.0))
         tracemalloc.start()
         try:
-            eval_ts, aucs = logistic_auc_series(trace, test, 10)
+            eval_ts, aucs = logistic_auc_series(trace, test)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -580,7 +592,7 @@ class TestRunExperiment:
                        np.where(np.arange(50) % 2, 1.0, -1.0))
         tracemalloc.start()
         try:
-            eval_ts, aucs = logistic_auc_series(trace, test, 10)
+            eval_ts, aucs = logistic_auc_series(trace, test)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -598,11 +610,11 @@ class TestRunExperiment:
         feats = base[rng.integers(0, 8, size=97)]
         labels = np.where(np.arange(97) % 3 == 1, 1.0, -1.0)
         test = Dataset(feats, labels)
-        trace = self.random_trace(rng, 7, 3, 3, 2)
+        trace = self.random_trace(rng, 4, 3, 3, 4)
         monkeypatch.setattr(cli_module, "_AUC_CHUNK_BYTES", 5 * 8 * test.n)
         monkeypatch.setattr(cli_module, "_AUC_TILE_BYTES", 7 * 8 * test.dim)
-        eval_ts, aucs = logistic_auc_series(trace, test, 4)
-        want_ts, want = reference_auc_series(trace, test, 4)
+        eval_ts, aucs = logistic_auc_series(trace, test)
+        want_ts, want = reference_auc_series(trace, test)
         np.testing.assert_array_equal(eval_ts, [4, 8, 12])
         np.testing.assert_array_equal(eval_ts, want_ts)
         assert aucs.tobytes() == want.tobytes()
@@ -612,16 +624,16 @@ class TestRunExperiment:
     def test_a_nan_state_scores_nan_for_its_agent_and_evaluation_only(
             self, monkeypatch):
         rng = np.random.default_rng(2)
-        trace = self.random_trace(rng, 11, 3, 6, 1)
-        trace.states[4, 1, 2] = np.nan
+        trace = self.random_trace(rng, 6, 3, 6, 2)
+        trace.states[2, 1, 2] = np.nan
         test = Dataset((rng.random((50, 6)) < 0.5).astype(np.uint8),
                        np.where(rng.random(50) < 0.4, 1.0, -1.0))
         # chunks of 4 states, so the NaN shares its chunk with finite ones
         monkeypatch.setattr(cli_module, "_AUC_CHUNK_BYTES", 4 * 8 * test.n)
-        eval_ts, aucs = logistic_auc_series(trace, test, 2)
+        eval_ts, aucs = logistic_auc_series(trace, test)
         np.testing.assert_array_equal(eval_ts, [2, 4, 6, 8, 10])
         assert np.argwhere(np.isnan(aucs)).tolist() == [[1, 1]]
-        want_ts, want = reference_auc_series(trace, test, 2)
+        want_ts, want = reference_auc_series(trace, test)
         assert aucs.tobytes() == want.tobytes()
 
 
@@ -768,7 +780,7 @@ class TestMain:
 
     @pytest.mark.parametrize("argv", [
         ["run", "--model_d", "3"], ["linreg", "--iter", "5"],
-        ["mixture", "--sigma_sq", "1"]])
+        ["mixture", "--sigma_sq", "1"], ["logistic", "--stride", "5"]])
     def test_a_prefix_or_a_retired_flag_exits_through_argparse(
             self, argv, tmp_path, capsys, no_draws):
         out = tmp_path / "p.csv"
@@ -780,7 +792,7 @@ class TestMain:
 
     @pytest.mark.parametrize("experiment, key", [
         ("linreg", "theta1"), ("mixture", "eval_every"),
-        ("logistic", "model_kappa"), ("run", "dims")])
+        ("logistic", "model_kappa"), ("logistic", "stride"), ("run", "dims")])
     def test_a_config_key_the_subcommand_does_not_read_exits_with_two(
             self, experiment, key, tmp_path, capsys, no_draws):
         config, out = tmp_path / "c.json", tmp_path / "k.csv"
@@ -803,7 +815,7 @@ class TestMain:
         listed = re.findall(r"^  --(\w+)", done.stdout, flags=re.MULTILINE)
         assert listed == ["config", *READS[experiment]]
         assert len(listed) - 1 == {"linreg": 20, "mixture": 22,
-                                   "logistic": 23, "run": 17}[experiment]
+                                   "logistic": 22, "run": 17}[experiment]
 
     def test_monitors_reject_an_underflowing_delta_before_sampling(
             self, tmp_path, capsys, monkeypatch):
@@ -833,6 +845,15 @@ class TestMain:
         assert code == 2
         assert "eval_every must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
+
+    def test_eval_every_beyond_iters_exits_before_any_draw(
+            self, tmp_path, capsys, no_draws):
+        out = tmp_path / "e.csv"
+        code = main(["logistic", "--surrogate", "on", "--eval_every", "30",
+                     "--iters", "20", "--out", str(out)])
+        assert code == 2
+        assert "eval_every=30 exceeds iters=20" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, field", [
         (["--alpha0", "nan"], "alpha0"), (["--alpha0", "inf"], "alpha0"),
@@ -1043,6 +1064,9 @@ class TestCommandPath:
                 if line.startswith("# ")}
         own = set(OWN[experiment].split())
         others = {key for keys in OWN.values() for key in keys.split()}
+        if experiment == "logistic":
+            # its stride is derived from eval_every and echoed like n
+            own.add("stride")
         assert own <= meta
         assert not (others - own) & meta
         assert "sigma_sq" not in data

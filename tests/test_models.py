@@ -139,6 +139,15 @@ class TestLinRegData:
             generate_linreg_data(10, 2, 1.0, np.zeros(3), 0)
 
 
+class TestMixtureData:
+    def test_the_samples_are_held_once_as_targets(self):
+        # no feature column mirrors them
+        ds = generate_mixture_data(40, 0.0, 1.0, np.sqrt(2.0), seed=4)
+        assert ds.features.shape == (40, 0)
+        assert ds.targets.shape == (40,)
+        assert ds.n == 40 and ds.dim == 0
+
+
 class TestLinRegPosterior:
     def test_mean_solves_the_normal_equations(self):
         ds = generate_linreg_data(80, 3, 0.7, np.array([1.0, 0.0, -2.0]),
