@@ -239,9 +239,16 @@ def _parse_true_w(cfg: ExperimentConfig) -> np.ndarray:
 
 def prepare(cfg: ExperimentConfig) -> RunSetup:
     """Validate a configuration and build the objects it describes."""
-    # a line break would split the CSV's metadata lines
+    if cfg.experiment == "logistic" and cfg.stride != cfg.eval_every:
+        raise ConfigError(f"logistic records the iterations it scores, so "
+                          f"stride={cfg.stride} must equal eval_every={cfg.eval_every}")
     for f in fields(cfg):
         value = getattr(cfg, f.name)
+        # a field the subcommand does not read holds its default (stride: see above)
+        if (value != f.default and f.name not in _READS[cfg.experiment]
+                and f.name not in ("experiment", "stride")):
+            raise ConfigError(f"{cfg.experiment} does not read {f.name}, set to {value!r}")
+        # a line break would split the CSV's metadata lines
         if isinstance(value, str) and ("\r" in value or "\n" in value):
             raise ConfigError(f"{f.name} holds a line break")
     for name in _AT_LEAST_ONE:
@@ -431,30 +438,26 @@ def logistic_auc_series(trace, test: Dataset):
     """Per-agent test ROC-AUC at every recorded iteration after 0.
 
     The agent states are scored in chunks into one buffer of about 2 MiB,
-    the only copy of the scores: each tile of test rows is cast to float64,
-    multiplied into a small buffer and scattered into the chunk's columns,
-    positives first, and the two class blocks are sorted in place and
-    counted as ``roc_auc`` counts them.  Returns (eval_ts, aucs) with aucs
+    the only copy of the scores: each tile of test rows is gathered in
+    label order, positives first, cast to float64 and multiplied straight
+    into the chunk's columns, and the two class blocks are sorted in place
+    and counted as ``roc_auc`` counts them.  Returns (eval_ts, aucs) with aucs
     of shape (n_records - 1, agents).
     """
     pos, neg = _classes(test.targets)
-    # each test row's column in the chunk buffer: the inverse permutation
-    col = np.concatenate([pos, neg]).argsort()
+    lab = np.concatenate([pos, neg])  # the test rows in column order
     m, states = trace.num_agents, trace.states[1:].reshape(-1, trace.dim)
     aucs = np.empty(len(states))
     width = max(1, _AUC_CHUNK_BYTES // (8 * test.n))
     scores = np.empty((min(width, len(states)), test.n))
     tile = max(1, _AUC_TILE_BYTES // (8 * test.dim))
-    prod = np.empty((len(scores), min(tile, test.n)))
     for start in range(0, len(states), width):
         rows = states[start:start + width]
         out = scores[:len(rows)]
         for lo in range(0, test.n, tile):
-            hi = min(lo + tile, test.n)
-            # the cast goes straight to the product, so no tile outlives it
-            out[:, col[lo:hi]] = np.matmul(
-                rows, test.features[lo:hi].astype(float, copy=False).T,
-                out=prod[:len(rows), :hi - lo])
+            # the gathered tile goes straight to the product: none outlives it
+            np.matmul(rows, test.features[lab[lo:lo + tile]].astype(float, copy=False).T,
+                      out=out[:, lo:lo + tile])
         out[:, :len(pos)].sort(axis=1)
         out[:, len(pos):].sort(axis=1)
         aucs[start:start + width] = _sorted_auc(out[:, :len(pos)], out[:, len(pos):])

@@ -311,6 +311,20 @@ def _weights(entries: np.ndarray, y: np.ndarray, t0: int) -> tuple:
         f"push-sum weight underflow at agent {bad} (y={ys[k, bad]:.3e}, t={t0 + k})")
 
 
+def _affine_steps(block, ys: np.ndarray, alphas, h, b, out: np.ndarray) -> np.ndarray:
+    """[K_t | c_t] of each step, x(t+1) = K_t x(t) + c_t + noise for gradients
+    H z - b: K_t[(i,p),(j,q)] = (I - alpha_t H / y_i(t+1))[p,q] A_t[i,j] and
+    c_t = alpha_t b, each entry one elementwise product, written into the first
+    n = len(ys) rows of ``out``, each (m, d, m d + 1), and viewed (n, m d, m d + 1)."""
+    (n, m), d, a = ys.shape, out.shape[2], np.array(alphas)
+    k, g = out[:n], np.multiply((a[:, None] / ys)[:, :, None, None], h)
+    np.subtract(np.eye(d), g, out=g)
+    np.multiply(g[..., None, :], block[:n, :, None, :, None],
+                out=k[..., :-1].reshape(n, m, d, m, d))
+    np.multiply(a[:, None, None], b, out=k[..., -1])
+    return k.reshape(n, m * d, m * d + 1)
+
+
 def _step(mixing: np.ndarray, y: np.ndarray, xs: np.ndarray, ws: np.ndarray,
           zs: np.ndarray, t0: int, alphas, potential: Potential, drawn,
           gauss) -> np.ndarray:
@@ -525,20 +539,17 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     at chosen iterations, which a single trajectory cannot do.
 
     The runs are split into chunks of at most 4096 runs, near-equal in
-    size, and the chunks run in a thread pool with one thread per usable
-    core at most; the runs share nothing but the mixing matrices and the
-    push-sum weights, so the chunks never communicate.  The chunks advance
-    together in blocks of at most 256 steps, fewer at large m or d, so that
-    a block holds about 8 MiB of matrices at most: the calling thread fills
-    one block of mixing matrices and runs the weight recursion through it
-    once, then every chunk runs through it, so memory does not grow with
-    the horizon.
-    When a chunk raises, or the caller is interrupted, every chunk stops at
-    its next step.  Within a chunk the state is agent-major, (m, d, runs):
-    row i holds agent i's values in every run of the chunk, so each step
-    mixes them with one matrix product and one division by the weights, as
-    a single run does, and the gradient is the affine form H z - b of
-    :class:`GaussianPotential`, one batched product with H = P/m.
+    size, that run in a thread pool with one thread per usable core at
+    most.  One step is affine in the stacked state, x(t+1) = K_t x(t) + c_t
+    + sqrt(2 alpha) xi, with K_t formed from the mixing matrix, the push-sum
+    weights and H; the runs share only these maps, so the chunks never
+    communicate.  They advance together in blocks of at most 256 steps,
+    fewer at large m or d, of at most about 8 MiB of mixing matrices and
+    2 MiB of maps, which the calling thread builds once for every chunk, so
+    memory does not grow with the horizon.  When a chunk raises, or the
+    caller is interrupted, every chunk stops at its next step.  A chunk's
+    state is agent-major, (m d + 1, runs) with a last row of ones, so a
+    step is one matrix product with [K_t | c_t] plus the scaled noise.
 
     Parameters
     ----------
@@ -598,7 +609,7 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     from .models import _gaussian_affine
 
     h, b, _ = _gaussian_affine(target_mean, target_cov, num_agents)
-    m, d = num_agents, len(b)
+    m, d, md = num_agents, len(b), num_agents * len(b)
     horizon = max(checkpoints)
     snaps = np.zeros((len(checkpoints), num_runs, d))
     want = {c: k for k, c in enumerate(checkpoints)}
@@ -607,60 +618,54 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     stop = threading.Event()
     parts = np.array_split(np.arange(num_runs), -(-num_runs // _CHUNK_RUNS))
     bounds = [(int(p[0]), int(p[-1]) + 1) for p in parts]
-    xs = [np.zeros((m, d, r1 - r0)) for r0, r1 in bounds]
+    xs = [np.vstack([np.zeros((md, r1 - r0)), np.ones(r1 - r0)]) for r0, r1 in bounds]
     rngs = [np.random.default_rng([seed, c]) for c in range(len(bounds))]
 
-    def advance(c: int, t0: int, block: np.ndarray, ys: np.ndarray):
-        """Runs chunk c through steps t0 .. t0+len(ys)-1, with push-sum
-        weights ``ys``, and returns (iteration, agent) of a divergence at a
-        checkpoint, or None."""
+    def advance(c: int, t0: int, steps: np.ndarray, alphas: list):
+        """Runs chunk c through the maps ``steps``, of step sizes ``alphas``, from
+        step t0; returns (iteration, agent) of a divergence at a checkpoint, or None."""
         try:
             (r0, r1), x = bounds[c], xs[c]
-            rows = (m, d * (r1 - r0))
-            w, z = np.empty_like(x), np.empty_like(x)
-            normals = np.empty((r1 - r0, m, d))
-            # an overflow or NaN warns nowhere: the checkpoint check names it
-            with np.errstate(over="ignore", invalid="ignore"):
-                for t, y in enumerate(ys[:, :, None, None], start=t0):
-                    if stop.is_set():
-                        break
-                    np.matmul(block[t - t0], x.reshape(rows), out=w.reshape(rows))
-                    np.divide(w, y, out=z)
-                    alpha = step_size(sched, t + 1)
-                    if noise_draw is None:
-                        drawn = rngs[c].standard_normal(out=normals)
-                    else:
-                        drawn = noise_draw(t)[r0:r1]
-                    # x = sqrt(2 alpha) xi + w - alpha (H z - b)
-                    np.matmul(h, z, out=x)
-                    x -= b[:, None]
-                    x *= -alpha
-                    x += w
-                    np.multiply(drawn.transpose(1, 2, 0), np.sqrt(2.0 * alpha), out=z)
-                    x += z
-                    if t + 1 in want:
-                        finite = np.isfinite(x).all(axis=(1, 2))
-                        if not finite.all():
-                            return t + 1, int(np.argmin(finite))
-                        snaps[want[t + 1], r0:r1] = x.mean(axis=0).T
+            w, normals = np.empty((md, r1 - r0)), np.empty((r1 - r0, m, d))
+            for t, k, alpha in zip(range(t0, t0 + len(steps)), steps, alphas):
+                if stop.is_set():
+                    break
+                if noise_draw is None:
+                    drawn = rngs[c].standard_normal(out=normals)
+                else:
+                    drawn = noise_draw(t)[r0:r1]
+                # x = K_t x + c_t + sqrt(2 alpha) xi
+                np.matmul(k, x, out=w)
+                np.multiply(drawn.reshape(r1 - r0, md).T, math.sqrt(2.0 * alpha), out=x[:-1])
+                x[:-1] += w
+                if t + 1 in want:
+                    finite = np.isfinite(x[:-1].reshape(m, -1)).all(axis=1)
+                    if not finite.all():
+                        return t + 1, int(np.argmin(finite))
+                    snaps[want[t + 1], r0:r1] = x[:-1].reshape(m, d, -1).mean(axis=0).T
             return None
         except BaseException:
             stop.set()
             raise
 
-    # one block of mixing matrices, filled here and not in the workers (the
-    # sequence's window memo is not thread-safe) before the chunks run it
-    mixing = np.empty((min(_block_steps(m, d), horizon), m, m))
+    # one block of mixing matrices and maps, built here and not in the workers
+    # (the sequence's window memo is not thread-safe) before the chunks run it
+    size = min(_block_steps(m, d), max(1, _STATE_BYTES // (8 * md * (md + 1))), horizon)
+    mixing, maps = np.empty((size, m, m)), np.empty((size, m, d, md + 1))
     y = np.ones(m)
-    with ThreadPoolExecutor(_worker_count(len(bounds))) as pool:
+    # an overflow or NaN warns nowhere: the checkpoint check names it
+    with ThreadPoolExecutor(_worker_count(len(bounds))) as pool, \
+            np.errstate(over="ignore", invalid="ignore"):
         try:
-            for t0 in range(0, horizon, len(mixing)):
+            for t0 in range(0, horizon, size):
                 block = seq.fill_mixing(t0, mixing[:horizon - t0])
                 ys, underflow = _weights(block, y, t0)
+                alphas = _alphas(sched, range(t0 + 1, t0 + len(ys) + 1))
+                steps = _affine_steps(block, ys, alphas, h, b, maps)
                 # each task runs in a copy of the caller's context, which
                 # carries its numpy error state
                 futures = [pool.submit(contextvars.copy_context().run,
-                                       advance, c, t0, block, ys)
+                                       advance, c, t0, steps, alphas)
                            for c in range(len(bounds))]
                 failures = [f.result() for f in futures]
                 failures = [f for f in failures if f is not None]

@@ -330,6 +330,32 @@ class TestPrepare:
         prepare(build_config("logistic", {"surrogate": "on", "n": 200,
                                           "iters": 20, "eval_every": 20}))
 
+    def test_a_logistic_stride_apart_from_eval_every_is_refused(self, no_draws):
+        # build_config derives the stride; a config built by hand that scores
+        # other iterations than it records never reaches a draw
+        cfg = build_config("logistic", {"surrogate": "on", "n": 2000, "iters": 40})
+        with pytest.raises(ConfigError, match="stride=3 must equal eval_every=10"):
+            prepare(dataclasses.replace(cfg, stride=3))
+
+    @pytest.mark.parametrize("experiment, name, value", [
+        ("run", "theta1", 0.5), ("run", "batch", 5), ("linreg", "model_dim", 3),
+        ("mixture", "dims", 3), ("logistic", "true_w", "2.0,1.0"),
+        ("linreg", "eval_every", 4)])
+    def test_a_field_the_subcommand_does_not_read_is_refused(
+            self, experiment, name, value, no_draws):
+        cfg = dataclasses.replace(build_config(experiment), **{name: value})
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{experiment} does not read {name}, set to {value!r}")):
+            prepare(cfg)
+
+    def test_an_unread_field_at_its_default_is_accepted(self):
+        # the default of the subcommand, and logistic's stride at any
+        # eval_every it is derived from
+        prepare(dataclasses.replace(build_config("run", {"iters": 5}), theta1=0.0))
+        cfg = build_config("logistic", {"surrogate": "on", "n": 200, "iters": 20,
+                                        "eval_every": 5})
+        assert prepare(dataclasses.replace(cfg, stride=5)).cfg.stride == 5
+
     def test_logistic_test_split_needs_both_classes(self):
         # six rows split 5/1 leave one negative row to test on
         cfg = build_config("logistic", {"surrogate": "on", "n": 6,

@@ -1108,6 +1108,60 @@ class TestEnsembleChunks:
         assert max(calls) < 500
 
 
+class TestAffineSteps:
+    """The ensemble's one-step maps [K_t | c_t]."""
+
+    @given(m=st.integers(1, 6), d=st.integers(1, 3), n=st.integers(1, 4),
+           shared=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           log_y=st.floats(-6.0, 6.0), log_alpha=st.floats(-8.0, 0.0))
+    def test_a_map_is_the_mix_then_the_gradient_step(self, m, d, n, shared,
+                                                    seed, log_y, log_alpha):
+        # [K | c] [x; 1] = w - alpha (H (w / y) - b) with w = A x, for random
+        # column-stochastic A with zeros, y > 0, alpha > 0 and H, b either
+        # shared by the agents (as the ensemble passes them) or per agent
+        rng = np.random.default_rng(seed)
+        a = rng.random((n, m, m)) * (rng.random((n, m, m)) < 0.6)
+        a[:, range(m), range(m)] += 0.05
+        a /= a.sum(axis=1, keepdims=True)
+        ys = np.exp(log_y + rng.uniform(-1.0, 1.0, (n, m)))
+        alphas = [math.exp(log_alpha + v) for v in rng.uniform(-1.0, 1.0, n)]
+        h = rng.normal(size=(d, d) if shared else (m, d, d))
+        b = rng.normal(size=(d,) if shared else (m, d))
+        x = rng.normal(size=(m, d, 3))
+        maps = langevin_module._affine_steps(a, ys, alphas, h, b,
+                                             np.empty((n + 2, m, d, m * d + 1)))
+        assert maps.shape == (n, m * d, m * d + 1)
+        hs = np.broadcast_to(h, (m, d, d))
+        for t in range(n):
+            w = np.einsum("ij,jpr->ipr", a[t], x)
+            z = w / ys[t][:, None, None]
+            hz = np.einsum("ipq,iqr->ipr", hs, z)
+            want = w - alphas[t] * (hz - np.broadcast_to(b, (m, d))[:, :, None])
+            got = maps[t] @ np.vstack([x.reshape(m * d, 3), np.ones(3)])
+            scale = np.abs(w).max() + alphas[t] * (
+                np.einsum("ipq,iqr->ipr", np.abs(hs), np.abs(z)).max() + np.abs(b).max())
+            assert np.abs(got.reshape(m, d, 3) - want).max() <= 1e-13 * scale
+
+    def test_a_block_of_maps_stays_within_the_state_budget(self):
+        # at m=16, d=4 one map takes 8 (md)(md + 1) = 33 kB, so the 256
+        # steps _block_steps allows would hold 8.5 MB of maps; the ensemble
+        # cuts its blocks to _STATE_BYTES of them, and the mixing matrices,
+        # the graph block being generated and the chunk's buffers take far
+        # less than that again
+        m, d, iters = 16, 4, 600
+        seq = generate_graph_sequence("seeded-random", m, 1, seed=0)
+        sched = StepSchedule("harmonic", 0.1)
+        run_gaussian_ensemble(seq, sched, np.zeros(d), np.eye(d), m, 50, 2, 0, [50])
+        tracemalloc.start()
+        try:
+            run_gaussian_ensemble(seq, sched, np.zeros(d), np.eye(d), m, iters,
+                                  2, 0, [iters])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * langevin_module._STATE_BYTES
+
+
 class DivergingAt(Potential):
     """Zero gradient, except an infinite one at the given step."""
 
