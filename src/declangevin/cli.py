@@ -239,6 +239,8 @@ def _parse_true_w(cfg: ExperimentConfig) -> np.ndarray:
 
 def prepare(cfg: ExperimentConfig) -> RunSetup:
     """Validate a configuration and build the objects it describes."""
+    if cfg.experiment not in _EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     if cfg.experiment == "logistic" and cfg.stride != cfg.eval_every:
         raise ConfigError(f"logistic records the iterations it scores, so "
                           f"stride={cfg.stride} must equal eval_every={cfg.eval_every}")

@@ -565,8 +565,9 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
         iteration t; each chunk reads its own rows of that block.  The hook
         is called once per chunk per step, from the worker threads, so it
         must be a pure function of t.  Tests use it to replay recorded
-        noise.  By default chunk c draws from its own generator, seeded
-        from (seed, c), so the result depends on (seed, num_runs) only,
+        noise.  By default chunk c draws from its own SFC64 generator,
+        seeded from (seed, c), straight into the agent-major (m d, runs)
+        rows of its state, so the result depends on (seed, num_runs) only,
         never on the number of threads or their scheduling.
 
     Returns
@@ -619,30 +620,30 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     parts = np.array_split(np.arange(num_runs), -(-num_runs // _CHUNK_RUNS))
     bounds = [(int(p[0]), int(p[-1]) + 1) for p in parts]
     xs = [np.vstack([np.zeros((md, r1 - r0)), np.ones(r1 - r0)]) for r0, r1 in bounds]
-    rngs = [np.random.default_rng([seed, c]) for c in range(len(bounds))]
+    rngs = [np.random.Generator(np.random.SFC64([seed, c])) for c in range(len(bounds))]
 
     def advance(c: int, t0: int, steps: np.ndarray, alphas: list):
         """Runs chunk c through the maps ``steps``, of step sizes ``alphas``, from
         step t0; returns (iteration, agent) of a divergence at a checkpoint, or None."""
         try:
             (r0, r1), x = bounds[c], xs[c]
-            w, normals = np.empty((md, r1 - r0)), np.empty((r1 - r0, m, d))
+            state, w = x[:-1], np.empty((md, r1 - r0))
             for t, k, alpha in zip(range(t0, t0 + len(steps)), steps, alphas):
                 if stop.is_set():
                     break
-                if noise_draw is None:
-                    drawn = rngs[c].standard_normal(out=normals)
-                else:
-                    drawn = noise_draw(t)[r0:r1]
-                # x = K_t x + c_t + sqrt(2 alpha) xi
+                # x = K_t x + c_t + sqrt(2 alpha) xi; the draw overwrites x once K_t has read it
                 np.matmul(k, x, out=w)
-                np.multiply(drawn.reshape(r1 - r0, md).T, math.sqrt(2.0 * alpha), out=x[:-1])
-                x[:-1] += w
+                if noise_draw is None:
+                    rngs[c].standard_normal(out=state)
+                else:
+                    state[...] = noise_draw(t)[r0:r1].reshape(r1 - r0, md).T
+                state *= math.sqrt(2.0 * alpha)
+                state += w
                 if t + 1 in want:
-                    finite = np.isfinite(x[:-1].reshape(m, -1)).all(axis=1)
+                    finite = np.isfinite(state.reshape(m, -1)).all(axis=1)
                     if not finite.all():
                         return t + 1, int(np.argmin(finite))
-                    snaps[want[t + 1], r0:r1] = x[:-1].reshape(m, d, -1).mean(axis=0).T
+                    snaps[want[t + 1], r0:r1] = state.reshape(m, d, -1).mean(axis=0).T
             return None
         except BaseException:
             stop.set()

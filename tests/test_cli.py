@@ -207,6 +207,12 @@ class TestPrepare:
             with pytest.raises(ConfigError):
                 prepare(cfg)
 
+    def test_an_unknown_experiment_is_refused_as_build_config_refuses_it(self):
+        # a config built for one subcommand and relabelled raised a bare KeyError
+        cfg = dataclasses.replace(build_config("run"), experiment="foo")
+        with pytest.raises(ConfigError, match="^unknown experiment 'foo'$"):
+            prepare(cfg)
+
     def test_periodic_list_needs_explicit_graphs(self):
         with pytest.raises(ConfigError, match="in code"):
             prepare(build_config("run", {"graph_kind": "periodic-list"}))

@@ -847,6 +847,29 @@ class TestGaussianEnsemble:
         assert np.abs(cloud.mean(axis=0) - mean).max() < 0.1
         assert np.abs(np.cov(cloud, rowvar=False) - np.eye(2)).max() < 0.1
 
+    def test_one_step_from_zero_has_the_exact_law_on_the_default_stream(self):
+        # from x = 0, one step puts alpha_1 b + sqrt(2 alpha_1) xi_i on every
+        # agent, so the network average is N(alpha_1 b, (2 alpha_1 / m) I).
+        # Noise rows shared by the agents would give 2 alpha_1 I, a missing
+        # scale I / m, and rows shared by the coordinates off-diagonal mass.
+        m, d, runs = 4, 2, 16384
+        mean, cov = np.array([1.0, -2.0]), np.array([[1.0, 0.3], [0.3, 0.5]])
+        seq = generate_graph_sequence("seeded-random", m, 1, seed=2)
+        sched = StepSchedule("harmonic", alpha0=0.2)
+        alpha = step_size(sched, 1)
+        var = 2.0 * alpha / m
+        cloud = run_gaussian_ensemble(seq, sched, mean, cov, m, 1, runs, 0, [1])[0]
+        # each agent holds 1/m of the potential, so b_i = cov^-1 mean / m
+        b = np.linalg.solve(cov, mean) / m
+        # within 5 standard errors: sqrt(var / runs) for the sample mean, and
+        # var sqrt(2 / runs) and var / sqrt(runs) for the sample covariance's
+        # diagonal and off-diagonal entries
+        z_mean = (cloud.mean(axis=0) - alpha * b) / math.sqrt(var / runs)
+        se_cov = var * np.where(np.eye(d, dtype=bool), math.sqrt(2.0), 1.0) / math.sqrt(runs)
+        z_cov = (np.cov(cloud, rowvar=False) - var * np.eye(d)) / se_cov
+        assert np.abs(z_mean).max() < 5.0
+        assert np.abs(z_cov).max() < 5.0
+
     def test_runs_replay_independent_recorded_runs(self):
         # three runs on distinct noise, with m, d and R all different, so a
         # mix-up of the run, agent and coordinate axes cannot go unseen
