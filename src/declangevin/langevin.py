@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DirectedGraphSequence, MixingMatrix
+from .models import GaussianPotential, Potential
 from .trace import Trace
 
 __all__ = [
@@ -34,9 +35,6 @@ __all__ = [
     "init_network",
     "StepSchedule",
     "NoiseModel",
-    "PotentialProps",
-    "Potential",
-    "ZeroPotential",
     "DivergenceError",
     "step_size",
     "langevin_step",
@@ -210,56 +208,6 @@ class NoiseModel:
         for rng, rows in zip(self._rngs, block):
             rng.standard_normal(out=rows)
         return block.swapaxes(0, 1)
-
-
-@dataclass(frozen=True)
-class PotentialProps:
-    """Declared analytic properties of a potential.
-
-    ``mu`` and ``lipschitz`` are the per-agent strong convexity and gradient
-    Lipschitz constants when known, None otherwise.  ``dim`` is the state
-    dimension.
-    """
-
-    dim: int
-    mu: float | None = None
-    lipschitz: float | None = None
-
-
-class Potential:
-    """Interface for the agents' stochastic gradients.
-
-    The drivers call :meth:`draw` once per block of steps and
-    :meth:`grad_drawn` every step.  ``draw`` takes any randomness the
-    potential needs (minibatch indices) from agent i's
-    :meth:`NoiseModel.stream` and from nowhere else; ``grad_drawn``
-    returns all m agents' gradients at once.
-    ``num_agents`` is the network size the potential was built for, or
-    None when any size will do.
-    """
-
-    props: PotentialProps
-    num_agents: int | None = None
-
-    def draw(self, noise: NoiseModel | None, steps: int):
-        """Every agent's draws for the next ``steps`` steps; entry k goes to
-        :meth:`grad_drawn` at the k-th.  By default nothing is drawn."""
-        return [None] * steps
-
-    def grad_drawn(self, z: np.ndarray, drawn) -> np.ndarray:
-        """(m, d) gradients, row i at agent i's ratio estimate z[i], from
-        one step's entry of :meth:`draw`."""
-        raise NotImplementedError
-
-
-class ZeroPotential(Potential):
-    """Flat potential; turns the iteration into pure consensus."""
-
-    def __init__(self, dim: int):
-        self.props = PotentialProps(dim=dim, mu=0.0, lipschitz=0.0)
-
-    def grad_drawn(self, z: np.ndarray, drawn) -> np.ndarray:
-        return np.zeros_like(z)
 
 
 class DivergenceError(RuntimeError):
@@ -603,13 +551,11 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
     if num_runs < 1:
         raise ValueError("num_runs must be at least 1")
     seq.check_b_connected()
-    # imported here: models imports this module, and only the ensemble
-    # needs a thread pool
+    # imported here: only the ensemble needs a thread pool
     from concurrent.futures import ThreadPoolExecutor
 
-    from .models import _gaussian_affine
-
-    h, b, _ = _gaussian_affine(target_mean, target_cov, num_agents)
+    target = GaussianPotential(target_mean, target_cov, num_agents)
+    h, b = target._h, target._b
     m, d, md = num_agents, len(b), num_agents * len(b)
     horizon = max(checkpoints)
     snaps = np.zeros((len(checkpoints), num_runs, d))

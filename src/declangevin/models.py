@@ -1,11 +1,12 @@
 """Data models for the three inference experiments.
 
-Holds dataset containers, seeded generators, the per-model potential
-gradients, a libsvm-format loader and the sharding used to spread data over
-agents.  Gradient conventions: U is the negative log posterior, so all
-gradients returned here are descent directions for sampling; minibatch
-estimates are rescaled by shard/batch size so they stay unbiased for the
-shard's full-data gradient.
+Holds the potential interface the samplers call and every potential, the
+Gaussian target included, with dataset containers, seeded generators, the
+per-model gradients, a libsvm-format loader and the sharding used to spread
+data over agents.  Gradient conventions: U is the negative log posterior,
+so all gradients returned here are descent directions for sampling;
+minibatch estimates are rescaled by shard/batch size so they stay unbiased
+for the shard's full-data gradient.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-
-from .langevin import Potential, PotentialProps
 
 __all__ = [
     "Dataset",
@@ -32,6 +31,9 @@ __all__ = [
     "load_libsvm",
     "make_surrogate_classification",
     "partition",
+    "PotentialProps",
+    "Potential",
+    "ZeroPotential",
     "LinRegPotential",
     "MixturePotential",
     "LogisticPotential",
@@ -419,6 +421,56 @@ def partition(ds: Dataset | int, num_shards: int, mode: str = "random",
     return np.array_split(order, num_shards)
 
 
+@dataclass(frozen=True)
+class PotentialProps:
+    """Declared analytic properties of a potential.
+
+    ``mu`` and ``lipschitz`` are the per-agent strong convexity and gradient
+    Lipschitz constants when known, None otherwise.  ``dim`` is the state
+    dimension.
+    """
+
+    dim: int
+    mu: float | None = None
+    lipschitz: float | None = None
+
+
+class Potential:
+    """Interface for the agents' stochastic gradients.
+
+    The drivers call :meth:`draw` once per block of steps and
+    :meth:`grad_drawn` every step.  ``draw`` takes any randomness the
+    potential needs (minibatch indices) from agent i's
+    :meth:`NoiseModel.stream` and from nowhere else; ``grad_drawn``
+    returns all m agents' gradients at once.
+    ``num_agents`` is the network size the potential was built for, or
+    None when any size will do.
+    """
+
+    props: PotentialProps
+    num_agents: int | None = None
+
+    def draw(self, noise, steps: int):
+        """Every agent's draws for the next ``steps`` steps; entry k goes to
+        :meth:`grad_drawn` at the k-th.  By default nothing is drawn."""
+        return [None] * steps
+
+    def grad_drawn(self, z: np.ndarray, drawn) -> np.ndarray:
+        """(m, d) gradients, row i at agent i's ratio estimate z[i], from
+        one step's entry of :meth:`draw`."""
+        raise NotImplementedError
+
+
+class ZeroPotential(Potential):
+    """Flat potential; turns the iteration into pure consensus."""
+
+    def __init__(self, dim: int):
+        self.props = PotentialProps(dim=dim, mu=0.0, lipschitz=0.0)
+
+    def grad_drawn(self, z: np.ndarray, drawn) -> np.ndarray:
+        return np.zeros_like(z)
+
+
 class _ShardedPotential(Potential):
     """Common minibatch plumbing for data-sharded potentials, one agent per
     shard: ``shards[i]`` holds agent i's dataset rows, as from :func:`partition`.
@@ -578,22 +630,6 @@ class LogisticPotential(_ShardedPotential):
         return _grad_logistic(z, *self._batches(idx))
 
 
-def _gaussian_affine(mean, cov, num_agents) -> tuple:
-    """Check N(mean, cov) as a target split evenly across num_agents, and
-    return (H, b, eigs): each agent's gradient H z - b, with H = P/m and
-    b = H mean for the target precision P, and the eigenvalues of P."""
-    mean = np.asarray(mean, dtype=float)
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    if mean.ndim != 1:
-        raise ValueError("the target must be a single Gaussian, not a stack")
-    num_agents = operator.index(num_agents)
-    if num_agents < 1:
-        raise ValueError("num_agents must be at least 1")
-    precision, eigs = _check_covariance(mean, cov, invert=True)
-    h = precision / num_agents
-    return h, h @ mean, eigs
-
-
 class GaussianPotential(Potential):
     """Quadratic target split evenly across agents.
 
@@ -605,8 +641,16 @@ class GaussianPotential(Potential):
     """
 
     def __init__(self, mean: np.ndarray, cov: np.ndarray, num_agents: int):
-        self._h, self._b, eigs = _gaussian_affine(mean, cov, num_agents)
+        mean = np.asarray(mean, dtype=float)
+        cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        if mean.ndim != 1:
+            raise ValueError("the target must be a single Gaussian, not a stack")
         self.num_agents = operator.index(num_agents)
+        if self.num_agents < 1:
+            raise ValueError("num_agents must be at least 1")
+        precision, eigs = _check_covariance(mean, cov, invert=True)
+        self._h = precision / self.num_agents
+        self._b = self._h @ mean
         self.props = PotentialProps(dim=len(self._b),
                                     mu=float(eigs.min()) / self.num_agents,
                                     lipschitz=float(eigs.max()) / self.num_agents)

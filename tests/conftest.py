@@ -8,10 +8,11 @@ from hypothesis import settings
 
 from declangevin import (Dataset, DirectedGraph, GaussianDist,
                          LinRegPotential, LogisticPotential, MixturePotential,
-                         NoiseModel, Potential, empirical_gaussian,
-                         generate_graph_sequence, grad_U_linreg,
-                         grad_U_logistic, grad_U_mixture, roc_auc, step_size,
-                         w2_gaussian_bures, w2_gaussian_paper)
+                         NoiseModel, Potential, PotentialProps,
+                         empirical_gaussian, generate_graph_sequence,
+                         grad_U_linreg, grad_U_logistic, grad_U_mixture,
+                         roc_auc, step_size, w2_gaussian_bures,
+                         w2_gaussian_paper)
 
 # property tests draw their examples from a fixed seed and have no time
 # limit per example, so every run of the suite gives the same verdict
@@ -235,6 +236,21 @@ def reference_ula(grad, sched, seed, num_iters, dim):
     return out
 
 
+def reference_no_ratio(grad, mixing, sched, num_iters, num_agents, dim):
+    """Push-sum Langevin without the ratio: each agent's gradient taken at
+    its mixed numerator w = A x instead of at z = w / y, with no noise.
+
+    One static (m, m) column-stochastic mixing matrix, step size taken at
+    t + 1, states from zero.  Returns the (m, dim) states after
+    ``num_iters`` steps.
+    """
+    x = np.zeros((num_agents, dim))
+    for t in range(num_iters):
+        w = mixing @ x
+        x = w - step_size(sched, t + 1) * grad(w)
+    return x
+
+
 def reference_grad_mixture(theta, x, sigma_x, prior_vars, scale=1.0):
     """The mixture gradient as the package computed it before it took the
     responsibilities through tanh and per-shard sums: component 2's
@@ -328,6 +344,20 @@ class RecordingPotential(Potential):
 
     def stacked(self, num_agents, dim):
         return np.asarray(self.grads).reshape(-1, num_agents, dim)
+
+
+class AffinePotential(Potential):
+    """Agent i holds h_i |z - mu_i|^2 / 2, so the network targets the
+    precision-weighted mean sum_i h_i mu_i / sum_i h_i of the mu_i."""
+
+    def __init__(self, h, mu):
+        self.h = np.asarray(h, dtype=float)[:, None]
+        self.mu = np.asarray(mu, dtype=float)
+        self.num_agents, dim = self.mu.shape
+        self.props = PotentialProps(dim=dim)
+
+    def grad_drawn(self, z, drawn):
+        return self.h * (z - self.mu)
 
 
 def central_fd(f, x, h=1e-5):

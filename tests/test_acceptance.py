@@ -28,8 +28,9 @@ from declangevin import (DirectedGraph, GaussianDist, GaussianPotential,
                          run_gaussian_ensemble, step_size, w2_gaussian_bures)
 from declangevin.langevin import NoiseModel
 
-from conftest import (SIX_NODE_MIXING, RecordingNoise, RecordingPotential,
-                      central_fd, mixing_of, reference_ula)
+from conftest import (SIX_NODE_MIXING, AffinePotential, RecordingNoise,
+                      RecordingPotential, central_fd, mixing_of,
+                      reference_mixing, reference_no_ratio, reference_ula)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -143,6 +144,32 @@ def test_network_average_follows_the_mean_field_decomposition():
         worst = max(worst, np.abs(average_state(ns) - decomp).max())
     print(f"worst decomposition residual over 1000 steps: {worst:.2e}")
     assert worst <= 1e-10
+
+
+def test_the_push_sum_ratio_lets_an_imbalanced_network_reach_its_target():
+    # 0 -> 1 -> 2 -> 3 -> 0 plus 0 -> 2 and 0 -> 3: node 0 splits its mass
+    # four ways and the others two, so the weights settle at y = (1, 0.5, 1,
+    # 1.5).  The gradients are affine and the weights do not depend on the
+    # state, so the mean of x(t) follows the noise-free recursion exactly,
+    # and its fixed point is the law's mean when the gradient is taken at
+    # z = w / y.  Taken at w, the network settles at a multiple of y that
+    # biases even its average.
+    g = DirectedGraph(4, {(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (0, 3)})
+    seq = generate_graph_sequence("static", 4, graphs=[g])
+    pot = AffinePotential([0.5, 4.0, 1.0, 2.0], [[-3.0], [-1.0], [1.0], [5.0]])
+    target = 11.0 / 15.0  # sum h_i mu_i / sum h_i
+    sched = StepSchedule("power", alpha0=0.05, offset=1.0, exponent=0.5)
+    start = time.perf_counter()
+    trace = run(seq, sched, pot, None, 20000)
+    with_ratio = np.abs(trace.states[-1] - target).max()
+    without = reference_no_ratio(lambda w: pot.grad_drawn(w, None),
+                                 reference_mixing(g), sched, 20000, 4, 1)
+    miss = abs(without.mean() - target)
+    print(f"ratio: worst agent {with_ratio:.4f} from the target mean; "
+          f"no ratio: network average {miss:.4f} from it; "
+          f"{time.perf_counter() - start:.2f} s")
+    assert with_ratio <= 0.02
+    assert miss >= 0.08
 
 
 def test_analytic_gradients_match_finite_differences():

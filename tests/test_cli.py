@@ -370,6 +370,15 @@ class TestPrepare:
                            match="0 positive and 1 negative rows"):
             prepare(cfg)
 
+    @pytest.mark.parametrize("frac", [0.999, 0.01])
+    def test_a_split_that_starves_training_or_testing_is_refused(self, frac):
+        # 200 rows split 0.999 leave none to test on; split 0.01, two rows
+        # to train four agents
+        cfg = build_config("logistic", {"surrogate": "on", "n": 200,
+                                        "agents": 4, "split_frac": frac})
+        with pytest.raises(ConfigError, match="split leaves too few rows"):
+            prepare(cfg)
+
     @pytest.mark.parametrize("frac", [0.0, 1.0, float("nan")])
     def test_split_frac_must_lie_inside_the_unit_interval(self, frac):
         cfg = build_config("logistic", {"surrogate": "on", "n": 200,

@@ -354,6 +354,26 @@ class TestRun:
                 run(seq, StepSchedule("harmonic", alpha0=0.1), Kick(), None, 1,
                     stride=2)
 
+    def test_an_overflowing_consensus_error_in_a_block_is_named(self):
+        # node 0 keeps half of 2e154 and sends half; a gradient of
+        # 1e154 / alpha(1) takes both states to about zero, so the deviation
+        # and perturbation norms (about 1e154) stay finite while agent 0's
+        # ratio estimate 2e154 is as far from the network average and its
+        # squared norm overflows
+        class Kick(Potential):
+            props = PotentialProps(dim=1)
+
+            def grad_drawn(self, z, drawn):
+                return np.full_like(z, 1e154 / 0.1)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError,
+                               match="non-finite consensus error at agent 0, "
+                                     "iteration 1$"):
+                run(lone_edge_then_back(), StepSchedule("harmonic", 0.2),
+                    Kick(), None, 1, x0=[[2e154], [0.0]])
+
     def test_divergence_error_names_a_state_by_default(self):
         err = DivergenceError(agent=2, iteration=7)
         assert str(err) == "non-finite state at agent 2, iteration 7"

@@ -147,6 +147,14 @@ class TestMixtureData:
         assert ds.targets.shape == (40,)
         assert ds.n == 40 and ds.dim == 0
 
+    @pytest.mark.parametrize("n, sigma_x, message", [
+        (0, 1.0, "n must be at least 1"),
+        (10, 0.0, "sigma_x must be positive"),
+        (10, -1.0, "sigma_x must be positive")])
+    def test_validation(self, n, sigma_x, message):
+        with pytest.raises(ValueError, match=message):
+            generate_mixture_data(n, 0.0, 1.0, sigma_x, seed=0)
+
 
 class TestLinRegPosterior:
     def test_mean_solves_the_normal_equations(self):
@@ -509,6 +517,13 @@ class TestPotentials:
         ds = generate_mixture_data(30, 0.0, 1.0, np.sqrt(2.0), seed=24)
         with pytest.raises(ValueError, match="sigma_x must be positive"):
             MixturePotential(ds, partition(ds, 3), sigma_x=0.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_linreg_potential_checks_sigma_when_built(self, sigma):
+        ds = generate_linreg_data(30, 2, 1.0, np.array([1.0, -1.0]), seed=25)
+        prior = GaussianDist(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            LinRegPotential(ds, partition(ds, 3), prior, sigma)
 
     def test_logistic_agent_terms_carry_one_regularizer_each(self):
         ds = make_surrogate_classification(60, 5, seed=22)
