@@ -212,13 +212,18 @@ class NoiseModel:
 
 class DivergenceError(RuntimeError):
     """Raised when an agent's state, or a quantity recorded from it, stops
-    being finite; ``quantity`` names which."""
+    being finite; ``quantity`` names which.  The drivers also give the step
+    size ``alpha`` = alpha(t) and the least push-sum weight ``min_weight``
+    at the failing iteration t (None when not given); the message names
+    neither."""
 
-    def __init__(self, agent: int, iteration: int, quantity: str = "state"):
+    def __init__(self, agent: int, iteration: int, quantity: str = "state",
+                 alpha: float | None = None, min_weight: float | None = None):
         super().__init__(f"non-finite {quantity} at agent {agent}, iteration {iteration}")
         self.agent = agent
         self.iteration = iteration
         self.quantity = quantity
+        self.alpha, self.min_weight = alpha, min_weight
 
 
 def _check_agents(potential: Potential, m: int) -> None:
@@ -247,9 +252,9 @@ def _weights(entries: np.ndarray, y: np.ndarray, t0: int) -> tuple:
     weight falls below the floor, ys stops before that step and error is the
     FloatingPointError naming it; otherwise error is None."""
     ys = np.empty((len(entries), len(y)))
-    # np.dot dispatches faster than np.matmul at these sizes, with equal bits
+    # ndarray.dot skips the dispatch of np.dot and np.matmul, with equal bits
     for a, row in zip(entries, ys):
-        y = np.dot(a, y, out=row)
+        y = a.dot(y, row)
     low = (ys < Y_FLOOR).any(axis=1)
     if not low.any():
         return ys, None
@@ -274,13 +279,13 @@ def _affine_steps(block, ys: np.ndarray, alphas, h, b, out: np.ndarray) -> np.nd
 
 
 def _step(mixing: np.ndarray, y: np.ndarray, xs: np.ndarray, ws: np.ndarray,
-          zs: np.ndarray, t0: int, alphas, potential: Potential, drawn,
-          gauss) -> np.ndarray:
+          zs: np.ndarray, t0: int, alphas, grad, drawn, gauss) -> np.ndarray:
     """Steps t0 .. t0+len(mixing)-1 on agent-major (m, d) buffers.
 
     Step k mixes xs[k] into ws[k], divides it by the push-sum weights into
     zs[k+1] and writes ws[k] - alphas[k] g(zs[k+1]) + gauss[k] into xs[k+1],
-    with the entries from :func:`_draws` and ``y`` the weights at t0.
+    g written there first by the potential's kernel ``grad``, with the
+    entries from :func:`_draws` and ``y`` the weights at t0.
     Returns the weights after each step.  The steps stop before a weight
     underflow, so a divergence before it raises first.  An overflow or NaN,
     in the gradients too, warns nowhere: the DivergenceError names it.
@@ -289,16 +294,19 @@ def _step(mixing: np.ndarray, y: np.ndarray, xs: np.ndarray, ws: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for a, x, w, z, out, yk, alpha, dk, g in zip(
                 mixing, xs, ws, zs[1:], xs[1:], ys[:, :, None], alphas, drawn, gauss):
-            np.dot(a, x, out=w)
-            np.divide(w, yk, out=z)
-            np.multiply(potential.grad_drawn(z, dk), alpha, out=out)
-            np.subtract(w, out, out=out)
+            a.dot(x, w)
+            np.divide(w, yk, z)
+            grad(z, dk, out)
+            out *= alpha
+            np.subtract(w, out, out)
             if g is not None:
                 out += g
     # (step, agent) pairs in order: the first is the earliest, lowest agent
     bad = np.argwhere(~np.isfinite(xs[1:len(ys) + 1]).all(axis=2))
     if len(bad):
-        raise DivergenceError(agent=int(bad[0, 1]), iteration=t0 + int(bad[0, 0]) + 1)
+        k = int(bad[0, 0])
+        raise DivergenceError(agent=int(bad[0, 1]), iteration=t0 + k + 1, alpha=alphas[k],
+                              min_weight=float(ys[k].min()))
     if underflow is not None:
         raise underflow
     return ys
@@ -329,8 +337,8 @@ def langevin_step(ns: NetworkState, mix: MixingMatrix, sched: StepSchedule,
     alphas, drawn, gauss = _draws(sched, potential, noise, ns.t, 1, ns.dim)
     xs = np.array([ns.x, ns.x], dtype=float)
     ws, zs = np.empty_like(xs[1:]), np.empty_like(xs)
-    ys = _step(mix.entries[None], ns.y, xs, ws, zs, ns.t, alphas, potential,
-               drawn, gauss)
+    ys = _step(mix.entries[None], ns.y, xs, ws, zs, ns.t, alphas,
+               potential.kernel(ns.x.shape), drawn, gauss)
     return NetworkState(x=xs[1], y=ys[0], w=ws[0], z=zs[1], t=ns.t + 1)
 
 
@@ -421,15 +429,17 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
         consensus[0] = _row_norms(zs[0] - xs[0].sum(axis=0) / m)
     if not np.isfinite(consensus[0]).all():
         raise DivergenceError(agent=int(np.argmin(np.isfinite(consensus[0]))),
-                              iteration=0, quantity="consensus error")
+                              iteration=0, quantity="consensus error",
+                              alpha=float(alphas[0]), min_weight=1.0)
 
-    mixing = np.empty((block, m, m))
+    mixing, grad = np.empty((block, m, m)), potential.kernel((m, d))
     for t0 in range(0, num_iters, block):
         n = min(block, num_iters - t0)
-        alpha, drawn, gauss = _draws(sched, potential, noise, t0, n, d)
+        # the windows first: their transient is never held beside the draws
         seq.fill_mixing(t0, mixing[:n])
-        y = _step(mixing[:n], y, xs, ws, zs, t0, alpha, potential, drawn,
-                  gauss)[-1]
+        alpha, drawn, gauss = _draws(sched, potential, noise, t0, n, d)
+        ys = _step(mixing[:n], y, xs, ws, zs, t0, alpha, grad, drawn, gauss)
+        y = ys[-1]
         del drawn, gauss  # so that two blocks' draws are never held at once
         # records rec at the multiples t0 + k of stride in (t0, t0 + n],
         # reached by steps t0 + kd
@@ -455,7 +465,8 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
                         "perturbation norm" if not np.isfinite(pert[step, agent]) else
                         "consensus error")
             raise DivergenceError(agent=int(agent), iteration=t0 + int(step) + 1,
-                                  quantity=quantity)
+                                  quantity=quantity, alpha=alpha[step],
+                                  min_weight=float(ys[step].min()))
         worst_cum[max(t0, 1) - 1:t0 + n - 1] = sums[1:].max(axis=1)
         max_pert = max(max_pert, float(pert.max()))
         xs[0] = xs[n]
@@ -618,7 +629,9 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
                 failures = [f for f in failures if f is not None]
                 if failures:
                     iteration, agent = min(failures)
-                    raise DivergenceError(agent=agent, iteration=iteration)
+                    k = iteration - t0 - 1
+                    raise DivergenceError(agent=agent, iteration=iteration, alpha=alphas[k],
+                                          min_weight=float(ys[k].min()))
                 if underflow is not None:
                     raise underflow
                 y = ys[-1]

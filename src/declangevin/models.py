@@ -189,18 +189,37 @@ def grad_U_linreg(z: np.ndarray, batch_features: np.ndarray, batch_targets: np.n
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return _grad_linreg(np.asarray(z, dtype=float), batch_features,
-                        batch_targets, prior.mean, np.linalg.inv(prior.cov),
-                        sigma, scale)
+    z = np.asarray(z, dtype=float)
+    return _fresh(_grad_linreg, _batch_shape(z, batch_features, batch_targets, scale), z,
+                  batch_features, batch_targets, prior.mean, np.linalg.inv(prior.cov), sigma,
+                  scale)
 
 
-def _grad_linreg(z, feats, targs, prior_mean, prior_prec, sigma, scale):
-    """:func:`grad_U_linreg` on a float z, given the prior precision."""
+def _batch_shape(z, feats, targs, scale) -> tuple:
+    """The gradients' shape for z (..., d), a batch (..., b, d), (..., b)
+    and a scale against (..., d)."""
+    return np.broadcast_shapes(z.shape[:-1], feats.shape[:-2], np.shape(targs)[:-1],
+                               np.shape(scale)[:-1]) + z.shape[-1:]
+
+
+def _fresh(grad, shape: tuple, z, *args) -> np.ndarray:
+    """What the kernel ``grad`` writes at (z, *args), in a new array."""
+    out = np.empty(shape)
+    grad(z, *args, out)
+    return out
+
+
+def _grad_linreg(z, feats, targs, prior_mean, prior_prec, sigma, scale, out):
+    """:func:`grad_U_linreg` at a float z, given the prior precision,
+    written into ``out``."""
     prior_term = (prior_prec @ (z - prior_mean)[..., None])[..., 0]
     if feats.shape[-2] == 0:
-        return prior_term
+        np.copyto(out, prior_term)
+        return
     resid = (feats @ z[..., None])[..., 0] - targs
-    return scale * _transpose_times(feats, resid) / sigma ** 2 + prior_term
+    np.multiply(scale, _transpose_times(feats, resid), out)
+    out /= sigma ** 2
+    out += prior_term
 
 
 def _transpose_times(feats: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -244,13 +263,17 @@ def grad_U_mixture(theta: np.ndarray, batch: np.ndarray, sigma_x: float = np.sqr
     """
     if sigma_x <= 0:
         raise ValueError("sigma_x must be positive")
-    return _grad_mixture(np.asarray(theta, dtype=float), *_mixture_terms(
-        np.asarray(batch, dtype=float), scale, sigma_x ** 2,
-        1.0 / np.asarray(prior_vars, dtype=float), 1.0 if mask is None else mask))
+    theta = np.asarray(theta, dtype=float)
+    terms = _mixture_terms(np.asarray(batch, dtype=float), scale, sigma_x ** 2,
+                           1.0 / np.asarray(prior_vars, dtype=float),
+                           1.0 if mask is None else mask)
+    shape = np.broadcast_shapes(theta.shape[:-1], terms[1].shape[:-2],
+                                np.shape(terms[3])[:-1]) + (2,)
+    return _fresh(_mixture_kernel(*terms, shape), shape, np.broadcast_to(theta, shape), None)
 
 
 def _mixture_terms(x, scale, s2, prior_prec, w=1.0) -> tuple:
-    """The parts of :func:`_grad_mixture` that theta leaves fixed, for
+    """The parts of :func:`_mixture_kernel` that theta leaves fixed, for
     samples x (..., b) weighted 1, or 0 where ``w`` marks padding."""
     rows = np.empty(x.shape[:-1] + (2,) + x.shape[-1:])
     rows[..., 0, :], rows[..., 1, :] = w, w * x
@@ -261,18 +284,31 @@ def _mixture_terms(x, scale, s2, prior_prec, w=1.0) -> tuple:
             gamma * sums[..., 1:] * (2.0, 1.0))
 
 
-def _grad_mixture(theta, coef, rows, n, gamma, curv, offset):
-    """:func:`grad_U_mixture` at theta = (a, b), given the samples'
-    :func:`_mixture_terms`: theta * curv - offset + gamma (q b, q (a + b) -
-    sum t x), where q = n + sum t and sample x's responsibility is (1 + t) / 2,
+def _mixture_kernel(coef, rows, n, gamma, curv, offset, shape: tuple):
+    """``grad(theta, drawn, out)``: :func:`grad_U_mixture` at theta = (a, b)
+    of the samples' :func:`_mixture_terms`, which may be refilled between
+    calls, into ``out`` of ``shape``, lead + (2,); drawn is unread.  It is
+    theta * curv - offset + gamma (q b, q (a + b) - sum t x), where q = n +
+    sum t and sample x's responsibility is (1 + t) / 2,
     t = tanh(b (x - a - b/2) / (2 s2))."""
-    p = theta @ coef  # (a + b/2, b / (2 s2), b, a + b)
-    t = rows[..., 1, :] - p[..., :1]  # padding has x = 0 and weight 0
-    np.tanh(np.multiply(t, p[..., 1:2], out=t), out=t)
-    sums = np.vecdot(t[..., None, :], rows)  # (sum t, sum t x)
-    g = (sums[..., :1] + n) * p[..., 2:]
-    g[..., 1:] -= sums[..., 1:]
-    return gamma * g + theta * curv - offset
+    p, t, sums, g, prod = (np.empty(shape[:-1] + tail)
+                           for tail in ((4,), rows.shape[-1:], (2,), (2,), (2,)))
+    # p = (a + b/2, b / (2 s2), b, a + b); padding has x = 0 and weight 0
+    shift, slope, p_b = p[..., :1], p[..., 1:2], p[..., 2:]
+    x, t_row = rows[..., 1, :], t[..., None, :]
+    sum_t, sum_tx, g_1 = sums[..., :1], sums[..., 1:], g[..., 1:]
+
+    def grad(theta, drawn, out):
+        theta.dot(coef, p)  # each entry exact or one rounding, like theta @ coef
+        np.subtract(x, shift, t)
+        np.tanh(np.multiply(t, slope, t), t)
+        np.vecdot(t_row, rows, sums)  # (sum t, sum t x)
+        np.multiply(np.add(sum_t, n, sum_t), p_b, g)
+        np.subtract(g_1, sum_tx, g_1)
+        np.multiply(g, gamma, g)
+        np.add(g, np.multiply(theta, curv, prod), g)
+        np.subtract(g, offset, out)
+    return grad
 
 
 def grad_U_logistic(w: np.ndarray, batch_features: np.ndarray, batch_targets: np.ndarray,
@@ -288,7 +324,8 @@ def grad_U_logistic(w: np.ndarray, batch_features: np.ndarray, batch_targets: np
     y = np.asarray(batch_targets, dtype=float)
     _check_labels(y)
     with np.errstate(over="ignore"):
-        return _grad_logistic(w, batch_features, y, scale)
+        return _fresh(_grad_logistic, _batch_shape(w, batch_features, y, scale), w,
+                      batch_features, y, scale)
 
 
 def _check_labels(y: np.ndarray) -> None:
@@ -296,14 +333,16 @@ def _check_labels(y: np.ndarray) -> None:
         raise ValueError("logistic labels must be -1 or +1")
 
 
-def _grad_logistic(w, feats, y, scale):
-    """:func:`grad_U_logistic` on float arrays with checked labels.  With
-    u = y w^T x, y sigmoid(-u) is y / (1 + exp(u)) bit for bit: negation is
-    exact, and y = +-1 only flips the sign of 1 / (1 + exp(u))."""
+def _grad_logistic(w, feats, y, scale, out):
+    """:func:`grad_U_logistic` on float arrays with checked labels, written
+    into ``out``.  With u = y w^T x, y sigmoid(-u) is y / (1 + exp(u)) bit
+    for bit: negation is exact, and y = +-1 only flips the sign of
+    1 / (1 + exp(u))."""
     coef = np.multiply(y, (feats @ w[..., None])[..., 0])
     np.exp(coef, out=coef)
     coef += 1.0
-    return -scale * _transpose_times(feats, np.divide(y, coef, out=coef)) + np.sign(w)
+    np.multiply(-scale, _transpose_times(feats, np.divide(y, coef, out=coef)), out)
+    out += np.sign(w)
 
 
 def load_libsvm(path, num_features: int | None = None) -> Dataset:
@@ -438,9 +477,9 @@ class PotentialProps:
 class Potential:
     """Interface for the agents' stochastic gradients.
 
-    The drivers call :meth:`draw` once per block of steps and
-    :meth:`grad_drawn` every step.  ``draw`` takes any randomness the
-    potential needs (minibatch indices) from agent i's
+    The drivers call :meth:`draw` once per block of steps and a
+    :meth:`kernel`, built once per run, every step.  ``draw`` takes any
+    randomness the potential needs (minibatch indices) from agent i's
     :meth:`NoiseModel.stream` and from nowhere else; ``grad_drawn``
     returns all m agents' gradients at once.
     ``num_agents`` is the network size the potential was built for, or
@@ -460,6 +499,19 @@ class Potential:
         one step's entry of :meth:`draw`."""
         raise NotImplementedError
 
+    def kernel(self, shape: tuple):
+        """``grad(z, drawn, out)``, writing grad_drawn(z, drawn) of a z of
+        ``shape`` into ``out`` bit for bit, with scratch of its own: two
+        runs never share it.  This one copies what grad_drawn returns."""
+        return lambda z, drawn, out: np.copyto(out, self.grad_drawn(z, drawn))
+
+
+class _KernelPotential(Potential):
+    """A potential whose formula is its kernel, which grad_drawn runs."""
+
+    def grad_drawn(self, z, drawn):
+        return _fresh(self.kernel(np.shape(z)), np.shape(z), z, drawn)
+
 
 class ZeroPotential(Potential):
     """Flat potential; turns the iteration into pure consensus."""
@@ -471,7 +523,7 @@ class ZeroPotential(Potential):
         return np.zeros_like(z)
 
 
-class _ShardedPotential(Potential):
+class _ShardedPotential(_KernelPotential):
     """Common minibatch plumbing for data-sharded potentials, one agent per
     shard: ``shards[i]`` holds agent i's dataset rows, as from :func:`partition`.
 
@@ -534,18 +586,24 @@ class _ShardedPotential(Potential):
         if noise is None:
             raise ValueError(f"batch_size={self.batch_size} draws from the noise "
                              "streams; a run without noise needs batch_size=None")
-        return np.stack([noise.stream(i).integers(0, n, size=(steps, self.batch_size))
-                         for i, n in enumerate(self._sizes)], axis=1)
+        idx = np.empty((steps, self.num_agents, self.batch_size), dtype=np.int64)
+        for i, n in enumerate(self._sizes):  # one agent's draw held at a time
+            idx[:, i] = noise.stream(i).integers(0, n, size=idx.shape[::2])
+        return idx
 
-    def _batches(self, idx):
-        """(features, targets, scale) of every agent's batch, stacked: rows
-        ``idx`` (m, batch_size) of each shard, gathered from the dataset, or
-        with ``idx`` None the padded full shards (see the class docstring)."""
-        if idx is None:
-            return self._features, self._targets, 1.0
-        rows = self._table.take(idx + self._offsets)
-        return (self._features.take(rows, axis=0).astype(float, copy=False),
-                self._targets.take(rows), self._scale)
+    def kernel(self, shape):
+        """The subclass's ``_grad(z, feats, targs, scale, out)`` on the padded
+        full shards, or on each step's rows ``idx`` of each shard, gathered
+        into new arrays: a batch buffer held for the whole run would add to
+        the run's peak, which a minibatch run reaches during the gather."""
+        if self.batch_size is None:
+            return lambda z, idx, out: self._grad(z, self._features, self._targets, 1.0, out)
+
+        def gather_grad(z, idx, out):
+            rows = self._table.take(idx + self._offsets)
+            self._grad(z, self._features.take(rows, axis=0).astype(float, copy=False),
+                       self._targets.take(rows), self._scale, out)
+        return gather_grad
 
 
 class LinRegPotential(_ShardedPotential):
@@ -569,10 +627,9 @@ class LinRegPotential(_ShardedPotential):
         self._agent_prec = np.linalg.inv(prior.cov * len(shards))
         self.props = PotentialProps(dim=ds.dim)
 
-    def grad_drawn(self, z, idx):
-        feats, targs, scale = self._batches(idx)
-        return _grad_linreg(z, feats, targs, self.prior.mean, self._agent_prec,
-                            self.sigma, scale)
+    def _grad(self, z, feats, targs, scale, out):
+        _grad_linreg(z, feats, targs, self.prior.mean, self._agent_prec, self.sigma, scale,
+                     out)
 
 
 class MixturePotential(_ShardedPotential):
@@ -603,14 +660,24 @@ class MixturePotential(_ShardedPotential):
                                          self._scale, self.sigma_x ** 2,
                                          self._agent_prec)
 
-    def grad_drawn(self, z, idx):
-        if idx is None:
-            return _grad_mixture(z, *self._terms)
-        coef, rows, n, gamma, curv, _ = self._terms
-        rows = rows.copy()
-        rows[:, 1] = self._targets.take(self._table.take(idx + self._offsets))
-        return _grad_mixture(z, coef, rows, n, gamma, curv,
-                             gamma * rows[:, 1:].sum(axis=-1) * (2.0, 1.0))
+    def kernel(self, shape):
+        if self.batch_size is None:
+            return _mixture_kernel(*self._terms, shape)
+        # each step's samples go into row 1 of a copy of the zero batch's
+        # rows, and give the offset gamma * (2, 1) * sum x
+        coef, rows, n, gamma, curv, offset = self._terms
+        rows, total, offset = rows.copy(), n.copy(), offset.copy()
+        two_one = np.array([2.0, 1.0])
+        x, xs, at = rows[:, 1], rows[:, 1:], np.empty(rows[:, 1].shape, dtype=np.int64)
+        grad = _mixture_kernel(coef, rows, n, gamma, curv, offset, shape)
+
+        def gather_grad(z, idx, out):
+            self._table.take(np.add(idx, self._offsets, out=at), out=at)
+            self._targets.take(at, out=x, mode="clip")  # rows from the checked table
+            np.multiply(gamma, np.sum(xs, axis=-1, out=total), out=total)
+            np.multiply(total, two_one, out=offset)
+            grad(z, idx, out)
+        return gather_grad
 
 
 class LogisticPotential(_ShardedPotential):
@@ -626,11 +693,10 @@ class LogisticPotential(_ShardedPotential):
         _check_labels(np.concatenate(self.shard_targets))
         self.props = PotentialProps(dim=ds.dim)
 
-    def grad_drawn(self, z, idx):
-        return _grad_logistic(z, *self._batches(idx))
+    _grad = staticmethod(_grad_logistic)
 
 
-class GaussianPotential(Potential):
+class GaussianPotential(_KernelPotential):
     """Quadratic target split evenly across agents.
 
     The network as a whole targets N(mean, cov), cov checked as
@@ -658,9 +724,14 @@ class GaussianPotential(Potential):
     def grad(self, agent, z, rng):
         return self.grad_drawn(z, None)
 
-    def grad_drawn(self, z, drawn):
-        # H z - b as an elementwise product summed over the last axis: it
-        # broadcasts over leading axes (a single z included) and computes
-        # every row alike whatever their number, so grad and grad_drawn
-        # agree bitwise
-        return (self._h * z[..., None, :]).sum(axis=-1) - self._b
+    def kernel(self, shape):
+        prod = np.empty(shape + self._b.shape)
+
+        def grad(z, drawn, out):
+            # H z - b as an elementwise product summed over the last axis: it
+            # broadcasts over leading axes (a single z included) and computes
+            # every row alike whatever their number, so grad and grad_drawn
+            # agree bitwise
+            np.sum(np.multiply(self._h, z[..., None, :], out=prod), axis=-1, out=out)
+            out -= self._b
+        return grad

@@ -71,3 +71,13 @@ def test_a_cli_operation_times_set_up_sampling_and_write_once(tmp_path):
                  "trace.write"):
         assert len(rec.durations(name)) == 1, name
     assert len(rec.durations("langevin.ensemble")) == 0
+
+
+def test_the_grad_span_finds_the_potential_interface_through_langevin():
+    # the models.grad target names declangevin.langevin.Potential, which
+    # resolves only while langevin.py imports the class from models
+    from declangevin import langevin, models
+    assert langevin.Potential is models.Potential
+    tracing = load_bench("tracing")
+    for module, path in tracing.TARGETS["models.grad"]:
+        assert tracing._resolve(module, path), f"{module}.{path} is gone"

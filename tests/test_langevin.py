@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -378,6 +379,75 @@ class TestRun:
         err = DivergenceError(agent=2, iteration=7)
         assert str(err) == "non-finite state at agent 2, iteration 7"
         assert err.quantity == "state"
+
+    def test_a_divergence_carries_the_step_size_and_least_weight(self):
+        assert DivergenceError(agent=2, iteration=7).alpha is None
+        # node 0 keeps half its weight each step, so y_0(t) = 2^-t exactly;
+        # the runs of the overflow tests above and below, and a consensus
+        # error that overflows before the first step
+        cases = [
+            (lambda: run(lone_edge_then_back(), StepSchedule("harmonic", 0.1),
+                         GaussianPotential(np.zeros(1), np.eye(1), 2),
+                         NoiseModel(0, 2), 100, x0=[[1e100], [0.0]]),
+             "state", 47, 0.1 / 48, 2.0 ** -47),
+            (lambda: run(lone_edge_then_back(), StepSchedule("harmonic", 0.1),
+                         ZeroPotential(1), NoiseModel(0, 2), 990),
+             "deviation norm", 518, 0.1 / 519, 2.0 ** -518),
+            (lambda: run(lone_edge_then_back(), StepSchedule("harmonic", 0.2),
+                         ZeroPotential(1), None, 1, x0=[[1e300], [-1e300]]),
+             "consensus error", 0, 0.2, 1.0),
+        ]
+        for go, quantity, iteration, alpha, weight in cases:
+            with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+                go()
+            err = info.value
+            assert (err.quantity, err.iteration) == (quantity, iteration)
+            assert (err.alpha, err.min_weight) == (alpha, weight)
+            assert str(err) == f"non-finite {quantity} at agent 0, iteration {iteration}"
+        # the ensemble's first divergent checkpoint, 20, after an inf draw
+        seq, y = generate_graph_sequence("seeded-random", 2, 1, seed=0), np.ones(2)
+        for t in range(20):
+            y = seq.mixing_at(t).entries @ y
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as info:
+            run_gaussian_ensemble(seq, StepSchedule("harmonic", 0.1), np.zeros(1), np.eye(1),
+                                  2, 20, 3, 0, [20], noise_draw=lambda t: np.full(
+                                      (3, 2, 1), np.inf if t == 5 else 0.0))
+        assert info.value.iteration == 20
+        assert info.value.alpha == 0.1 / 21
+        assert info.value.min_weight == pytest.approx(y.min(), rel=1e-12)
+
+    def test_two_runs_of_one_potential_in_two_threads_match_the_runs_in_turn(self):
+        # every run builds its own kernel, so two runs of one potential share
+        # no scratch: the full-shard mixture's, and the minibatch logistic's
+        # gathered batches too
+        mix = generate_mixture_data(400, 0.0, 1.0, np.sqrt(2.0), 5)
+        bits = make_surrogate_classification(400, 20, 5)
+        pots = [MixturePotential(mix, partition(mix, 4, "random", 5), batch_size=None),
+                LogisticPotential(bits, partition(bits, 4, "random", 5), batch_size=8)]
+
+        def go(pot, seed):
+            seq = generate_graph_sequence("seeded-random", 4, 1, seed=seed)
+            return run(seq, StepSchedule("harmonic", 0.01), pot, NoiseModel(seed, 4), 3000)
+
+        for pot in pots:
+            in_turn, barrier = [go(pot, 1), go(pot, 2)], threading.Barrier(2, timeout=60)
+
+            def worker(seed):
+                barrier.wait()
+                return go(pot, seed)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(2) as pool:
+                    futures = [pool.submit(worker, seed) for seed in (1, 2)]
+                    together = [future.result(timeout=120) for future in futures]
+            finally:
+                sys.setswitchinterval(interval)
+            for got, want in zip(together, in_turn):
+                for name in ("states", "consensus", "record_dev", "worst_cum_dev"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert got.max_pert == want.max_pert
 
     def test_pure_consensus_contracts_to_the_initial_average(self):
         seq = generate_graph_sequence("seeded-random", 6, 1, seed=4)

@@ -758,3 +758,82 @@ class TestMixtureKernel:
             np.testing.assert_allclose(rows, ref, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max(),
                                        err_msg=path)
+
+
+def kernel_case(kind, sizes, dim, batch, binary, seed):
+    """A built-in potential of ``kind`` over shards of exactly ``sizes``
+    rows, with its dataset and shards (None, None for the Gaussian).  The
+    regression kinds get 0/1 ``uint8`` features, or float64 ones."""
+    if kind == "gaussian":
+        return ragged_potential(kind, sizes, dim, batch, seed)
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    shards = np.split(rng.permutation(n), np.cumsum(sizes)[:-1])
+    if kind == "mixture":
+        ds = generate_mixture_data(n, 0.0, 1.0, np.sqrt(2.0), seed)
+        return MixturePotential(ds, shards, batch_size=batch), ds, shards
+    ds = make_surrogate_classification(n, dim, seed, density=0.5)
+    if not binary:
+        ds = Dataset(ds.features + rng.standard_normal((n, dim)), ds.targets)
+    if kind == "logistic":
+        return LogisticPotential(ds, shards, batch), ds, shards
+    prior = GaussianDist(rng.standard_normal(dim), (1.0 + rng.random()) * np.eye(dim))
+    return LinRegPotential(ds, shards, prior, 0.5, batch), ds, shards
+
+
+def stacked_public_grads(pot, ds, shards, z, idx):
+    """The potential's gradients from one stacked ``grad_U_*`` call on the
+    layout it keeps: full shards padded with zero feature rows and target
+    1.0 (weight 0 for the mixture), or each agent's batch ``idx[i]`` of its
+    shard with scale shard over batch size."""
+    if isinstance(pot, GaussianPotential):
+        return np.stack([pot.grad(i, row, None) for i, row in enumerate(z)])
+    m = len(shards)
+    rows = ([s[i] for s, i in zip(shards, idx)] if pot.batch_size is not None
+            else shards)
+    width = max(map(len, rows))
+    feats, targs = np.zeros((m, width, ds.dim)), np.ones((m, width))
+    mask = np.zeros((m, width))
+    for i, r in enumerate(rows):
+        feats[i, :len(r)], targs[i, :len(r)] = ds.features[r], ds.targets[r]
+        mask[i, :len(r)] = 1.0
+    scale = (1.0 if pot.batch_size is None
+             else np.array([[len(s) / pot.batch_size] for s in shards]))
+    if isinstance(pot, MixturePotential):
+        prior_vars = tuple(v * m for v in pot.prior_vars)
+        return grad_U_mixture(z, targs, pot.sigma_x, prior_vars, scale,
+                              mask if pot.batch_size is None else None)
+    if isinstance(pot, LogisticPotential):
+        return grad_U_logistic(z, feats, targs, scale)
+    prior = GaussianDist(pot.prior.mean, pot.prior.cov * m)
+    return grad_U_linreg(z, feats, targs, prior, pot.sigma, scale)
+
+
+class TestGradientKernels:
+    @given(kind=st.sampled_from(["linreg", "mixture", "logistic", "gaussian"]),
+           sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+           dim=st.integers(1, 4),
+           batch=st.sampled_from([None, 1, 3]),
+           binary=st.booleans(),
+           seed=st.integers(0, 2 ** 16),
+           spread=st.sampled_from([0.1, 1.0, 10.0]))
+    def test_a_kernel_writes_grad_drawn_bit_for_bit(self, kind, sizes, dim,
+                                                     batch, binary, seed, spread):
+        # two calls of one kernel at different z and draws, each into a row
+        # of a larger array as run writes them: both equal grad_drawn, so
+        # the second reads nothing the first left in the scratch, and
+        # grad_drawn equals one stacked call of the public gradient
+        pot, ds, shards = kernel_case(kind, sizes, dim, batch, binary, seed)
+        m, d = len(sizes), pot.props.dim
+        zs = spread * np.random.default_rng(seed + 1).standard_normal((2, m, d))
+        draws = pot.draw(NoiseModel(seed, m), 2)
+        grad, out = pot.kernel((m, d)), np.full((3, m, d), np.nan)
+        with np.errstate(over="ignore"):
+            for k in range(2):
+                grad(zs[k], draws[k], out[k + 1])
+            for k in range(2):
+                want = pot.grad_drawn(zs[k], draws[k])
+                assert out[k + 1].tobytes() == want.tobytes()
+                public = stacked_public_grads(pot, ds, shards, zs[k], draws[k])
+                assert public.tobytes() == want.tobytes()
+        assert np.isnan(out[0]).all()
