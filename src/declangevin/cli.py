@@ -234,6 +234,8 @@ def _parse_true_w(cfg: ExperimentConfig) -> np.ndarray:
         raise ConfigError(f"true_w {cfg.true_w!r} is not a comma-separated float list") from None
     if vec.shape != (cfg.dims,):
         raise ConfigError(f"true_w needs {cfg.dims} entries, got {vec.shape[0]}")
+    if not np.isfinite(vec).all():
+        raise ConfigError("true_w must be finite")
     return vec
 
 
@@ -265,11 +267,15 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
         raise ConfigError("seed must be nonnegative")
     if cfg.batch < 0:
         raise ConfigError("batch must be 0 (full shard) or positive")
-    # model and data fields, written as "not x > 0" so that NaN fails; the
-    # automatic step size of run divides by model_kappa
+    # model and data fields, written as "not x > 0" so that NaN fails, and
+    # then finite; the automatic step size of run divides by model_kappa
     for name in _POSITIVE:
         if not getattr(cfg, name) > 0:
             raise ConfigError(f"{name} must be positive")
+    for name in _POSITIVE + ("theta1", "theta2"):
+        if not np.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be finite")
+    true_w = _parse_true_w(cfg) if cfg.experiment == "linreg" else None
 
     sched = _build_schedule(cfg)
     if cfg.graph_kind == "periodic-list":
@@ -313,7 +319,6 @@ def prepare(cfg: ExperimentConfig) -> RunSetup:
     extras: dict = {}
 
     if cfg.experiment == "linreg":
-        true_w = _parse_true_w(cfg)
         ds = generate_linreg_data(cfg.n, cfg.dims, cfg.data_sigma, true_w, cfg.seed)
         shards = _shard(ds, cfg)
         prior = GaussianDist(np.zeros(cfg.dims), np.eye(cfg.dims))

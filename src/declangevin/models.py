@@ -189,37 +189,16 @@ def grad_U_linreg(z: np.ndarray, batch_features: np.ndarray, batch_targets: np.n
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    z = np.asarray(z, dtype=float)
-    return _fresh(_grad_linreg, _batch_shape(z, batch_features, batch_targets, scale), z,
-                  batch_features, batch_targets, prior.mean, np.linalg.inv(prior.cov), sigma,
-                  scale)
+    return _grad_linreg(np.asarray(z, dtype=float), batch_features, batch_targets,
+                        prior.mean, np.linalg.inv(prior.cov), sigma, scale)
 
 
-def _batch_shape(z, feats, targs, scale) -> tuple:
-    """The gradients' shape for z (..., d), a batch (..., b, d), (..., b)
-    and a scale against (..., d)."""
-    return np.broadcast_shapes(z.shape[:-1], feats.shape[:-2], np.shape(targs)[:-1],
-                               np.shape(scale)[:-1]) + z.shape[-1:]
-
-
-def _fresh(grad, shape: tuple, z, *args) -> np.ndarray:
-    """What the kernel ``grad`` writes at (z, *args), in a new array."""
-    out = np.empty(shape)
-    grad(z, *args, out)
-    return out
-
-
-def _grad_linreg(z, feats, targs, prior_mean, prior_prec, sigma, scale, out):
-    """:func:`grad_U_linreg` at a float z, given the prior precision,
-    written into ``out``."""
+def _grad_linreg(z, feats, targs, prior_mean, prior_prec, sigma, scale):
+    """:func:`grad_U_linreg` at a float z, given the prior precision.  An
+    empty batch's sums are exact zeros, which leave the prior term."""
     prior_term = (prior_prec @ (z - prior_mean)[..., None])[..., 0]
-    if feats.shape[-2] == 0:
-        np.copyto(out, prior_term)
-        return
     resid = (feats @ z[..., None])[..., 0] - targs
-    np.multiply(scale, _transpose_times(feats, resid), out)
-    out /= sigma ** 2
-    out += prior_term
+    return scale * _transpose_times(feats, resid) / sigma ** 2 + prior_term
 
 
 def _transpose_times(feats: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -270,6 +249,13 @@ def grad_U_mixture(theta: np.ndarray, batch: np.ndarray, sigma_x: float = np.sqr
     shape = np.broadcast_shapes(theta.shape[:-1], terms[1].shape[:-2],
                                 np.shape(terms[3])[:-1]) + (2,)
     return _fresh(_mixture_kernel(*terms, shape), shape, np.broadcast_to(theta, shape), None)
+
+
+def _fresh(grad, shape: tuple, z, *args) -> np.ndarray:
+    """What the kernel ``grad`` writes at (z, *args), in a new array."""
+    out = np.empty(shape)
+    grad(z, *args, out)
+    return out
 
 
 def _mixture_terms(x, scale, s2, prior_prec, w=1.0) -> tuple:
@@ -324,8 +310,7 @@ def grad_U_logistic(w: np.ndarray, batch_features: np.ndarray, batch_targets: np
     y = np.asarray(batch_targets, dtype=float)
     _check_labels(y)
     with np.errstate(over="ignore"):
-        return _fresh(_grad_logistic, _batch_shape(w, batch_features, y, scale), w,
-                      batch_features, y, scale)
+        return _grad_logistic(w, batch_features, y, scale)
 
 
 def _check_labels(y: np.ndarray) -> None:
@@ -333,16 +318,14 @@ def _check_labels(y: np.ndarray) -> None:
         raise ValueError("logistic labels must be -1 or +1")
 
 
-def _grad_logistic(w, feats, y, scale, out):
-    """:func:`grad_U_logistic` on float arrays with checked labels, written
-    into ``out``.  With u = y w^T x, y sigmoid(-u) is y / (1 + exp(u)) bit
-    for bit: negation is exact, and y = +-1 only flips the sign of
-    1 / (1 + exp(u))."""
+def _grad_logistic(w, feats, y, scale):
+    """:func:`grad_U_logistic` on float arrays with checked labels.  With
+    u = y w^T x, y sigmoid(-u) is y / (1 + exp(u)) bit for bit: negation is
+    exact, and y = +-1 only flips the sign of 1 / (1 + exp(u))."""
     coef = np.multiply(y, (feats @ w[..., None])[..., 0])
     np.exp(coef, out=coef)
     coef += 1.0
-    np.multiply(-scale, _transpose_times(feats, np.divide(y, coef, out=coef)), out)
-    out += np.sign(w)
+    return -scale * _transpose_times(feats, np.divide(y, coef, out=coef)) + np.sign(w)
 
 
 def load_libsvm(path, num_features: int | None = None) -> Dataset:
@@ -481,7 +464,9 @@ class Potential:
     :meth:`kernel`, built once per run, every step.  ``draw`` takes any
     randomness the potential needs (minibatch indices) from agent i's
     :meth:`NoiseModel.stream` and from nowhere else; ``grad_drawn``
-    returns all m agents' gradients at once.
+    returns all m agents' gradients at once.  A potential states its
+    gradient once, in ``grad_drawn``, and defines ``kernel`` only to reuse
+    scratch across steps.
     ``num_agents`` is the network size the potential was built for, or
     None when any size will do.
     """
@@ -501,16 +486,10 @@ class Potential:
 
     def kernel(self, shape: tuple):
         """``grad(z, drawn, out)``, writing grad_drawn(z, drawn) of a z of
-        ``shape`` into ``out`` bit for bit, with scratch of its own: two
-        runs never share it.  This one copies what grad_drawn returns."""
+        ``shape`` into ``out`` bit for bit.  This one copies what grad_drawn
+        returns.  Override it only to reuse scratch across steps, held by
+        the kernel and not the potential, so two runs never share it."""
         return lambda z, drawn, out: np.copyto(out, self.grad_drawn(z, drawn))
-
-
-class _KernelPotential(Potential):
-    """A potential whose formula is its kernel, which grad_drawn runs."""
-
-    def grad_drawn(self, z, drawn):
-        return _fresh(self.kernel(np.shape(z)), np.shape(z), z, drawn)
 
 
 class ZeroPotential(Potential):
@@ -523,7 +502,7 @@ class ZeroPotential(Potential):
         return np.zeros_like(z)
 
 
-class _ShardedPotential(_KernelPotential):
+class _ShardedPotential(Potential):
     """Common minibatch plumbing for data-sharded potentials, one agent per
     shard: ``shards[i]`` holds agent i's dataset rows, as from :func:`partition`.
 
@@ -591,19 +570,16 @@ class _ShardedPotential(_KernelPotential):
             idx[:, i] = noise.stream(i).integers(0, n, size=idx.shape[::2])
         return idx
 
-    def kernel(self, shape):
-        """The subclass's ``_grad(z, feats, targs, scale, out)`` on the padded
+    def grad_drawn(self, z, idx):
+        """The subclass's ``_grad(z, feats, targs, scale)`` on the padded
         full shards, or on each step's rows ``idx`` of each shard, gathered
         into new arrays: a batch buffer held for the whole run would add to
         the run's peak, which a minibatch run reaches during the gather."""
         if self.batch_size is None:
-            return lambda z, idx, out: self._grad(z, self._features, self._targets, 1.0, out)
-
-        def gather_grad(z, idx, out):
-            rows = self._table.take(idx + self._offsets)
-            self._grad(z, self._features.take(rows, axis=0).astype(float, copy=False),
-                       self._targets.take(rows), self._scale, out)
-        return gather_grad
+            return self._grad(z, self._features, self._targets, 1.0)
+        rows = self._table.take(idx + self._offsets)
+        return self._grad(z, self._features.take(rows, axis=0).astype(float, copy=False),
+                          self._targets.take(rows), self._scale)
 
 
 class LinRegPotential(_ShardedPotential):
@@ -627,9 +603,9 @@ class LinRegPotential(_ShardedPotential):
         self._agent_prec = np.linalg.inv(prior.cov * len(shards))
         self.props = PotentialProps(dim=ds.dim)
 
-    def _grad(self, z, feats, targs, scale, out):
-        _grad_linreg(z, feats, targs, self.prior.mean, self._agent_prec, self.sigma, scale,
-                     out)
+    def _grad(self, z, feats, targs, scale):
+        return _grad_linreg(z, feats, targs, self.prior.mean, self._agent_prec, self.sigma,
+                            scale)
 
 
 class MixturePotential(_ShardedPotential):
@@ -659,6 +635,9 @@ class MixturePotential(_ShardedPotential):
             self._terms = _mixture_terms(np.zeros((len(shards), batch_size)),
                                          self._scale, self.sigma_x ** 2,
                                          self._agent_prec)
+
+    def grad_drawn(self, z, idx):
+        return _fresh(self.kernel(np.shape(z)), np.shape(z), z, idx)
 
     def kernel(self, shape):
         if self.batch_size is None:
@@ -696,7 +675,7 @@ class LogisticPotential(_ShardedPotential):
     _grad = staticmethod(_grad_logistic)
 
 
-class GaussianPotential(_KernelPotential):
+class GaussianPotential(Potential):
     """Quadratic target split evenly across agents.
 
     The network as a whole targets N(mean, cov), cov checked as
@@ -724,14 +703,9 @@ class GaussianPotential(_KernelPotential):
     def grad(self, agent, z, rng):
         return self.grad_drawn(z, None)
 
-    def kernel(self, shape):
-        prod = np.empty(shape + self._b.shape)
-
-        def grad(z, drawn, out):
-            # H z - b as an elementwise product summed over the last axis: it
-            # broadcasts over leading axes (a single z included) and computes
-            # every row alike whatever their number, so grad and grad_drawn
-            # agree bitwise
-            np.sum(np.multiply(self._h, z[..., None, :], out=prod), axis=-1, out=out)
-            out -= self._b
-        return grad
+    def grad_drawn(self, z, drawn):
+        # H z - b as an elementwise product summed over the last axis: it
+        # broadcasts over leading axes (a single z included) and computes
+        # every row alike whatever their number, so grad and grad_drawn
+        # agree bitwise
+        return (self._h * z[..., None, :]).sum(axis=-1) - self._b

@@ -971,7 +971,16 @@ class TestMain:
         (["mixture", "--prior_var1", "nan"], "prior_var1 must be positive"),
         (["mixture", "--prior_var2", "0"], "prior_var2 must be positive"),
         (["logistic", "--surrogate", "on", "--dims", "0"],
-         "dims must be at least 1")])
+         "dims must be at least 1"),
+        (["linreg", "--true_w", "nan,1.0"], "true_w must be finite"),
+        (["linreg", "--true_w", "1.0,-inf"], "true_w must be finite"),
+        (["linreg", "--data_sigma", "inf"], "data_sigma must be finite"),
+        (["mixture", "--theta1", "nan"], "theta1 must be finite"),
+        (["mixture", "--theta2", "inf"], "theta2 must be finite"),
+        (["mixture", "--sigma_x_sq", "inf"], "sigma_x_sq must be finite"),
+        (["mixture", "--prior_var1", "inf"], "prior_var1 must be finite"),
+        (["mixture", "--prior_var2", "inf"], "prior_var2 must be finite"),
+        (["run", "--model_kappa", "inf"], "model_kappa must be finite")])
     def test_bad_model_or_data_size_exits_before_any_draw(
             self, argv, message, tmp_path, capsys, no_draws):
         code = main([*argv, "--iters", "10", "--out", str(tmp_path / "s.csv")])

@@ -301,6 +301,14 @@ class TestGradients:
         # Sigma0^-1 (z - mu0) = diag(1/2, 1/4) (2, 4)
         np.testing.assert_array_equal(grad, [1.0, 1.0])
 
+    def test_an_empty_linreg_batch_with_a_scale_per_row_leaves_each_prior_term(self):
+        prior = GaussianDist(np.array([1.0, -2.0]), np.diag([2.0, 4.0]))
+        z = np.array([[3.0, 2.0], [1.0, -2.0], [-1.0, 6.0]])
+        grad = grad_U_linreg(z, np.zeros((0, 2)), np.zeros(0), prior, 0.5,
+                             scale=np.array([[10.0], [0.5], [3.0]]))
+        # Sigma0^-1 (z - mu0) = diag(1/2, 1/4) (z - mu0), row by row
+        np.testing.assert_array_equal(grad, [[1.0, 1.0], [0.0, 0.0], [-1.0, 2.0]])
+
 
 class TestLibsvm:
     def test_round_trip_preserves_everything(self, tmp_path):
