@@ -149,7 +149,9 @@ def build_config(experiment: str, *override_maps) -> ExperimentConfig:
                 continue
             want = _FIELD_TYPES[key]
             try:
-                if want is int and isinstance(value, float) and value != int(value):
+                # JSON true and false are not numbers, nor is 1e400 an int
+                if isinstance(value, bool) or (want is int and isinstance(value, float)
+                                               and not value.is_integer()):
                     raise ValueError
                 merged[key] = want(value)
             except (TypeError, ValueError):

@@ -154,11 +154,21 @@ class StepSchedule:
         """
         if horizon < 1:
             raise ValueError("horizon must be at least 1")
+        for name, value in (("alpha_start", alpha_start), ("alpha_end", alpha_end)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0 < alpha_end < alpha_start:
             raise ValueError("need 0 < alpha_end < alpha_start")
-        if not 0 < exponent <= 1:
-            raise ValueError("power schedule exponent must lie in (0, 1]")
-        ratio = (alpha_start / alpha_end) ** (1.0 / exponent)
+        cls("power", alpha_start, 1.0, exponent)  # refuses the exponent before it is used
+        try:
+            # the quotient overflows to inf, the power with an OverflowError
+            ratio = (alpha_start / alpha_end) ** (1.0 / exponent)
+        except OverflowError:
+            ratio = math.inf
+        if ratio == math.inf:
+            raise ValueError(f"alpha_start={alpha_start} and alpha_end={alpha_end} are too far "
+                             f"apart for exponent {exponent}: (alpha_start / alpha_end) ** "
+                             "(1 / exponent) overflows")
         offset = horizon / (ratio - 1.0)
         alpha0 = alpha_start * offset ** exponent
         return cls(kind="power", alpha0=alpha0, offset=offset, exponent=exponent)

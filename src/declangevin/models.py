@@ -476,7 +476,8 @@ class Potential:
 
     def draw(self, noise, steps: int):
         """Every agent's draws for the next ``steps`` steps; entry k goes to
-        :meth:`grad_drawn` at the k-th.  By default nothing is drawn."""
+        :meth:`grad_drawn` at the k-th.  A sharded minibatch potential draws
+        (steps, m, batch) dataset rows.  By default nothing is drawn."""
         return [None] * steps
 
     def grad_drawn(self, z: np.ndarray, drawn) -> np.ndarray:
@@ -508,19 +509,20 @@ class _ShardedPotential(Potential):
 
     Each agent resamples ``batch_size`` rows of its shard with replacement
     every step, from its own :meth:`NoiseModel.stream`; :meth:`draw` takes
-    a block of steps' indices in one draw per agent.  ``batch_size=None``
-    uses the full shard deterministically and consumes no randomness.
+    a block of steps' positions in one draw per agent and maps them through
+    the agent's shard to dataset rows.  ``batch_size=None`` uses the full
+    shard deterministically and consumes no randomness.
 
     A minibatch potential copies no data: it keeps the dataset's read-only
-    arrays and a table of each shard's dataset rows, and every step gathers
-    its (m, batch_size, d) features and (m, batch_size) targets from the
-    dataset through that table, as float64.  Full shards are read whole
-    every step, so they are gathered once and stored stacked, (m, n_max, d)
-    float64 features and (m, n_max) targets, and every agent's gradient
-    comes from one array expression.  Shorter shards are padded with zero
-    feature rows and target 1.0, a valid label: a zero row adds exactly
-    nothing to the regression and logistic sums, and the mixture weighs
-    its padding 0.
+    arrays and each shard's rows, and every step gathers its (m,
+    batch_size, d) features and (m, batch_size) targets from the dataset at
+    the drawn rows, as float64.  Full shards are read whole every step, so
+    they are gathered once and stored stacked, (m, n_max, d) float64
+    features and (m, n_max) targets, and every agent's gradient comes from
+    one array expression.  Only this stack is padded: shorter shards get
+    zero feature rows and target 1.0, a valid label, which add exactly
+    nothing to the regression and logistic sums; the mixture weighs its
+    padding 0.
     """
 
     def __init__(self, ds: Dataset, shards, batch_size):
@@ -536,9 +538,7 @@ class _ShardedPotential(Potential):
                 raise ValueError(f"shard {i} holds a row outside [0, {ds.n})")
         if batch_size is not None:
             self._features, self._targets = ds.features, ds.targets
-            # agent i's local row j is dataset row _table[j + _offsets[i]]
-            self._table = rows.ravel()
-            self._offsets = np.arange(0, rows.size, rows.shape[1])[:, None]
+            self._shards = [r[:n] for r, n in zip(rows, self._sizes)]
             self._scale = (np.array(self._sizes) / batch_size)[:, None]
             return
         pad = np.arange(rows.shape[1]) >= np.array(self._sizes)[:, None]
@@ -554,30 +554,29 @@ class _ShardedPotential(Potential):
         stacked full shards, or gathered from the dataset for minibatches."""
         if self.batch_size is None:
             return [y[:n] for y, n in zip(self._targets, self._sizes)]
-        rows = self._table.reshape(self.num_agents, -1)
-        return [self._targets[r[:n]] for r, n in zip(rows, self._sizes)]
+        return [self._targets[s] for s in self._shards]
 
     def draw(self, noise, steps):
-        """(steps, m, batch_size) row indices, agent i's from one draw on
+        """(steps, m, batch_size) dataset rows, agent i's from one draw on
         its stream; full shards draw nothing (None per step)."""
         if self.batch_size is None:
             return super().draw(noise, steps)
         if noise is None:
             raise ValueError(f"batch_size={self.batch_size} draws from the noise "
                              "streams; a run without noise needs batch_size=None")
-        idx = np.empty((steps, self.num_agents, self.batch_size), dtype=np.int64)
-        for i, n in enumerate(self._sizes):  # one agent's draw held at a time
-            idx[:, i] = noise.stream(i).integers(0, n, size=idx.shape[::2])
-        return idx
+        rows = np.empty((steps, self.num_agents, self.batch_size), dtype=np.int64)
+        for i, shard in enumerate(self._shards):  # one agent's draw held at a time
+            rows[:, i] = shard[noise.stream(i).integers(0, len(shard), size=rows.shape[::2])]
+        return rows
 
-    def grad_drawn(self, z, idx):
+    def grad_drawn(self, z, rows):
         """The subclass's ``_grad(z, feats, targs, scale)`` on the padded
-        full shards, or on each step's rows ``idx`` of each shard, gathered
+        full shards, or on each agent's dataset rows ``rows[i]``, gathered
         into new arrays: a batch buffer held for the whole run would add to
-        the run's peak, which a minibatch run reaches during the gather."""
+        the run's peak, which a minibatch run reaches during the gather.
+        A row outside the dataset raises IndexError."""
         if self.batch_size is None:
             return self._grad(z, self._features, self._targets, 1.0)
-        rows = self._table.take(idx + self._offsets)
         return self._grad(z, self._features.take(rows, axis=0).astype(float, copy=False),
                           self._targets.take(rows), self._scale)
 
@@ -647,15 +646,14 @@ class MixturePotential(_ShardedPotential):
         coef, rows, n, gamma, curv, offset = self._terms
         rows, total, offset = rows.copy(), n.copy(), offset.copy()
         two_one = np.array([2.0, 1.0])
-        x, xs, at = rows[:, 1], rows[:, 1:], np.empty(rows[:, 1].shape, dtype=np.int64)
+        x, xs = rows[:, 1], rows[:, 1:]
         grad = _mixture_kernel(coef, rows, n, gamma, curv, offset, shape)
 
-        def gather_grad(z, idx, out):
-            self._table.take(np.add(idx, self._offsets, out=at), out=at)
-            self._targets.take(at, out=x, mode="clip")  # rows from the checked table
+        def gather_grad(z, drawn, out):
+            self._targets.take(drawn, out=x)
             np.multiply(gamma, np.sum(xs, axis=-1, out=total), out=total)
             np.multiply(total, two_one, out=offset)
-            grad(z, idx, out)
+            grad(z, drawn, out)
         return gather_grad
 
 

@@ -96,8 +96,11 @@ class TestBuildConfig:
     def test_integer_coercion(self):
         assert build_config("run", {"iters": "5"}).iters == 5
         assert build_config("run", {"iters": 5.0}).iters == 5
-        with pytest.raises(ConfigError, match="expects int"):
-            build_config("run", {"iters": 5.5})
+        for value in (5.5, True, False, float("inf")):
+            with pytest.raises(ConfigError, match=f"expects int, got {value!r}"):
+                build_config("run", {"iters": value})
+        with pytest.raises(ConfigError, match="config key 'seed' expects int, got False"):
+            build_config("run", {"seed": False})
         with pytest.raises(ConfigError, match="expects float"):
             build_config("run", {"model_kappa": "much"})
 
@@ -921,7 +924,13 @@ class TestMain:
          "endpoint-solved schedules do not read sched_offset"),
         (["run", "--schedule", "power"], "alpha0 is required"),
         (["run", "--schedule", "cosine", "--alpha0", "0.1"],
-         "unknown schedule kind 'cosine'")])
+         "unknown schedule kind 'cosine'"),
+        (["run", "--schedule", "power", "--alpha_start", "inf", "--alpha_end", "0.1"],
+         "alpha_start must be finite, got inf"),
+        (["mixture", "--alpha_start", "1e308", "--alpha_end", "1e-308"],
+         "alpha_start=1e+308 and alpha_end=1e-308 are too far apart"),
+        (["mixture", "--sched_p", "0.001"],
+         "too far apart for exponent 0.001")])
     def test_a_field_the_run_would_ignore_exits_before_any_draw(
             self, argv, message, tmp_path, capsys, no_draws):
         code = main([*argv, "--iters", "10", "--out", str(tmp_path / "i.csv")])
@@ -1030,6 +1039,20 @@ class TestMain:
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
         assert out.read_bytes().startswith(b"# experiment=run\r\n")
+
+    @pytest.mark.parametrize("module", ["declangevin", "declangevin.cli"])
+    def test_each_module_entry_point_exits_with_main_s_code(self, module, tmp_path):
+        # the package's __main__ and the cli module's own __main__ line
+        src = str(Path(declangevin.__file__).parents[1])
+        for flags, code in ((["--iters", "5"], 0), (["--agents", "0"], 2)):
+            out = tmp_path / f"{code}.csv"
+            done = subprocess.run(
+                [sys.executable, "-m", module, "run", *flags, "--out", str(out)],
+                env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                text=True, timeout=120)
+            assert done.returncode == code, done.stderr
+            assert out.exists() == (code == 0)
+        assert "agents must be at least 1" in done.stderr
 
     def test_importing_the_cli_loads_no_test_or_scipy_modules(self):
         # numpy is the only runtime dependency

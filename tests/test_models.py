@@ -554,7 +554,7 @@ class TestPotentials:
         for i, shard in enumerate(shards):
             own = np.random.default_rng([7, i, 1]).integers(
                 0, len(shard), size=(3, 2))
-            np.testing.assert_array_equal(idx[:, i], own)
+            np.testing.assert_array_equal(idx[:, i], shard[own])
         a = pot.grad_drawn(z, idx[0])
         b = pot.grad_drawn(z, pot.draw(NoiseModel(7, 2), 1)[0])
         np.testing.assert_array_equal(a, b)
@@ -746,7 +746,7 @@ class TestMixtureKernel:
         pot = MixturePotential(ds, shards, np.sqrt(2.0), (10.0, 1.0), batch)
         z = spread * rng.standard_normal((m, 2))
         idx = pot.draw(NoiseModel(seed, m), 1)[0]
-        batches = shards if batch is None else [s[i] for s, i in zip(shards, idx)]
+        batches = shards if batch is None else idx
         scale = np.array([[1.0 if batch is None else len(s) / batch]
                           for s in shards])
         width = max(map(len, batches))
@@ -792,13 +792,12 @@ def kernel_case(kind, sizes, dim, batch, binary, seed):
 def stacked_public_grads(pot, ds, shards, z, idx):
     """The potential's gradients from one stacked ``grad_U_*`` call on the
     layout it keeps: full shards padded with zero feature rows and target
-    1.0 (weight 0 for the mixture), or each agent's batch ``idx[i]`` of its
-    shard with scale shard over batch size."""
+    1.0 (weight 0 for the mixture), or each agent's dataset rows ``idx[i]``
+    with scale shard over batch size."""
     if isinstance(pot, GaussianPotential):
         return np.stack([pot.grad(i, row, None) for i, row in enumerate(z)])
     m = len(shards)
-    rows = ([s[i] for s, i in zip(shards, idx)] if pot.batch_size is not None
-            else shards)
+    rows = idx if pot.batch_size is not None else shards
     width = max(map(len, rows))
     feats, targs = np.zeros((m, width, ds.dim)), np.ones((m, width))
     mask = np.zeros((m, width))
@@ -845,3 +844,43 @@ class TestGradientKernels:
                 public = stacked_public_grads(pot, ds, shards, zs[k], draws[k])
                 assert public.tobytes() == want.tobytes()
         assert np.isnan(out[0]).all()
+
+
+class TestDrawnRows:
+    # a minibatch draw is dataset rows: grad_drawn and the kernel read the
+    # rows they are given, whichever shard holds them, and nothing else
+    @pytest.mark.parametrize("kind", ["linreg", "logistic", "mixture"])
+    def test_hand_made_rows_give_the_stacked_public_gradient(self, kind):
+        pot, ds, shards = kernel_case(kind, [3, 5, 2], 3, 2, False, 11)
+        # agent 0 reads a row of agent 1's shard and agent 2 one row twice
+        rows = np.array([[shards[0][2], shards[1][4]],
+                         [shards[1][0], shards[1][3]],
+                         [shards[2][1], shards[2][1]]])
+        z = np.random.default_rng(12).standard_normal((3, pot.props.dim))
+        want = stacked_public_grads(pot, ds, shards, z, rows)
+        out = np.empty_like(want)
+        pot.kernel(z.shape)(z, rows, out)
+        assert pot.grad_drawn(z, rows).tobytes() == want.tobytes()
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["linreg", "logistic", "mixture"])
+    @pytest.mark.parametrize("past", [0, 1, 50])
+    def test_a_row_past_the_dataset_raises(self, kind, past):
+        pot, ds, shards = kernel_case(kind, [3, 5, 2], 3, 2, True, 13)
+        rows = np.array([[0, 1], [2, ds.n + past], [4, 5]])
+        z = np.zeros((3, pot.props.dim))
+        with pytest.raises(IndexError):
+            pot.grad_drawn(z, rows)
+        with pytest.raises(IndexError):
+            pot.kernel(z.shape)(z, rows, np.empty_like(z))
+
+    @pytest.mark.parametrize("kind", ["linreg", "logistic", "mixture"])
+    def test_a_draw_maps_each_agent_stream_through_its_shard(self, kind):
+        seed, steps, batch = 14, 4, 3
+        pot, ds, shards = kernel_case(kind, [3, 5, 1, 4], 2, batch, True, seed)
+        rows = pot.draw(NoiseModel(seed, len(shards)), steps)
+        assert rows.shape == (steps, len(shards), batch)
+        for i, shard in enumerate(shards):
+            own = np.random.default_rng([seed, i, 1]).integers(
+                0, len(shard), size=(steps, batch))
+            np.testing.assert_array_equal(rows[:, i], shard[own])
