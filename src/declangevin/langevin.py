@@ -292,20 +292,22 @@ def _step(mixing: np.ndarray, y: np.ndarray, xs: np.ndarray, ws: np.ndarray,
           zs: np.ndarray, t0: int, alphas, grad, drawn, gauss) -> np.ndarray:
     """Steps t0 .. t0+len(mixing)-1 on agent-major (m, d) buffers.
 
-    Step k mixes xs[k] into ws[k], divides it by the push-sum weights into
-    zs[k+1] and writes ws[k] - alphas[k] g(zs[k+1]) + gauss[k] into xs[k+1],
-    g written there first by the potential's kernel ``grad``, with the
-    entries from :func:`_draws` and ``y`` the weights at t0.
-    Returns the weights after each step.  The steps stop before a weight
-    underflow, so a divergence before it raises first.  An overflow or NaN,
-    in the gradients too, warns nowhere: the DivergenceError names it.
+    Step k mixes xs[k] into ws[k], divides it in place by zs[k+1], which
+    the block's push-sum weights fill first so that each division's
+    operands share one shape, and writes ws[k] - alphas[k] g(zs[k+1]) +
+    gauss[k] into xs[k+1], g written there first by the potential's kernel
+    ``grad``, with the entries from :func:`_draws` and ``y`` the weights at
+    t0.  Returns the weights after each step.  The steps stop before a
+    weight underflow, so a divergence before it raises first.  An overflow
+    or NaN, in the gradients too, warns nowhere: the DivergenceError names it.
     """
     ys, underflow = _weights(mixing, y, t0)
+    zs[1:len(ys) + 1] = ys[:, :, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, x, w, z, out, yk, alpha, dk, g in zip(
-                mixing, xs, ws, zs[1:], xs[1:], ys[:, :, None], alphas, drawn, gauss):
+        for a, x, w, z, out, alpha, dk, g in zip(
+                mixing, xs, ws, zs[1:len(ys) + 1], xs[1:], alphas, drawn, gauss):
             a.dot(x, w)
-            np.divide(w, yk, z)
+            np.divide(w, z, z)
             grad(z, dk, out)
             out *= alpha
             np.subtract(w, out, out)

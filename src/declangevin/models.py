@@ -238,16 +238,17 @@ def grad_U_mixture(theta: np.ndarray, batch: np.ndarray, sigma_x: float = np.sqr
     Broadcasts over leading axes: theta (..., 2) and batch (..., b) give
     one gradient per leading index, with ``scale`` broadcasting against
     (..., 2).  ``mask``, of the batch's shape, holds 1 for samples and 0
-    for padding, which then contributes nothing.
+    for padding, which then contributes nothing.  Each gradient is the one
+    contraction a run's kernel makes, see :func:`_mixture_kernel`.
     """
     if sigma_x <= 0:
         raise ValueError("sigma_x must be positive")
     theta = np.asarray(theta, dtype=float)
-    terms = _mixture_terms(np.asarray(batch, dtype=float), scale, sigma_x ** 2,
-                           1.0 / np.asarray(prior_vars, dtype=float),
-                           1.0 if mask is None else mask)
+    terms, _ = _mixture_terms(np.asarray(batch, dtype=float), scale, sigma_x ** 2,
+                              1.0 / np.asarray(prior_vars, dtype=float),
+                              1.0 if mask is None else mask)
     shape = np.broadcast_shapes(theta.shape[:-1], terms[1].shape[:-2],
-                                np.shape(terms[3])[:-1]) + (2,)
+                                terms[2].shape[:-2]) + (2,)
     return _fresh(_mixture_kernel(*terms, shape), shape, np.broadcast_to(theta, shape), None)
 
 
@@ -260,40 +261,50 @@ def _fresh(grad, shape: tuple, z, *args) -> np.ndarray:
 
 def _mixture_terms(x, scale, s2, prior_prec, w=1.0) -> tuple:
     """The parts of :func:`_mixture_kernel` that theta leaves fixed, for
-    samples x (..., b) weighted 1, or 0 where ``w`` marks padding."""
+    samples x (..., b) weighted 1, or 0 where ``w`` marks padding, and the
+    offset per unit of sum x, gamma (2, 1)."""
     rows = np.empty(x.shape[:-1] + (2,) + x.shape[-1:])
     rows[..., 0, :], rows[..., 1, :] = w, w * x
     sums = rows.sum(axis=-1)  # (n, sum x)
     gamma = scale / (2.0 * s2)
-    return (np.array([[1.0, 0.0, 0.0, 1.0], [0.5, 0.5 / s2, 1.0, 1.0]]), rows, sums[..., :1],
-            gamma, prior_prec + gamma * sums * (2.0, 0.0),
-            gamma * sums[..., 1:] * (2.0, 1.0))
+    per_x, curv = gamma * np.array([2.0, 1.0]), prior_prec + gamma * sums * (2.0, 0.0)
+    # row k of cmat weighs P, see _mixture_kernel, into gradient entry k:
+    # theta curv + gamma n (b, a + b) + gamma (sum t b, sum t (a + b) - sum t x);
+    # flat[j::10] is entries (0, j) and (1, j + 1), basic slices, not a gather
+    cmat = np.zeros(curv.shape + (9,))
+    flat = cmat.reshape(curv.shape[:-1] + (18,))
+    flat[..., 2::10], flat[..., 3::10], flat[..., 7::10] = curv, gamma * sums[..., :1], gamma
+    flat[..., 15] = -flat[..., 17]
+    coef = np.zeros((2, 9))  # theta . coef is P's first five slots, and zeros
+    coef[:, :5] = [[1.0, 0.0, 1.0, 0.0, 1.0], [0.5, 0.5 / s2, 0.0, 1.0, 1.0]]
+    return (coef, rows, cmat, sums[..., 1:] * per_x), per_x
 
 
-def _mixture_kernel(coef, rows, n, gamma, curv, offset, shape: tuple):
+def _mixture_kernel(coef, rows, cmat, offset, shape: tuple):
     """``grad(theta, drawn, out)``: :func:`grad_U_mixture` at theta = (a, b)
     of the samples' :func:`_mixture_terms`, which may be refilled between
     calls, into ``out`` of ``shape``, lead + (2,); drawn is unread.  It is
     theta * curv - offset + gamma (q b, q (a + b) - sum t x), where q = n +
     sum t and sample x's responsibility is (1 + t) / 2,
-    t = tanh(b (x - a - b/2) / (2 s2))."""
-    p, t, sums, g, prod = (np.empty(shape[:-1] + tail)
-                           for tail in ((4,), rows.shape[-1:], (2,), (2,), (2,)))
-    # p = (a + b/2, b / (2 s2), b, a + b); padding has x = 0 and weight 0
-    shift, slope, p_b = p[..., :1], p[..., 1:2], p[..., 2:]
-    x, t_row = rows[..., 1, :], t[..., None, :]
-    sum_t, sum_tx, g_1 = sums[..., :1], sums[..., 1:], g[..., 1:]
+    t = tanh(b (x - a - b/2) / (2 s2)), taken as one contraction per agent,
+    cmat . P - offset, of the row P = (a + b/2, b / (2 s2), a, b, a + b,
+    sum t, sum t x, sum t b, sum t (a + b)).  q is never formed: gamma n
+    and gamma sum t weigh (b, a + b) apart, so where every t is near -1
+    the two cancel in the contraction, to a few roundings of gamma n
+    |a + b|, far below the samples' own term."""
+    p, t = np.empty(shape[:-1] + (9,)), np.empty(shape[:-1] + rows.shape[-1:])
+    shift, slope, p_b, p_t = p[..., :1], p[..., 1:2], p[..., 3:5], p[..., 7:]
+    sums, sum_t = p[..., 5:7], p[..., 5:6]
+    x, t_row, p_row = rows[..., 1, :], t[..., None, :], p[..., None, :]
 
     def grad(theta, drawn, out):
         theta.dot(coef, p)  # each entry exact or one rounding, like theta @ coef
-        np.subtract(x, shift, t)
+        np.subtract(x, shift, t)  # padding has x = 0 and weight 0
         np.tanh(np.multiply(t, slope, t), t)
         np.vecdot(t_row, rows, sums)  # (sum t, sum t x)
-        np.multiply(np.add(sum_t, n, sum_t), p_b, g)
-        np.subtract(g_1, sum_tx, g_1)
-        np.multiply(g, gamma, g)
-        np.add(g, np.multiply(theta, curv, prod), g)
-        np.subtract(g, offset, out)
+        np.multiply(sum_t, p_b, p_t)
+        np.vecdot(cmat, p_row, out)
+        np.subtract(out, offset, out)
     return grad
 
 
@@ -625,15 +636,15 @@ class MixturePotential(_ShardedPotential):
         self.props = PotentialProps(dim=2)
         if batch_size is None:
             real = np.arange(self._targets.shape[1]) < np.array(self._sizes)[:, None]
-            self._terms = _mixture_terms(self._targets, 1.0, self.sigma_x ** 2,
-                                         self._agent_prec, real)
+            self._terms, _ = _mixture_terms(self._targets, 1.0, self.sigma_x ** 2,
+                                            self._agent_prec, real)
             self._targets = self._terms[1][:, 1]  # held once, as the rows' w x
         else:
             # a batch of zeros gives the terms that no batch moves: a batch's
             # sum x enters the curvature times 0, a zero for finite samples
-            self._terms = _mixture_terms(np.zeros((len(shards), batch_size)),
-                                         self._scale, self.sigma_x ** 2,
-                                         self._agent_prec)
+            self._terms, self._per_x = _mixture_terms(
+                np.zeros((len(shards), batch_size)), self._scale, self.sigma_x ** 2,
+                self._agent_prec)
 
     def grad_drawn(self, z, idx):
         return _fresh(self.kernel(np.shape(z)), np.shape(z), z, idx)
@@ -642,17 +653,15 @@ class MixturePotential(_ShardedPotential):
         if self.batch_size is None:
             return _mixture_kernel(*self._terms, shape)
         # each step's samples go into row 1 of a copy of the zero batch's
-        # rows, and give the offset gamma * (2, 1) * sum x
-        coef, rows, n, gamma, curv, offset = self._terms
-        rows, total, offset = rows.copy(), n.copy(), offset.copy()
-        two_one = np.array([2.0, 1.0])
-        x, xs = rows[:, 1], rows[:, 1:]
-        grad = _mixture_kernel(coef, rows, n, gamma, curv, offset, shape)
+        # rows, and give the offset sum x * gamma (2, 1)
+        coef, rows, cmat, offset = self._terms
+        rows, offset = rows.copy(), np.empty_like(offset)
+        x, xs, total = rows[:, 1], rows[:, 1:], np.empty((len(rows), 1))
+        grad = _mixture_kernel(coef, rows, cmat, offset, shape)
 
         def gather_grad(z, drawn, out):
             self._targets.take(drawn, out=x)
-            np.multiply(gamma, np.sum(xs, axis=-1, out=total), out=total)
-            np.multiply(total, two_one, out=offset)
+            np.multiply(np.sum(xs, axis=-1, out=total), self._per_x, out=offset)
             grad(z, drawn, out)
         return gather_grad
 

@@ -368,17 +368,19 @@ CONTRACT_NUMPY = "2.4.6"
 CONTRACT_BLAS = "scipy-openblas 0.3.31.188.0"
 CONTRACT_DIGESTS = {
     "linreg": "a846cb365af9a29b0c149d375e46c78975dc2686660898b6238a36ff6865d0b9",
-    # re-recorded when the mixture gradient took its responsibilities as
-    # (1 + tanh(v / 2)) / 2 and summed them per shard: every state moves in
-    # its last bits, at most 6.7e-16 here against the earlier kernel
+    # re-recorded when the mixture kernel became one contraction per agent,
+    # which weighs (b, a + b) by gamma n and by gamma sum t apart instead of
+    # by gamma (n + sum t): every state moves in its last bits, at most
+    # 6.7e-16 against the tanh kernel before it, and the monitors' lemma4
+    # ratio in its 17th digit
     "mixture --iters 2000":
-        "60f21df103b9e41674dfdaed0f519f3d5608a832629c7888779798709738678f",
+        "c9d20bb85ed51abc1d5db35d44de7e41a34950307242dfd730932a4c519d68fd",
     "mixture --iters 2000 --monitors on":
-        "c972d2b779ac1fc66d788da3de28c8111f7dbf5155a839aac7cf79218974617a",
-    # minibatches of the mixture, gathered every step; recorded with the
-    # tanh kernel, at most 2.4e-15 from the earlier kernel's CSV
+        "8defc967ba1010864b8ab88f5b8b60e05ad4c4e46c8f96dd5589d9b19c209bce",
+    # minibatches of the mixture, gathered every step; re-recorded with the
+    # contraction kernel, at most 1.0e-15 from the tanh kernel's CSV
     "mixture --iters 2000 --batch 10":
-        "42b704429268569ea7a15db1d4b905eaa73c39d00daf2c12bf1366c9c6eff8e1",
+        "c8f804337f69968332c7b7410d4497ef8a4e2770fb8930824086e35974d19b41",
     # re-recorded, like the 300-step run below, when logistic's stride
     # became its eval_every: the header reads stride=10 for stride=1, and
     # every data row is as before

@@ -768,6 +768,51 @@ class TestMixtureKernel:
                                        err_msg=path)
 
 
+class TestMixtureCancellation:
+    @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+           batch=st.sampled_from([None, 1, 3]),
+           seed=st.integers(0, 2 ** 16),
+           depth=st.sampled_from([30.0, 300.0, 1e3]))
+    def test_near_zero_responsibilities_match_the_two_term_reference(
+            self, sizes, batch, seed, depth):
+        # every sample lies about depth below theta1, and theta2 > 0 puts
+        # b (x - a - b/2) / (2 s2) at about -5 to -20, so every t is about -1
+        # and q = n + sum t nearly cancels; the kernel forms gamma n and gamma
+        # sum t apart and must still hold the reference's tolerance.  Deeper
+        # samples cost the reference's own v = (d1^2 - d2^2) / (2 s2) its bits
+        rng = np.random.default_rng(seed)
+        m, n = len(sizes), sum(sizes)
+        x = rng.standard_normal(n) - depth
+        ds = Dataset(x[:, None], x)
+        shards = np.split(rng.permutation(n), np.cumsum(sizes)[:-1])
+        pot = MixturePotential(ds, shards, np.sqrt(2.0), (10.0, 1.0), batch)
+        z = np.column_stack([rng.standard_normal(m), rng.uniform(20.0, 80.0, m) / depth])
+        idx = pot.draw(NoiseModel(seed, m), 1)[0]
+        batches = shards if batch is None else idx
+        scale = np.array([[1.0 if batch is None else len(s) / batch]
+                          for s in shards])
+        width = max(map(len, batches))
+        padded, mask = np.ones((m, width)), np.zeros((m, width))
+        for i, rows in enumerate(batches):
+            padded[i, :len(rows)], mask[i, :len(rows)] = x[rows], 1.0
+        prior_vars = (10.0 * m, 1.0 * m)
+        ref = np.stack([reference_grad_mixture(z[i], x[rows], np.sqrt(2.0),
+                                               prior_vars, scale[i])
+                        for i, rows in enumerate(batches)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = {"potential": pot.grad_drawn(z, idx),
+                   "public": grad_U_mixture(z, padded, np.sqrt(2.0), prior_vars,
+                                            scale, mask),
+                   # theta over one more leading axis than the samples
+                   "broadcast": grad_U_mixture(np.stack([z, z]), padded, np.sqrt(2.0),
+                                               prior_vars, scale, mask)[1]}
+        for path, rows in got.items():
+            np.testing.assert_allclose(rows, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max(),
+                                       err_msg=path)
+
+
 def kernel_case(kind, sizes, dim, batch, binary, seed):
     """A built-in potential of ``kind`` over shards of exactly ``sizes``
     rows, with its dataset and shards (None, None for the Gaussian).  The
