@@ -53,9 +53,7 @@ Y_FLOOR = 1e-300
 # the thread count, is part of what fixes the ensemble's results.
 _CHUNK_RUNS = 4096
 # The most steps a block of run and run_gaussian_ensemble holds, a cap that
-# _block_steps lowers for large states and networks.  A block's mixing
-# matrices come from one fill_mixing call and run draws its noise at once;
-# the ensemble's chunks all finish one block of steps before the next begins.
+# _block_steps lowers for large states and networks.
 _MIXING_BLOCK = 256
 # about the most bytes a block holds of run's four (steps, m, d) state and
 # noise buffers, and of (steps, m, m) mixing matrices
@@ -243,16 +241,14 @@ def _check_agents(potential: Potential, m: int) -> None:
                          f"agents but the graph has {m} nodes")
 
 
-def _draws(sched: StepSchedule, potential: Potential,
-           noise: NoiseModel | None, t0: int, steps: int, dim: int):
-    """Step sizes alpha(t+1), the potential's draws and the injections
-    sqrt(2 alpha(t+1)) r_i (None without noise) of steps t0 .. t0+steps-1."""
-    alphas = _alphas(sched, range(t0 + 1, t0 + steps + 1))
-    gauss = [None] * steps
+def _draws(alphas: list, potential: Potential, noise: NoiseModel | None, dim: int):
+    """The potential's draws and the injections sqrt(2 alpha) r_i (None
+    without noise) of the next steps, one per step size in ``alphas``."""
+    gauss = [None] * len(alphas)
     if noise is not None:
-        gauss = noise.gaussian_block(steps, dim)
+        gauss = noise.gaussian_block(len(alphas), dim)
         gauss *= np.sqrt(2.0 * np.array(alphas))[:, None, None]
-    return alphas, potential.draw(noise, steps), gauss
+    return potential.draw(noise, len(alphas)), gauss
 
 
 def _weights(entries: np.ndarray, y: np.ndarray, t0: int) -> tuple:
@@ -274,6 +270,29 @@ def _weights(entries: np.ndarray, y: np.ndarray, t0: int) -> tuple:
         f"push-sum weight underflow at agent {bad} (y={ys[k, bad]:.3e}, t={t0 + k})")
 
 
+def _blocks(seq: DirectedGraphSequence, sched: StepSchedule, horizon: int, size: int):
+    """Steps 0 .. horizon-1 in blocks of at most ``size``, as (t0, mixing, ys,
+    alphas): the matrices A_t in one reused (size, m, m) buffer, the weights
+    y(t+1) from y(0) = 1 (:func:`_weights`) and the step sizes alpha(t+1).  A
+    block ends before a weight underflow, which is raised when the next block
+    is asked for: a divergence found in the block raises first.  No block is empty."""
+    mixing, y = np.empty((size, seq.num_nodes, seq.num_nodes)), np.ones(seq.num_nodes)
+    for t0 in range(0, horizon, size):
+        ys, underflow = _weights(seq.fill_mixing(t0, mixing[:horizon - t0]), y, t0)
+        if len(ys):
+            yield t0, mixing[:len(ys)], ys, _alphas(sched, range(t0 + 1, t0 + len(ys) + 1))
+        if underflow is not None:
+            raise underflow
+        y = ys[-1]
+
+
+def _diverged(t0: int, k, agent, alphas, ys, quantity: str = "state") -> DivergenceError:
+    """The DivergenceError of ``agent`` at step t0 + k of a block, with that
+    step's size alphas[k] and least push-sum weight min(ys[k])."""
+    return DivergenceError(agent=int(agent), iteration=t0 + int(k) + 1, quantity=quantity,
+                           alpha=alphas[k], min_weight=float(ys[k].min()))
+
+
 def _affine_steps(block, ys: np.ndarray, alphas, h, b, out: np.ndarray) -> np.ndarray:
     """[K_t | c_t] of each step, x(t+1) = K_t x(t) + c_t + noise for gradients
     H z - b: K_t[(i,p),(j,q)] = (I - alpha_t H / y_i(t+1))[p,q] A_t[i,j] and
@@ -282,30 +301,27 @@ def _affine_steps(block, ys: np.ndarray, alphas, h, b, out: np.ndarray) -> np.nd
     (n, m), d, a = ys.shape, out.shape[2], np.array(alphas)
     k, g = out[:n], np.multiply((a[:, None] / ys)[:, :, None, None], h)
     np.subtract(np.eye(d), g, out=g)
-    np.multiply(g[..., None, :], block[:n, :, None, :, None],
+    np.multiply(g[..., None, :], block[:, :, None, :, None],
                 out=k[..., :-1].reshape(n, m, d, m, d))
     np.multiply(a[:, None, None], b, out=k[..., -1])
     return k.reshape(n, m * d, m * d + 1)
 
 
-def _step(mixing: np.ndarray, y: np.ndarray, xs: np.ndarray, ws: np.ndarray,
-          zs: np.ndarray, t0: int, alphas, grad, drawn, gauss) -> np.ndarray:
+def _step(mixing: np.ndarray, ys: np.ndarray, xs: np.ndarray, ws: np.ndarray,
+          zs: np.ndarray, t0: int, alphas, grad, drawn, gauss) -> None:
     """Steps t0 .. t0+len(mixing)-1 on agent-major (m, d) buffers.
 
     Step k mixes xs[k] into ws[k], divides it in place by zs[k+1], which
-    the block's push-sum weights fill first so that each division's
+    the block's push-sum weights ``ys`` fill first so that each division's
     operands share one shape, and writes ws[k] - alphas[k] g(zs[k+1]) +
     gauss[k] into xs[k+1], g written there first by the potential's kernel
-    ``grad``, with the entries from :func:`_draws` and ``y`` the weights at
-    t0.  Returns the weights after each step.  The steps stop before a
-    weight underflow, so a divergence before it raises first.  An overflow
-    or NaN, in the gradients too, warns nowhere: the DivergenceError names it.
+    ``grad``, with the entries from :func:`_draws`.  An overflow or NaN, in
+    the gradients too, warns nowhere: the DivergenceError names it.
     """
-    ys, underflow = _weights(mixing, y, t0)
     zs[1:len(ys) + 1] = ys[:, :, None]
     with np.errstate(over="ignore", invalid="ignore"):
         for a, x, w, z, out, alpha, dk, g in zip(
-                mixing, xs, ws, zs[1:len(ys) + 1], xs[1:], alphas, drawn, gauss):
+                mixing, xs, ws, zs[1:], xs[1:], alphas, drawn, gauss):
             a.dot(x, w)
             np.divide(w, z, z)
             grad(z, dk, out)
@@ -316,12 +332,7 @@ def _step(mixing: np.ndarray, y: np.ndarray, xs: np.ndarray, ws: np.ndarray,
     # (step, agent) pairs in order: the first is the earliest, lowest agent
     bad = np.argwhere(~np.isfinite(xs[1:len(ys) + 1]).all(axis=2))
     if len(bad):
-        k = int(bad[0, 0])
-        raise DivergenceError(agent=int(bad[0, 1]), iteration=t0 + k + 1, alpha=alphas[k],
-                              min_weight=float(ys[k].min()))
-    if underflow is not None:
-        raise underflow
-    return ys
+        raise _diverged(t0, bad[0, 0], bad[0, 1], alphas, ys)
 
 
 def langevin_step(ns: NetworkState, mix: MixingMatrix, sched: StepSchedule,
@@ -346,11 +357,15 @@ def langevin_step(ns: NetworkState, mix: MixingMatrix, sched: StepSchedule,
     if len(mix.entries) != m:
         raise ValueError(f"mixing matrix has {len(mix.entries)} nodes but the state has {m} agents")
     _check_agents(potential, m)
-    alphas, drawn, gauss = _draws(sched, potential, noise, ns.t, 1, ns.dim)
+    alphas = _alphas(sched, (ns.t + 1,))
+    drawn, gauss = _draws(alphas, potential, noise, ns.dim)
+    ys, underflow = _weights(mix.entries[None], ns.y, ns.t)
+    if underflow is not None:
+        raise underflow
     xs = np.array([ns.x, ns.x], dtype=float)
     ws, zs = np.empty_like(xs[1:]), np.empty_like(xs)
-    ys = _step(mix.entries[None], ns.y, xs, ws, zs, ns.t, alphas,
-               potential.kernel(ns.x.shape), drawn, gauss)
+    _step(mix.entries[None], ys, xs, ws, zs, ns.t, alphas,
+          potential.kernel(ns.x.shape), drawn, gauss)
     return NetworkState(x=xs[1], y=ys[0], w=ws[0], z=zs[1], t=ns.t + 1)
 
 
@@ -373,7 +388,8 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
         x0: np.ndarray | None = None) -> Trace:
     """Drive the iteration for ``num_iters`` steps and record a trace;
     raise :class:`DivergenceError` at the first iteration and agent whose
-    state, deviation, perturbation or consensus error is not finite.
+    state, deviation, perturbation or consensus error is not finite, or
+    ``FloatingPointError`` at an earlier push-sum weight underflow.
 
     Parameters
     ----------
@@ -425,8 +441,7 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
             raise ValueError("x0 must be finite")
         xs[0] = x0
     zs = xs.copy()
-    ws = np.empty((block, m, d))
-    y = np.ones(m)
+    ws, grad = np.empty((block, m, d)), potential.kernel((m, d))
 
     n_rec = num_iters // stride + 1
     alphas = np.array(_alphas(sched, range(0, num_iters + 1, stride)))
@@ -444,15 +459,11 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
                               iteration=0, quantity="consensus error",
                               alpha=float(alphas[0]), min_weight=1.0)
 
-    mixing, grad = np.empty((block, m, m)), potential.kernel((m, d))
-    for t0 in range(0, num_iters, block):
-        n = min(block, num_iters - t0)
-        # the windows first: their transient is never held beside the draws
-        seq.fill_mixing(t0, mixing[:n])
-        alpha, drawn, gauss = _draws(sched, potential, noise, t0, n, d)
-        ys = _step(mixing[:n], y, xs, ws, zs, t0, alpha, grad, drawn, gauss)
-        y = ys[-1]
-        del drawn, gauss  # so that two blocks' draws are never held at once
+    # a block's windows are filled before its draws, which die with _step's
+    # call: no two of these transients are held at once
+    for t0, mixing, ys, alpha in _blocks(seq, sched, num_iters, block):
+        n = len(ys)
+        _step(mixing, ys, xs, ws, zs, t0, alpha, grad, *_draws(alpha, potential, noise, d))
         # records rec at the multiples t0 + k of stride in (t0, t0 + n],
         # reached by steps t0 + kd
         k = slice(stride - t0 % stride, n + 1, stride)
@@ -473,12 +484,10 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
         bad[kd] |= ~np.isfinite(consensus[rec])
         if bad.any():
             step, agent = np.argwhere(bad)[0]
-            quantity = ("deviation norm" if not np.isfinite(dev[step, agent]) else
-                        "perturbation norm" if not np.isfinite(pert[step, agent]) else
-                        "consensus error")
-            raise DivergenceError(agent=int(agent), iteration=t0 + int(step) + 1,
-                                  quantity=quantity, alpha=alpha[step],
-                                  min_weight=float(ys[step].min()))
+            raise _diverged(t0, step, agent, alpha, ys,
+                            "deviation norm" if not np.isfinite(dev[step, agent]) else
+                            "perturbation norm" if not np.isfinite(pert[step, agent]) else
+                            "consensus error")
         worst_cum[max(t0, 1) - 1:t0 + n - 1] = sums[1:].max(axis=1)
         max_pert = max(max_pert, float(pert.max()))
         xs[0] = xs[n]
@@ -593,7 +602,7 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
 
     def advance(c: int, t0: int, steps: np.ndarray, alphas: list):
         """Runs chunk c through the maps ``steps``, of step sizes ``alphas``, from
-        step t0; returns (iteration, agent) of a divergence at a checkpoint, or None."""
+        step t0; returns (k, agent) of a divergence at checkpoint t0 + k + 1, or None."""
         try:
             (r0, r1), x = bounds[c], xs[c]
             state, w = x[:-1], np.empty((md, r1 - r0))
@@ -611,27 +620,23 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
                 if t + 1 in want:
                     finite = np.isfinite(state.reshape(m, -1)).all(axis=1)
                     if not finite.all():
-                        return t + 1, int(np.argmin(finite))
+                        return t - t0, int(np.argmin(finite))
                     snaps[want[t + 1], r0:r1] = state.reshape(m, d, -1).mean(axis=0).T
             return None
         except BaseException:
             stop.set()
             raise
 
-    # one block of mixing matrices and maps, built here and not in the workers
-    # (the sequence's window memo is not thread-safe) before the chunks run it
+    # each block and its maps are built here and not in the workers (the
+    # sequence's window memo is not thread-safe) before the chunks run it
     size = min(_block_steps(m, d), max(1, _STATE_BYTES // (8 * md * (md + 1))), horizon)
-    mixing, maps = np.empty((size, m, m)), np.empty((size, m, d, md + 1))
-    y = np.ones(m)
+    maps = np.empty((size, m, d, md + 1))
     # an overflow or NaN warns nowhere: the checkpoint check names it
     with ThreadPoolExecutor(_worker_count(len(bounds))) as pool, \
             np.errstate(over="ignore", invalid="ignore"):
         try:
-            for t0 in range(0, horizon, size):
-                block = seq.fill_mixing(t0, mixing[:horizon - t0])
-                ys, underflow = _weights(block, y, t0)
-                alphas = _alphas(sched, range(t0 + 1, t0 + len(ys) + 1))
-                steps = _affine_steps(block, ys, alphas, h, b, maps)
+            for t0, mixing, ys, alphas in _blocks(seq, sched, horizon, size):
+                steps = _affine_steps(mixing, ys, alphas, h, b, maps)
                 # each task runs in a copy of the caller's context, which
                 # carries its numpy error state
                 futures = [pool.submit(contextvars.copy_context().run,
@@ -640,13 +645,7 @@ def run_gaussian_ensemble(seq: DirectedGraphSequence, sched: StepSchedule,
                 failures = [f.result() for f in futures]
                 failures = [f for f in failures if f is not None]
                 if failures:
-                    iteration, agent = min(failures)
-                    k = iteration - t0 - 1
-                    raise DivergenceError(agent=agent, iteration=iteration, alpha=alphas[k],
-                                          min_weight=float(ys[k].min()))
-                if underflow is not None:
-                    raise underflow
-                y = ys[-1]
+                    raise _diverged(t0, *min(failures), alphas, ys)
         except BaseException:
             stop.set()
             raise

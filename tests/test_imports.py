@@ -58,3 +58,24 @@ def test_module_level_function_level_and_absolute_imports_are_seen(tmp_path):
                     "def f():\n    from . import trace, graphs\n"
                     "import declangevin.metrics\n")
     assert sibling_imports(path) == {"models", "trace", "graphs", "metrics"}
+
+
+def called_names(path: Path) -> list:
+    """(function, the names it calls) for every function in ``path``,
+    nested ones too; a function's calls include its nested functions', and
+    ``f(...)`` and ``obj.f(...)`` both count as a call of f."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(node.name, {getattr(call.func, "attr", getattr(call.func, "id", None))
+                         for call in ast.walk(node) if isinstance(call, ast.Call)})
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+
+def test_both_drivers_take_their_blocks_from_one_source():
+    # the mixing matrices and push-sum weights of a block are formed in one
+    # place, which run and run_gaussian_ensemble both iterate
+    pairs = called_names(MODULES["langevin"])
+    assert [name for name, called in pairs if "fill_mixing" in called] == ["_blocks"]
+    calls = dict(pairs)
+    for driver in ("run", "run_gaussian_ensemble"):
+        assert "_blocks" in calls[driver]
+        assert not {"fill_mixing", "_weights"} & calls[driver], driver

@@ -1292,8 +1292,9 @@ class TestBlockBookkeeping:
     finite check once after them; the earliest error still wins."""
 
     # agent 0 keeps half its weight each step and receives nothing, so its
-    # weight 2**-(t+1) falls below the floor at step t = 996, in the middle
-    # of the fourth 256-step block
+    # weight 2**-(t+1) falls below the floor at step t = 996: in the middle
+    # of the fourth 256-step block, or on the first step of a block at a
+    # cap of 996
     UNDERFLOW = r"push-sum weight underflow at agent 0 \(y=7\.466e-301, t=996\)"
 
     def step_loop(self, pot, num_iters):
@@ -1302,7 +1303,9 @@ class TestBlockBookkeeping:
             ns = langevin_step(ns, seq.mixing_at(t), StepSchedule("harmonic", 0.1),
                                pot, None)
 
-    def test_an_underflow_in_the_middle_of_a_block_names_its_step(self):
+    @pytest.mark.parametrize("cap", [256, 996])
+    def test_an_underflow_in_the_middle_of_a_block_names_its_step(self, cap, monkeypatch):
+        monkeypatch.setattr(langevin_module, "_MIXING_BLOCK", cap)
         sched = StepSchedule("harmonic", 0.1)
         with pytest.raises(FloatingPointError, match=self.UNDERFLOW):
             run(lone_edge_then_back(), sched, ZeroPotential(1), None, 1200)
@@ -1313,10 +1316,13 @@ class TestBlockBookkeeping:
             run_gaussian_ensemble(lone_edge_then_back(), sched, np.zeros(1),
                                   np.eye(1), 2, 1200, 3, 0, [1200])
 
-    @pytest.mark.parametrize("diverge_at, error", [
-        (990, DivergenceError), (1000, FloatingPointError)])
+    @pytest.mark.parametrize("cap, diverge_at, error", [
+        (256, 990, DivergenceError), (256, 1000, FloatingPointError),
+        (996, 990, DivergenceError), (996, 995, DivergenceError),
+        (996, 1000, FloatingPointError)])
     def test_the_earlier_of_a_divergence_and_an_underflow_wins(
-            self, diverge_at, error):
+            self, cap, diverge_at, error, monkeypatch):
+        monkeypatch.setattr(langevin_module, "_MIXING_BLOCK", cap)
         sched = StepSchedule("harmonic", 0.1)
         with pytest.raises(error) as info, np.errstate(invalid="ignore"):
             run(lone_edge_then_back(), sched, DivergingAt(1, diverge_at), None, 1200)
