@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .graphs import generate_graph_sequence, spectral_bounds
-from .langevin import NoiseModel, StepSchedule, run
+from .langevin import NoiseModel, StepSchedule, _row_norms, run
 from .metrics import (COV_RIDGE, _classes, _sorted_auc, check_lemma4_bound,
                       w2_gaussian_bures, w2_gaussian_paper)
 from .models import (Dataset, GaussianDist, GaussianPotential, LinRegPotential,
@@ -401,13 +401,15 @@ def _logistic_data(cfg: ExperimentConfig) -> Dataset:
 
 def run_experiment(cfg: ExperimentConfig, setup: RunSetup | None = None):
     """Run one configured experiment and return its trace; ``setup``, when
-    given, must be prepared from ``cfg``."""
+    given, must be prepared from ``cfg``.  Only ``run``'s table reads the
+    recorded deviations, so only its trace keeps them."""
     if setup is None:
         setup = prepare(cfg)
     elif setup.cfg != cfg:
         raise ValueError("setup was prepared from another configuration")
     return run(setup.seq, setup.sched, setup.potential, setup.noise,
-               cfg.iters, cfg.stride, x0=setup.extras.get("x0"))
+               cfg.iters, cfg.stride, x0=setup.extras.get("x0"),
+               keep_dev=cfg.experiment == "run")
 
 
 def linreg_w2_series(trace, posterior: GaussianDist):
@@ -502,14 +504,14 @@ def _linreg_table(trace, setup: RunSetup, report):
 
 def _mixture_table(trace, setup: RunSetup, report):
     # the unused report is freed; the occupancy of each mode's ball is
-    # counted a chunk of records at a time
+    # counted a chunk of records at a time, each distance squared in place
     del report
-    cfg, post = setup.cfg, trace.states[len(trace.ts) // 5:]
+    cfg, post = setup.cfg, trace.states[len(trace.states) // 5:]
     modes = np.array([[cfg.theta1, cfg.theta2], [cfg.theta1 + cfg.theta2, -cfg.theta2]])
     near = np.zeros(2, dtype=int)
     width = max(1, _CHUNK_BYTES // post[0].nbytes)
     for lo in range(0, len(post), width):
-        near += [np.count_nonzero(np.linalg.norm(post[lo:lo + width] - mode, axis=2) < 0.5)
+        near += [np.count_nonzero(_row_norms(post[lo:lo + width] - mode) < 0.5)
                  for mode in modes]
     near_a, near_b = near / post[..., 0].size
     summary = (f"post-burn-in occupancy near the two modes "
@@ -585,9 +587,11 @@ def _command(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"--out {out!r} is a directory or lies in a missing one")
     setup = prepare(cfg)
     trace = run_experiment(cfg, setup)
-    # the report goes straight to the table, which alone holds it
+    # the report goes straight to the table, which alone holds it; the
+    # write keeps only the trace arrays that the table holds
     header, table, summary = _EXPERIMENTS[cfg.experiment][2](
         trace, setup, _monitor_metadata(trace, setup) if cfg.monitors == "on" else None)
+    del trace
     write_csv(out, setup.metadata, header, *table)
     print(f"{cfg.experiment}: wrote {out}" + (f"; {summary}" if summary else ""))
     return 0

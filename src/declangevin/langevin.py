@@ -385,7 +385,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
         noise: NoiseModel, num_iters: int, stride: int = 1,
-        x0: np.ndarray | None = None) -> Trace:
+        x0: np.ndarray | None = None, keep_dev: bool = True) -> Trace:
     """Drive the iteration for ``num_iters`` steps and record a trace;
     raise :class:`DivergenceError` at the first iteration and agent whose
     state, deviation, perturbation or consensus error is not finite, or
@@ -409,10 +409,14 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
     stride : int
         Snapshot thinning: agent samples (the ratio estimates z) and
         consensus errors are kept at iterations 0, stride, 2*stride, ...,
-        with the deviations of the steps into them; the other per-step
-        figures are reduced per block to what the monitors read.
+        with the deviations of the steps into them if ``keep_dev``; the
+        other per-step figures are reduced per block to what the monitors
+        read.
     x0 : ndarray, optional
         Initial (m, d) agent states, finite; zeros by default.
+    keep_dev : bool
+        Store the recorded deviations as ``Trace.record_dev``; if False it
+        is None.  Every step's deviation is still checked and summed.
 
     Returns
     -------
@@ -447,7 +451,7 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
     alphas = np.array(_alphas(sched, range(0, num_iters + 1, stride)))
     states = np.zeros((n_rec, m, d))
     consensus = np.zeros((n_rec, m))
-    record_dev = np.full((n_rec, m), np.nan)
+    record_dev = np.full((n_rec, m), np.nan) if keep_dev else None
     # sums[-1]: each agent's deviations summed over steps 1.. so far (see Trace)
     worst_cum, sums, max_pert = np.empty(num_iters - 1), np.zeros((1, m)), 0.0
     states[0] = zs[0]
@@ -478,7 +482,8 @@ def run(seq: DirectedGraphSequence, sched: StepSchedule, potential: Potential,
             consensus[rec] = _row_norms(np.subtract(zs[k], xbar[k], out=ws[kd]))
             dev = _row_norms(np.subtract(zs[1:n + 1], xbar[:n], out=zs[1:n + 1]))
             sums = np.cumsum(np.vstack([sums[-1:], dev[1:] if t0 == 0 else dev]), axis=0)
-        record_dev[rec] = dev[kd]
+        if keep_dev:
+            record_dev[rec] = dev[kd]
         # finite states can still be far enough apart to overflow a norm
         bad = ~np.isfinite(dev) | ~np.isfinite(pert)
         bad[kd] |= ~np.isfinite(consensus[rec])

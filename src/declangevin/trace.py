@@ -34,16 +34,17 @@ class Trace:
     ``consensus`` the (n_rec, m) distances of those estimates to the network
     average.  ``record_dev`` holds the (n_rec, m) ratio deviations
     ||z_i(s+1) - xbar(s)|| of the steps s into the recorded iterations, NaN
-    at iteration 0.  ``worst_cum_dev[tau-1]``, tau = 1 .. num_iters-1, is the
-    worst agent's deviation summed over steps 1 .. tau (step 0 only feeds the
-    bound's initial-state term), and ``max_pert`` the largest norm of the
-    update an agent applied on top of its mixed value, over all steps.
+    at iteration 0, or is None for a run that did not keep them.
+    ``worst_cum_dev[tau-1]``, tau = 1 .. num_iters-1, is the worst agent's
+    deviation summed over steps 1 .. tau (step 0 only feeds the bound's
+    initial-state term), and ``max_pert`` the largest norm of the update an
+    agent applied on top of its mixed value, over all steps.
     """
 
     alphas: np.ndarray
     states: np.ndarray
     consensus: np.ndarray
-    record_dev: np.ndarray
+    record_dev: np.ndarray | None
     worst_cum_dev: np.ndarray
     max_pert: float
     num_iters: int
@@ -53,8 +54,8 @@ class Trace:
         if self.stride < 1:
             raise ValueError(f"stride must be at least 1, got {self.stride}")
         n_rec = self.num_iters // self.stride + 1
-        if not (len(self.alphas) == len(self.states) == len(self.consensus)
-                == len(self.record_dev) == n_rec):
+        dev = () if self.record_dev is None else (self.record_dev,)
+        if any(len(a) != n_rec for a in (self.alphas, self.states, self.consensus, *dev)):
             raise ValueError("record arrays do not hold num_iters // stride + 1 rows")
         if self.worst_cum_dev.shape != (max(self.num_iters - 1, 0),):
             raise ValueError("worst_cum_dev needs a sum per prefix length 1 .. num_iters-1")

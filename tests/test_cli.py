@@ -737,10 +737,11 @@ class TestRows:
             tracemalloc.stop()
         capsys.readouterr()
         trace, = traces
+        # the mixture's table reads no deviations, so its run keeps none
+        assert trace.record_dev is None
         trace_bytes = sum(a.nbytes for a in (
-            trace.alphas, trace.states, trace.consensus, trace.record_dev,
-            trace.worst_cum_dev))
-        assert trace_bytes > 2.8e6
+            trace.alphas, trace.states, trace.consensus, trace.worst_cum_dev))
+        assert trace_bytes > 2.2e6
         assert peak < 1.25 * trace_bytes
 
 
@@ -1124,6 +1125,30 @@ class TestCommandPath:
         for key in ("violated", "max_ratio", "delta", "lambda", "d_hat"):
             assert f"lemma4_{key}" in meta
         assert capsys.readouterr().out.startswith(f"{command}: wrote {out}")
+
+    @pytest.mark.parametrize("monitors", ["on", "off"])
+    @pytest.mark.parametrize("command", sorted(SMOKE))
+    def test_each_table_reads_only_what_its_command_records(self, command,
+                                                            monitors, tmp_path):
+        # only run's table reads the recorded deviations, so only its trace
+        # keeps them: any other table that read them would find None
+        flags = self.SMOKE[command]
+        cfg = build_config(command, dict(zip((f[2:] for f in flags[::2]), flags[1::2])),
+                           {"monitors": monitors})
+        setup = prepare(cfg)
+        trace = run_experiment(cfg, setup)
+        assert (trace.record_dev is not None) == (command == "run")
+        report = cli_module._monitor_metadata(trace, setup) if monitors == "on" else None
+        header, table, _ = cli_module._EXPERIMENTS[command][2](trace, setup, report)
+        out = tmp_path / "o.csv"
+        cli_module.write_csv(out, setup.metadata, header, *table)
+        if command == "run":
+            lines = [line for line in out.read_text().splitlines()
+                     if not line.startswith("#")]
+            cols = [i for i, name in enumerate(lines[0].split(","))
+                    if name.startswith("z_dev")]
+            rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+            np.testing.assert_array_equal(rows[:, cols], trace.record_dev)
 
     @pytest.mark.parametrize("experiment", sorted(SMOKE))
     def test_the_header_echoes_its_own_fields_and_no_others(

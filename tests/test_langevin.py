@@ -375,6 +375,46 @@ class TestRun:
                 run(lone_edge_then_back(), StepSchedule("harmonic", 0.2),
                     Kick(), None, 1, x0=[[2e154], [0.0]])
 
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 5), d=st.integers(1, 3), stride=st.integers(1, 700),
+           iters=st.integers(1, 600), seed=st.integers(0, 2 ** 16))
+    def test_a_run_that_keeps_no_deviations_is_the_same_run(self, m, d, stride,
+                                                            iters, seed):
+        # every step's deviation is still checked and summed; only the
+        # records of it go.  600 steps cross a block boundary
+        seq = generate_graph_sequence("seeded-random", m, 2, seed=seed)
+        sched = StepSchedule("harmonic", alpha0=0.1)
+        pot = GaussianPotential(np.zeros(d), np.eye(d), m)
+        kept, dropped = (run(seq, sched, pot, NoiseModel(seed, m), iters, stride,
+                             keep_dev=keep) for keep in (True, False))
+        assert kept.record_dev.shape == (iters // stride + 1, m)
+        assert dropped.record_dev is None
+        for name in ("alphas", "states", "consensus", "worst_cum_dev"):
+            a, b = getattr(kept, name), getattr(dropped, name)
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
+        assert np.float64(kept.max_pert).tobytes() == np.float64(dropped.max_pert).tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 7, 2000])
+    @pytest.mark.parametrize("potential, iters, x0, want", [
+        (ZeroPotential(1), 990, None, ("deviation norm", 518)),
+        (GaussianPotential(np.zeros(1), np.eye(1), 2), 100, [[1e100], [0.0]],
+         ("state", 47))], ids=["deviation", "state"])
+    def test_a_run_that_keeps_no_deviations_diverges_the_same(self, potential, iters,
+                                                               x0, want, stride):
+        # the overflows of the lone-edge runs above, at strides that record
+        # the diverging step, skip it, or record nothing after iteration 0
+        errors = []
+        for keep in (True, False):
+            with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+                run(lone_edge_then_back(), StepSchedule("harmonic", alpha0=0.1),
+                    potential, NoiseModel(0, 2), iters, stride, x0=x0, keep_dev=keep)
+            err = info.value
+            errors.append((err.agent, err.iteration, err.quantity, err.alpha,
+                           err.min_weight))
+        quantity, iteration = want
+        assert errors[0] == errors[1] == (0, iteration, quantity, 0.1 / (iteration + 1),
+                                          2.0 ** -iteration)
+
     def test_divergence_error_names_a_state_by_default(self):
         err = DivergenceError(agent=2, iteration=7)
         assert str(err) == "non-finite state at agent 2, iteration 7"
